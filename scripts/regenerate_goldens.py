@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the golden CLI outputs under tests/goldens/.
 
-Each golden is the byte-exact machine-mode output of one subcommand on one
-fixture scene from tests/scenes/.  Rerun this after any deliberate change to
-the output format, review the diff, and commit the result; the acceptance
-suite compares against these files byte for byte.
+Each golden is the byte-exact output of one subcommand on one fixture scene
+from tests/scenes/: machine mode (``--json``) goldens are named
+``<subcommand>_<scene>.json`` and text-mode goldens ``<subcommand>_<scene>.txt``.
+Rerun this after any deliberate change to the output format, review the
+diff, and commit the result; the acceptance suite and tests/test_cli.py
+compare against these files byte for byte.
 """
 
 import io
@@ -17,19 +19,31 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENES = ROOT / "tests" / "scenes"
 GOLDENS = ROOT / "tests" / "goldens"
 
-CASES = [
+JSON_CASES = [
     ("reduce", "single_force"),
     ("reduce", "three_forces"),
     ("compose", "rotation_couple"),
     ("exp", "screw_motion"),
     ("log", "screw_motion"),
     ("reciprocal", "revolute_joint"),
+    ("simulate", "forced_euler"),
+    ("simulate", "tumble_midpoint"),
+]
+
+TEXT_CASES = [
+    ("reduce", "three_forces"),
+    ("compose", "rotation_couple"),
+    ("exp", "screw_motion"),
+    ("log", "screw_motion"),
+    ("reciprocal", "revolute_joint"),
+    ("simulate", "forced_euler"),
 ]
 
 
-def render(command: str, scene_name: str) -> str:
+def render(command: str, scene_name: str, json_mode: bool) -> str:
     out = io.StringIO()
-    code = main([command, str(SCENES / f"{scene_name}.json"), "--json"], stdout=out)
+    argv = [command, str(SCENES / f"{scene_name}.json")] + (["--json"] if json_mode else [])
+    code = main(argv, stdout=out)
     if code != 0:
         raise SystemExit(f"{command} on {scene_name} exited with {code}")
     return out.getvalue()
@@ -37,11 +51,12 @@ def render(command: str, scene_name: str) -> str:
 
 def regenerate() -> None:
     GOLDENS.mkdir(parents=True, exist_ok=True)
-    for command, scene_name in CASES:
-        text = render(command, scene_name)
-        target = GOLDENS / f"{command}_{scene_name}.json"
-        target.write_text(text, encoding="utf-8")
-        print(f"wrote {target.relative_to(ROOT)} ({len(text)} bytes)")
+    for cases, json_mode, suffix in ((JSON_CASES, True, "json"), (TEXT_CASES, False, "txt")):
+        for command, scene_name in cases:
+            text = render(command, scene_name, json_mode)
+            target = GOLDENS / f"{command}_{scene_name}.{suffix}"
+            target.write_text(text, encoding="utf-8")
+            print(f"wrote {target.relative_to(ROOT)} ({len(text)} bytes)")
 
 
 if __name__ == "__main__":

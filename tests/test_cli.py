@@ -5,11 +5,16 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from screwalg import Screw, Vec3, exp_screw
 from screwalg.cli import main
+
+TESTS = Path(__file__).resolve().parent
+SCENES = TESTS / "scenes"
+GOLDENS = TESTS / "goldens"
 
 SINGLE_FORCE = {
     "version": 1,
@@ -330,3 +335,30 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["amplitude"] == 2.0
+
+
+# -- goldens beyond criterion 12 ------------------------------------------------
+# Simulate runs in machine mode, and text mode for the other subcommands; the
+# files are written by scripts/regenerate_goldens.py.
+
+
+@pytest.mark.parametrize(
+    "command, scene_name, golden",
+    [
+        ("simulate", "forced_euler", "simulate_forced_euler.json"),
+        ("simulate", "tumble_midpoint", "simulate_tumble_midpoint.json"),
+        ("reduce", "three_forces", "reduce_three_forces.txt"),
+        ("compose", "rotation_couple", "compose_rotation_couple.txt"),
+        ("exp", "screw_motion", "exp_screw_motion.txt"),
+        ("log", "screw_motion", "log_screw_motion.txt"),
+        ("reciprocal", "revolute_joint", "reciprocal_revolute_joint.txt"),
+        ("simulate", "forced_euler", "simulate_forced_euler.txt"),
+    ],
+)
+def test_output_matches_golden(command, scene_name, golden):
+    argv = [command, str(SCENES / f"{scene_name}.json")]
+    if golden.endswith(".json"):
+        argv.append("--json")
+    code, out, err = run_cli(*argv)
+    assert code == 0 and err == ""
+    assert out == (GOLDENS / golden).read_text(encoding="utf-8")
