@@ -7,6 +7,7 @@ from .errors import (
     EmptyDistributionError,
     InvalidRotationError,
     MissingVelocitiesError,
+    NonFiniteError,
     SceneError,
     ScrewAlgError,
     SingularInertiaError,
@@ -22,8 +23,6 @@ from .screw import (
     Screw,
     ScrewAxis,
     ZeroScrewPitch,
-    evaluate,
-    screw_axis,
 )
 from .lie import (
     Dual6,
@@ -40,13 +39,7 @@ from .lie import (
     to_frame,
 )
 from .rigid import ChaslesDecomposition, RigidMap, chasles, exp_screw, rodrigues
-from .kinematics import (
-    MotionChain,
-    Twist,
-    compose_chain,
-    instantaneous_axis,
-    point_velocity,
-)
+from .kinematics import MotionChain, Twist, compose_chain
 from .dynamics import (
     ForceSystem,
     InertiaOperator,
@@ -82,6 +75,6 @@ from .reduction import (
     central_axis_report,
     decompose_two_applied,
 )
-from .scene import Scene, SimSpec, emit_scene, parse_scene, scene_from_dict
+from .scene import Scene, emit_scene, parse_scene, scene_from_dict
 
 __version__ = "0.1.0"

@@ -10,7 +10,8 @@
 
 Output is human-oriented text (6 significant digits) by default; ``--json``
 switches to a stable machine-readable document with 12 significant digits.
-Exit codes: 0 on success, 2 for malformed input, 3 for domain errors.
+Exit codes: 0 on success, 1 for a failed selfcheck, 2 for malformed input,
+3 for domain errors.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .reduction import central_axis_report, decompose_two_applied
 from .rigid import chasles, exp_screw
 from .scene import Scene, parse_scene
 from .screw import DegenerateAxis, FinitePitch, InfinitePitch, LineAxis, Screw, ZeroScrewPitch
-from .sim import BodyState, SimConfig, run
+from .sim import BodyState, run
 from .vecmath import Mat3, Vec3
 
 __all__ = ["main"]
@@ -155,6 +156,8 @@ def _cmd_reduce(scene: Scene, args) -> tuple[dict, list[str]]:
 
 def _cmd_compose(scene: Scene, args) -> tuple[dict, list[str]]:
     twists = _need(scene, "twists")
+    if not twists:
+        raise _InputError("compose needs at least one twist in the scene")
     total = compose_chain(MotionChain(twists))
     s = total.screw
     speed = s.vector_invariant().norm()
@@ -243,7 +246,7 @@ def _cmd_reciprocal(scene: Scene, args) -> tuple[dict, list[str]]:
 
 def _cmd_simulate(scene: Scene, args) -> tuple[dict, list[str]]:
     masses = _need(scene, "masses")
-    spec = _need(scene, "sim")
+    config = _need(scene, "sim")
     inertia = inertia_of(masses)
     center = inertia.center
     if any(p.velocity is not None for p in masses.particles):
@@ -260,15 +263,12 @@ def _cmd_simulate(scene: Scene, args) -> tuple[dict, list[str]]:
         angular_momentum_at_c=angular,
         body=inertia,
     )
-    config = SimConfig(
-        dt=spec.dt, steps=spec.steps, integrator=spec.integrator, wrench=spec.wrench
-    )
     traj = run(config, state)
     final = traj.states[-1]
     doc = {
-        "steps": spec.steps,
-        "dt": spec.dt,
-        "integrator": spec.integrator,
+        "steps": config.steps,
+        "dt": config.dt,
+        "integrator": config.integrator,
         "diagnostics": [
             {
                 "time": d.time,

@@ -29,6 +29,11 @@ class SingularInertiaError(ScrewAlgError):
     """An inertia operator is (numerically) singular and cannot be inverted."""
 
 
+class NonFiniteError(ScrewAlgError, ValueError):
+    """A vector or matrix component is NaN or infinite, typically after an
+    arithmetic overflow."""
+
+
 class SceneError(ScrewAlgError):
     """A scene file is structurally malformed.
 

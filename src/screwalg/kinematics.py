@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .screw import Screw, ScrewAxis
+from .screw import Screw
 from .vecmath import Point, Vec3
 
-__all__ = ["Twist", "MotionChain", "compose_chain", "instantaneous_axis", "point_velocity"]
+__all__ = ["Twist", "MotionChain", "compose_chain"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,13 +64,3 @@ def compose_chain(chain: MotionChain) -> Twist:
     for tw in chain.relative_twists:
         total = total + tw.screw
     return Twist(total)
-
-
-def instantaneous_axis(twist: Twist) -> ScrewAxis:
-    """Instantaneous screw axis of the motion: the line of minimum speed, or
-    every point for an instantaneous pure translation."""
-    return twist.screw.axis()
-
-
-def point_velocity(twist: Twist, p: Point) -> Vec3:
-    return twist.velocity_at(p)

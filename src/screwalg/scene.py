@@ -3,8 +3,8 @@
 A scene is one JSON object with a mandatory ``version`` (currently 1) and
 any of the sections ``forces``, ``masses``, ``twists``, ``rigid_map`` and
 ``sim``.  Parsing is strict: unknown keys anywhere, wrong array lengths and
-non-numeric entries are rejected with the JSON path of the offending field,
-so typos fail loudly instead of silently defaulting.
+non-numeric or non-finite entries are rejected with the JSON path of the
+offending field, so typos fail loudly instead of silently defaulting.
 
 Structural problems raise ``SceneError`` (the CLI maps these to exit code 2).
 Values that are well-formed but geometrically unacceptable, such as a
@@ -14,6 +14,7 @@ rotation block that is not orthonormal, surface later as domain errors.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .dynamics import ForceSystem, MassDistribution, Particle, Wrench
@@ -21,21 +22,14 @@ from .errors import SceneError
 from .kinematics import Twist
 from .rigid import RigidMap
 from .screw import Screw
+from .sim import INTEGRATORS, SimConfig
 from .vecmath import Mat3, Point, Vec3
 
-__all__ = ["Scene", "SimSpec", "parse_scene", "scene_from_dict", "emit_scene"]
+__all__ = ["Scene", "parse_scene", "scene_from_dict", "emit_scene"]
 
 SCENE_VERSION = 1
 
 _TOP_KEYS = {"version", "forces", "masses", "twists", "rigid_map", "sim"}
-
-
-@dataclass(frozen=True, slots=True)
-class SimSpec:
-    dt: float
-    steps: int
-    integrator: str = "midpoint"
-    wrench: Wrench | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,15 +39,18 @@ class Scene:
     masses: MassDistribution | None = None
     twists: tuple[Twist, ...] | None = None
     rigid_map: RigidMap | None = None
-    sim: SimSpec | None = None
+    sim: SimConfig | None = None
 
 
-def _require_object(value, path: str, allowed: set[str]) -> dict:
+def _require_object(value, path: str, allowed: set[str], required: tuple[str, ...] = ()) -> dict:
     if not isinstance(value, dict):
         raise SceneError(path, f"expected an object, got {type(value).__name__}")
     unknown = set(value) - allowed
     if unknown:
         raise SceneError(path, f"unknown key(s): {', '.join(sorted(unknown))}")
+    for key in required:
+        if key not in value:
+            raise SceneError(path, f"missing key: {key}")
     return value
 
 
@@ -67,6 +64,9 @@ def _number(value, path: str) -> float:
     # bool is an int subclass; keep true/false out of numeric slots.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SceneError(path, f"expected a number, got {value!r}")
+    # json.loads admits NaN, Infinity and integers beyond the float range.
+    if not abs(value) <= sys.float_info.max:
+        raise SceneError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -89,10 +89,7 @@ def _parse_forces(value, path: str) -> ForceSystem:
     entries = []
     for i, item in enumerate(_require_list(value, path)):
         here = f"{path}[{i}]"
-        obj = _require_object(item, here, {"point", "vector"})
-        for key in ("point", "vector"):
-            if key not in obj:
-                raise SceneError(here, f"missing key: {key}")
+        obj = _require_object(item, here, {"point", "vector"}, ("point", "vector"))
         entries.append((_point(obj["point"], f"{here}.point"),
                         _vec3(obj["vector"], f"{here}.vector")))
     return ForceSystem(tuple(entries))
@@ -102,10 +99,7 @@ def _parse_masses(value, path: str) -> MassDistribution:
     particles = []
     for i, item in enumerate(_require_list(value, path)):
         here = f"{path}[{i}]"
-        obj = _require_object(item, here, {"m", "position", "velocity"})
-        for key in ("m", "position"):
-            if key not in obj:
-                raise SceneError(here, f"missing key: {key}")
+        obj = _require_object(item, here, {"m", "position", "velocity"}, ("m", "position"))
         m = _number(obj["m"], f"{here}.m")
         if not m > 0.0:
             raise SceneError(f"{here}.m", "mass must be positive")
@@ -122,9 +116,7 @@ def _parse_twists(value, path: str) -> tuple[Twist, ...]:
     twists = []
     for i, item in enumerate(_require_list(value, path)):
         here = f"{path}[{i}]"
-        obj = _require_object(item, here, {"omega", "moment_at_origin", "v_at"})
-        if "omega" not in obj:
-            raise SceneError(here, "missing key: omega")
+        obj = _require_object(item, here, {"omega", "moment_at_origin", "v_at"}, ("omega",))
         omega = _vec3(obj["omega"], f"{here}.omega")
         has_motor = "moment_at_origin" in obj
         has_v_at = "v_at" in obj
@@ -144,10 +136,7 @@ def _parse_twists(value, path: str) -> tuple[Twist, ...]:
 
 
 def _parse_rigid_map(value, path: str) -> RigidMap:
-    obj = _require_object(value, path, {"rotation", "translation"})
-    for key in ("rotation", "translation"):
-        if key not in obj:
-            raise SceneError(path, f"missing key: {key}")
+    obj = _require_object(value, path, {"rotation", "translation"}, ("rotation", "translation"))
     rot_items = _require_list(obj["rotation"], f"{path}.rotation")
     if len(rot_items) != 9:
         raise SceneError(f"{path}.rotation", f"expected 9 numbers (row-major), got {len(rot_items)}")
@@ -158,11 +147,8 @@ def _parse_rigid_map(value, path: str) -> RigidMap:
     return RigidMap(Mat3(*entries), translation)
 
 
-def _parse_sim(value, path: str) -> SimSpec:
-    obj = _require_object(value, path, {"dt", "steps", "integrator", "wrench"})
-    for key in ("dt", "steps"):
-        if key not in obj:
-            raise SceneError(path, f"missing key: {key}")
+def _parse_sim(value, path: str) -> SimConfig:
+    obj = _require_object(value, path, {"dt", "steps", "integrator", "wrench"}, ("dt", "steps"))
     dt = _number(obj["dt"], f"{path}.dt")
     if not dt > 0.0:
         raise SceneError(f"{path}.dt", "dt must be positive")
@@ -172,7 +158,7 @@ def _parse_sim(value, path: str) -> SimSpec:
     if steps_raw < 1:
         raise SceneError(f"{path}.steps", "steps must be at least 1")
     integrator = obj.get("integrator", "midpoint")
-    if integrator not in ("midpoint", "euler"):
+    if integrator not in INTEGRATORS:
         raise SceneError(f"{path}.integrator", f"unknown integrator {integrator!r}")
     wrench = None
     if "wrench" in obj:
@@ -184,7 +170,7 @@ def _parse_sim(value, path: str) -> SimSpec:
         if "moment_at_origin" in wobj:
             moment = _vec3(wobj["moment_at_origin"], f"{path}.wrench.moment_at_origin")
         wrench = Wrench(Screw(force, moment))
-    return SimSpec(dt=dt, steps=steps_raw, integrator=integrator, wrench=wrench)
+    return SimConfig(dt=dt, steps=steps_raw, integrator=integrator, wrench=wrench)
 
 
 def scene_from_dict(data) -> Scene:

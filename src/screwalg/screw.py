@@ -45,8 +45,6 @@ __all__ = [
     "InfinitePitch",
     "ZeroScrewPitch",
     "Pitch",
-    "evaluate",
-    "screw_axis",
 ]
 
 # Below this, a resultant is considered zero when classifying the axis and
@@ -233,13 +231,3 @@ class Screw:
         if isinstance(ax, DegenerateAxis):
             raise ZeroScrewError("degenerate axis: every point is on it")
         return ax.point
-
-
-def evaluate(s: Screw, point: Point) -> Vec3:
-    """Free-function form of :meth:`Screw.value_at`."""
-    return s.value_at(point)
-
-
-def screw_axis(s: Screw) -> ScrewAxis:
-    """Free-function form of :meth:`Screw.axis`."""
-    return s.axis()

@@ -36,6 +36,7 @@ from .rigid import rodrigues
 from .vecmath import Mat3, Point, Vec3
 
 __all__ = [
+    "INTEGRATORS",
     "BodyState",
     "SimConfig",
     "StepDiagnostics",
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+INTEGRATORS = ("midpoint", "euler")
 
 _SINGULAR_RTOL = 1e-12
 _ORTHO_DRIFT_TOL = 1e-8
@@ -74,6 +77,13 @@ class BodyState:
     body: InertiaOperator
 
 
+def _check_step(dt: float, integrator: str) -> None:
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if integrator not in INTEGRATORS:
+        raise ValueError(f"integrator must be {' or '.join(map(repr, INTEGRATORS))}")
+
+
 @dataclass(frozen=True, slots=True)
 class SimConfig:
     dt: float
@@ -82,12 +92,9 @@ class SimConfig:
     wrench: Wrench | None = None
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        _check_step(self.dt, self.integrator)
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.integrator not in ("midpoint", "euler"):
-            raise ValueError("integrator must be 'midpoint' or 'euler'")
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,10 +223,7 @@ def step(
     """Advance one step of ``dt`` under ``wrench`` (None means unforced) with
     the chosen integrator: explicit midpoint by default, explicit Euler on
     request."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if integrator not in ("midpoint", "euler"):
-        raise ValueError("integrator must be 'midpoint' or 'euler'")
+    _check_step(dt, integrator)
     applied = wrench if wrench is not None else Wrench.zero()
     new, _ = _step_impl(state, applied, dt, integrator)
     return new

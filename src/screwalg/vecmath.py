@@ -14,13 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import NonFiniteError
+
 __all__ = ["Vec3", "Point", "Mat3", "ORIGIN"]
 
 
 def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise ValueError(f"{name} components must be finite, got {values}")
+            raise NonFiniteError(f"{name} components must be finite, got {values}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -293,6 +293,28 @@ def test_unknown_scene_key_reports_its_path(tmp_path):
     assert "forcez" in err
 
 
+def test_non_finite_scene_number_is_a_scene_error(tmp_path):
+    p = tmp_path / "nan.json"
+    p.write_text('{"version": 1, "forces": [{"point": [NaN, 0, 0], "vector": [0, 0, 1]}]}')
+    code, out, err = run_cli("reduce", str(p))
+    assert (code, out) == (2, "")
+    assert err == "scene error at $.forces[0].point[0]: expected a finite number, got nan\n"
+
+
+def test_compose_of_no_twists_is_an_input_error(tmp_path):
+    code, out, err = run_cli("compose", scene_file(tmp_path, {"version": 1, "twists": []}))
+    assert (code, out) == (2, "")
+    assert err == "input error: compose needs at least one twist in the scene\n"
+
+
+def test_overflow_is_a_domain_error(tmp_path):
+    doc = {"version": 1, "forces": [{"point": [1e200, 0.0, 0.0], "vector": [0.0, 1e200, 0.0]}]}
+    code, out, err = run_cli("reduce", scene_file(tmp_path, doc))
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error (NonFiniteError): ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         run_cli("frobnicate")

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import assert_screw_close, assert_vec_close, points, twists, unit_vec3s, vec3s
@@ -14,8 +14,6 @@ from screwalg import (
     Twist,
     Vec3,
     compose_chain,
-    instantaneous_axis,
-    point_velocity,
 )
 
 chains = st.lists(twists, min_size=1, max_size=6)
@@ -61,24 +59,24 @@ def test_three_coplanar_rotations_field_oracle():
         for tw in tws:
             summed = summed + tw.velocity_at(p)
         assert_vec_close(total.velocity_at(p), summed, tol=1e-12)
-    axis = instantaneous_axis(total)
+    axis = total.screw.axis()
     assert isinstance(axis, LineAxis)
     assert total.velocity_at(axis.point).norm() <= 1e-12
 
 
 @given(vec3s, unit_vec3s, points)
+@example(Vec3(0.0, 1.0, 4.4385461108674967e-10), Vec3(0.0, 0.0, 1.0), ORIGIN)
 def test_any_translation_is_a_rotation_couple(v, axis_dir, q):
     """Two opposite pure rotations about parallel axes reproduce any
     translation twist: the couple construction made explicit."""
     if v.norm() <= 1e-3:
         return
-    omega = axis_dir
-    if abs(omega.dot(v)) > 1e-9 * max(1.0, v.norm()):
-        # need a rotation axis perpendicular to the target velocity
-        omega = omega - v.normalized() * omega.dot(v.normalized())
-        if omega.norm() <= 1e-3:
-            return
-        omega = omega.normalized()
+    # need a rotation axis perpendicular to the target velocity; project even
+    # when nearly perpendicular, since any leftover shows up in the moment
+    omega = axis_dir - v.normalized() * axis_dir.dot(v.normalized())
+    if omega.norm() <= 1e-3:
+        return
+    omega = omega.normalized()
     arm = v.cross(omega)
     pair = Twist.pure_rotation(q, omega) + Twist.pure_rotation(q + arm, -1.0 * omega)
     assert_screw_close(pair.screw, Twist.pure_translation(v).screw, tol=1e-11)
@@ -88,7 +86,7 @@ def test_rotation_plus_perpendicular_translation_shifts_the_axis():
     omega = Vec3(0.0, 0.0, 2.0)
     v = Vec3(0.0, 3.0, 0.0)
     tw = Twist.pure_rotation(ORIGIN, omega) + Twist.pure_translation(v)
-    axis = instantaneous_axis(tw)
+    axis = tw.screw.axis()
     assert isinstance(axis, LineAxis)
     assert_vec_close(axis.direction, Vec3(0.0, 0.0, 1.0))
     # parallel axis displaced by |v| / |omega| perpendicular to both
@@ -100,8 +98,8 @@ def test_rotation_plus_perpendicular_translation_shifts_the_axis():
 
 def test_point_velocity_example():
     tw = Twist.pure_rotation(ORIGIN, Vec3(0.0, 0.0, 1.0))
-    assert point_velocity(tw, Point(1.0, 0.0, 0.0)) == Vec3(0.0, 1.0, 0.0)
-    assert point_velocity(tw, ORIGIN) == Vec3.zero()
+    assert tw.velocity_at(Point(1.0, 0.0, 0.0)) == Vec3(0.0, 1.0, 0.0)
+    assert tw.velocity_at(ORIGIN) == Vec3.zero()
 
 
 @given(points, vec3s, vec3s)

@@ -68,6 +68,7 @@ def _reject(data, where_prefix):
     with pytest.raises(SceneError) as exc:
         scene_from_dict(data)
     assert exc.value.where.startswith(where_prefix), exc.value
+    return exc.value
 
 
 def test_unknown_keys_are_rejected_with_their_path():
@@ -107,10 +108,30 @@ def test_non_numbers_are_rejected():
 
 
 def test_missing_required_keys():
-    _reject({"version": 1, "forces": [{"point": [0, 0, 0]}]}, "$.forces[0]")
-    _reject({"version": 1, "masses": [{"position": [0, 0, 0]}]}, "$.masses[0]")
-    _reject({"version": 1, "rigid_map": {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}}, "$.rigid_map")
-    _reject({"version": 1, "sim": {"dt": 0.1}}, "$.sim")
+    cases = [
+        ({"forces": [{"point": [0, 0, 0]}]}, "$.forces[0]", "vector"),
+        ({"masses": [{"position": [0, 0, 0]}]}, "$.masses[0]", "m"),
+        ({"twists": [{"moment_at_origin": [0, 0, 0]}]}, "$.twists[0]", "omega"),
+        ({"rigid_map": {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}}, "$.rigid_map", "translation"),
+        ({"sim": {"dt": 0.1}}, "$.sim", "steps"),
+    ]
+    for section, where, key in cases:
+        err = _reject({"version": 1, **section}, where)
+        assert (err.where, err.message) == (where, f"missing key: {key}")
+
+
+def test_non_finite_numbers_are_rejected():
+    # json.loads accepts NaN, Infinity and integers too large for a float
+    cases = [
+        ('{"version": 1, "forces": [{"point": [NaN, 0, 0], "vector": [0, 0, 1]}]}', "$.forces[0].point[0]"),
+        ('{"version": 1, "sim": {"dt": Infinity, "steps": 1}}', "$.sim.dt"),
+        ('{"version": 1, "masses": [{"m": 1%s, "position": [0, 0, 0]}]}' % ("0" * 400), "$.masses[0].m"),
+    ]
+    for text, where in cases:
+        with pytest.raises(SceneError) as exc:
+            parse_scene(text)
+        assert exc.value.where == where
+        assert exc.value.message.startswith("expected a finite number")
 
 
 def test_mass_must_be_positive():

@@ -34,8 +34,6 @@ from screwalg import (
     Vec3,
     ZeroScrewError,
     ZeroScrewPitch,
-    evaluate,
-    screw_axis,
 )
 
 
@@ -248,12 +246,6 @@ def test_equality_is_exact_isclose_is_tolerant(s):
     assert s.isclose(nudged)
     far = Screw(s.resultant + Vec3(1.0, 0.0, 0.0), s.moment_at_origin)
     assert not s.isclose(far)
-
-
-@given(screws, points)
-def test_free_function_forms(s, p):
-    assert evaluate(s, p) == s.value_at(p)
-    assert screw_axis(s) == s.axis()
 
 
 def test_zero_screw_predicates():
