@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -183,6 +184,8 @@ def _cmd_exp(scene: Scene, args) -> tuple[dict, list[str]]:
     twists = _need(scene, "twists")
     if len(twists) != 1:
         raise _InputError("exp needs exactly one twist in the scene")
+    if not math.isfinite(args.t):
+        raise _InputError(f"--t must be a finite number, got {args.t}")
     g = exp_screw(twists[0].screw, args.t)
     doc = {
         "t": args.t,

@@ -32,9 +32,19 @@ _NEAR_PI = 1e-6
 def rodrigues(axis: Vec3, angle: float) -> Mat3:
     """Rotation by ``angle`` about the unit vector ``axis``:
     R = I + sin(t) K + (1 - cos(t)) K^2 with K the cross matrix of the axis."""
-    k = Mat3.cross_matrix(axis)
-    k2 = k.matmul(k)
-    return Mat3.identity() + math.sin(angle) * k + (1.0 - math.cos(angle)) * k2
+    # Entry by entry, with the float operations of the matrix expression in
+    # its order, so the result is bit-identical to it: K^2 is K.matmul(K)
+    # with its exact-zero terms dropped (uu^T - I would round differently),
+    # and each entry of I + sin(t) K keeps its 0.0 or 1.0 addend.
+    x, y, z = axis.x, axis.y, axis.z
+    s = math.sin(angle)
+    c = 1.0 - math.cos(angle)
+    xy, xz, yz = x * y, x * z, y * z
+    return Mat3(
+        1.0 + c * (-z * z - y * y), (0.0 - z * s) + c * xy, (0.0 + y * s) + c * xz,
+        (0.0 + z * s) + c * xy, 1.0 + c * (-z * z - x * x), (0.0 - x * s) + c * yz,
+        (0.0 - y * s) + c * xz, (0.0 + x * s) + c * yz, 1.0 + c * (-y * y - x * x),
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,19 +134,20 @@ def world_inertia_matrix(state: BodyState) -> Mat3:
     return r.matmul(state.body.moment_matrix).matmul(r.transpose())
 
 
-def _angular_velocity(state: BodyState) -> Vec3:
+def _angular_velocity(state: BodyState, inv_moment: Mat3) -> Vec3:
     r = state.orientation
-    inv = _inverse_moment(state.body)
     body_l = r.transpose().matvec(state.angular_momentum_at_c)
-    return r.matvec(inv.matvec(body_l))
+    return r.matvec(inv_moment.matvec(body_l))
+
+
+def _twist(state: BodyState, omega: Vec3) -> Twist:
+    return Twist.from_motor(
+        state.center, omega, state.linear_momentum / state.body.total_mass
+    )
 
 
 def state_twist(state: BodyState) -> Twist:
-    return Twist.from_motor(
-        state.center,
-        _angular_velocity(state),
-        state.linear_momentum / state.body.total_mass,
-    )
+    return _twist(state, _angular_velocity(state, _inverse_moment(state.body)))
 
 
 def state_momentum(state: BodyState) -> MomentumScrew:
@@ -156,6 +158,25 @@ def state_momentum(state: BodyState) -> MomentumScrew:
 
 def state_kinetic_energy(state: BodyState) -> float:
     return kinetic_energy(state_twist(state), state_momentum(state))
+
+
+class _Screws(NamedTuple):
+    """A state's twist, momentum screw and world inertia matrix.  ``run``
+    builds them once per state: the step leaving the state takes its angular
+    velocity, and the diagnostics of the steps on both sides of it take all
+    three."""
+
+    twist: Twist
+    momentum: MomentumScrew
+    inertia: Mat3
+
+
+def _screws(state: BodyState, inv_moment: Mat3) -> _Screws:
+    return _Screws(
+        _twist(state, _angular_velocity(state, inv_moment)),
+        state_momentum(state),
+        world_inertia_matrix(state),
+    )
 
 
 def _rotate(orientation: Mat3, omega: Vec3, dt: float) -> Mat3:
@@ -177,12 +198,11 @@ def _advance(
     )
 
 
-def _derivatives(state: BodyState, wrench: Wrench) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+def _derivatives(state: BodyState, wrench: Wrench) -> tuple[Vec3, Vec3, Vec3]:
     force = wrench.force
     moment_at_c = wrench.moment_at(state.center)
     v = state.linear_momentum / state.body.total_mass
-    omega = _angular_velocity(state)
-    return force, moment_at_c, v, omega
+    return force, moment_at_c, v
 
 
 def _renormalize(r: Mat3) -> Mat3:
@@ -192,13 +212,21 @@ def _renormalize(r: Mat3) -> Mat3:
 
 
 def _step_impl(
-    state: BodyState, wrench: Wrench, dt: float, integrator: str
+    state: BodyState,
+    omega: Vec3,
+    wrench: Wrench,
+    dt: float,
+    integrator: str,
+    inv_moment: Mat3,
 ) -> tuple[BodyState, bool]:
+    """One step from ``state``, whose angular velocity is ``omega``;
+    ``inv_moment`` is the inverse body moment matrix."""
     if integrator == "euler":
-        new = _advance(state, *_derivatives(state, wrench), dt)
+        new = _advance(state, *_derivatives(state, wrench), omega, dt)
     else:
-        half = _advance(state, *_derivatives(state, wrench), dt / 2.0)
-        new = _advance(state, *_derivatives(half, wrench), dt)
+        half = _advance(state, *_derivatives(state, wrench), omega, dt / 2.0)
+        omega_half = _angular_velocity(half, inv_moment)
+        new = _advance(state, *_derivatives(half, wrench), omega_half, dt)
 
     renormalized = False
     if new.orientation.orthonormality_defect() > _ORTHO_DRIFT_TOL:
@@ -225,22 +253,30 @@ def step(
     request."""
     _check_step(dt, integrator)
     applied = wrench if wrench is not None else Wrench.zero()
-    new, _ = _step_impl(state, applied, dt, integrator)
+    inv_moment = _inverse_moment(state.body)
+    omega = _angular_velocity(state, inv_moment)
+    new, _ = _step_impl(state, omega, applied, dt, integrator, inv_moment)
     return new
 
 
 def _diagnostics(
-    before: BodyState, after: BodyState, t: float, dt: float, wrench: Wrench
+    before: BodyState,
+    after: BodyState,
+    s0: _Screws,
+    s1: _Screws,
+    t: float,
+    dt: float,
+    wrench: Wrench,
 ) -> StepDiagnostics:
-    k0 = state_twist(before)
-    l0 = state_momentum(before)
-    k1 = state_twist(after)
-    l1 = state_momentum(after)
+    """Diagnostics of the step from ``before`` to ``after``, whose screws are
+    ``s0`` and ``s1``."""
+    k0, l0 = s0.twist, s0.momentum
+    k1, l1 = s1.twist, s1.momentum
 
     # Symmetric estimate of omega . (dI_C/dt) (omega) across the step; the
     # lemma makes the exact value zero, so this should vanish at O(dt^2).
     omega_mid = 0.5 * (k0.angular_velocity + k1.angular_velocity)
-    di = world_inertia_matrix(after) - world_inertia_matrix(before)
+    di = s1.inertia - s0.inertia
     omega_idot = omega_mid.dot(di.matvec(omega_mid)) / dt
 
     # Residual of the body-relative balance law d + [k, l] against a forward
@@ -257,13 +293,14 @@ def _diagnostics(
     marker0 = before.center + before.orientation.matvec(_MARKER_OFFSET)
     marker1 = after.center + after.orientation.matvec(_MARKER_OFFSET)
     for p0, p1 in ((before.center, after.center), (marker0, marker1)):
-        fd = (l1.angular_momentum_at(p1) - l0.angular_momentum_at(p0)) / dt
-        res = fd - omega0.cross(l0.angular_momentum_at(p0)) - rhs.value_at(p0)
+        h0 = l0.angular_momentum_at(p0)
+        fd = (l1.angular_momentum_at(p1) - h0) / dt
+        res = fd - omega0.cross(h0) - rhs.value_at(p0)
         residual = max(residual, res.norm())
 
     return StepDiagnostics(
         time=t,
-        kinetic_energy=state_kinetic_energy(before),
+        kinetic_energy=kinetic_energy(k0, l0),
         power=power(k0, wrench),
         omega_idot_omega=omega_idot,
         balance_residual=residual,
@@ -273,16 +310,23 @@ def _diagnostics(
 def run(config: SimConfig, initial: BodyState) -> Trajectory:
     """Integrate for config.steps steps.  Returns the full state sequence
     (steps + 1 entries) plus per-step diagnostics.  Bitwise deterministic for
-    identical inputs."""
+    identical inputs, and state for state equal to ``step`` applied
+    repeatedly."""
     wrench = config.wrench if config.wrench is not None else Wrench.zero()
+    dt = config.dt
+    # The integrator never changes the body, so one inverse serves the run.
+    inv_moment = _inverse_moment(initial.body)
     states = [initial]
     diags = []
     renorms = 0
-    state = initial
+    state, screws = initial, _screws(initial, inv_moment)
     for n in range(config.steps):
-        new, renormed = _step_impl(state, wrench, config.dt, config.integrator)
+        new, renormed = _step_impl(
+            state, screws.twist.angular_velocity, wrench, dt, config.integrator, inv_moment
+        )
         renorms += int(renormed)
-        diags.append(_diagnostics(state, new, n * config.dt, config.dt, wrench))
+        new_screws = _screws(new, inv_moment)
+        diags.append(_diagnostics(state, new, screws, new_screws, n * dt, dt, wrench))
         states.append(new)
-        state = new
+        state, screws = new, new_screws
     return Trajectory(tuple(states), tuple(diags), renorms)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 
 from .errors import NonFiniteError
 
@@ -21,8 +22,13 @@ __all__ = ["Vec3", "Point", "Mat3", "ORIGIN"]
 
 def _require_finite(name: str, *values: float) -> None:
     for v in values:
-        if not math.isfinite(v):
+        if not isfinite(v):
             raise NonFiniteError(f"{name} components must be finite, got {values}")
+
+
+# The constructors below test each field inline and call _require_finite only
+# to raise: they run for every intermediate value of the arithmetic, where a
+# call per construction is most of the cost.
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +40,8 @@ class Vec3:
     z: float
 
     def __post_init__(self):
-        _require_finite("Vec3", self.x, self.y, self.z)
+        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.z)):
+            _require_finite("Vec3", self.x, self.y, self.z)
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -98,7 +105,8 @@ class Point:
     z: float
 
     def __post_init__(self):
-        _require_finite("Point", self.x, self.y, self.z)
+        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.z)):
+            _require_finite("Point", self.x, self.y, self.z)
 
     def __sub__(self, other: "Point") -> Vec3:
         if not isinstance(other, Point):
@@ -141,7 +149,12 @@ class Mat3:
     zz: float
 
     def __post_init__(self):
-        _require_finite("Mat3", *self.flat())
+        if not (
+            isfinite(self.xx) and isfinite(self.xy) and isfinite(self.xz)
+            and isfinite(self.yx) and isfinite(self.yy) and isfinite(self.yz)
+            and isfinite(self.zx) and isfinite(self.zy) and isfinite(self.zz)
+        ):
+            _require_finite("Mat3", *self.flat())
 
     @staticmethod
     def identity() -> "Mat3":
@@ -206,8 +219,19 @@ class Mat3:
         )
 
     def matmul(self, o: "Mat3") -> "Mat3":
-        return Mat3.from_columns(
-            self.matvec(o.column(0)), self.matvec(o.column(1)), self.matvec(o.column(2))
+        # Entry (i, j) is row i of self dotted with column j of o, summed left
+        # to right as in matvec.
+        a, b = self, o
+        return Mat3(
+            a.xx * b.xx + a.xy * b.yx + a.xz * b.zx,
+            a.xx * b.xy + a.xy * b.yy + a.xz * b.zy,
+            a.xx * b.xz + a.xy * b.yz + a.xz * b.zz,
+            a.yx * b.xx + a.yy * b.yx + a.yz * b.zx,
+            a.yx * b.xy + a.yy * b.yy + a.yz * b.zy,
+            a.yx * b.xz + a.yy * b.yz + a.yz * b.zz,
+            a.zx * b.xx + a.zy * b.yx + a.zz * b.zx,
+            a.zx * b.xy + a.zy * b.yy + a.zz * b.zy,
+            a.zx * b.xz + a.zy * b.yz + a.zz * b.zz,
         )
 
     def transpose(self) -> "Mat3":

@@ -148,6 +148,13 @@ def test_exp_needs_exactly_one_twist(tmp_path):
     assert "exactly one twist" in err
 
 
+@pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+def test_exp_of_non_finite_t_is_an_input_error(tmp_path, t):
+    code, out, err = run_cli("exp", str(SCENES / "screw_motion.json"), f"--t={t}")
+    assert (code, out) == (2, "")
+    assert err == f"input error: --t must be a finite number, got {float(t)}\n"
+
+
 def test_exp_log_round_trip_through_the_cli(tmp_path):
     code, out, _ = run_cli("exp", scene_file(tmp_path, SCREW_MOTION), "--json")
     assert code == 0
@@ -299,6 +306,15 @@ def test_non_finite_scene_number_is_a_scene_error(tmp_path):
     code, out, err = run_cli("reduce", str(p))
     assert (code, out) == (2, "")
     assert err == "scene error at $.forces[0].point[0]: expected a finite number, got nan\n"
+
+
+def test_overlong_json_integer_is_a_scene_error(tmp_path):
+    p = tmp_path / "digits.json"
+    p.write_text('{"version": 1, "forces": [{"point": [%s, 0, 0], "vector": [0, 0, 1]}]}' % ("9" * 5001))
+    code, out, err = run_cli("reduce", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("scene error at $: invalid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_compose_of_no_twists_is_an_input_error(tmp_path):

@@ -187,6 +187,15 @@ def test_parse_scene_reports_json_errors_with_position():
     assert "line 2" in exc.value.message
 
 
+def test_overlong_json_integer_is_a_scene_error():
+    # json.loads raises a plain ValueError past the int-string digit limit
+    text = '{"version": 1, "forces": [{"point": [%s, 0, 0], "vector": [0, 0, 1]}]}' % ("9" * 5001)
+    with pytest.raises(SceneError) as exc:
+        parse_scene(text)
+    assert exc.value.where == "$"
+    assert exc.value.message.startswith("invalid JSON: ")
+
+
 def test_emit_parse_round_trip():
     scene = scene_from_dict(FULL_SCENE)
     emitted = emit_scene(scene)

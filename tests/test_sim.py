@@ -1,6 +1,7 @@
 """Integrator checks: exact conservation where the scheme guarantees it,
 measured convergence order where it does not."""
 
+import logging
 import math
 
 import pytest
@@ -16,10 +17,13 @@ from screwalg import (
     Point,
     SimConfig,
     SingularInertiaError,
+    StepDiagnostics,
     Vec3,
     Wrench,
     inertia_of,
     momentum_from_twist,
+    moving_frame_derivative,
+    power,
     run,
     state_kinetic_energy,
     state_momentum,
@@ -219,3 +223,99 @@ def test_diagnostics_track_a_torque_free_tumble():
         assert d.power == 0.0
         assert abs(d.omega_idot_omega) <= 1e-4
         assert 0.0 <= d.balance_residual <= 1.0
+
+
+# -- run against a slow reference ---------------------------------------------
+#
+# ``run`` carries each state's twist, momentum screw and world inertia from
+# one step to the next.  The reference below recomputes every quantity from
+# the public state functions, and ``step`` is applied once per state, so any
+# value carried over wrongly (or taken before the SO(3) projection) shows up
+# as a bit difference.
+
+
+def _exact(x) -> str:
+    # repr of a float round-trips its bits, signed zeros included
+    return repr(x)
+
+
+def _reference_diagnostics(before, after, t, dt, wrench) -> StepDiagnostics:
+    k0, l0 = state_twist(before), state_momentum(before)
+    k1, l1 = state_twist(after), state_momentum(after)
+    omega_mid = 0.5 * (k0.angular_velocity + k1.angular_velocity)
+    di = world_inertia_matrix(after) - world_inertia_matrix(before)
+    omega_idot = omega_mid.dot(di.matvec(omega_mid)) / dt
+    rhs = moving_frame_derivative(l0, k0, wrench)
+    omega0 = k0.angular_velocity
+    res_lin = (
+        (after.linear_momentum - before.linear_momentum) / dt
+        - omega0.cross(before.linear_momentum)
+        - rhs.resultant
+    )
+    residual = res_lin.norm()
+    marker = Vec3(1.0, 0.0, 0.0)
+    marker0 = before.center + before.orientation.matvec(marker)
+    marker1 = after.center + after.orientation.matvec(marker)
+    for p0, p1 in ((before.center, after.center), (marker0, marker1)):
+        fd = (l1.angular_momentum_at(p1) - l0.angular_momentum_at(p0)) / dt
+        res = fd - omega0.cross(l0.angular_momentum_at(p0)) - rhs.value_at(p0)
+        residual = max(residual, res.norm())
+    return StepDiagnostics(
+        time=t,
+        kinetic_energy=state_kinetic_energy(before),
+        power=power(k0, wrench),
+        omega_idot_omega=omega_idot,
+        balance_residual=residual,
+    )
+
+
+def _assert_run_matches_reference(cfg: SimConfig, s0: BodyState) -> None:
+    traj = run(cfg, s0)
+    wrench = cfg.wrench if cfg.wrench is not None else Wrench.zero()
+    assert len(traj.states) == cfg.steps + 1
+    assert _exact(traj.states[0]) == _exact(s0)
+    s = s0
+    for n in range(cfg.steps):
+        nxt = step(s, cfg.wrench, cfg.dt, cfg.integrator)
+        assert _exact(traj.states[n + 1]) == _exact(nxt), f"state {n + 1}"
+        want = _reference_diagnostics(s, nxt, n * cfg.dt, cfg.dt, wrench)
+        assert _exact(traj.diagnostics[n]) == _exact(want), f"diagnostics {n}"
+        s = nxt
+
+
+_FORCING = Wrench.from_motor(Point(0.2, -0.1, 0.4), Vec3(0.5, -1.0, 2.0), Vec3(0.1, 0.3, -0.2))
+
+
+@pytest.mark.parametrize("integrator", ["midpoint", "euler"])
+@pytest.mark.parametrize("wrench", [None, _FORCING], ids=["unforced", "forced"])
+def test_run_equals_repeated_step_and_reference_diagnostics(integrator, wrench):
+    s0 = _state(
+        _lumpy_body(),
+        omega=Vec3(0.9, -1.3, 0.6),
+        linear_momentum=Vec3(0.7, -0.2, 1.1),
+        center=Point(0.3, -0.5, 0.8),
+    )
+    cfg = SimConfig(dt=1e-2, steps=60, integrator=integrator, wrench=wrench)
+    _assert_run_matches_reference(cfg, s0)
+
+
+@pytest.mark.parametrize("integrator", ["midpoint", "euler"])
+def test_renormalization_keeps_run_equal_to_the_reference(integrator, caplog):
+    """An orientation slightly off SO(3) is projected back after the first
+    step; the projected state is what the next step and the diagnostics see."""
+    body = _lumpy_body()
+    omega = Vec3(0.4, 1.1, -0.7)
+    s0 = BodyState(
+        orientation=Mat3.identity() * (1.0 + 1e-7),
+        center=Point(0.1, 0.2, 0.3),
+        linear_momentum=Vec3(0.5, 0.0, -0.25),
+        angular_momentum_at_c=body.moment_matrix.matvec(omega),
+        body=body,
+    )
+    cfg = SimConfig(dt=1e-2, steps=20, integrator=integrator, wrench=_FORCING)
+    with caplog.at_level(logging.WARNING, logger="screwalg.sim"):
+        traj = run(cfg, s0)
+    assert traj.renormalizations >= 1
+    assert any("polar projection" in r.getMessage() for r in caplog.records)
+    assert traj.states[1].orientation.orthonormality_defect() <= 1e-12
+    _assert_run_matches_reference(cfg, s0)

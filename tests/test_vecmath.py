@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import assert_scalar_close, assert_vec_close, coords, points, vec3s
-from screwalg import ORIGIN, Mat3, Point, Vec3
+from screwalg import ORIGIN, Mat3, NonFiniteError, Point, Vec3
 
 
 @given(vec3s, vec3s)
@@ -46,13 +46,16 @@ def test_points_do_not_add():
         Point(1.0, 0.0, 0.0) + Point(0.0, 1.0, 0.0)  # type: ignore[operator]
 
 
-def test_nonfinite_rejected():
-    with pytest.raises(ValueError):
-        Vec3(float("nan"), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Point(0.0, float("inf"), 0.0)
-    with pytest.raises(ValueError):
-        Mat3(*([0.0] * 8), float("-inf"))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "cls, position",
+    [(Vec3, i) for i in range(3)] + [(Point, i) for i in range(3)] + [(Mat3, i) for i in range(9)],
+)
+def test_nonfinite_rejected(cls, position, bad):
+    values = [0.0] * len(cls.__slots__)
+    values[position] = bad
+    with pytest.raises(NonFiniteError, match=f"{cls.__name__} components must be finite"):
+        cls(*values)
 
 
 @given(vec3s, vec3s)
