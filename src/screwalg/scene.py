@@ -200,8 +200,8 @@ def parse_scene(text: str) -> Scene:
     except json.JSONDecodeError as e:
         raise SceneError("$", f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
     except ValueError as e:
-        # json.loads accepts the text but int() refuses it, e.g. an integer
-        # beyond the interpreter's digit limit.
+        # Well-formed JSON that json.loads still cannot convert, e.g. an
+        # integer beyond the interpreter's digit limit.
         raise SceneError("$", f"invalid JSON: {e}")
     return scene_from_dict(data)
 

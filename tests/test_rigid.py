@@ -69,6 +69,24 @@ def test_rodrigues_quarter_turn():
     assert_vec_close(r.matvec(Vec3(0.0, 0.0, 2.0)), Vec3(0.0, 0.0, 2.0), tol=1e-15)
 
 
+# Unit axes with exact (and signed) zero components as well as generic ones.
+_axis_coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), coords)
+_axes = (
+    st.builds(Vec3, _axis_coords, _axis_coords, _axis_coords)
+    .filter(lambda v: v.norm() > 1e-2)
+    .map(lambda v: v.normalized())
+)
+
+
+@given(_axes, st.floats(min_value=-7.0, max_value=7.0))
+def test_rodrigues_is_bit_identical_to_the_matrix_expression(u, angle):
+    k = Mat3.cross_matrix(u)
+    k2 = Mat3.from_columns(k.matvec(k.column(0)), k.matvec(k.column(1)), k.matvec(k.column(2)))
+    want = Mat3.identity() + math.sin(angle) * k + (1.0 - math.cos(angle)) * k2
+    # repr of a float round-trips its bits, signed zeros included
+    assert repr(rodrigues(u, angle)) == repr(want)
+
+
 @given(screws)
 def test_exp_at_zero_parameter_is_identity(s):
     assert exp_screw(s, 0.0).isclose(RigidMap.identity())

@@ -80,6 +80,13 @@ def test_matmul_matches_composed_matvec(a0, a1, a2, w):
     assert_vec_close(a.matmul(b).matvec(w), a.matvec(b.matvec(w)), tol=1e-12)
 
 
+@given(vec3s, vec3s, vec3s, vec3s, vec3s, vec3s)
+def test_matmul_is_matvec_on_each_column_bit_for_bit(a0, a1, a2, b0, b1, b2):
+    a, b = Mat3.from_rows(a0, a1, a2), Mat3.from_columns(b0, b1, b2)
+    want = Mat3.from_columns(a.matvec(b0), a.matvec(b1), a.matvec(b2))
+    assert repr(a.matmul(b)) == repr(want)
+
+
 def test_identity_and_trace():
     assert Mat3.identity().matvec(Vec3(1.0, 2.0, 3.0)) == Vec3(1.0, 2.0, 3.0)
     assert Mat3.identity().trace() == 3.0
