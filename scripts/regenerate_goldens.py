@@ -6,7 +6,8 @@ from tests/scenes/: machine mode (``--json``) goldens are named
 ``<subcommand>_<scene>.json`` and text-mode goldens ``<subcommand>_<scene>.txt``.
 Rerun this after any deliberate change to the output format, review the
 diff, and commit the result; the acceptance suite and tests/test_cli.py
-compare against these files byte for byte.
+compare against these files byte for byte.  The case lists below are the
+only list of goldens: tests/test_cli.py checks every file this writes.
 """
 
 import io
@@ -37,6 +38,9 @@ TEXT_CASES = [
     ("log", "screw_motion"),
     ("reciprocal", "revolute_joint"),
     ("simulate", "forced_euler"),
+    ("log", "pure_translation"),
+    ("compose", "zero_twist"),
+    ("reduce", "couple"),
 ]
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from screwalg import Screw, Vec3, exp_screw
+from screwalg import cli
 from screwalg.cli import main
 
 TESTS = Path(__file__).resolve().parent
@@ -342,9 +343,24 @@ def test_unknown_subcommand_exits_via_argparse():
 def test_selfcheck_passes():
     code, out, err = run_cli("selfcheck")
     assert code == 0 and err == ""
-    lines = [l for l in out.splitlines() if l]
-    assert len(lines) == 7
-    assert all(l.startswith("ok ") for l in lines)
+    assert out == (
+        "ok pairing table\n"
+        "ok commutation table\n"
+        "ok jacobi identity\n"
+        "ok killing form\n"
+        "ok pairing invariance\n"
+        "ok dual pairing\n"
+        "ok flow round trip\n"
+    )
+
+
+def test_failed_selfcheck_exits_1(monkeypatch):
+    monkeypatch.setattr(cli, "_selfcheck_checks", lambda: [("pairing table", True), ("broken", False)])
+    code, out, err = run_cli("selfcheck")
+    assert (code, out, err) == (1, "ok pairing table\nFAIL broken\n", "")
+    code, out, err = run_cli("selfcheck", "--json")
+    assert (code, err) == (1, "")
+    assert '"all_ok": false' in out
 
 
 def test_selfcheck_json():
@@ -376,22 +392,14 @@ def test_module_entry_point(tmp_path):
 
 
 # -- goldens beyond criterion 12 ------------------------------------------------
-# Simulate runs in machine mode, and text mode for the other subcommands; the
-# files are written by scripts/regenerate_goldens.py.
+# Every file in tests/goldens/ is checked; each is named
+# <subcommand>_<scene>.<json|txt> after its fixture scene and output mode and
+# written by scripts/regenerate_goldens.py, which keeps the list of cases.
 
 
 @pytest.mark.parametrize(
     "command, scene_name, golden",
-    [
-        ("simulate", "forced_euler", "simulate_forced_euler.json"),
-        ("simulate", "tumble_midpoint", "simulate_tumble_midpoint.json"),
-        ("reduce", "three_forces", "reduce_three_forces.txt"),
-        ("compose", "rotation_couple", "compose_rotation_couple.txt"),
-        ("exp", "screw_motion", "exp_screw_motion.txt"),
-        ("log", "screw_motion", "log_screw_motion.txt"),
-        ("reciprocal", "revolute_joint", "reciprocal_revolute_joint.txt"),
-        ("simulate", "forced_euler", "simulate_forced_euler.txt"),
-    ],
+    [(*p.stem.split("_", 1), p.name) for p in sorted(GOLDENS.iterdir())],
 )
 def test_output_matches_golden(command, scene_name, golden):
     argv = [command, str(SCENES / f"{scene_name}.json")]
