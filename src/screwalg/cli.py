@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from .dynamics import (
+    MomentumScrew,
     inertia_of,
     momentum_screw,
     reciprocal_subspace,
@@ -35,7 +36,7 @@ from .lie import Frame, basis_screws, commutator, killing_form, klein_product, t
 from .reduction import central_axis_report, decompose_two_applied
 from .rigid import chasles, exp_screw
 from .scene import Scene, parse_scene
-from .screw import DegenerateAxis, FinitePitch, InfinitePitch, LineAxis, Screw, ZeroScrewPitch
+from .screw import DegenerateAxis, FinitePitch, InfinitePitch, Screw
 from .sim import BodyState, run
 from .vecmath import Mat3, Vec3
 
@@ -60,12 +61,25 @@ def _machine_ready(doc, digits: int = MACHINE_DIGITS):
     return doc
 
 
-def _fmt(x: float) -> str:
-    return f"{x + 0.0:.{HUMAN_DIGITS}g}"
+_KIND_TEXT = {
+    "infinite": "infinite (free screw)",
+    "zero-screw": "undefined (zero screw)",
+    "degenerate": "degenerate (every point)",
+}
 
 
-def _fmt_vec(v) -> str:
-    return "[" + ", ".join(_fmt(c) for c in v.components()) + "]"
+def _fmt(value) -> str:
+    """Text form of a doc value: a number, a vector list, or a pitch or axis
+    dict from ``_pitch_doc``/``_axis_doc``."""
+    if isinstance(value, list):
+        return "[" + ", ".join(_fmt(c) for c in value) + "]"
+    if isinstance(value, dict):
+        if value["kind"] == "finite":
+            return _fmt(value["value"])
+        if value["kind"] == "line":
+            return f"line through {_fmt(value['point'])} direction {_fmt(value['direction'])}"
+        return _KIND_TEXT[value["kind"]]
+    return f"{value + 0.0:.{HUMAN_DIGITS}g}"
 
 
 def _vec_doc(v) -> list:
@@ -82,12 +96,6 @@ def _axis_doc(axis) -> dict:
     }
 
 
-def _axis_text(axis) -> str:
-    if isinstance(axis, DegenerateAxis):
-        return "degenerate (every point)"
-    return f"line through {_fmt_vec(axis.point)} direction {_fmt_vec(axis.direction)}"
-
-
 def _pitch_doc(pitch) -> dict:
     if isinstance(pitch, FinitePitch):
         return {"kind": "finite", "value": pitch.value}
@@ -96,19 +104,15 @@ def _pitch_doc(pitch) -> dict:
     return {"kind": "zero-screw"}
 
 
-def _pitch_text(pitch) -> str:
-    if isinstance(pitch, FinitePitch):
-        return _fmt(pitch.value)
-    if isinstance(pitch, InfinitePitch):
-        return "infinite (free screw)"
-    return "undefined (zero screw)"
-
-
 def _screw_doc(s: Screw) -> dict:
     return {
         "resultant": _vec_doc(s.resultant),
         "moment_at_origin": _vec_doc(s.moment_at_origin),
     }
+
+
+def _screw_text(doc: dict) -> str:
+    return f"resultant {_fmt(doc['resultant'])}, moment at origin {_fmt(doc['moment_at_origin'])}"
 
 
 class _InputError(Exception):
@@ -123,6 +127,7 @@ def _need(scene: Scene, section: str):
 
 
 # -- subcommand handlers: each returns (machine_doc, human_lines) ------------
+# The doc holds every result; the lines are rendered from it alone.
 
 
 def _cmd_reduce(scene: Scene, args) -> tuple[dict, list[str]]:
@@ -142,16 +147,16 @@ def _cmd_reduce(scene: Scene, args) -> tuple[dict, list[str]]:
         ],
     }
     lines = [
-        f"resultant:        {_fmt_vec(report.resultant)}",
-        f"amplitude:        {_fmt(report.amplitude)}",
-        f"scalar invariant: {_fmt(report.scalar_invariant)}",
-        f"vector invariant: {_fmt_vec(report.vector_invariant)}",
-        f"pitch:            {_pitch_text(report.pitch)}",
-        f"axis:             {_axis_text(report.axis)}",
+        f"resultant:        {_fmt(doc['resultant'])}",
+        f"amplitude:        {_fmt(doc['amplitude'])}",
+        f"scalar invariant: {_fmt(doc['scalar_invariant'])}",
+        f"vector invariant: {_fmt(doc['vector_invariant'])}",
+        f"pitch:            {_fmt(doc['pitch'])}",
+        f"axis:             {_fmt(doc['axis'])}",
         "two-vector reduction:",
-        f"  at {_fmt_vec(pair.point1)} apply {_fmt_vec(pair.vector1)}",
-        f"  at {_fmt_vec(pair.point2)} apply {_fmt_vec(pair.vector2)}",
     ]
+    for leg in doc["two_vector_reduction"]:
+        lines.append(f"  at {_fmt(leg['point'])} apply {_fmt(leg['vector'])}")
     return doc, lines
 
 
@@ -159,23 +164,22 @@ def _cmd_compose(scene: Scene, args) -> tuple[dict, list[str]]:
     twists = _need(scene, "twists")
     if not twists:
         raise _InputError("compose needs at least one twist in the scene")
-    total = compose_chain(MotionChain(twists))
-    s = total.screw
-    speed = s.vector_invariant().norm()
+    s = compose_chain(MotionChain(twists)).screw
+    vi = s.vector_invariant()
     doc = {
         "angular_velocity": _vec_doc(s.resultant),
         "amplitude": s.amplitude(),
-        "vector_invariant": _vec_doc(s.vector_invariant()),
-        "axis_speed": speed,
+        "vector_invariant": _vec_doc(vi),
+        "axis_speed": vi.norm(),
         "pitch": _pitch_doc(s.pitch()),
         "axis": _axis_doc(s.axis()),
     }
     lines = [
-        f"angular velocity: {_fmt_vec(s.resultant)}",
-        f"amplitude:        {_fmt(s.amplitude())}",
-        f"vector invariant: {_fmt_vec(s.vector_invariant())} (speed {_fmt(speed)})",
-        f"pitch:            {_pitch_text(s.pitch())}",
-        f"axis:             {_axis_text(s.axis())}",
+        f"angular velocity: {_fmt(doc['angular_velocity'])}",
+        f"amplitude:        {_fmt(doc['amplitude'])}",
+        f"vector invariant: {_fmt(doc['vector_invariant'])} (speed {_fmt(doc['axis_speed'])})",
+        f"pitch:            {_fmt(doc['pitch'])}",
+        f"axis:             {_fmt(doc['axis'])}",
     ]
     return doc, lines
 
@@ -194,14 +198,12 @@ def _cmd_exp(scene: Scene, args) -> tuple[dict, list[str]]:
             "translation": _vec_doc(g.translation),
         },
     }
-    r = g.rotation
+    rotation = doc["rigid_map"]["rotation"]
     lines = [
-        f"flow parameter t: {_fmt(args.t)}",
+        f"flow parameter t: {_fmt(doc['t'])}",
         "rotation (rows):",
-        f"  {_fmt_vec(r.row(0))}",
-        f"  {_fmt_vec(r.row(1))}",
-        f"  {_fmt_vec(r.row(2))}",
-        f"translation:      {_fmt_vec(g.translation)}",
+        *(f"  {_fmt(rotation[i:i + 3])}" for i in (0, 3, 6)),
+        f"translation:      {_fmt(doc['rigid_map']['translation'])}",
     ]
     return doc, lines
 
@@ -209,7 +211,6 @@ def _cmd_exp(scene: Scene, args) -> tuple[dict, list[str]]:
 def _cmd_log(scene: Scene, args) -> tuple[dict, list[str]]:
     g = _need(scene, "rigid_map")
     dec = chasles(g)
-    s = dec.to_screw()
     doc = {
         "angle": dec.angle,
         "slide": dec.slide,
@@ -217,18 +218,16 @@ def _cmd_log(scene: Scene, args) -> tuple[dict, list[str]]:
         "pure_translation": (
             _vec_doc(dec.pure_translation) if dec.pure_translation is not None else None
         ),
-        "screw": _screw_doc(s),
+        "screw": _screw_doc(dec.to_screw()),
     }
     lines = [
-        f"angle: {_fmt(dec.angle)}",
-        f"slide: {_fmt(dec.slide)}",
-        f"axis:  {_axis_text(dec.axis)}",
+        f"angle: {_fmt(doc['angle'])}",
+        f"slide: {_fmt(doc['slide'])}",
+        f"axis:  {_fmt(doc['axis'])}",
     ]
-    if dec.pure_translation is not None:
-        lines.append(f"pure translation: {_fmt_vec(dec.pure_translation)}")
-    lines.append(
-        f"screw: resultant {_fmt_vec(s.resultant)}, moment at origin {_fmt_vec(s.moment_at_origin)}"
-    )
+    if doc["pure_translation"] is not None:
+        lines.append(f"pure translation: {_fmt(doc['pure_translation'])}")
+    lines.append(f"screw: {_screw_text(doc['screw'])}")
     return doc, lines
 
 
@@ -239,11 +238,9 @@ def _cmd_reciprocal(scene: Scene, args) -> tuple[dict, list[str]]:
         "dimension": len(basis),
         "basis": [_screw_doc(z) for z in basis],
     }
-    lines = [f"reciprocal subspace dimension: {len(basis)}"]
-    for i, z in enumerate(basis):
-        lines.append(
-            f"  z{i + 1}: resultant {_fmt_vec(z.resultant)}, moment at origin {_fmt_vec(z.moment_at_origin)}"
-        )
+    lines = [f"reciprocal subspace dimension: {doc['dimension']}"]
+    for i, z in enumerate(doc["basis"]):
+        lines.append(f"  z{i + 1}: {_screw_text(z)}")
     return doc, lines
 
 
@@ -251,19 +248,13 @@ def _cmd_simulate(scene: Scene, args) -> tuple[dict, list[str]]:
     masses = _need(scene, "masses")
     config = _need(scene, "sim")
     inertia = inertia_of(masses)
-    center = inertia.center
-    if any(p.velocity is not None for p in masses.particles):
-        l0 = momentum_screw(masses)
-        linear = l0.linear_momentum
-        angular = l0.angular_momentum_at(center)
-    else:
-        linear = Vec3.zero()
-        angular = Vec3.zero()
+    moving = any(p.velocity is not None for p in masses.particles)
+    l0 = momentum_screw(masses) if moving else MomentumScrew(Screw.zero())
     state = BodyState(
         orientation=Mat3.identity(),
-        center=center,
-        linear_momentum=linear,
-        angular_momentum_at_c=angular,
+        center=inertia.center,
+        linear_momentum=l0.linear_momentum,
+        angular_momentum_at_c=l0.angular_momentum_at(inertia.center),
         body=inertia,
     )
     traj = run(config, state)
@@ -291,14 +282,14 @@ def _cmd_simulate(scene: Scene, args) -> tuple[dict, list[str]]:
         "renormalizations": traj.renormalizations,
     }
     lines = ["step    time          T             power         w.dI(w)       residual"]
-    for n, d in enumerate(traj.diagnostics):
+    for n, d in enumerate(doc["diagnostics"]):
         lines.append(
-            f"{n:<7d} {_fmt(d.time):<13} {_fmt(d.kinetic_energy):<13} "
-            f"{_fmt(d.power):<13} {_fmt(d.omega_idot_omega):<13} {_fmt(d.balance_residual)}"
+            f"{n:<7d} {_fmt(d['time']):<13} {_fmt(d['kinetic_energy']):<13} "
+            f"{_fmt(d['power']):<13} {_fmt(d['omega_idot_omega']):<13} {_fmt(d['balance_residual'])}"
         )
-    lines.append(f"final center:   {_fmt_vec(final.center)}")
-    lines.append(f"final momentum: {_fmt_vec(final.linear_momentum)}")
-    lines.append(f"renormalizations: {traj.renormalizations}")
+    lines.append(f"final center:   {_fmt(doc['final']['center'])}")
+    lines.append(f"final momentum: {_fmt(doc['final']['linear_momentum'])}")
+    lines.append(f"renormalizations: {doc['renormalizations']}")
     return doc, lines
 
 
@@ -361,32 +352,8 @@ def _cmd_selfcheck(args) -> tuple[dict, list[str]]:
         "checks": [{"name": name, "ok": ok} for name, ok in checks],
         "all_ok": all(ok for _, ok in checks),
     }
-    lines = [("ok " if ok else "FAIL ") + name for name, ok in checks]
+    lines = [("ok " if c["ok"] else "FAIL ") + c["name"] for c in doc["checks"]]
     return doc, lines
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="screwalg", description="screw-algebra computations on scene files"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, needs_scene: bool = True):
-        p = sub.add_parser(name)
-        if needs_scene:
-            p.add_argument("scene", help="path to a scene JSON file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    add("reduce")
-    add("compose")
-    p_exp = add("exp")
-    p_exp.add_argument("--t", type=float, default=1.0, help="flow parameter")
-    add("log")
-    add("reciprocal")
-    add("simulate")
-    add("selfcheck", needs_scene=False)
-    return parser
 
 
 _HANDLERS = {
@@ -397,6 +364,21 @@ _HANDLERS = {
     "reciprocal": _cmd_reciprocal,
     "simulate": _cmd_simulate,
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="screwalg", description="screw-algebra computations on scene files"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [*_HANDLERS, "selfcheck"]:
+        p = sub.add_parser(name)
+        if name in _HANDLERS:
+            p.add_argument("scene", help="path to a scene JSON file")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if name == "exp":
+            p.add_argument("--t", type=float, default=1.0, help="flow parameter")
+    return parser
 
 
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
