@@ -381,11 +381,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as -1e-3 or -inf for an option; attach it to --t.
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--t" and argv[i + 1].startswith("-") and _is_number(argv[i + 1]):
+            argv[i : i + 2] = [f"--t={argv[i + 1]}"]
+    args = _build_parser().parse_args(argv)
 
     try:
         if args.command == "selfcheck":

@@ -199,9 +199,10 @@ def parse_scene(text: str) -> Scene:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise SceneError("$", f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         # Well-formed JSON that json.loads still cannot convert, e.g. an
-        # integer beyond the interpreter's digit limit.
+        # integer beyond the interpreter's digit limit or nesting deeper
+        # than its recursion limit.
         raise SceneError("$", f"invalid JSON: {e}")
     return scene_from_dict(data)
 

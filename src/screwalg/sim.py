@@ -220,7 +220,8 @@ def _step_impl(
     inv_moment: Mat3,
 ) -> tuple[BodyState, bool]:
     """One step from ``state``, whose angular velocity is ``omega``;
-    ``inv_moment`` is the inverse body moment matrix."""
+    ``inv_moment`` is the inverse body moment matrix.  Also returns whether
+    the orientation was projected back onto SO(3), which the caller logs."""
     if integrator == "euler":
         new = _advance(state, *_derivatives(state, wrench), omega, dt)
     else:
@@ -230,7 +231,6 @@ def _step_impl(
 
     renormalized = False
     if new.orientation.orthonormality_defect() > _ORTHO_DRIFT_TOL:
-        log.warning("orientation drifted off SO(3); applying polar projection")
         new = BodyState(
             orientation=_renormalize(new.orientation),
             center=new.center,
@@ -255,7 +255,9 @@ def step(
     applied = wrench if wrench is not None else Wrench.zero()
     inv_moment = _inverse_moment(state.body)
     omega = _angular_velocity(state, inv_moment)
-    new, _ = _step_impl(state, omega, applied, dt, integrator, inv_moment)
+    new, renormalized = _step_impl(state, omega, applied, dt, integrator, inv_moment)
+    if renormalized:
+        log.warning("orientation drifted off SO(3); applying polar projection")
     return new
 
 
@@ -324,7 +326,9 @@ def run(config: SimConfig, initial: BodyState) -> Trajectory:
         new, renormed = _step_impl(
             state, screws.twist.angular_velocity, wrench, dt, config.integrator, inv_moment
         )
-        renorms += int(renormed)
+        if renormed:
+            renorms += 1
+            log.warning("step %d: orientation drifted off SO(3); applying polar projection", n)
         new_screws = _screws(new, inv_moment)
         diags.append(_diagnostics(state, new, screws, new_screws, n * dt, dt, wrench))
         states.append(new)

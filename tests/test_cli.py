@@ -3,6 +3,7 @@ and the exp/log round trip through actual CLI invocations."""
 
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,15 @@ def test_exp_of_non_finite_t_is_an_input_error(tmp_path, t):
     code, out, err = run_cli("exp", str(SCENES / "screw_motion.json"), f"--t={t}")
     assert (code, out) == (2, "")
     assert err == f"input error: --t must be a finite number, got {float(t)}\n"
+
+
+@pytest.mark.parametrize("t", ["-1e-3", "-2.5E+1", "-7", "-inf", "-nan"])
+def test_exp_reads_a_negative_t_given_after_a_space(t):
+    scene = str(SCENES / "screw_motion.json")
+    code, out, err = run_cli("exp", scene, "--t", t)
+    assert (code, out, err) == run_cli("exp", scene, f"--t={t}")
+    assert code == (0 if math.isfinite(float(t)) else 2)
+    assert err.count("\n") == (0 if code == 0 else 1)
 
 
 def test_exp_log_round_trip_through_the_cli(tmp_path):
@@ -312,6 +322,15 @@ def test_non_finite_scene_number_is_a_scene_error(tmp_path):
 def test_overlong_json_integer_is_a_scene_error(tmp_path):
     p = tmp_path / "digits.json"
     p.write_text('{"version": 1, "forces": [{"point": [%s, 0, 0], "vector": [0, 0, 1]}]}' % ("9" * 5001))
+    code, out, err = run_cli("reduce", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("scene error at $: invalid JSON: ")
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_json_is_a_scene_error(tmp_path):
+    p = tmp_path / "nested.json"
+    p.write_text('{"version": 1, "forces": %s}' % ("[" * 100000 + "]" * 100000))
     code, out, err = run_cli("reduce", str(p))
     assert (code, out) == (2, "")
     assert err.startswith("scene error at $: invalid JSON: ")

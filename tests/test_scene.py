@@ -196,6 +196,15 @@ def test_overlong_json_integer_is_a_scene_error():
     assert exc.value.message.startswith("invalid JSON: ")
 
 
+def test_deeply_nested_json_is_a_scene_error():
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    text = '{"version": 1, "forces": %s}' % ("[" * 100000 + "]" * 100000)
+    with pytest.raises(SceneError) as exc:
+        parse_scene(text)
+    assert exc.value.where == "$"
+    assert exc.value.message.startswith("invalid JSON: ")
+
+
 def test_emit_parse_round_trip():
     scene = scene_from_dict(FULL_SCENE)
     emitted = emit_scene(scene)

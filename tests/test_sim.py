@@ -316,6 +316,8 @@ def test_renormalization_keeps_run_equal_to_the_reference(integrator, caplog):
     with caplog.at_level(logging.WARNING, logger="screwalg.sim"):
         traj = run(cfg, s0)
     assert traj.renormalizations >= 1
-    assert any("polar projection" in r.getMessage() for r in caplog.records)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == traj.renormalizations
+    assert messages[0] == "step 0: orientation drifted off SO(3); applying polar projection"
     assert traj.states[1].orientation.orthonormality_defect() <= 1e-12
     _assert_run_matches_reference(cfg, s0)
