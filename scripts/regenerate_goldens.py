@@ -7,7 +7,8 @@ from tests/scenes/: machine mode (``--json``) goldens are named
 Rerun this after any deliberate change to the output format, review the
 diff, and commit the result; the acceptance suite and tests/test_cli.py
 compare against these files byte for byte.  The case lists below are the
-only list of goldens: tests/test_cli.py checks every file this writes.
+only list of goldens: tests/test_cli.py checks every file this writes, and
+acceptance criterion 12 every ``.json`` one.
 """
 
 import io

@@ -11,7 +11,7 @@
 Output is human-oriented text (6 significant digits) by default; ``--json``
 switches to a stable machine-readable document with 12 significant digits.
 Exit codes: 0 on success, 1 for a failed selfcheck, 2 for malformed input,
-3 for domain errors.
+3 for domain errors, a non-finite result included.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .dynamics import (
     MomentumScrew,
     inertia_of,
@@ -30,7 +28,7 @@ from .dynamics import (
     reciprocal_subspace,
     wrench_of,
 )
-from .errors import SceneError, ScrewAlgError
+from .errors import NonFiniteError, SceneError, ScrewAlgError
 from .kinematics import MotionChain, compose_chain
 from .lie import Frame, basis_screws, commutator, killing_form, klein_product, to_dual, to_frame, pairing, ad
 from .reduction import central_axis_report, decompose_two_applied
@@ -49,6 +47,18 @@ HUMAN_DIGITS = 6
 def _round_sig(x: float, digits: int) -> float:
     x = x + 0.0  # normalize -0.0
     return float(f"{x:.{digits}g}")
+
+
+def _require_finite(value, where: str = "$") -> None:
+    """Refuse a doc that holds a non-finite float, naming its path."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise NonFiniteError(f"non-finite result at {where}")
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _require_finite(v, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _require_finite(v, f"{where}[{i}]")
 
 
 def _machine_ready(doc, digits: int = MACHINE_DIGITS):
@@ -329,7 +339,8 @@ def _selfcheck_checks() -> list[tuple[str, bool]]:
     )
     checks.append(("jacobi identity", jac.isclose(Screw.zero(), abs_=1e-12)))
 
-    trace = float(np.trace(ad(x, frame) @ ad(y, frame)))
+    ax, ay = ad(x, frame), ad(y, frame)
+    trace = sum(ax[i][k] * ay[k][i] for i in range(6) for k in range(6))
     checks.append(("killing form", abs(trace - killing_form(x, y)) < 1e-9))
 
     inv = abs(
@@ -406,11 +417,12 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
             try:
                 with open(args.scene, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as e:
+            except (OSError, UnicodeDecodeError) as e:
                 print(f"input error: cannot read scene: {e}", file=err)
                 return 2
             scene = parse_scene(text)
             doc, lines = _HANDLERS[args.command](scene, args)
+            _require_finite(doc)
     except SceneError as e:
         print(f"scene error at {e.where}: {e.message}", file=err)
         return 2

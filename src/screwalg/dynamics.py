@@ -32,7 +32,7 @@ from .lie import (
     commutator,
     from_frame,
     klein_product,
-    to_frame,
+    to_dual,
 )
 from .screw import Screw
 from .vecmath import Mat3, Point, Vec3
@@ -232,12 +232,9 @@ def reciprocal_subspace(wrenches: list[Screw], frame: Frame) -> list[Screw]:
     """
     if not wrenches:
         return list(basis_screws(frame))
-    rows = []
-    for w in wrenches:
-        coords = to_frame(w, frame)
-        # <z, w> in coordinates is a_z . b_w + b_z . a_w.
-        rows.append(list(coords.b) + list(coords.a))
-    a = np.array(rows, dtype=float)
+    # Row k is the functional <., w_k> in the dual basis.
+    duals = [to_dual(w, frame) for w in wrenches]
+    a = np.array([d.c + d.d for d in duals], dtype=float)
     _, sing, vt = np.linalg.svd(a)
     cutoff = _NULLSPACE_RTOL * (sing[0] if sing.size else 0.0)
     rank = int(np.sum(sing > cutoff))

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .screw import Screw
 from .vecmath import Mat3, Point, Vec3
 
@@ -88,14 +86,6 @@ class Screw6:
     a: tuple[float, float, float]
     b: tuple[float, float, float]
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.a + self.b, dtype=float)
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "Screw6":
-        a1, a2, a3, b1, b2, b3 = (float(x) for x in arr)
-        return Screw6((a1, a2, a3), (b1, b2, b3))
-
 
 @dataclass(frozen=True, slots=True)
 class Dual6:
@@ -106,9 +96,6 @@ class Dual6:
 
     c: tuple[float, float, float]
     d: tuple[float, float, float]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.c + self.d, dtype=float)
 
 
 def klein_product(s1: Screw, s2: Screw) -> float:
@@ -173,12 +160,12 @@ def to_dual(s: Screw, frame: Frame) -> Dual6:
 
 def pairing(dual: Dual6, coords: Screw6) -> float:
     """Apply a dual element to screw coordinates (plain 6-dot)."""
-    return float(dual.as_array() @ coords.as_array())
+    return sum(x * y for x, y in zip(dual.c + dual.d, coords.a + coords.b))
 
 
-def ad(s: Screw, frame: Frame) -> np.ndarray:
-    """Matrix of the map x -> [s, x] on frame coordinates, as a plain 6x6
-    array tied to the given frame:
+def ad(s: Screw, frame: Frame) -> tuple[tuple[float, ...], ...]:
+    """Matrix of the map x -> [s, x] on frame coordinates, as six rows of
+    six floats tied to the given frame:
 
         [[ -W,     0  ]
          [ -M,    -W  ]]
@@ -187,18 +174,14 @@ def ad(s: Screw, frame: Frame) -> np.ndarray:
     the field value at the frame origin.
     """
     coords = to_frame(s, frame)
-    w = Mat3.cross_matrix(Vec3(*coords.a))
-    m = Mat3.cross_matrix(Vec3(*coords.b))
-    top = np.hstack([_mat3_to_array(w) * -1.0, np.zeros((3, 3))])
-    bottom = np.hstack([_mat3_to_array(m) * -1.0, _mat3_to_array(w) * -1.0])
-    return np.vstack([top, bottom])
+    w = (Mat3.cross_matrix(Vec3(*coords.a)) * -1.0).flat()
+    m = (Mat3.cross_matrix(Vec3(*coords.b)) * -1.0).flat()
+    top = tuple(w[i : i + 3] + (0.0, 0.0, 0.0) for i in (0, 3, 6))
+    bottom = tuple(m[i : i + 3] + w[i : i + 3] for i in (0, 3, 6))
+    return top + bottom
 
 
 def killing_form(s1: Screw, s2: Screw) -> float:
     """Trace form of the adjoint action.  Closed form: -4 (w1 . w2) where the
     w are the resultants; the trace itself is kept for test oracles."""
     return -4.0 * s1.resultant.dot(s2.resultant)
-
-
-def _mat3_to_array(m: Mat3) -> np.ndarray:
-    return np.array(m.flat(), dtype=float).reshape(3, 3)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidRotationError
+from .errors import InvalidRotationError, NonFiniteError
 from .screw import DegenerateAxis, LineAxis, Screw, ScrewAxis
 from .vecmath import ORIGIN, Mat3, Point, Vec3
 
@@ -32,6 +32,8 @@ _NEAR_PI = 1e-6
 def rodrigues(axis: Vec3, angle: float) -> Mat3:
     """Rotation by ``angle`` about the unit vector ``axis``:
     R = I + sin(t) K + (1 - cos(t)) K^2 with K the cross matrix of the axis."""
+    if not math.isfinite(angle):
+        raise NonFiniteError(f"rotation angle must be finite, got {angle}")
     # Entry by entry, with the float operations of the matrix expression in
     # its order, so the result is bit-identical to it: K^2 is K.matmul(K)
     # with its exact-zero terms dropped (uu^T - I would round differently),

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from screwalg import Screw, Vec3, exp_screw
+from screwalg import NonFiniteError, Screw, Vec3, exp_screw
 from screwalg import cli
 from screwalg.cli import main
 
@@ -348,6 +348,58 @@ def test_overflow_is_a_domain_error(tmp_path):
     code, out, err = run_cli("reduce", scene_file(tmp_path, doc))
     assert (code, out) == (3, "")
     assert err.startswith("domain error (NonFiniteError): ")
+    assert err.count("\n") == 1
+
+
+def test_exp_whose_angle_overflows_is_a_domain_error(tmp_path):
+    doc = {"version": 1, "twists": [{"omega": [0.0, 0.0, 10.0], "moment_at_origin": [0.0, 0.0, 0.0]}]}
+    code, out, err = run_cli("exp", scene_file(tmp_path, doc), "--t", "1e308")
+    assert (code, out) == (3, "")
+    assert err == "domain error (NonFiniteError): rotation angle must be finite, got inf\n"
+
+
+def test_simulate_whose_angle_overflows_is_a_domain_error(tmp_path):
+    doc = {
+        "version": 1,
+        "masses": [
+            {"m": 1.0, "position": [1.0, 0.0, 0.0], "velocity": [0.0, 1e10, 0.0]},
+            {"m": 1.0, "position": [-1.0, 0.0, 0.0], "velocity": [0.0, -1e10, 0.0]},
+            {"m": 1.0, "position": [0.0, 1.0, 0.0], "velocity": [-1e10, 0.0, 0.0]},
+        ],
+        "sim": {"dt": 1e300, "steps": 2},
+    }
+    code, out, err = run_cli("simulate", scene_file(tmp_path, doc))
+    assert (code, out) == (3, "")
+    assert err == "domain error (NonFiniteError): rotation angle must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("reduce", {"version": 1, "forces": [{"point": [0.0, 0.0, 0.0], "vector": [0.0, 0.0, 1e160]}]}),
+        ("compose", {"version": 1, "twists": [{"omega": [0.0, 0.0, 1e160], "moment_at_origin": [0.0, 0.0, 0.0]}]}),
+    ],
+)
+def test_non_finite_result_is_a_domain_error(tmp_path, command, doc, mode):
+    # components are finite, but the norm behind "amplitude" overflows
+    code, out, err = run_cli(command, scene_file(tmp_path, doc), *mode)
+    assert (code, out) == (3, "")
+    assert err == "domain error (NonFiniteError): non-finite result at $.amplitude\n"
+
+
+def test_non_finite_result_names_its_path():
+    doc = {"steps": 2, "legs": [{"v": [0.0, 1.0, 2.0]}, {"v": [0.0, 1.0, -math.inf]}]}
+    with pytest.raises(NonFiniteError, match=r"^non-finite result at \$\.legs\[1\]\.v\[2\]$"):
+        cli._require_finite(doc)
+
+
+def test_non_utf8_scene_is_an_input_error(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"version": 1, "forces": [], "note": "\xff"}')
+    code, out, err = run_cli("reduce", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: cannot read scene: 'utf-8' codec can't decode byte 0xff")
     assert err.count("\n") == 1
 
 

@@ -29,6 +29,7 @@ from screwalg import (
     InvalidRotationError,
     LineAxis,
     Mat3,
+    NonFiniteError,
     Point,
     RigidMap,
     Screw,
@@ -85,6 +86,18 @@ def test_rodrigues_is_bit_identical_to_the_matrix_expression(u, angle):
     want = Mat3.identity() + math.sin(angle) * k + (1.0 - math.cos(angle)) * k2
     # repr of a float round-trips its bits, signed zeros included
     assert repr(rodrigues(u, angle)) == repr(want)
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_rodrigues_rejects_a_non_finite_angle(angle):
+    with pytest.raises(NonFiniteError, match="rotation angle must be finite"):
+        rodrigues(Vec3(0.0, 0.0, 1.0), angle)
+
+
+def test_exp_whose_angle_overflows_is_a_non_finite_error():
+    # |omega| t = 10 * 1e308 overflows to inf before any sine is taken
+    with pytest.raises(NonFiniteError):
+        exp_screw(Screw(Vec3(0.0, 0.0, 10.0), Vec3.zero()), 1e308)
 
 
 @given(screws)

@@ -1,11 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from screwalg import (
     InvalidRotationError,
     Point,
     SceneError,
+    ScrewAlgError,
     Vec3,
     emit_scene,
     parse_scene,
@@ -218,3 +221,60 @@ def test_scene_sections_must_have_the_right_shape():
     _reject({"version": 1, "forces": {"point": [0, 0, 0]}}, "$.forces")
     _reject({"version": 1, "rigid_map": [1, 2, 3]}, "$.rigid_map")
     _reject({"version": 1, "sim": "fast"}, "$.sim")
+
+
+# -- fuzz: whatever the JSON, parsing fails only with a library error ---------
+
+_KEYS = [
+    "version", "forces", "masses", "twists", "rigid_map", "sim", "point",
+    "vector", "m", "position", "velocity", "omega", "moment_at_origin", "v_at",
+    "rotation", "translation", "dt", "steps", "integrator", "wrench", "force", "x",
+]
+_numbers = st.one_of(st.integers(), st.floats(), st.integers(min_value=10**308, max_value=10**320))
+_leaves = st.one_of(
+    st.none(), st.booleans(), _numbers, st.text(max_size=4), st.sampled_from(["midpoint", "euler"])
+)
+_json = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=9), st.dictionaries(st.sampled_from(_KEYS), kids, max_size=5)),
+    max_leaves=30,
+)
+# Well-shaped sections with arbitrary contents, so that most documents get
+# past the first shape check and into the field parsers.
+_triples = st.one_of(st.lists(_numbers, min_size=3, max_size=3), _json)
+
+
+def _section(required, optional=None):
+    return st.one_of(st.fixed_dictionaries(required, optional=optional or {}), _json)
+
+
+_force = _section({"point": _triples, "vector": _triples})
+_particle = _section({"m": _numbers, "position": _triples}, {"velocity": _triples})
+_twist = _section({"omega": _triples}, {"moment_at_origin": _triples, "v_at": st.lists(_triples, max_size=3)})
+_rigid_map = _section(
+    {"rotation": st.one_of(st.lists(_numbers, min_size=9, max_size=9), _json), "translation": _triples}
+)
+_sim = _section(
+    {"dt": _numbers, "steps": _numbers},
+    {"integrator": _leaves, "wrench": _section({}, {"force": _triples, "moment_at_origin": _triples})},
+)
+_scenes = st.fixed_dictionaries(
+    {"version": st.just(1)},
+    optional={
+        "forces": st.one_of(st.lists(_force, max_size=3), _json),
+        "masses": st.one_of(st.lists(_particle, max_size=3), _json),
+        "twists": st.one_of(st.lists(_twist, max_size=3), _json),
+        "rigid_map": _rigid_map,
+        "sim": _sim,
+    },
+)
+# Two parts well-shaped scenes to one part arbitrary JSON.
+_scene_docs = st.one_of(_scenes, _scenes, _json)
+
+
+@given(_scene_docs)
+def test_scene_from_dict_raises_only_library_errors(doc):
+    try:
+        scene_from_dict(doc)
+    except ScrewAlgError:  # SceneError, or a domain error such as a bad rotation
+        pass
