@@ -23,8 +23,8 @@ from .vecmath import ORIGIN, Mat3, Point, Vec3
 __all__ = ["RigidMap", "ChaslesDecomposition", "rodrigues", "exp_screw", "chasles"]
 
 _ROTATION_TOL = 1e-10
-# Below this rotation angle a rigid map is treated as a pure translation.
-_ANGLE_EPS = 1e-8
+# Below this angle the exp and log coefficients come from their series.
+_SERIES_ANGLE = 1e-4
 # Within this of a half turn, extract the axis from the symmetric part of R.
 _NEAR_PI = 1e-6
 
@@ -73,9 +73,6 @@ class RigidMap:
         moved = self.rotation.matvec(p - ORIGIN) + self.translation
         return ORIGIN + moved
 
-    def apply_vector(self, v: Vec3) -> Vec3:
-        return self.rotation.matvec(v)
-
     def compose(self, first: "RigidMap") -> "RigidMap":
         """self after first: (self.compose(first))(P) == self(first(P))."""
         return RigidMap(
@@ -119,12 +116,21 @@ class ChaslesDecomposition:
 
 def _exp_coeffs(theta: float) -> tuple[float, float]:
     """f1 = (1 - cos t) / t and f2 = 1 - sin t / t, series-guarded near 0."""
-    if abs(theta) < 1e-4:
+    if abs(theta) < _SERIES_ANGLE:
         t2 = theta * theta
         f1 = theta * (0.5 - t2 / 24.0 + t2 * t2 / 720.0)
         f2 = t2 * (1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0)
         return f1, f2
     return (1.0 - math.cos(theta)) / theta, 1.0 - math.sin(theta) / theta
+
+
+def _log_coeff(theta: float) -> float:
+    """1 - (t/2) cot(t/2) for t in (0, pi], series-guarded near 0."""
+    if theta < _SERIES_ANGLE:
+        t2 = theta * theta
+        return t2 * (1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0)
+    half = 0.5 * theta
+    return 1.0 - half * (math.cos(half) / math.sin(half))
 
 
 def exp_screw(s: Screw, t: float = 1.0) -> RigidMap:
@@ -135,10 +141,10 @@ def exp_screw(s: Screw, t: float = 1.0) -> RigidMap:
     translation by t times the constant field value.  Obeys the group law
     exp(s, t1 + t2) = exp(s, t2) o exp(s, t1).
     """
+    if s.is_free():
+        return RigidMap(Mat3.identity(), s.moment_at_origin * t)
     w = s.resultant
     omega = w.norm()
-    if omega == 0.0:
-        return RigidMap(Mat3.identity(), s.moment_at_origin * t)
     u = w / omega
     theta = omega * t
     rot = rodrigues(u, theta)
@@ -169,42 +175,30 @@ def _axis_from_symmetric_part(r: Mat3, cos_theta: float) -> Vec3:
 def chasles(g: RigidMap) -> ChaslesDecomposition:
     """Decompose a rigid map into rotation about a line plus slide along it.
 
-    The angle is taken in [0, pi].  Maps with angle below 1e-8 come back as
-    pure translations; at a half turn the axis direction is recovered from
-    the symmetric part of the rotation (its sign is not determined there,
-    and either choice reproduces the map).
+    The angle, in [0, pi], is atan2(|axial part|, tr R - 1), accurate at every
+    angle.  A map whose screw is free (no rotation, or one whose squared angle
+    underflows) comes back as a pure translation, as ``Screw.axis`` would
+    classify it; at a half turn the axis direction is recovered from the
+    symmetric part of the rotation (its sign is not determined there, and
+    either choice reproduces the map).
     """
     r = g.rotation
-    cos_theta = max(-1.0, min(1.0, (r.trace() - 1.0) / 2.0))
-    theta = math.acos(cos_theta)
-
-    if theta < _ANGLE_EPS:
-        return ChaslesDecomposition(
-            axis=DegenerateAxis(),
-            angle=0.0,
-            slide=0.0,
-            pure_translation=g.translation,
-        )
-
-    if math.pi - theta < _NEAR_PI:
-        u = _axis_from_symmetric_part(r, cos_theta)
-    else:
-        w = Vec3(r.zy - r.yz, r.xz - r.zx, r.yx - r.xy)
-        u = w / (2.0 * math.sin(theta))
-        u = u.normalized()
-
-    # Invert the translation integral V(1): on the axis direction V is the
-    # identity, in the perpendicular plane it is a scaled rotation, giving
-    #   V^-1 = I - (t/2) K + (1 - (t/2) cot(t/2)) K^2.
-    half = 0.5 * theta
-    c2 = 1.0 - half * (math.cos(half) / math.sin(half))
     tv = g.translation
-    utv = u.cross(tv)
-    uutv = u.cross(utv)
-    origin_value = tv - half * utv + c2 * uutv
-
-    s = Screw(u * theta, origin_value)
+    w = Vec3(r.zy - r.yz, r.xz - r.zx, r.yx - r.xy)  # 2 sin(theta) u
+    theta = math.atan2(w.norm(), r.trace() - 1.0)
+    s = Screw.from_free_vector(tv)
+    if theta > 0.0:
+        if math.pi - theta < _NEAR_PI:
+            u = _axis_from_symmetric_part(r, 0.5 * (r.trace() - 1.0))
+        else:
+            u = w.normalized()
+        # Invert the translation integral V(1): on the axis direction V is the
+        # identity, in the perpendicular plane it is a scaled rotation, giving
+        #   V^-1 = I - (t/2) K + (1 - (t/2) cot(t/2)) K^2.
+        utv = u.cross(tv)
+        s = Screw(u * theta, tv - (0.5 * theta) * utv + _log_coeff(theta) * u.cross(utv))
+    if s.is_free():
+        return ChaslesDecomposition(DegenerateAxis(), 0.0, 0.0, pure_translation=tv)
     axis = s.axis()
-    assert isinstance(axis, LineAxis)
     slide = s.vector_invariant().dot(axis.direction)
     return ChaslesDecomposition(axis=axis, angle=theta, slide=slide)

@@ -22,6 +22,10 @@ Conventions that matter:
   field's value on the axis.
 * The *axis* is the locus of minimum field magnitude: a line when the
   resultant is nonzero, everywhere (degenerate) when it vanishes.
+* Classification is exact: a screw is free (zero resultant) only when the
+  resultant's squared norm is 0.0 in floating point, and zero when its
+  moment's is too.  With no tolerance, a change of units cannot change
+  the class unless it underflows a square to 0.0.
 * The *pitch* uses the full-turn normalization: a screw of pitch p advances
   by p along its axis per complete revolution, so the vector invariant is
   (p / 2 pi) times the resultant.  Beware: much of the robotics literature
@@ -47,15 +51,12 @@ __all__ = [
     "Pitch",
 ]
 
-# Below this, a resultant is considered zero when classifying the axis and
-# pitch.  Relative to the moment so that large couples do not get mistaken
-# for small rotations, with an absolute floor of 1 so that tiny screws are
-# still classified sensibly.
-_RESULTANT_EPS = 1e-9
-
-# Absolute floor below which a moment is treated as zero when deciding
-# whether a screw is the zero screw.
-_MOMENT_EPS = 1e-12
+def _negligible(v: Vec3) -> bool:
+    """The one degeneracy rule: a resultant (or moment) is negligible only when
+    its squared norm is 0.0 in floating point.  That is an exact zero, or a
+    vector so small that dividing by its squared norm would divide by zero.
+    No tolerance enters, so the rule does not depend on the units."""
+    return v.dot(v) == 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,27 +173,22 @@ class Screw:
         """Component of the field value along the resultant; equals the field
         value on the axis.  For a zero-resultant screw this is the constant
         field value itself."""
-        w2 = self.resultant.dot(self.resultant)
-        if self._resultant_negligible():
+        if self.is_free():
             return self.moment_at_origin
-        return self.resultant * (self.scalar_invariant() / w2)
+        w = self.resultant
+        return w * (self.scalar_invariant() / w.dot(w))
 
     def amplitude(self) -> float:
         """Magnitude of the resultant (unsigned)."""
         return self.resultant.norm()
 
     def is_zero(self) -> bool:
-        return self.is_free() and self.moment_at_origin.norm() <= _MOMENT_EPS
+        return self.is_free() and _negligible(self.moment_at_origin)
 
     def is_free(self) -> bool:
         """True when the resultant is negligible, i.e. the field is constant
         (a couple, for wrenches; a pure translation, for twists)."""
-        return self._resultant_negligible()
-
-    def _resultant_negligible(self) -> bool:
-        return self.resultant.norm() <= _RESULTANT_EPS * max(
-            1.0, self.moment_at_origin.norm()
-        )
+        return _negligible(self.resultant)
 
     # -- axis and pitch ------------------------------------------------------
 
@@ -204,7 +200,7 @@ class Screw:
         there reduces to the vector invariant.  For negligible resultant every
         point realizes the minimum and the axis degenerates to all of space.
         """
-        if self._resultant_negligible():
+        if self.is_free():
             return DegenerateAxis()
         w = self.resultant
         w2 = w.dot(w)
@@ -218,7 +214,7 @@ class Screw:
         rotating and get ``InfinitePitch``; the zero screw gets the explicit
         ``ZeroScrewPitch`` marker rather than a sentinel number.
         """
-        if self._resultant_negligible():
+        if self.is_free():
             if self.is_zero():
                 return ZeroScrewPitch()
             return InfinitePitch()

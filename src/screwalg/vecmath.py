@@ -12,12 +12,15 @@ it.  Point - Point = Vec3, Point + Vec3 = Point; points cannot be added.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import isfinite
 
 from .errors import NonFiniteError
 
 __all__ = ["Vec3", "Point", "Mat3", "ORIGIN"]
+
+_MIN_NORMAL = sys.float_info.min
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -71,7 +74,12 @@ class Vec3:
         )
 
     def norm(self) -> float:
-        return math.sqrt(self.dot(self))
+        d = self.dot(self)
+        if _MIN_NORMAL <= d < math.inf:
+            return math.sqrt(d)
+        # The sum of squares overflowed, or fell to 0.0 or into the subnormals
+        # where it loses digits; hypot scales before squaring.
+        return math.hypot(self.x, self.y, self.z)
 
     def normalized(self) -> "Vec3":
         n = self.norm()

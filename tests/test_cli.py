@@ -196,6 +196,19 @@ def test_log_human_output(tmp_path):
     assert "slide: 0.75" in out
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_log_of_a_small_rotation_with_a_large_moment(tmp_path, mode):
+    g = exp_screw(Screw(Vec3(0.0, 0.0, 1e-4), Vec3(1e6, 0.0, 0.0)))
+    rigid_map = {"rotation": list(g.rotation.flat()), "translation": list(g.translation.components())}
+    log_scene = scene_file(tmp_path, {"version": 1, "rigid_map": rigid_map})
+    code, out, err = run_cli("log", log_scene, *mode)
+    assert (code, err) == (0, "")
+    if mode:
+        assert abs(json.loads(out)["angle"] - 1e-4) <= 1e-16
+    else:
+        assert out.startswith("angle: 0.0001\n")
+
+
 def test_log_of_pure_translation(tmp_path):
     doc = {
         "version": 1,
@@ -377,15 +390,32 @@ def test_simulate_whose_angle_overflows_is_a_domain_error(tmp_path):
 @pytest.mark.parametrize(
     "command, doc",
     [
+        ("reduce", {"version": 1, "forces": [{"point": [0.0, 0.0, 0.0], "vector": [0.0, 1.5e308, 1.5e308]}]}),
+        ("compose", {"version": 1, "twists": [{"omega": [0.0, 1.5e308, 1.5e308], "moment_at_origin": [0.0, 0.0, 0.0]}]}),
+    ],
+)
+def test_non_finite_result_is_a_domain_error(tmp_path, command, doc, mode):
+    # components are finite, but the true "amplitude", 2.1e308, overflows
+    code, out, err = run_cli(command, scene_file(tmp_path, doc), *mode)
+    assert (code, out) == (3, "")
+    assert err == "domain error (NonFiniteError): non-finite result at $.amplitude\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "command, doc",
+    [
         ("reduce", {"version": 1, "forces": [{"point": [0.0, 0.0, 0.0], "vector": [0.0, 0.0, 1e160]}]}),
         ("compose", {"version": 1, "twists": [{"omega": [0.0, 0.0, 1e160], "moment_at_origin": [0.0, 0.0, 0.0]}]}),
     ],
 )
-def test_non_finite_result_is_a_domain_error(tmp_path, command, doc, mode):
-    # components are finite, but the norm behind "amplitude" overflows
+def test_amplitude_whose_square_overflows_is_finite(tmp_path, command, doc, mode):
     code, out, err = run_cli(command, scene_file(tmp_path, doc), *mode)
-    assert (code, out) == (3, "")
-    assert err == "domain error (NonFiniteError): non-finite result at $.amplitude\n"
+    assert (code, err) == (0, "")
+    if mode:
+        assert json.loads(out)["amplitude"] == 1e160
+    else:
+        assert "amplitude:        1e+160\n" in out
 
 
 def test_non_finite_result_names_its_path():

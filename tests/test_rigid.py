@@ -184,6 +184,22 @@ def test_log_exp_round_trip_100_fixed_seeds():
         assert back.to_rigid_map().isclose(g, rel=1e-9, abs_=1e-9)
 
 
+def test_log_exp_round_trip_small_angles_across_scales():
+    # Angles 1e-12..1e-2 under moments 1e-6..1e6: the angle comes from atan2
+    # and the screw is never mistaken for a free one.
+    rng = random.Random(13)
+    for _ in range(2000):
+        u = Vec3(rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)).normalized()
+        theta = 10.0 ** rng.uniform(-12.0, -2.0)
+        m = Vec3(rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.uniform(-6.0, 6.0)
+        s = Screw(u * theta, m)
+        dec = chasles(exp_screw(s, 1.0))
+        assert abs(dec.angle - theta) <= 1e-12 * theta
+        back = dec.to_screw()
+        assert (back.resultant - s.resultant).norm() <= 1e-9 * s.resultant.norm()
+        assert (back.moment_at_origin - m).norm() <= 1e-9 * m.norm()
+
+
 @given(screws)
 def test_exp_log_reproduces_the_map(s):
     """Even past the principal branch the decomposition reproduces the map

@@ -10,7 +10,8 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import (
     assert_scalar_close,
@@ -254,5 +255,35 @@ def test_zero_screw_predicates():
     assert Screw.from_free_vector(Vec3(0.0, 1.0, 0.0)).is_free()
     assert not Screw.from_free_vector(Vec3(0.0, 1.0, 0.0)).is_zero()
     assert not Screw(Vec3(1.0, 0.0, 0.0), Vec3.zero()).is_free()
-    # A huge couple with a resultant below the relative threshold counts as free.
-    assert Screw(Vec3(1e-6, 0.0, 0.0), Vec3(1e6, 0.0, 0.0)).is_free()
+    # Classification is exact: a tiny resultant under a huge moment is a line.
+    s = Screw(Vec3(1e-6, 0.0, 0.0), Vec3(1e6, 0.0, 0.0))
+    assert not s.is_free()
+    assert s.axis() == LineAxis(ORIGIN, Vec3(1.0, 0.0, 0.0))
+    assert isinstance(s.pitch(), FinitePitch) and math.isfinite(s.pitch().value)
+
+
+# Components that are 0 or of magnitude 1e-100..1e100: scaled by up to 1e6
+# either way, their squares neither underflow nor overflow.
+_wide_components = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda e, sign: sign * 10.0 ** e,
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.sampled_from([1.0, -1.0]),
+    ),
+)
+_wide_vec3s = st.builds(Vec3, _wide_components, _wide_components, _wide_components)
+
+
+def _classify(s: Screw) -> tuple:
+    return (s.is_zero(), s.is_free(), type(s.axis()), type(s.pitch()))
+
+
+@given(
+    st.builds(Screw, _wide_vec3s, _wide_vec3s),
+    st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0 ** e),
+)
+@example(Screw(Vec3(0.0, 0.0, 1e-10), Vec3.zero()), 1e6)
+@example(Screw(Vec3.zero(), Vec3(1e-13, 0.0, 0.0)), 1e6)
+def test_classification_does_not_depend_on_the_units(s, k):
+    assert _classify(s * k) == _classify(s)

@@ -36,6 +36,12 @@ def test_norm_examples():
         Vec3.zero().normalized()
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-155, 1e-162, 1e-200])
+def test_norm_survives_squares_that_overflow_or_underflow(scale):
+    # sqrt(x.x) would give inf, or lose digits in the subnormals, or 0.0
+    assert math.isclose(Vec3(3.0 * scale, 4.0 * scale, 0.0).norm(), 5.0 * scale, rel_tol=1e-15)
+
+
 @given(points, vec3s)
 def test_point_displacement_round_trip(p, d):
     assert_vec_close((p + d) - p, d)
