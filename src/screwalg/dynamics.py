@@ -19,9 +19,8 @@ to other poles by the parallel-axis rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EmptyDistributionError, MissingVelocitiesError
 from .kinematics import Twist
@@ -230,11 +229,16 @@ def reciprocal_subspace(wrenches: list[Screw], frame: Frame) -> list[Screw]:
     basis representatives depend on the frame).  Dimension is 6 minus the
     rank of the wrench system.
     """
+    import numpy as np
+
     if not wrenches:
         return list(basis_screws(frame))
     # Row k is the functional <., w_k> in the dual basis.
     duals = [to_dual(w, frame) for w in wrenches]
     a = np.array([d.c + d.d for d in duals], dtype=float)
+    # An exact power-of-two scale bringing the largest entry into [0.5, 1)
+    # keeps the singular values finite; it leaves the null space unchanged.
+    a = np.ldexp(a, -math.frexp(float(np.abs(a).max()))[1])
     _, sing, vt = np.linalg.svd(a)
     cutoff = _NULLSPACE_RTOL * (sing[0] if sing.size else 0.0)
     rank = int(np.sum(sing > cutoff))

@@ -37,8 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ZeroScrewError
-from .vecmath import ORIGIN, Point, Vec3
+from .errors import NonFiniteError, ZeroScrewError
+from .vecmath import _MIN_NORMAL, ORIGIN, Point, Vec3
 
 __all__ = [
     "Screw",
@@ -57,6 +57,13 @@ def _negligible(v: Vec3) -> bool:
     vector so small that dividing by its squared norm would divide by zero.
     No tolerance enters, so the rule does not depend on the units."""
     return v.dot(v) == 0.0
+
+
+def _keeps_digits(w2: float) -> bool:
+    """Whether a squared norm can divide the direct forms below: it neither
+    overflowed nor fell below the normal floats (the test ``Vec3.norm``
+    makes).  Otherwise they go through the unit direction w / |w|."""
+    return _MIN_NORMAL <= w2 < math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,7 +183,12 @@ class Screw:
         if self.is_free():
             return self.moment_at_origin
         w = self.resultant
-        return w * (self.scalar_invariant() / w.dot(w))
+        w2 = w.dot(w)
+        k = self.scalar_invariant() / w2
+        if _keeps_digits(w2) and math.isfinite(k):
+            return w * k
+        u = w.normalized()
+        return u * self.moment_at_origin.dot(u)
 
     def amplitude(self) -> float:
         """Magnitude of the resultant (unsigned)."""
@@ -204,8 +216,14 @@ class Screw:
             return DegenerateAxis()
         w = self.resultant
         w2 = w.dot(w)
-        q = ORIGIN + w.cross(self.moment_at_origin) / w2
-        return LineAxis(point=q, direction=w.normalized())
+        n = w.norm()
+        u = w / n
+        if _keeps_digits(w2):
+            try:
+                return LineAxis(ORIGIN + w.cross(self.moment_at_origin) / w2, u)
+            except NonFiniteError:
+                pass
+        return LineAxis(ORIGIN + u.cross(self.moment_at_origin) / n, u)
 
     def pitch(self) -> Pitch:
         """Axis advance per full revolution: 2 pi (s(P) . w) / (w . w).
@@ -218,8 +236,13 @@ class Screw:
             if self.is_zero():
                 return ZeroScrewPitch()
             return InfinitePitch()
-        w2 = self.resultant.dot(self.resultant)
-        return FinitePitch(2.0 * math.pi * self.scalar_invariant() / w2)
+        w = self.resultant
+        w2 = w.dot(w)
+        p = 2.0 * math.pi * self.scalar_invariant() / w2
+        if _keeps_digits(w2) and math.isfinite(p):
+            return FinitePitch(p)
+        n = w.norm()
+        return FinitePitch(2.0 * math.pi * self.moment_at_origin.dot(w / n) / n)
 
     def axis_point(self) -> Point:
         """A point on the (line) axis; raises for degenerate-axis screws."""

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from .dynamics import (
     InertiaOperator,
     MomentumScrew,
@@ -118,6 +116,8 @@ class Trajectory:
 def _inverse_moment(body: InertiaOperator) -> Mat3:
     """Inverse of the body moment matrix via symmetric eigendecomposition,
     rejecting (near-)singular inertias."""
+    import numpy as np
+
     m = np.array(body.moment_matrix.flat(), dtype=float).reshape(3, 3)
     evals, evecs = np.linalg.eigh(m)
     if evals[0] < _SINGULAR_RTOL * max(evals[-1], 0.0) or evals[-1] <= 0.0:
@@ -206,6 +206,8 @@ def _derivatives(state: BodyState, wrench: Wrench) -> tuple[Vec3, Vec3, Vec3]:
 
 
 def _renormalize(r: Mat3) -> Mat3:
+    import numpy as np
+
     arr = np.array(r.flat(), dtype=float).reshape(3, 3)
     u, _, vt = np.linalg.svd(arr)
     return Mat3(*(float(x) for x in (u @ vt).ravel()))

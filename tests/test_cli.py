@@ -238,6 +238,25 @@ def test_reciprocal_of_a_revolute_joint(tmp_path):
     assert len(doc["basis"]) == 5
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_reciprocal_whose_largest_singular_value_overflows(tmp_path, mode):
+    # The pairing matrix is finite, but its largest singular value is not:
+    # without scaling, the rank cutoff became inf and the dimension 6.
+    doc = {
+        "version": 1,
+        "twists": [
+            {"omega": [1.7e308, 1.7e308, 0.0], "moment_at_origin": [0.0, 1.7e308, 1.7e308]},
+            {"omega": [0.0, 0.0, 1.0], "moment_at_origin": [1.7e308, 0.0, 0.0]},
+        ],
+    }
+    code, out, err = run_cli("reciprocal", scene_file(tmp_path, doc), *mode)
+    assert (code, err) == (0, "")
+    if mode:
+        assert json.loads(out)["dimension"] == 4
+    else:
+        assert out.startswith("reciprocal subspace dimension: 4\n")
+
+
 # -- simulate -----------------------------------------------------------------
 
 
@@ -416,6 +435,17 @@ def test_amplitude_whose_square_overflows_is_finite(tmp_path, command, doc, mode
         assert json.loads(out)["amplitude"] == 1e160
     else:
         assert "amplitude:        1e+160\n" in out
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_axis_whose_direct_form_overflows_is_finite(tmp_path, mode):
+    doc = {"version": 1, "forces": [{"point": [1.0, 0.0, 0.0], "vector": [0.0, 0.0, 1e160]}]}
+    code, out, err = run_cli("reduce", scene_file(tmp_path, doc), *mode)
+    assert (code, err) == (0, "")
+    if mode:
+        assert json.loads(out)["axis"]["point"] == [1.0, 0.0, 0.0]
+    else:
+        assert "axis:             line through [1, 0, 0] direction [0, 0, 1]\n" in out
 
 
 def test_non_finite_result_names_its_path():

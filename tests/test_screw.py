@@ -262,6 +262,25 @@ def test_zero_screw_predicates():
     assert isinstance(s.pitch(), FinitePitch) and math.isfinite(s.pitch().value)
 
 
+def test_invariants_whose_direct_forms_overflow_are_finite():
+    # w . w, s . w or w x s overflow; the answers do not.
+    assert Screw(Vec3(0.0, 0.0, 1e160), Vec3(0.0, 0.0, 1.0)).vector_invariant() == Vec3(0.0, 0.0, 1.0)
+    p = Screw(Vec3(0.0, 0.0, 1e160), Vec3(0.0, 0.0, 1e160)).pitch()
+    assert isinstance(p, FinitePitch) and math.isclose(p.value, 2.0 * math.pi)
+    force = Screw.from_applied_vector(Point(1.0, 0.0, 0.0), Vec3(0.0, 0.0, 1e160))
+    assert force.axis() == LineAxis(Point(1.0, 0.0, 0.0), Vec3(0.0, 0.0, 1.0))
+    s = Screw(Vec3(1e150, 0.0, 0.0), Vec3(0.0, 1e300, 0.0))
+    assert s.axis() == LineAxis(Point(0.0, 0.0, 1e150), Vec3(1.0, 0.0, 0.0))
+    assert s.vector_invariant() == Vec3.zero()
+
+
+def test_invariants_whose_resultant_square_is_subnormal_keep_their_digits():
+    s = Screw(Vec3(0.0, 0.0, 1e-160), Vec3(3.0, 0.0, 1.0))
+    assert s.vector_invariant().isclose(Vec3(0.0, 0.0, 1.0), rel=1e-15, abs_=0.0)
+    assert math.isclose(s.pitch().value, 2.0 * math.pi * 1e160, rel_tol=1e-15)
+    assert s.axis().point.isclose(Point(0.0, 3e160, 0.0), rel=1e-15, abs_=0.0)
+
+
 # Components that are 0 or of magnitude 1e-100..1e100: scaled by up to 1e6
 # either way, their squares neither underflow nor overflow.
 _wide_components = st.one_of(
