@@ -28,7 +28,8 @@ from .vecmath import ORIGIN, Point, Vec3
 
 __all__ = ["AppliedVectorPair", "CentralAxisReport", "decompose_two_applied", "central_axis_report"]
 
-_SCALAR_EPS = 1e-12
+# Zero-pitch split: |sigma| at most this times the moment sigma is read from.
+_SCALAR_RTOL = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,6 +79,11 @@ def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPai
     the separation of the two lines is otherwise free; elsewhere the arm is
     determined by the perpendicular-equal-magnitude normalization.  Raises
     ``ZeroScrewError`` for the zero screw, which is the sum of no vectors.
+
+    The screw splits as zero-pitch (no couple part) when its axis field
+    strength sigma = s(O) . u, u the axis direction, is a rounding-sized
+    fraction of |s(O)|, the moment sigma is read from; so the split does
+    not depend on the units.
     """
     if s.is_zero():
         raise ZeroScrewError("the zero screw has no two-vector decomposition")
@@ -97,11 +103,12 @@ def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPai
 
     w = s.resultant
     amp = w.norm()
-    u = w / amp
-    q = s.axis_point()
-    sigma = s.scalar_invariant() / amp  # axis field strength, signed
+    axis = s.axis()
+    q, u = axis.point, axis.direction
+    m = s.moment_at_origin
+    sigma = m.dot(u)  # axis field strength, signed
 
-    if abs(sigma) <= _SCALAR_EPS * max(1.0, amp):
+    if abs(sigma) <= _SCALAR_RTOL * m.norm():
         # No couple part: half the resultant at two distinct axis points.
         return AppliedVectorPair(q, w * 0.5, q + u, w * 0.5)
 

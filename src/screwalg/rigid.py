@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidRotationError, NonFiniteError
+from .errors import InvalidRotationError, NonFiniteError, ZeroScrewError
 from .screw import DegenerateAxis, LineAxis, Screw, ScrewAxis
 from .vecmath import ORIGIN, Mat3, Point, Vec3
 
@@ -104,7 +104,8 @@ class ChaslesDecomposition:
         """The screw whose unit-parameter flow is the decomposed map."""
         if self.pure_translation is not None:
             return Screw.from_free_vector(self.pure_translation)
-        assert isinstance(self.axis, LineAxis)
+        if not isinstance(self.axis, LineAxis):
+            raise ZeroScrewError("a degenerate axis with no pure translation names no screw")
         u = self.axis.direction
         return Screw.from_free_vector(u * self.slide) + Screw.from_applied_vector(
             self.axis.point, u * self.angle
@@ -200,5 +201,5 @@ def chasles(g: RigidMap) -> ChaslesDecomposition:
     if s.is_free():
         return ChaslesDecomposition(DegenerateAxis(), 0.0, 0.0, pure_translation=tv)
     axis = s.axis()
-    slide = s.vector_invariant().dot(axis.direction)
+    slide = s.moment_at_origin.dot(axis.direction)
     return ChaslesDecomposition(axis=axis, angle=theta, slide=slide)

@@ -26,6 +26,10 @@ Conventions that matter:
   resultant's squared norm is 0.0 in floating point, and zero when its
   moment's is too.  With no tolerance, a change of units cannot change
   the class unless it underflows a square to 0.0.
+* The vector invariant, the axis and the pitch are each computed one way,
+  through the unit direction u = w / |w| and the amplitude |w| of the
+  resultant w, never through w . w, which can overflow or lose its digits
+  to underflow where the answer does neither (``Vec3.norm`` cannot).
 * The *pitch* uses the full-turn normalization: a screw of pitch p advances
   by p along its axis per complete revolution, so the vector invariant is
   (p / 2 pi) times the resultant.  Beware: much of the robotics literature
@@ -37,8 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonFiniteError, ZeroScrewError
-from .vecmath import _MIN_NORMAL, ORIGIN, Point, Vec3
+from .vecmath import ORIGIN, Point, Vec3
 
 __all__ = [
     "Screw",
@@ -57,13 +60,6 @@ def _negligible(v: Vec3) -> bool:
     vector so small that dividing by its squared norm would divide by zero.
     No tolerance enters, so the rule does not depend on the units."""
     return v.dot(v) == 0.0
-
-
-def _keeps_digits(w2: float) -> bool:
-    """Whether a squared norm can divide the direct forms below: it neither
-    overflowed nor fell below the normal floats (the test ``Vec3.norm``
-    makes).  Otherwise they go through the unit direction w / |w|."""
-    return _MIN_NORMAL <= w2 < math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,12 +178,7 @@ class Screw:
         field value itself."""
         if self.is_free():
             return self.moment_at_origin
-        w = self.resultant
-        w2 = w.dot(w)
-        k = self.scalar_invariant() / w2
-        if _keeps_digits(w2) and math.isfinite(k):
-            return w * k
-        u = w.normalized()
+        u = self.resultant.normalized()
         return u * self.moment_at_origin.dot(u)
 
     def amplitude(self) -> float:
@@ -207,26 +198,21 @@ class Screw:
     def axis(self) -> ScrewAxis:
         """Locus of minimum field magnitude.
 
-        For nonzero resultant w this is the line through
-        A + w x s(A) / (w . w) with direction w (A any base point); the field
-        there reduces to the vector invariant.  For negligible resultant every
+        For nonzero resultant w = n u (|u| = 1) this is the line through
+        A + u x s(A) / n with direction u (A any base point); the field there
+        reduces to the vector invariant.  For negligible resultant every
         point realizes the minimum and the axis degenerates to all of space.
         """
         if self.is_free():
             return DegenerateAxis()
         w = self.resultant
-        w2 = w.dot(w)
         n = w.norm()
         u = w / n
-        if _keeps_digits(w2):
-            try:
-                return LineAxis(ORIGIN + w.cross(self.moment_at_origin) / w2, u)
-            except NonFiniteError:
-                pass
         return LineAxis(ORIGIN + u.cross(self.moment_at_origin) / n, u)
 
     def pitch(self) -> Pitch:
-        """Axis advance per full revolution: 2 pi (s(P) . w) / (w . w).
+        """Axis advance per full revolution: 2 pi (s(P) . u) / n for the
+        resultant w = n u (|u| = 1), which is 2 pi (s(P) . w) / (w . w).
 
         Free screws (zero resultant, nonzero field) translate without
         rotating and get ``InfinitePitch``; the zero screw gets the explicit
@@ -237,16 +223,5 @@ class Screw:
                 return ZeroScrewPitch()
             return InfinitePitch()
         w = self.resultant
-        w2 = w.dot(w)
-        p = 2.0 * math.pi * self.scalar_invariant() / w2
-        if _keeps_digits(w2) and math.isfinite(p):
-            return FinitePitch(p)
         n = w.norm()
         return FinitePitch(2.0 * math.pi * self.moment_at_origin.dot(w / n) / n)
-
-    def axis_point(self) -> Point:
-        """A point on the (line) axis; raises for degenerate-axis screws."""
-        ax = self.axis()
-        if isinstance(ax, DegenerateAxis):
-            raise ZeroScrewError("degenerate axis: every point is on it")
-        return ax.point

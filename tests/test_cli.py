@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from screwalg import NonFiniteError, Screw, Vec3, exp_screw
+from screwalg import NonFiniteError, Point, Screw, Vec3, exp_screw
 from screwalg import cli
 from screwalg.cli import main
 
@@ -91,6 +91,29 @@ def test_reduce_json_output(tmp_path):
     assert len(legs) == 2
     total = [a + b for a, b in zip(legs[0]["vector"], legs[1]["vector"])]
     assert total == [0.0, 0.0, 2.0]
+
+
+def test_reduce_legs_re_sum_to_the_wrench_at_small_units(tmp_path):
+    # The three_forces scene in units 1e-13 of its own: the couple part of
+    # its pitch-1.01889 wrench must survive in the two-vector reduction.
+    doc = json.loads((SCENES / "three_forces.json").read_text())
+    for force in doc["forces"]:
+        force["vector"] = [c * 1e-13 for c in force["vector"]]
+    code, out, err = run_cli("reduce", scene_file(tmp_path, doc), "--json")
+    assert code == 0 and err == ""
+    wrench = sum(
+        (Screw.from_applied_vector(Point(*f["point"]), Vec3(*f["vector"])) for f in doc["forces"]),
+        Screw.zero(),
+    )
+    legs = sum(
+        (
+            Screw.from_applied_vector(Point(*leg["point"]), Vec3(*leg["vector"]))
+            for leg in json.loads(out)["two_vector_reduction"]
+        ),
+        Screw.zero(),
+    )
+    assert (legs * 1e13).isclose(wrench * 1e13, rel=1e-10, abs_=1e-10)
+    assert math.isclose(legs.pitch().value, 1.01889491468, rel_tol=1e-10)
 
 
 def test_reduce_of_cancelling_forces_is_a_domain_error(tmp_path):

@@ -4,7 +4,7 @@ the normalizations that make the result unique must actually hold."""
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -83,6 +83,16 @@ def test_zero_pitch_screw_splits_along_its_axis(q, w):
     assert s.value_at(pair.point1).norm() <= 1e-9 * scale
     assert s.value_at(pair.point2).norm() <= 1e-9 * scale
     assert (pair.point2 - pair.point1).norm() > 0.5  # distinct points
+
+
+@given(line_screws, st.integers(min_value=-13, max_value=13))
+@example(Screw(Vec3(1.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0)), -13)
+def test_decomposition_reproduces_the_screw_in_any_units(s, e):
+    """The zero-pitch split is decided relative to the moment, so a couple
+    part survives any change of units: the pair re-sums to k s for every k."""
+    k = 10.0 ** e
+    pair = decompose_two_applied(s * k)
+    assert_screw_close(pair.to_screw() * (1.0 / k), s, tol=1e-10)
 
 
 def test_zero_screw_has_no_decomposition():

@@ -34,6 +34,7 @@ from screwalg import (
     RigidMap,
     Screw,
     Vec3,
+    ZeroScrewError,
     chasles,
     exp_screw,
     rodrigues,
@@ -293,3 +294,9 @@ def test_chasles_to_screw_requires_line_axis_unless_translation():
     s = dec.to_screw()
     assert_vec_close(s.resultant, Vec3(0.0, 0.0, math.pi / 3.0))
     assert_scalar_close(s.vector_invariant().norm(), 0.25, tol=1e-12)
+
+
+def test_chasles_to_screw_of_a_degenerate_axis_without_translation_raises():
+    # A raise, not an assert, so the check holds under ``python -O`` too.
+    with pytest.raises(ZeroScrewError):
+        ChaslesDecomposition(DegenerateAxis(), 0.0, 0.0).to_screw()
