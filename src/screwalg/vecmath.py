@@ -7,13 +7,25 @@ numpy enters only where a real matrix factorization is needed (see
 
 A ``Point`` is a location in the affine space, a ``Vec3`` a displacement of
 it.  Point - Point = Vec3, Point + Vec3 = Point; points cannot be added.
+
+Every value is built in its class's own ``__init__``, which refuses a NaN or
+infinite component with ``NonFiniteError`` and stores the fields through the
+member descriptors of ``__slots__``.  Assigning or deleting a field raises
+``dataclasses.FrozenInstanceError``.  ``_Value`` supplies what a frozen slots
+dataclass would: ``==`` only between values of the same class, ``hash`` of
+the field tuple, the dataclass ``repr`` and a ``__reduce__`` through the
+constructor for ``pickle`` and ``copy``.  They are not dataclasses because
+the arithmetic builds one value per intermediate result (about 96 per
+simulation step), and a frozen dataclass's ``__init__`` stores each field
+through ``object.__setattr__`` and then calls ``__post_init__``: that costs
+more than the finiteness check it guards.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from math import isfinite
 
 from .errors import NonFiniteError
@@ -34,17 +46,47 @@ def _require_finite(name: str, *values: float) -> None:
 # call per construction is most of the cost.
 
 
-@dataclass(frozen=True, slots=True)
-class Vec3:
+class _Value:
+    """Immutable value behaviour of Vec3, Point and Mat3.  A subclass names
+    its fields in ``__slots__`` and returns them in that order from
+    ``_fields``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Copies and unpickled values go through the constructor and its check.
+        return self.__class__, self._fields()
+
+
+class Vec3(_Value):
     """Free vector with components in the fixed global basis."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.z)):
-            _require_finite("Vec3", self.x, self.y, self.z)
+    def __init__(self, x: float, y: float, z: float):
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            _require_finite("Vec3", x, y, z)
+        _set_vec3_x(self, x)
+        _set_vec3_y(self, y)
+        _set_vec3_z(self, z)
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -99,22 +141,27 @@ class Vec3:
     def components(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
+    _fields = components
+
     @staticmethod
     def zero() -> "Vec3":
         return Vec3(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+_set_vec3_x, _set_vec3_y, _set_vec3_z = (d.__set__ for d in (Vec3.x, Vec3.y, Vec3.z))
+
+
+class Point(_Value):
     """Location in affine space, held as coordinates relative to the global origin."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.z)):
-            _require_finite("Point", self.x, self.y, self.z)
+    def __init__(self, x: float, y: float, z: float):
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            _require_finite("Point", x, y, z)
+        _set_point_x(self, x)
+        _set_point_y(self, y)
+        _set_point_z(self, z)
 
     def __sub__(self, other: "Point") -> Vec3:
         if not isinstance(other, Point):
@@ -138,31 +185,40 @@ class Point:
     def components(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
+    _fields = components
+
+
+_set_point_x, _set_point_y, _set_point_z = (d.__set__ for d in (Point.x, Point.y, Point.z))
 
 ORIGIN = Point(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class Mat3:
+class Mat3(_Value):
     """Row-major 3x3 matrix of floats."""
 
-    xx: float
-    xy: float
-    xz: float
-    yx: float
-    yy: float
-    yz: float
-    zx: float
-    zy: float
-    zz: float
+    __slots__ = ("xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        xx: float, xy: float, xz: float,
+        yx: float, yy: float, yz: float,
+        zx: float, zy: float, zz: float,
+    ):
         if not (
-            isfinite(self.xx) and isfinite(self.xy) and isfinite(self.xz)
-            and isfinite(self.yx) and isfinite(self.yy) and isfinite(self.yz)
-            and isfinite(self.zx) and isfinite(self.zy) and isfinite(self.zz)
+            isfinite(xx) and isfinite(xy) and isfinite(xz)
+            and isfinite(yx) and isfinite(yy) and isfinite(yz)
+            and isfinite(zx) and isfinite(zy) and isfinite(zz)
         ):
-            _require_finite("Mat3", *self.flat())
+            _require_finite("Mat3", xx, xy, xz, yx, yy, yz, zx, zy, zz)
+        _set_xx(self, xx)
+        _set_xy(self, xy)
+        _set_xz(self, xz)
+        _set_yx(self, yx)
+        _set_yy(self, yy)
+        _set_yz(self, yz)
+        _set_zx(self, zx)
+        _set_zy(self, zy)
+        _set_zz(self, zz)
 
     @staticmethod
     def identity() -> "Mat3":
@@ -208,14 +264,31 @@ class Mat3:
             self.zx, self.zy, self.zz,
         )
 
+    _fields = flat
+
     def __add__(self, o: "Mat3") -> "Mat3":
-        return Mat3(*(a + b for a, b in zip(self.flat(), o.flat())))
+        a, b = self, o
+        return Mat3(
+            a.xx + b.xx, a.xy + b.xy, a.xz + b.xz,
+            a.yx + b.yx, a.yy + b.yy, a.yz + b.yz,
+            a.zx + b.zx, a.zy + b.zy, a.zz + b.zz,
+        )
 
     def __sub__(self, o: "Mat3") -> "Mat3":
-        return Mat3(*(a - b for a, b in zip(self.flat(), o.flat())))
+        a, b = self, o
+        return Mat3(
+            a.xx - b.xx, a.xy - b.xy, a.xz - b.xz,
+            a.yx - b.yx, a.yy - b.yy, a.yz - b.yz,
+            a.zx - b.zx, a.zy - b.zy, a.zz - b.zz,
+        )
 
     def __mul__(self, k: float) -> "Mat3":
-        return Mat3(*(a * k for a in self.flat()))
+        a = self
+        return Mat3(
+            a.xx * k, a.xy * k, a.xz * k,
+            a.yx * k, a.yy * k, a.yz * k,
+            a.zx * k, a.zy * k, a.zz * k,
+        )
 
     __rmul__ = __mul__
 
@@ -256,7 +329,12 @@ class Mat3:
         return self.row(0).dot(self.row(1).cross(self.row(2)))
 
     def max_abs(self) -> float:
-        return max(abs(a) for a in self.flat())
+        a = self
+        return max(
+            abs(a.xx), abs(a.xy), abs(a.xz),
+            abs(a.yx), abs(a.yy), abs(a.yz),
+            abs(a.zx), abs(a.zy), abs(a.zz),
+        )
 
     def isclose(self, o: "Mat3", rel: float = 1e-12, abs_: float = 1e-12) -> bool:
         return all(
@@ -267,3 +345,8 @@ class Mat3:
     def orthonormality_defect(self) -> float:
         """max |R^T R - I|, zero for an exact rotation."""
         return (self.transpose().matmul(self) - Mat3.identity()).max_abs()
+
+
+(_set_xx, _set_xy, _set_xz, _set_yx, _set_yy, _set_yz, _set_zx, _set_zy, _set_zz) = (
+    getattr(Mat3, name).__set__ for name in Mat3.__slots__
+)
