@@ -136,15 +136,16 @@ def _need(scene: Scene, section: str):
     return value
 
 
-# -- subcommand handlers: each returns (machine_doc, human_lines) ------------
-# The doc holds every result; the lines are rendered from it alone.
+# -- subcommand handlers: each returns its machine doc -------------------------
+# The doc holds every result.  In text mode ``main`` renders it through the
+# subcommand's ``_text_*`` function, from the doc alone.
 
 
-def _cmd_reduce(scene: Scene, args) -> tuple[dict, list[str]]:
+def _cmd_reduce(scene: Scene, args) -> dict:
     forces = _need(scene, "forces")
     report = central_axis_report(forces)
     pair = decompose_two_applied(wrench_of(forces).screw)
-    doc = {
+    return {
         "resultant": _vec_doc(report.resultant),
         "amplitude": report.amplitude,
         "scalar_invariant": report.scalar_invariant,
@@ -156,6 +157,9 @@ def _cmd_reduce(scene: Scene, args) -> tuple[dict, list[str]]:
             {"point": _vec_doc(pair.point2), "vector": _vec_doc(pair.vector2)},
         ],
     }
+
+
+def _text_reduce(doc: dict) -> list[str]:
     lines = [
         f"resultant:        {_fmt(doc['resultant'])}",
         f"amplitude:        {_fmt(doc['amplitude'])}",
@@ -167,16 +171,16 @@ def _cmd_reduce(scene: Scene, args) -> tuple[dict, list[str]]:
     ]
     for leg in doc["two_vector_reduction"]:
         lines.append(f"  at {_fmt(leg['point'])} apply {_fmt(leg['vector'])}")
-    return doc, lines
+    return lines
 
 
-def _cmd_compose(scene: Scene, args) -> tuple[dict, list[str]]:
+def _cmd_compose(scene: Scene, args) -> dict:
     twists = _need(scene, "twists")
     if not twists:
         raise _InputError("compose needs at least one twist in the scene")
     s = compose_chain(MotionChain(twists)).screw
     vi = s.vector_invariant()
-    doc = {
+    return {
         "angular_velocity": _vec_doc(s.resultant),
         "amplitude": s.amplitude(),
         "vector_invariant": _vec_doc(vi),
@@ -184,44 +188,48 @@ def _cmd_compose(scene: Scene, args) -> tuple[dict, list[str]]:
         "pitch": _pitch_doc(s.pitch()),
         "axis": _axis_doc(s.axis()),
     }
-    lines = [
+
+
+def _text_compose(doc: dict) -> list[str]:
+    return [
         f"angular velocity: {_fmt(doc['angular_velocity'])}",
         f"amplitude:        {_fmt(doc['amplitude'])}",
         f"vector invariant: {_fmt(doc['vector_invariant'])} (speed {_fmt(doc['axis_speed'])})",
         f"pitch:            {_fmt(doc['pitch'])}",
         f"axis:             {_fmt(doc['axis'])}",
     ]
-    return doc, lines
 
 
-def _cmd_exp(scene: Scene, args) -> tuple[dict, list[str]]:
+def _cmd_exp(scene: Scene, args) -> dict:
     twists = _need(scene, "twists")
     if len(twists) != 1:
         raise _InputError("exp needs exactly one twist in the scene")
     if not math.isfinite(args.t):
         raise _InputError(f"--t must be a finite number, got {args.t}")
     g = exp_screw(twists[0].screw, args.t)
-    doc = {
+    return {
         "t": args.t,
         "rigid_map": {
             "rotation": [float(x) for x in g.rotation.flat()],
             "translation": _vec_doc(g.translation),
         },
     }
+
+
+def _text_exp(doc: dict) -> list[str]:
     rotation = doc["rigid_map"]["rotation"]
-    lines = [
+    return [
         f"flow parameter t: {_fmt(doc['t'])}",
         "rotation (rows):",
         *(f"  {_fmt(rotation[i:i + 3])}" for i in (0, 3, 6)),
         f"translation:      {_fmt(doc['rigid_map']['translation'])}",
     ]
-    return doc, lines
 
 
-def _cmd_log(scene: Scene, args) -> tuple[dict, list[str]]:
+def _cmd_log(scene: Scene, args) -> dict:
     g = _need(scene, "rigid_map")
     dec = chasles(g)
-    doc = {
+    return {
         "angle": dec.angle,
         "slide": dec.slide,
         "axis": _axis_doc(dec.axis),
@@ -230,6 +238,9 @@ def _cmd_log(scene: Scene, args) -> tuple[dict, list[str]]:
         ),
         "screw": _screw_doc(dec.to_screw()),
     }
+
+
+def _text_log(doc: dict) -> list[str]:
     lines = [
         f"angle: {_fmt(doc['angle'])}",
         f"slide: {_fmt(doc['slide'])}",
@@ -238,23 +249,26 @@ def _cmd_log(scene: Scene, args) -> tuple[dict, list[str]]:
     if doc["pure_translation"] is not None:
         lines.append(f"pure translation: {_fmt(doc['pure_translation'])}")
     lines.append(f"screw: {_screw_text(doc['screw'])}")
-    return doc, lines
+    return lines
 
 
-def _cmd_reciprocal(scene: Scene, args) -> tuple[dict, list[str]]:
+def _cmd_reciprocal(scene: Scene, args) -> dict:
     twists = _need(scene, "twists")
     basis = reciprocal_subspace([tw.screw for tw in twists], Frame.standard())
-    doc = {
+    return {
         "dimension": len(basis),
         "basis": [_screw_doc(z) for z in basis],
     }
+
+
+def _text_reciprocal(doc: dict) -> list[str]:
     lines = [f"reciprocal subspace dimension: {doc['dimension']}"]
     for i, z in enumerate(doc["basis"]):
         lines.append(f"  z{i + 1}: {_screw_text(z)}")
-    return doc, lines
+    return lines
 
 
-def _cmd_simulate(scene: Scene, args) -> tuple[dict, list[str]]:
+def _cmd_simulate(scene: Scene, args) -> dict:
     masses = _need(scene, "masses")
     config = _need(scene, "sim")
     inertia = inertia_of(masses)
@@ -269,7 +283,7 @@ def _cmd_simulate(scene: Scene, args) -> tuple[dict, list[str]]:
     )
     traj = run(config, state)
     final = traj.states[-1]
-    doc = {
+    return {
         "steps": config.steps,
         "dt": config.dt,
         "integrator": config.integrator,
@@ -291,6 +305,9 @@ def _cmd_simulate(scene: Scene, args) -> tuple[dict, list[str]]:
         },
         "renormalizations": traj.renormalizations,
     }
+
+
+def _text_simulate(doc: dict) -> list[str]:
     lines = ["step    time          T             power         w.dI(w)       residual"]
     for n, d in enumerate(doc["diagnostics"]):
         lines.append(
@@ -300,7 +317,7 @@ def _cmd_simulate(scene: Scene, args) -> tuple[dict, list[str]]:
     lines.append(f"final center:   {_fmt(doc['final']['center'])}")
     lines.append(f"final momentum: {_fmt(doc['final']['linear_momentum'])}")
     lines.append(f"renormalizations: {doc['renormalizations']}")
-    return doc, lines
+    return lines
 
 
 def _selfcheck_checks() -> list[tuple[str, bool]]:
@@ -357,14 +374,16 @@ def _selfcheck_checks() -> list[tuple[str, bool]]:
     return checks
 
 
-def _cmd_selfcheck(args) -> tuple[dict, list[str]]:
+def _cmd_selfcheck(args) -> dict:
     checks = _selfcheck_checks()
-    doc = {
+    return {
         "checks": [{"name": name, "ok": ok} for name, ok in checks],
         "all_ok": all(ok for _, ok in checks),
     }
-    lines = [("ok " if c["ok"] else "FAIL ") + c["name"] for c in doc["checks"]]
-    return doc, lines
+
+
+def _text_selfcheck(doc: dict) -> list[str]:
+    return [("ok " if c["ok"] else "FAIL ") + c["name"] for c in doc["checks"]]
 
 
 _HANDLERS = {
@@ -374,6 +393,16 @@ _HANDLERS = {
     "log": _cmd_log,
     "reciprocal": _cmd_reciprocal,
     "simulate": _cmd_simulate,
+}
+
+_TEXT = {
+    "reduce": _text_reduce,
+    "compose": _text_compose,
+    "exp": _text_exp,
+    "log": _text_log,
+    "reciprocal": _text_reciprocal,
+    "simulate": _text_simulate,
+    "selfcheck": _text_selfcheck,
 }
 
 
@@ -412,7 +441,7 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
 
     try:
         if args.command == "selfcheck":
-            doc, lines = _cmd_selfcheck(args)
+            doc = _cmd_selfcheck(args)
         else:
             try:
                 with open(args.scene, "r", encoding="utf-8") as fh:
@@ -421,7 +450,7 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
                 print(f"input error: cannot read scene: {e}", file=err)
                 return 2
             scene = parse_scene(text)
-            doc, lines = _HANDLERS[args.command](scene, args)
+            doc = _HANDLERS[args.command](scene, args)
             _require_finite(doc)
     except SceneError as e:
         print(f"scene error at {e.where}: {e.message}", file=err)
@@ -437,7 +466,7 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         json.dump(_machine_ready(doc), out, indent=2)
         out.write("\n")
     else:
-        for line in lines:
+        for line in _TEXT[args.command](doc):
             print(line, file=out)
 
     if args.command == "selfcheck" and not doc["all_ok"]:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import NonFiniteError
 from .vecmath import ORIGIN, Point, Vec3
 
 __all__ = [
@@ -81,7 +82,14 @@ ScrewAxis = LineAxis | DegenerateAxis
 
 @dataclass(frozen=True, slots=True)
 class FinitePitch:
+    """Pitch of a line screw.  A pitch beyond the float range is refused,
+    as a non-finite vector component is."""
+
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise NonFiniteError(f"pitch must be finite, got {self.value}")
 
 
 @dataclass(frozen=True, slots=True)

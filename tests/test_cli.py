@@ -471,6 +471,38 @@ def test_axis_whose_direct_form_overflows_is_finite(tmp_path, mode):
         assert "axis:             line through [1, 0, 0] direction [0, 0, 1]\n" in out
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        # a couple of moment (0, 0, -2e160) plus a force of 1e-160 along z
+        ("reduce", {"version": 1, "forces": [{"point": [0.0, 1.0, 0.0], "vector": [1e160, 0.0, 0.0]},
+                                             {"point": [0.0, -1.0, 0.0], "vector": [-1e160, 0.0, 0.0]},
+                                             {"point": [0.0, 0.0, 0.0], "vector": [0.0, 0.0, 1e-160]}]}),
+        ("compose", {"version": 1, "twists": [{"omega": [0.0, 0.0, 1e-160], "moment_at_origin": [0.0, 0.0, 1e160]}]}),
+    ],
+)
+def test_pitch_beyond_the_float_range_is_a_domain_error(tmp_path, command, doc, mode):
+    code, out, err = run_cli(command, scene_file(tmp_path, doc), *mode)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error (NonFiniteError): pitch must be finite, got ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["selfcheck"], ["reduce", str(SCENES / "three_forces.json")], ["simulate", str(SCENES / "forced_euler.json")]],
+    ids=lambda argv: argv[0],
+)
+def test_json_mode_renders_no_text(monkeypatch, argv):
+    def refuse(doc):
+        raise AssertionError("text rendered in --json mode")
+
+    monkeypatch.setitem(cli._TEXT, argv[0], refuse)
+    code, out, err = run_cli(*argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)
+
+
 def test_non_finite_result_names_its_path():
     doc = {"steps": 2, "legs": [{"v": [0.0, 1.0, 2.0]}, {"v": [0.0, 1.0, -math.inf]}]}
     with pytest.raises(NonFiniteError, match=r"^non-finite result at \$\.legs\[1\]\.v\[2\]$"):

@@ -9,6 +9,7 @@ tests are property-based with a handful of frozen hand-computed values.
 import math
 import random
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from screwalg import (
     FinitePitch,
     InfinitePitch,
     LineAxis,
+    NonFiniteError,
     Point,
     Screw,
     Vec3,
@@ -275,6 +277,17 @@ def test_invariants_whose_resultant_square_is_subnormal_keep_their_digits():
     assert s.vector_invariant().isclose(Vec3(0.0, 0.0, 1.0), rel=1e-15, abs_=0.0)
     assert math.isclose(s.pitch().value, 2.0 * math.pi * 1e160, rel_tol=1e-15)
     assert s.axis().point.isclose(Point(0.0, 3e160, 0.0), rel=1e-15, abs_=0.0)
+
+
+def test_pitch_beyond_the_float_range_is_refused():
+    # 2 pi * 1e160 / 1e-160 overflows; the axis and the vector invariant do not.
+    s = Screw(Vec3(0.0, 0.0, 1e-160), Vec3(0.0, 0.0, 1e160))
+    with pytest.raises(NonFiniteError, match="pitch must be finite, got inf"):
+        s.pitch()
+    assert s.axis() == LineAxis(ORIGIN, Vec3(0.0, 0.0, 1.0))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NonFiniteError):
+            FinitePitch(bad)
 
 
 def _direct_forms(s: Screw) -> tuple[Vec3, Point, float]:
