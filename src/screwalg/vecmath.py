@@ -148,7 +148,7 @@ class Vec3(_Value):
         return Vec3(0.0, 0.0, 0.0)
 
 
-_set_vec3_x, _set_vec3_y, _set_vec3_z = (d.__set__ for d in (Vec3.x, Vec3.y, Vec3.z))
+_set_vec3_x, _set_vec3_y, _set_vec3_z = (getattr(Vec3, n).__set__ for n in Vec3.__slots__)
 
 
 class Point(_Value):
@@ -188,7 +188,7 @@ class Point(_Value):
     _fields = components
 
 
-_set_point_x, _set_point_y, _set_point_z = (d.__set__ for d in (Point.x, Point.y, Point.z))
+_set_point_x, _set_point_y, _set_point_z = (getattr(Point, n).__set__ for n in Point.__slots__)
 
 ORIGIN = Point(0.0, 0.0, 0.0)
 
@@ -283,11 +283,10 @@ class Mat3(_Value):
         )
 
     def __mul__(self, k: float) -> "Mat3":
-        a = self
         return Mat3(
-            a.xx * k, a.xy * k, a.xz * k,
-            a.yx * k, a.yy * k, a.yz * k,
-            a.zx * k, a.zy * k, a.zz * k,
+            self.xx * k, self.xy * k, self.xz * k,
+            self.yx * k, self.yy * k, self.yz * k,
+            self.zx * k, self.zy * k, self.zz * k,
         )
 
     __rmul__ = __mul__
@@ -329,11 +328,10 @@ class Mat3(_Value):
         return self.row(0).dot(self.row(1).cross(self.row(2)))
 
     def max_abs(self) -> float:
-        a = self
         return max(
-            abs(a.xx), abs(a.xy), abs(a.xz),
-            abs(a.yx), abs(a.yy), abs(a.yz),
-            abs(a.zx), abs(a.zy), abs(a.zz),
+            abs(self.xx), abs(self.xy), abs(self.xz),
+            abs(self.yx), abs(self.yy), abs(self.yz),
+            abs(self.zx), abs(self.zy), abs(self.zz),
         )
 
     def isclose(self, o: "Mat3", rel: float = 1e-12, abs_: float = 1e-12) -> bool:
@@ -348,5 +346,5 @@ class Mat3(_Value):
 
 
 (_set_xx, _set_xy, _set_xz, _set_yx, _set_yy, _set_yz, _set_zx, _set_zy, _set_zz) = (
-    getattr(Mat3, name).__set__ for name in Mat3.__slots__
+    getattr(Mat3, n).__set__ for n in Mat3.__slots__
 )
