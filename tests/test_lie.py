@@ -1,6 +1,9 @@
 """Commutator, Klein pairing, Killing form, frames and duals."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given
 
 from conftest import (
@@ -250,3 +253,35 @@ def test_dual_basis_pairing():
     assert pairing(to_dual(f1, frame), to_frame(m1, frame)) == 1.0
     assert pairing(to_dual(f1, frame), to_frame(m2, frame)) == 0.0
     assert pairing(to_dual(f1, frame), to_frame(f1, frame)) == 0.0
+
+
+def _rotated_basis():
+    c, s = math.cos(0.5), math.sin(0.5)
+    return Vec3(c, s, 0.0), Vec3(-s, c, 0.0), Vec3(0.0, 0.0, 1.0)
+
+
+def _perturbed_basis(kind, delta):
+    e1, e2, e3 = _rotated_basis()
+    if kind == "tilt":  # e1 . e2 is off by about delta
+        return e1, e2 + e1 * delta, e3
+    return e1, e2, e3 * (1.0 + delta)  # "stretch": e3 . e3 off by about 2 delta
+
+
+@pytest.mark.parametrize("kind", ["tilt", "stretch"])
+def test_frame_refuses_a_basis_off_by_1e_11(kind):
+    with pytest.raises(ValueError, match="^frame basis is not orthonormal$"):
+        Frame(Point(0.0, 0.0, 0.0), *_perturbed_basis(kind, 1e-11))
+
+
+@pytest.mark.parametrize("kind", ["tilt", "stretch"])
+def test_frame_accepts_a_basis_off_by_1e_13(kind):
+    e1, e2, e3 = _perturbed_basis(kind, 1e-13)
+    frame = Frame(Point(0.0, 0.0, 0.0), e1, e2, e3)
+    assert frame.basis() == (e1, e2, e3)
+
+
+def test_frame_refuses_a_left_handed_basis():
+    e1, e2, e3 = _rotated_basis()
+    Frame(Point(0.0, 0.0, 0.0), e1, e2, e3)
+    with pytest.raises(ValueError, match="^frame basis is not right-handed$"):
+        Frame(Point(0.0, 0.0, 0.0), e1, e2, -e3)
