@@ -75,6 +75,6 @@ from .reduction import (
     central_axis_report,
     decompose_two_applied,
 )
-from .scene import Scene, emit_scene, parse_scene, scene_from_dict
+from .scene import Scene, parse_scene, scene_from_dict
 
 __version__ = "0.1.0"

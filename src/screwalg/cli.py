@@ -31,7 +31,7 @@ from .dynamics import (
 from .errors import NonFiniteError, SceneError, ScrewAlgError
 from .kinematics import MotionChain, compose_chain
 from .lie import Frame, basis_screws, commutator, killing_form, klein_product, to_dual, to_frame, pairing, ad
-from .reduction import central_axis_report, decompose_two_applied
+from .reduction import decompose_two_applied
 from .rigid import chasles, exp_screw
 from .scene import Scene, parse_scene
 from .screw import DegenerateAxis, FinitePitch, InfinitePitch, Screw
@@ -142,21 +142,25 @@ def _need(scene: Scene, section: str):
 
 
 def _cmd_reduce(scene: Scene, args) -> dict:
-    forces = _need(scene, "forces")
-    report = central_axis_report(forces)
-    pair = decompose_two_applied(wrench_of(forces).screw)
-    return {
-        "resultant": _vec_doc(report.resultant),
-        "amplitude": report.amplitude,
-        "scalar_invariant": report.scalar_invariant,
-        "vector_invariant": _vec_doc(report.vector_invariant),
-        "pitch": _pitch_doc(report.pitch),
-        "axis": _axis_doc(report.axis),
-        "two_vector_reduction": [
-            {"point": _vec_doc(pair.point1), "vector": _vec_doc(pair.vector1)},
-            {"point": _vec_doc(pair.point2), "vector": _vec_doc(pair.vector2)},
-        ],
+    s = wrench_of(_need(scene, "forces")).screw
+    # Vector invariant, axis, pitch, then the decomposition: of the results
+    # that can overflow, the first in this order is the one reported.
+    vector_invariant = _vec_doc(s.vector_invariant())
+    axis = _axis_doc(s.axis())
+    doc = {
+        "resultant": _vec_doc(s.resultant),
+        "amplitude": s.amplitude(),
+        "scalar_invariant": s.scalar_invariant(),
+        "vector_invariant": vector_invariant,
+        "pitch": _pitch_doc(s.pitch()),
+        "axis": axis,
     }
+    pair = decompose_two_applied(s)
+    doc["two_vector_reduction"] = [
+        {"point": _vec_doc(pair.point1), "vector": _vec_doc(pair.vector1)},
+        {"point": _vec_doc(pair.point2), "vector": _vec_doc(pair.vector2)},
+    ]
+    return doc
 
 
 def _text_reduce(doc: dict) -> list[str]:

@@ -56,12 +56,8 @@ class Frame:
     e3: Vec3
 
     def __post_init__(self):
-        basis = (self.e1, self.e2, self.e3)
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                want = 1.0 if i == j else 0.0
-                if abs(u.dot(v) - want) > _FRAME_TOL:
-                    raise ValueError("frame basis is not orthonormal")
+        if Mat3.from_columns(self.e1, self.e2, self.e3).orthonormality_defect() > _FRAME_TOL:
+            raise ValueError("frame basis is not orthonormal")
         if self.e1.cross(self.e2).dot(self.e3) < 0.0:
             raise ValueError("frame basis is not right-handed")
 

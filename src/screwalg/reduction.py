@@ -41,14 +41,6 @@ class AppliedVectorPair:
     point2: Point
     vector2: Vec3
 
-    @property
-    def first(self) -> tuple[Point, Vec3]:
-        return (self.point1, self.vector1)
-
-    @property
-    def second(self) -> tuple[Point, Vec3]:
-        return (self.point2, self.vector2)
-
     def to_screw(self) -> Screw:
         return Screw.from_applied_vector(self.point1, self.vector1) + \
             Screw.from_applied_vector(self.point2, self.vector2)

@@ -25,7 +25,7 @@ from .screw import Screw
 from .sim import INTEGRATORS, SimConfig
 from .vecmath import Mat3, Point, Vec3
 
-__all__ = ["Scene", "parse_scene", "scene_from_dict", "emit_scene"]
+__all__ = ["Scene", "parse_scene", "scene_from_dict"]
 
 SCENE_VERSION = 1
 
@@ -206,54 +206,3 @@ def parse_scene(text: str) -> Scene:
         raise SceneError("$", f"invalid JSON: {e}")
     return scene_from_dict(data)
 
-
-def emit_scene(scene: Scene) -> dict:
-    """Scene back to plain JSON-ready data; parsing the result reproduces the
-    scene exactly (floats are carried through untouched)."""
-    out: dict = {"version": scene.version}
-    if scene.forces is not None:
-        out["forces"] = [
-            {"point": list(p.components()), "vector": list(v.components())}
-            for p, v in scene.forces.forces
-        ]
-    if scene.masses is not None:
-        out["masses"] = [
-            {
-                "m": part.mass,
-                "position": list(part.position.components()),
-                **(
-                    {"velocity": list(part.velocity.components())}
-                    if part.velocity is not None
-                    else {}
-                ),
-            }
-            for part in scene.masses.particles
-        ]
-    if scene.twists is not None:
-        out["twists"] = [
-            {
-                "omega": list(tw.screw.resultant.components()),
-                "moment_at_origin": list(tw.screw.moment_at_origin.components()),
-            }
-            for tw in scene.twists
-        ]
-    if scene.rigid_map is not None:
-        out["rigid_map"] = {
-            "rotation": list(scene.rigid_map.rotation.flat()),
-            "translation": list(scene.rigid_map.translation.components()),
-        }
-    if scene.sim is not None:
-        sim: dict = {
-            "dt": scene.sim.dt,
-            "steps": scene.sim.steps,
-            "integrator": scene.sim.integrator,
-        }
-        if scene.sim.wrench is not None:
-            sim["wrench"] = {
-                "force": list(scene.sim.wrench.screw.resultant.components()),
-                "moment_at_origin": list(
-                    scene.sim.wrench.screw.moment_at_origin.components()
-                ),
-            }
-        out["sim"] = sim
-    return out

@@ -17,7 +17,7 @@ finite-difference derivative of the momentum screw at body-dragged poles.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -233,13 +233,7 @@ def _step_impl(
 
     renormalized = False
     if new.orientation.orthonormality_defect() > _ORTHO_DRIFT_TOL:
-        new = BodyState(
-            orientation=_renormalize(new.orientation),
-            center=new.center,
-            linear_momentum=new.linear_momentum,
-            angular_momentum_at_c=new.angular_momentum_at_c,
-            body=new.body,
-        )
+        new = replace(new, orientation=_renormalize(new.orientation))
         renormalized = True
     return new, renormalized
 

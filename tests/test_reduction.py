@@ -112,8 +112,8 @@ def test_pair_accessors():
     pair = AppliedVectorPair(
         Point(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Point(0.0, 2.0, 0.0), Vec3(3.0, 0.0, 0.0)
     )
-    assert pair.first == (Point(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0))
-    assert pair.second == (Point(0.0, 2.0, 0.0), Vec3(3.0, 0.0, 0.0))
+    assert (pair.point1, pair.vector1) == (Point(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0))
+    assert (pair.point2, pair.vector2) == (Point(0.0, 2.0, 0.0), Vec3(3.0, 0.0, 0.0))
 
 
 def test_report_agrees_with_the_screw_it_summarizes():

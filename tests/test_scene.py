@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +8,6 @@ from screwalg import (
     SceneError,
     ScrewAlgError,
     Vec3,
-    emit_scene,
     parse_scene,
     scene_from_dict,
 )
@@ -206,15 +203,6 @@ def test_deeply_nested_json_is_a_scene_error():
         parse_scene(text)
     assert exc.value.where == "$"
     assert exc.value.message.startswith("invalid JSON: ")
-
-
-def test_emit_parse_round_trip():
-    scene = scene_from_dict(FULL_SCENE)
-    emitted = emit_scene(scene)
-    again = scene_from_dict(emitted)
-    assert again == scene
-    # and the emitted form is honest JSON
-    assert scene_from_dict(json.loads(json.dumps(emitted))) == scene
 
 
 def test_scene_sections_must_have_the_right_shape():
