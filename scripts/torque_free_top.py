@@ -15,6 +15,7 @@ import argparse
 import math
 
 from screwalg import (
+    INTEGRATORS,
     ORIGIN,
     BodyState,
     InertiaOperator,
@@ -55,7 +56,7 @@ def main() -> None:
     ap.add_argument("--axis", choices=sorted(AXES), default="middle")
     ap.add_argument("--dt", type=float, default=1e-4)
     ap.add_argument("--steps", type=int, default=10_000)
-    ap.add_argument("--integrator", choices=("midpoint", "euler"), default="midpoint")
+    ap.add_argument("--integrator", choices=INTEGRATORS, default="midpoint")
     ap.add_argument("--report-every", type=int, default=1000)
     args = ap.parse_args()
 

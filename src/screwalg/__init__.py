@@ -58,6 +58,7 @@ from .dynamics import (
     wrench_of,
 )
 from .sim import (
+    INTEGRATORS,
     BodyState,
     SimConfig,
     StepDiagnostics,
