@@ -321,6 +321,22 @@ def test_simulate_mixed_velocities_is_a_domain_error(tmp_path):
     assert "MissingVelocitiesError" in err
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_simulate_with_velocities_on_some_particles_only_is_refused(tmp_path, mode):
+    # The body does not start at rest: momentum needs a velocity on every particle.
+    doc = {
+        "version": 1,
+        "masses": [
+            {"m": 1.0, "position": [1.0, 0.0, 0.0], "velocity": [0.0, 1.0, 0.0]},
+            {"m": 1.0, "position": [0.0, 1.0, 0.0]},
+        ],
+        "sim": {"dt": 0.001, "steps": 2},
+    }
+    code, out, err = run_cli("simulate", scene_file(tmp_path, doc), *mode)
+    assert (code, out) == (3, "")
+    assert err == "domain error (MissingVelocitiesError): momentum needs velocities on all particles\n"
+
+
 def test_simulate_collinear_body_is_a_domain_error(tmp_path):
     doc = {
         "version": 1,
