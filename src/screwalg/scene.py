@@ -205,4 +205,3 @@ def parse_scene(text: str) -> Scene:
         # than its recursion limit.
         raise SceneError("$", f"invalid JSON: {e}")
     return scene_from_dict(data)
-
