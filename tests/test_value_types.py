@@ -1,6 +1,7 @@
-"""The value-type contract of Vec3, Point and Mat3: frozen, compared and
-hashed by class and fields, the dataclass repr, keyword construction, and
-copies and pickles that round-trip."""
+"""The value-type contract of Vec3, Point, Mat3 and every record class of the
+library: frozen, compared and hashed by class and fields, the dataclass
+repr, keyword construction and defaults, copies and pickles that round-trip,
+and each record's own refusals."""
 
 import copy
 import math
@@ -9,7 +10,41 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from screwalg import InertiaOperator, Mat3, NonFiniteError, Point, Vec3
+import screwalg
+from screwalg import (
+    ORIGIN,
+    AppliedVectorPair,
+    BodyState,
+    CentralAxisReport,
+    ChaslesDecomposition,
+    DegenerateAxis,
+    Dual6,
+    FinitePitch,
+    ForceSystem,
+    Frame,
+    InertiaOperator,
+    InfinitePitch,
+    InvalidRotationError,
+    LineAxis,
+    MassDistribution,
+    Mat3,
+    MomentumScrew,
+    MotionChain,
+    NonFiniteError,
+    Particle,
+    Point,
+    RigidMap,
+    Scene,
+    Screw,
+    Screw6,
+    SimConfig,
+    StepDiagnostics,
+    Trajectory,
+    Twist,
+    Vec3,
+    Wrench,
+    ZeroScrewPitch,
+)
 from screwalg.sim import _inverse_moment
 
 FIELDS = [1.0, -2.5, 0.0, 3.0, 1e-300, -0.0, 7.0, 1e300, -4.0]
@@ -92,3 +127,167 @@ def test_copies_and_pickles_round_trip(cls, fields, round_trip):
     w = round_trip(v)
     assert type(w) is cls
     assert w == v and repr(w) == repr(v)
+
+
+# -- records -------------------------------------------------------------------
+# One instance of every record class, its fields by keyword in declaration
+# order.  The values are valid for each record's own checks.
+
+_V = Vec3(1.0, -2.5, 0.0)
+_W = Vec3(3.0, 1e-300, -0.0)
+_P = Point(0.5, 0.0, -1.0)
+_S = Screw(_V, _W)
+_TWIST = Twist(_S)
+_QUARTER_TURN = Mat3(0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+_BODY = InertiaOperator(2.0, _P, Mat3(1.0, 0.0, 0.0, 0.0, 2.0, 0.25, 0.0, 0.25, 3.0))
+_PARTICLE = Particle(2.0, _P, _V)
+_CONFIG = SimConfig(0.01, 3, "euler", Wrench(_S))
+_STATE = BodyState(Mat3.identity(), _P, _V, _W, _BODY)
+_DIAGNOSTICS = StepDiagnostics(0.0, 1.5, -0.0, 1e-300, 2.5e-7)
+
+RECORDS = [
+    (LineAxis, {"point": _P, "direction": Vec3(0.0, 0.0, 1.0)}),
+    (DegenerateAxis, {}),
+    (FinitePitch, {"value": -0.75}),
+    (InfinitePitch, {}),
+    (ZeroScrewPitch, {}),
+    (Screw, {"resultant": _V, "moment_at_origin": _W}),
+    (Twist, {"screw": _S}),
+    (MotionChain, {"relative_twists": (_TWIST, Twist(-_S))}),
+    (Wrench, {"screw": _S}),
+    (MomentumScrew, {"screw": _S}),
+    (ForceSystem, {"forces": ((_P, _V), (ORIGIN, _W))}),
+    (Particle, {"mass": 2.0, "position": _P, "velocity": _V}),
+    (MassDistribution, {"particles": (_PARTICLE, Particle(1.0, ORIGIN))}),
+    (InertiaOperator, {"total_mass": 2.0, "center": _P, "moment_matrix": Mat3.identity()}),
+    (Frame, {"origin": _P, "e1": Vec3(0.0, 1.0, 0.0), "e2": Vec3(0.0, 0.0, 1.0), "e3": Vec3(1.0, 0.0, 0.0)}),
+    (Screw6, {"a": (1.0, -2.5, 0.0), "b": (3.0, 1e-300, -0.0)}),
+    (Dual6, {"c": (3.0, 1e-300, -0.0), "d": (1.0, -2.5, 0.0)}),
+    (RigidMap, {"rotation": _QUARTER_TURN, "translation": _V}),
+    (ChaslesDecomposition, {"axis": LineAxis(_P, Vec3(0.0, 0.0, 1.0)), "angle": 0.5, "slide": -1.0,
+                            "pure_translation": None}),
+    (AppliedVectorPair, {"point1": _P, "vector1": _V, "point2": ORIGIN, "vector2": _W}),
+    (CentralAxisReport, {"resultant": _V, "amplitude": 2.5, "scalar_invariant": 0.0,
+                         "vector_invariant": _W, "axis": DegenerateAxis(), "pitch": InfinitePitch()}),
+    (Scene, {"version": 1, "forces": ForceSystem(((_P, _V),)), "masses": MassDistribution((_PARTICLE,)),
+             "twists": (_TWIST,), "rigid_map": RigidMap(_QUARTER_TURN, _V), "sim": _CONFIG}),
+    (BodyState, {"orientation": Mat3.identity(), "center": _P, "linear_momentum": _V,
+                 "angular_momentum_at_c": _W, "body": _BODY}),
+    (SimConfig, {"dt": 0.01, "steps": 3, "integrator": "euler", "wrench": Wrench(_S)}),
+    (StepDiagnostics, {"time": 0.0, "kinetic_energy": 1.5, "power": -0.0, "omega_idot_omega": 1e-300,
+                       "balance_residual": 2.5e-7}),
+    (Trajectory, {"states": (_STATE,), "diagnostics": (_DIAGNOSTICS,), "renormalizations": 0}),
+]
+RECORD_PARAMS = [pytest.param(cls, fields, id=cls.__name__) for cls, fields in RECORDS]
+
+
+def test_every_record_class_is_covered():
+    classes = {
+        obj
+        for module in ("screw", "kinematics", "dynamics", "lie", "rigid", "reduction", "scene", "sim")
+        for obj in (getattr(screwalg, name) for name in getattr(screwalg, module).__all__)
+        if isinstance(obj, type)
+    }
+    assert classes == {cls for cls, _ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, fields", RECORD_PARAMS)
+def test_record_fields_cannot_be_assigned_or_deleted(cls, fields):
+    rec = cls(**fields)
+    for name, value in fields.items():
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(rec, name, value)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(rec, name)
+        assert getattr(rec, name) is value
+    assert not hasattr(rec, "__dict__")
+
+
+@pytest.mark.parametrize("cls, fields", RECORD_PARAMS)
+def test_records_compare_and_hash_by_fields(cls, fields):
+    rec = cls(**fields)
+    values = tuple(fields.values())
+    assert rec == cls(*values)
+    assert hash(rec) == hash(cls(*values)) == hash(values)
+    assert rec != values
+    assert len({rec, cls(*values)}) == 1
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        ((Twist, Wrench, MomentumScrew), (_S,)),
+        ((Screw6, Dual6), ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))),
+        ((DegenerateAxis, InfinitePitch, ZeroScrewPitch), ()),
+    ],
+    ids=["roles", "coordinates", "markers"],
+)
+def test_records_of_the_same_shape_differ_by_class(group):
+    classes, values = group
+    recs = [cls(*values) for cls in classes]
+    for i, a in enumerate(recs):
+        for b in recs[i + 1:]:
+            assert a != b and b != a
+    assert len(set(recs)) == len(recs)
+
+
+@pytest.mark.parametrize("cls, fields", RECORD_PARAMS)
+def test_record_repr_is_the_dataclass_repr(cls, fields):
+    listed = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(cls(**fields)) == f"{cls.__qualname__}({listed})"
+
+
+def test_record_repr_examples():
+    assert repr(DegenerateAxis()) == "DegenerateAxis()"
+    assert repr(FinitePitch(0.5)) == "FinitePitch(value=0.5)"
+    assert repr(Twist(Screw(Vec3(1.0, 0.0, 0.0), Vec3(0.0, -0.0, 2.0)))) == (
+        "Twist(screw=Screw(resultant=Vec3(x=1.0, y=0.0, z=0.0), "
+        "moment_at_origin=Vec3(x=0.0, y=-0.0, z=2.0)))"
+    )
+    assert repr(SimConfig(0.5, 2)) == "SimConfig(dt=0.5, steps=2, integrator='midpoint', wrench=None)"
+
+
+def test_record_defaults():
+    config = SimConfig(dt=0.5, steps=2)
+    assert (config.integrator, config.wrench) == ("midpoint", None)
+    assert Particle(mass=1.0, position=_P).velocity is None
+    assert ChaslesDecomposition(axis=DegenerateAxis(), angle=0.0, slide=0.0).pure_translation is None
+    scene = Scene(version=1)
+    assert (scene.forces, scene.masses, scene.twists, scene.rigid_map, scene.sim) == (None,) * 5
+
+
+@pytest.mark.parametrize("cls, fields", RECORD_PARAMS)
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy]
+    + [lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+)
+def test_record_copies_and_pickles_round_trip(cls, fields, round_trip):
+    rec = cls(**fields)
+    back = round_trip(rec)
+    assert type(back) is cls
+    assert back == rec and repr(back) == repr(rec)
+
+
+_SKEWED = (Vec3(1.0, 0.0, 0.0), Vec3(0.1, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: FinitePitch(math.inf), NonFiniteError, "^pitch must be finite, got inf$"),
+        (lambda: SimConfig(dt=0.0, steps=1), ValueError, "^dt must be positive$"),
+        (lambda: SimConfig(dt=0.1, steps=0), ValueError, "^steps must be at least 1$"),
+        (lambda: SimConfig(dt=0.1, steps=1, integrator="rk4"), ValueError, "^integrator must be"),
+        (lambda: Particle(mass=0.0, position=_P), ValueError, "^particle mass must be positive$"),
+        (lambda: MotionChain(()), ValueError, "^a motion chain needs at least one twist$"),
+        (lambda: Frame(_P, *_SKEWED), ValueError, "^frame basis is not orthonormal$"),
+        (lambda: RigidMap(Mat3.from_columns(*_SKEWED), _V), InvalidRotationError, "is not orthonormal"),
+    ],
+    ids=["FinitePitch", "SimConfig-dt", "SimConfig-steps", "SimConfig-integrator", "Particle",
+         "MotionChain", "Frame", "RigidMap"],
+)
+def test_record_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
