@@ -20,7 +20,6 @@ to other poles by the parallel-axis rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import EmptyDistributionError, MissingVelocitiesError
 from .kinematics import Twist
@@ -34,7 +33,7 @@ from .lie import (
     to_dual,
 )
 from .screw import Screw
-from .vecmath import Mat3, Point, Vec3
+from .vecmath import Mat3, Point, Vec3, _slot_setters, _Value
 
 __all__ = [
     "Wrench",
@@ -59,11 +58,13 @@ __all__ = [
 _NULLSPACE_RTOL = 1e-10
 
 
-@dataclass(frozen=True, slots=True)
-class Wrench:
+class Wrench(_Value):
     """Force screw: resultant force plus moment field."""
 
-    screw: Screw
+    __slots__ = ("screw",)
+
+    def __init__(self, screw: Screw):
+        _set_wrench_screw(self, screw)
 
     @property
     def force(self) -> Vec3:
@@ -88,11 +89,16 @@ class Wrench:
         return Wrench(self.screw + other.screw)
 
 
-@dataclass(frozen=True, slots=True)
-class MomentumScrew:
+(_set_wrench_screw,) = _slot_setters(Wrench)
+
+
+class MomentumScrew(_Value):
     """Momentum screw: total linear momentum plus angular momentum field."""
 
-    screw: Screw
+    __slots__ = ("screw",)
+
+    def __init__(self, screw: Screw):
+        _set_momentum_screw(self, screw)
 
     @property
     def linear_momentum(self) -> Vec3:
@@ -106,29 +112,34 @@ class MomentumScrew:
         return MomentumScrew(Screw.from_motor(point, linear, angular_at_point))
 
 
-@dataclass(frozen=True, slots=True)
-class ForceSystem:
+(_set_momentum_screw,) = _slot_setters(MomentumScrew)
+
+
+class ForceSystem(_Value):
     """Forces applied at points, as (point, force) pairs."""
 
-    forces: tuple[tuple[Point, Vec3], ...]
+    __slots__ = ("forces",)
+
+    def __init__(self, forces: tuple[tuple[Point, Vec3], ...]):
+        self._store(forces)
 
 
-@dataclass(frozen=True, slots=True)
-class Particle:
-    mass: float
-    position: Point
-    velocity: Vec3 | None = None
+class Particle(_Value):
+    __slots__ = ("mass", "position", "velocity")
 
-    def __post_init__(self):
-        if not self.mass > 0.0:
+    def __init__(self, mass: float, position: Point, velocity: Vec3 | None = None):
+        if not mass > 0.0:
             raise ValueError("particle mass must be positive")
+        self._store(mass, position, velocity)
 
 
-@dataclass(frozen=True, slots=True)
-class MassDistribution:
+class MassDistribution(_Value):
     """Finite set of point masses (continua are approximated by sampling)."""
 
-    particles: tuple[Particle, ...]
+    __slots__ = ("particles",)
+
+    def __init__(self, particles: tuple[Particle, ...]):
+        self._store(particles)
 
     def total_mass(self) -> float:
         return sum(p.mass for p in self.particles)
@@ -143,14 +154,14 @@ class MassDistribution:
         return Point(acc.x / m, acc.y / m, acc.z / m)
 
 
-@dataclass(frozen=True, slots=True)
-class InertiaOperator:
+class InertiaOperator(_Value):
     """Inertia about the center of mass: eta -> moment_matrix @ eta, together
     with the data needed to transport it to any other pole."""
 
-    total_mass: float
-    center: Point
-    moment_matrix: Mat3
+    __slots__ = ("total_mass", "center", "moment_matrix")
+
+    def __init__(self, total_mass: float, center: Point, moment_matrix: Mat3):
+        self._store(total_mass, center, moment_matrix)
 
     def apply(self, eta: Vec3) -> Vec3:
         """Angular momentum about the center for angular velocity eta (body

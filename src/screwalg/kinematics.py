@@ -8,19 +8,19 @@ screw addition, so the result does not depend on the order of the links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .screw import Screw
-from .vecmath import Point, Vec3
+from .vecmath import Point, Vec3, _slot_setters, _Value
 
 __all__ = ["Twist", "MotionChain", "compose_chain"]
 
 
-@dataclass(frozen=True, slots=True)
-class Twist:
+class Twist(_Value):
     """Velocity screw of a rigid motion at one instant."""
 
-    screw: Screw
+    __slots__ = ("screw",)
+
+    def __init__(self, screw: Screw):
+        _set_twist_screw(self, screw)
 
     @property
     def angular_velocity(self) -> Vec3:
@@ -45,16 +45,19 @@ class Twist:
         return Twist(self.screw + other.screw)
 
 
-@dataclass(frozen=True, slots=True)
-class MotionChain:
+(_set_twist_screw,) = _slot_setters(Twist)
+
+
+class MotionChain(_Value):
     """Relative twists of consecutive links, already expressed in the ground
     frame at the instant under study."""
 
-    relative_twists: tuple[Twist, ...]
+    __slots__ = ("relative_twists",)
 
-    def __post_init__(self):
-        if not self.relative_twists:
+    def __init__(self, relative_twists: tuple[Twist, ...]):
+        if not relative_twists:
             raise ValueError("a motion chain needs at least one twist")
+        self._store(relative_twists)
 
 
 def compose_chain(chain: MotionChain) -> Twist:

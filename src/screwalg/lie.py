@@ -23,10 +23,8 @@ s = sum a_i f_i + b_i m_i.  The commutation relations are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .screw import Screw
-from .vecmath import Mat3, Point, Vec3
+from .vecmath import Mat3, Point, Vec3, _slot_setters, _Value
 
 __all__ = [
     "Frame",
@@ -46,20 +44,20 @@ __all__ = [
 _FRAME_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
+class Frame(_Value):
     """Affine frame: origin plus right-handed orthonormal basis."""
 
-    origin: Point
-    e1: Vec3
-    e2: Vec3
-    e3: Vec3
+    __slots__ = ("origin", "e1", "e2", "e3")
 
-    def __post_init__(self):
-        if Mat3.from_columns(self.e1, self.e2, self.e3).orthonormality_defect() > _FRAME_TOL:
+    def __init__(self, origin: Point, e1: Vec3, e2: Vec3, e3: Vec3):
+        basis = Mat3.from_columns(e1, e2, e3)
+        # No component of an orthonormal basis exceeds 1, and one beyond 2
+        # could overflow the squares of the defect.
+        if basis.max_abs() > 2.0 or basis.orthonormality_defect() > _FRAME_TOL:
             raise ValueError("frame basis is not orthonormal")
-        if self.e1.cross(self.e2).dot(self.e3) < 0.0:
+        if e1.cross(e2).dot(e3) < 0.0:
             raise ValueError("frame basis is not right-handed")
+        self._store(origin, e1, e2, e3)
 
     @staticmethod
     def standard() -> "Frame":
@@ -74,24 +72,34 @@ class Frame:
         return (self.e1, self.e2, self.e3)
 
 
-@dataclass(frozen=True, slots=True)
-class Screw6:
+class Screw6(_Value):
     """Coordinates of a screw in a frame: a = resultant components,
     b = components of the field value at the frame origin."""
 
-    a: tuple[float, float, float]
-    b: tuple[float, float, float]
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: tuple[float, float, float], b: tuple[float, float, float]):
+        _set_a(self, a)
+        _set_b(self, b)
 
 
-@dataclass(frozen=True, slots=True)
-class Dual6:
+_set_a, _set_b = _slot_setters(Screw6)
+
+
+class Dual6(_Value):
     """Coordinates of a linear functional on screws in the basis dual to a
     frame's basis screws.  Kept distinct from Screw6 on purpose: the two
     transform differently under frame changes, and only the pairing of a
     Dual6 with a Screw6 is frame-invariant."""
 
-    c: tuple[float, float, float]
-    d: tuple[float, float, float]
+    __slots__ = ("c", "d")
+
+    def __init__(self, c: tuple[float, float, float], d: tuple[float, float, float]):
+        _set_c(self, c)
+        _set_d(self, d)
+
+
+_set_c, _set_d = _slot_setters(Dual6)
 
 
 def klein_product(s1: Screw, s2: Screw) -> float:

@@ -19,12 +19,10 @@ wants in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dynamics import ForceSystem, wrench_of
 from .errors import ZeroScrewError
 from .screw import Pitch, Screw, ScrewAxis
-from .vecmath import ORIGIN, Point, Vec3
+from .vecmath import ORIGIN, Point, Vec3, _slot_setters, _Value
 
 __all__ = ["AppliedVectorPair", "CentralAxisReport", "decompose_two_applied", "central_axis_report"]
 
@@ -32,28 +30,47 @@ __all__ = ["AppliedVectorPair", "CentralAxisReport", "decompose_two_applied", "c
 _SCALAR_RTOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class AppliedVectorPair:
+class AppliedVectorPair(_Value):
     """Two applied vectors whose screw sum reproduces a target screw."""
 
-    point1: Point
-    vector1: Vec3
-    point2: Point
-    vector2: Vec3
+    __slots__ = ("point1", "vector1", "point2", "vector2")
+
+    def __init__(self, point1: Point, vector1: Vec3, point2: Point, vector2: Vec3):
+        _set_point1(self, point1)
+        _set_vector1(self, vector1)
+        _set_point2(self, point2)
+        _set_vector2(self, vector2)
 
     def to_screw(self) -> Screw:
         return Screw.from_applied_vector(self.point1, self.vector1) + \
             Screw.from_applied_vector(self.point2, self.vector2)
 
 
-@dataclass(frozen=True, slots=True)
-class CentralAxisReport:
-    resultant: Vec3
-    amplitude: float
-    scalar_invariant: float
-    vector_invariant: Vec3
-    axis: ScrewAxis
-    pitch: Pitch
+_set_point1, _set_vector1, _set_point2, _set_vector2 = _slot_setters(AppliedVectorPair)
+
+
+class CentralAxisReport(_Value):
+    __slots__ = ("resultant", "amplitude", "scalar_invariant", "vector_invariant", "axis", "pitch")
+
+    def __init__(
+        self,
+        resultant: Vec3,
+        amplitude: float,
+        scalar_invariant: float,
+        vector_invariant: Vec3,
+        axis: ScrewAxis,
+        pitch: Pitch,
+    ):
+        _set_resultant(self, resultant)
+        _set_amplitude(self, amplitude)
+        _set_scalar_invariant(self, scalar_invariant)
+        _set_vector_invariant(self, vector_invariant)
+        _set_axis(self, axis)
+        _set_pitch(self, pitch)
+
+
+(_set_resultant, _set_amplitude, _set_scalar_invariant, _set_vector_invariant,
+ _set_axis, _set_pitch) = _slot_setters(CentralAxisReport)
 
 
 def _reference_perpendicular(u: Vec3) -> Vec3:

@@ -14,11 +14,10 @@ drift surfaces as an error instead of a wrong answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidRotationError, NonFiniteError, ZeroScrewError
 from .screw import DegenerateAxis, LineAxis, Screw, ScrewAxis
-from .vecmath import ORIGIN, Mat3, Point, Vec3
+from .vecmath import ORIGIN, Mat3, Point, Vec3, _slot_setters, _Value
 
 __all__ = ["RigidMap", "ChaslesDecomposition", "rodrigues", "exp_screw", "chasles"]
 
@@ -49,21 +48,21 @@ def rodrigues(axis: Vec3, angle: float) -> Mat3:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class RigidMap:
+class RigidMap(_Value):
     """Orientation-preserving isometry P -> O + R (P - O) + translation,
     with O the global origin."""
 
-    rotation: Mat3
-    translation: Vec3
+    __slots__ = ("rotation", "translation")
 
-    def __post_init__(self):
-        if self.rotation.orthonormality_defect() > _ROTATION_TOL:
+    def __init__(self, rotation: Mat3, translation: Vec3):
+        if rotation.orthonormality_defect() > _ROTATION_TOL:
             raise InvalidRotationError(
                 f"rotation block is not orthonormal within {_ROTATION_TOL}"
             )
-        if abs(self.rotation.det() - 1.0) > _ROTATION_TOL:
+        if abs(rotation.det() - 1.0) > _ROTATION_TOL:
             raise InvalidRotationError("rotation block must have determinant +1")
+        _set_rotation(self, rotation)
+        _set_translation(self, translation)
 
     @staticmethod
     def identity() -> "RigidMap":
@@ -89,16 +88,23 @@ class RigidMap:
             self.translation.isclose(other.translation, rel, abs_)
 
 
-@dataclass(frozen=True, slots=True)
-class ChaslesDecomposition:
+_set_rotation, _set_translation = _slot_setters(RigidMap)
+
+
+class ChaslesDecomposition(_Value):
     """Any rigid map is a rotation by ``angle`` about ``axis`` followed by a
     slide of ``slide`` along it; a map with no rotation is the edge case, and
     then ``pure_translation`` carries the displacement instead."""
 
-    axis: ScrewAxis
-    angle: float
-    slide: float
-    pure_translation: Vec3 | None = None
+    __slots__ = ("axis", "angle", "slide", "pure_translation")
+
+    def __init__(
+        self, axis: ScrewAxis, angle: float, slide: float, pure_translation: Vec3 | None = None
+    ):
+        _set_axis(self, axis)
+        _set_angle(self, angle)
+        _set_slide(self, slide)
+        _set_pure_translation(self, pure_translation)
 
     def to_screw(self) -> Screw:
         """The screw whose unit-parameter flow is the decomposed map."""
@@ -113,6 +119,9 @@ class ChaslesDecomposition:
 
     def to_rigid_map(self) -> RigidMap:
         return exp_screw(self.to_screw(), 1.0)
+
+
+_set_axis, _set_angle, _set_slide, _set_pure_translation = _slot_setters(ChaslesDecomposition)
 
 
 def _exp_coeffs(theta: float) -> tuple[float, float]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 
 from .dynamics import ForceSystem, MassDistribution, Particle, Wrench
 from .errors import SceneError
@@ -23,7 +22,7 @@ from .kinematics import Twist
 from .rigid import RigidMap
 from .screw import Screw
 from .sim import INTEGRATORS, SimConfig
-from .vecmath import Mat3, Point, Vec3
+from .vecmath import Mat3, Point, Vec3, _Value
 
 __all__ = ["Scene", "parse_scene", "scene_from_dict"]
 
@@ -32,14 +31,19 @@ SCENE_VERSION = 1
 _TOP_KEYS = {"version", "forces", "masses", "twists", "rigid_map", "sim"}
 
 
-@dataclass(frozen=True, slots=True)
-class Scene:
-    version: int
-    forces: ForceSystem | None = None
-    masses: MassDistribution | None = None
-    twists: tuple[Twist, ...] | None = None
-    rigid_map: RigidMap | None = None
-    sim: SimConfig | None = None
+class Scene(_Value):
+    __slots__ = ("version", "forces", "masses", "twists", "rigid_map", "sim")
+
+    def __init__(
+        self,
+        version: int,
+        forces: ForceSystem | None = None,
+        masses: MassDistribution | None = None,
+        twists: tuple[Twist, ...] | None = None,
+        rigid_map: RigidMap | None = None,
+        sim: SimConfig | None = None,
+    ):
+        self._store(version, forces, masses, twists, rigid_map, sim)
 
 
 def _require_object(value, path: str, allowed: set[str], required: tuple[str, ...] = ()) -> dict:

@@ -39,10 +39,9 @@ Conventions that matter:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonFiniteError
-from .vecmath import ORIGIN, Point, Vec3
+from .vecmath import ORIGIN, Point, Vec3, _slot_setters, _Value
 
 __all__ = [
     "Screw",
@@ -63,58 +62,71 @@ def _negligible(v: Vec3) -> bool:
     return v.dot(v) == 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class LineAxis:
+class LineAxis(_Value):
     """Axis of a screw with nonzero resultant: a line, stored as a point on it
     plus a unit direction."""
 
-    point: Point
-    direction: Vec3
+    __slots__ = ("point", "direction")
+
+    def __init__(self, point: Point, direction: Vec3):
+        _set_axis_point(self, point)
+        _set_axis_direction(self, direction)
 
 
-@dataclass(frozen=True, slots=True)
-class DegenerateAxis:
+_set_axis_point, _set_axis_direction = _slot_setters(LineAxis)
+
+
+class DegenerateAxis(_Value):
     """Axis of a zero-resultant screw: the minimum locus is all of space."""
+
+    __slots__ = ()
 
 
 ScrewAxis = LineAxis | DegenerateAxis
 
 
-@dataclass(frozen=True, slots=True)
-class FinitePitch:
+class FinitePitch(_Value):
     """Pitch of a line screw.  A pitch beyond the float range is refused,
     as a non-finite vector component is."""
 
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise NonFiniteError(f"pitch must be finite, got {self.value}")
+    def __init__(self, value: float):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"pitch must be finite, got {value}")
+        _set_pitch_value(self, value)
 
 
-@dataclass(frozen=True, slots=True)
-class InfinitePitch:
+(_set_pitch_value,) = _slot_setters(FinitePitch)
+
+
+class InfinitePitch(_Value):
     """Pitch of a free screw: translation with no rotation."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class ZeroScrewPitch:
+
+class ZeroScrewPitch(_Value):
     """The zero screw has no well-defined pitch; callers must handle this case."""
+
+    __slots__ = ()
 
 
 Pitch = FinitePitch | InfinitePitch | ZeroScrewPitch
 
 
-@dataclass(frozen=True, slots=True)
-class Screw:
+class Screw(_Value):
     """A screw field, stored as (resultant, field value at the global origin).
 
     ``==`` is exact and is meant for representation round-trips; use
     :meth:`isclose` for numerical comparison.
     """
 
-    resultant: Vec3
-    moment_at_origin: Vec3
+    __slots__ = ("resultant", "moment_at_origin")
+
+    def __init__(self, resultant: Vec3, moment_at_origin: Vec3):
+        _set_resultant(self, resultant)
+        _set_moment_at_origin(self, moment_at_origin)
 
     # -- constructors ------------------------------------------------------
 
@@ -233,3 +245,6 @@ class Screw:
         w = self.resultant
         n = w.norm()
         return FinitePitch(2.0 * math.pi * self.moment_at_origin.dot(w / n) / n)
+
+
+_set_resultant, _set_moment_at_origin = _slot_setters(Screw)

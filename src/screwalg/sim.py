@@ -17,7 +17,7 @@ finite-difference derivative of the momentum screw at body-dragged poles.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -29,10 +29,10 @@ from .dynamics import (
     moving_frame_derivative,
     power,
 )
-from .errors import SingularInertiaError
+from .errors import NonFiniteError, SingularInertiaError
 from .kinematics import Twist
 from .rigid import rodrigues
-from .vecmath import Mat3, Point, Vec3
+from .vecmath import Mat3, Point, Vec3, _slot_setters, _Value
 
 __all__ = [
     "INTEGRATORS",
@@ -59,8 +59,7 @@ _ORTHO_DRIFT_TOL = 1e-8
 _MARKER_OFFSET = Vec3(1.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class BodyState:
+class BodyState(_Value):
     """Instantaneous state of one rigid body.
 
     ``orientation`` maps body axes to world axes; ``body`` is the inertia
@@ -69,11 +68,25 @@ class BodyState:
     angular momentum about the center of mass.
     """
 
-    orientation: Mat3
-    center: Point
-    linear_momentum: Vec3
-    angular_momentum_at_c: Vec3
-    body: InertiaOperator
+    __slots__ = ("orientation", "center", "linear_momentum", "angular_momentum_at_c", "body")
+
+    def __init__(
+        self,
+        orientation: Mat3,
+        center: Point,
+        linear_momentum: Vec3,
+        angular_momentum_at_c: Vec3,
+        body: InertiaOperator,
+    ):
+        _set_orientation(self, orientation)
+        _set_center(self, center)
+        _set_linear_momentum(self, linear_momentum)
+        _set_angular_momentum_at_c(self, angular_momentum_at_c)
+        _set_body(self, body)
+
+
+(_set_orientation, _set_center, _set_linear_momentum, _set_angular_momentum_at_c,
+ _set_body) = _slot_setters(BodyState)
 
 
 def _check_step(dt: float, integrator: str) -> None:
@@ -83,49 +96,75 @@ def _check_step(dt: float, integrator: str) -> None:
         raise ValueError(f"integrator must be {' or '.join(map(repr, INTEGRATORS))}")
 
 
-@dataclass(frozen=True, slots=True)
-class SimConfig:
-    dt: float
-    steps: int
-    integrator: str = "midpoint"
-    wrench: Wrench | None = None
+class SimConfig(_Value):
+    __slots__ = ("dt", "steps", "integrator", "wrench")
 
-    def __post_init__(self):
-        _check_step(self.dt, self.integrator)
-        if self.steps < 1:
+    def __init__(
+        self, dt: float, steps: int, integrator: str = "midpoint", wrench: Wrench | None = None
+    ):
+        _check_step(dt, integrator)
+        if steps < 1:
             raise ValueError("steps must be at least 1")
+        self._store(dt, steps, integrator, wrench)
 
 
-@dataclass(frozen=True, slots=True)
-class StepDiagnostics:
-    time: float
-    kinetic_energy: float
-    power: float
-    omega_idot_omega: float
-    balance_residual: float
+class StepDiagnostics(_Value):
+    __slots__ = ("time", "kinetic_energy", "power", "omega_idot_omega", "balance_residual")
+
+    def __init__(
+        self,
+        time: float,
+        kinetic_energy: float,
+        power: float,
+        omega_idot_omega: float,
+        balance_residual: float,
+    ):
+        _set_time(self, time)
+        _set_kinetic_energy(self, kinetic_energy)
+        _set_power(self, power)
+        _set_omega_idot_omega(self, omega_idot_omega)
+        _set_balance_residual(self, balance_residual)
 
 
-@dataclass(frozen=True, slots=True)
-class Trajectory:
-    states: tuple[BodyState, ...]
-    diagnostics: tuple[StepDiagnostics, ...]
-    renormalizations: int
+(_set_time, _set_kinetic_energy, _set_power, _set_omega_idot_omega,
+ _set_balance_residual) = _slot_setters(StepDiagnostics)
+
+
+class Trajectory(_Value):
+    __slots__ = ("states", "diagnostics", "renormalizations")
+
+    def __init__(
+        self,
+        states: tuple[BodyState, ...],
+        diagnostics: tuple[StepDiagnostics, ...],
+        renormalizations: int,
+    ):
+        self._store(states, diagnostics, renormalizations)
 
 
 @lru_cache(maxsize=16)
 def _inverse_moment(body: InertiaOperator) -> Mat3:
     """Inverse of the body moment matrix via symmetric eigendecomposition,
-    rejecting (near-)singular inertias."""
+    rejecting (near-)singular inertias.
+
+    The matrix is first scaled by the exact power of two 2**-e that brings
+    its largest entry into [0.5, 1), so the principal moments are ranked and
+    inverted at the same size whatever the units, and their ratio cannot
+    underflow; the inverse is scaled back by 2**-e."""
     import numpy as np
 
-    m = np.array(body.moment_matrix.flat(), dtype=float).reshape(3, 3)
+    moments = body.moment_matrix
+    e = math.frexp(moments.max_abs())[1]
+    m = np.ldexp(np.array(moments.flat(), dtype=float).reshape(3, 3), -e)
     evals, evecs = np.linalg.eigh(m)
+    values = tuple(math.ldexp(float(x), e) for x in evals)
     if evals[0] < _SINGULAR_RTOL * max(evals[-1], 0.0) or evals[-1] <= 0.0:
-        raise SingularInertiaError(
-            f"inertia principal values {tuple(evals)} are not invertible"
-        )
+        raise SingularInertiaError(f"inertia principal values {values} are not invertible")
     inv = evecs @ np.diag(1.0 / evals) @ evecs.T
-    return Mat3(*(float(x) for x in inv.ravel()))
+    try:
+        return Mat3(*(math.ldexp(float(x), -e) for x in inv.ravel()))
+    except OverflowError:
+        raise NonFiniteError(f"inertia principal values {values} have no finite inverse") from None
 
 
 def world_inertia_matrix(state: BodyState) -> Mat3:
@@ -233,7 +272,8 @@ def _step_impl(
 
     renormalized = False
     if new.orientation.orthonormality_defect() > _ORTHO_DRIFT_TOL:
-        new = replace(new, orientation=_renormalize(new.orientation))
+        new = BodyState(_renormalize(new.orientation), new.center, new.linear_momentum,
+                        new.angular_momentum_at_c, new.body)
         renormalized = True
     return new, renormalized
 

@@ -1,31 +1,36 @@
-"""Small fixed-size linear algebra used everywhere else.
+"""Small fixed-size linear algebra used everywhere else, and ``_Value``, the
+immutable base of every value and record class of the library.
 
 Vectors, points and 3x3 matrices are immutable value objects built on plain
-floats.  They stay cheap inside tight loops and hashable inside dataclasses;
-numpy enters only where a real matrix factorization is needed (see
+floats; numpy enters only where a real matrix factorization is needed (see
 ``dynamics`` and ``sim``).
 
 A ``Point`` is a location in the affine space, a ``Vec3`` a displacement of
 it.  Point - Point = Vec3, Point + Vec3 = Point; points cannot be added.
 
-Every value is built in its class's own ``__init__``, which refuses a NaN or
-infinite component with ``NonFiniteError`` and stores the fields through the
-member descriptors of ``__slots__``.  Assigning or deleting a field raises
-``dataclasses.FrozenInstanceError``.  ``_Value`` supplies what a frozen slots
-dataclass would: ``==`` only between values of the same class, ``hash`` of
-the field tuple, the dataclass ``repr`` and a ``__reduce__`` through the
-constructor for ``pickle`` and ``copy``.  They are not dataclasses because
-the arithmetic builds one value per intermediate result (about 96 per
-simulation step), and a frozen dataclass's ``__init__`` stores each field
-through ``object.__setattr__`` and then calls ``__post_init__``: that costs
-more than the finiteness check it guards.
+Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
+``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,
+``BodyState``, ``SimConfig``, ``Scene`` and the rest elsewhere) subclasses
+``_Value``.  It names its fields in ``__slots__`` and builds itself in its own
+``__init__``: it makes its checks (a ``Vec3``, ``Point`` or ``Mat3`` refuses
+a NaN or infinite component with ``NonFiniteError``), then stores the fields
+through the member descriptors of the slots (``_slot_setters``), or through
+``_Value._store`` off the hot paths.  ``_Value`` supplies what a frozen slots
+dataclass would: assigning or deleting any attribute raises
+``dataclasses.FrozenInstanceError``, ``==`` holds only between values of the
+same class, ``hash`` is that of the field tuple, ``repr`` is the dataclass
+``repr``, and ``__reduce__`` goes through the constructor for ``pickle`` and
+``copy``.  No module imports ``dataclasses``: loading it, with the
+``inspect`` it imports, and decorating each class took a large share of a
+command-line process's start-up, and a dataclass ``__init__`` that stores
+each field through ``object.__setattr__`` and then calls ``__post_init__``
+costs more than the checks it guards.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import FrozenInstanceError
 from math import isfinite
 
 from .errors import NonFiniteError
@@ -47,17 +52,30 @@ def _require_finite(name: str, *values: float) -> None:
 
 
 class _Value:
-    """Immutable value behaviour of Vec3, Point and Mat3.  A subclass names
-    its fields in ``__slots__`` and returns them in that order from
-    ``_fields``."""
+    """Immutable value behaviour of every value and record class.  A subclass
+    names its fields in ``__slots__``; ``_fields`` returns them in that
+    order."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _store(self, *values) -> None:
+        """Store the fields in ``__slots__`` order: the constructors of records
+        built off the hot paths end with this."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -74,6 +92,13 @@ class _Value:
     def __reduce__(self):
         # Copies and unpickled values go through the constructor and its check.
         return self.__class__, self._fields()
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each member descriptor of ``cls.__slots__``, in
+    order: a constructor stores its fields through them, past the frozen
+    ``__setattr__``."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 class Vec3(_Value):
@@ -148,7 +173,7 @@ class Vec3(_Value):
         return Vec3(0.0, 0.0, 0.0)
 
 
-_set_vec3_x, _set_vec3_y, _set_vec3_z = (getattr(Vec3, n).__set__ for n in Vec3.__slots__)
+_set_vec3_x, _set_vec3_y, _set_vec3_z = _slot_setters(Vec3)
 
 
 class Point(_Value):
@@ -188,7 +213,7 @@ class Point(_Value):
     _fields = components
 
 
-_set_point_x, _set_point_y, _set_point_z = (getattr(Point, n).__set__ for n in Point.__slots__)
+_set_point_x, _set_point_y, _set_point_z = _slot_setters(Point)
 
 ORIGIN = Point(0.0, 0.0, 0.0)
 
@@ -345,6 +370,5 @@ class Mat3(_Value):
         return (self.transpose().matmul(self) - Mat3.identity()).max_abs()
 
 
-(_set_xx, _set_xy, _set_xz, _set_yx, _set_yy, _set_yz, _set_zx, _set_zy, _set_zz) = (
-    getattr(Mat3, n).__set__ for n in Mat3.__slots__
-)
+(_set_xx, _set_xy, _set_xz, _set_yx, _set_yy, _set_yz,
+ _set_zx, _set_zy, _set_zz) = _slot_setters(Mat3)

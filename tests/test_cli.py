@@ -307,20 +307,6 @@ def test_simulate_human_has_a_table(tmp_path):
     assert "renormalizations: 0" in out
 
 
-def test_simulate_mixed_velocities_is_a_domain_error(tmp_path):
-    doc = {
-        "version": 1,
-        "masses": [
-            {"m": 1.0, "position": [1.0, 0.0, 0.0], "velocity": [0.0, 1.0, 0.0]},
-            {"m": 1.0, "position": [0.0, 1.0, 0.0]},
-        ],
-        "sim": {"dt": 0.001, "steps": 2},
-    }
-    code, _, err = run_cli("simulate", scene_file(tmp_path, doc))
-    assert code == 3
-    assert "MissingVelocitiesError" in err
-
-
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 def test_simulate_with_velocities_on_some_particles_only_is_refused(tmp_path, mode):
     # The body does not start at rest: momentum needs a velocity on every particle.
@@ -337,18 +323,45 @@ def test_simulate_with_velocities_on_some_particles_only_is_refused(tmp_path, mo
     assert err == "domain error (MissingVelocitiesError): momentum needs velocities on all particles\n"
 
 
-def test_simulate_collinear_body_is_a_domain_error(tmp_path):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1.0, 1e-100, 1e-161])
+def test_simulate_collinear_body_is_a_domain_error(tmp_path, s):
+    # A rod's inertia is singular at every unit; at 1e-161 its principal
+    # moments are subnormal.  No numpy warning may escape, and the message
+    # prints plain floats.
     doc = {
         "version": 1,
         "masses": [
-            {"m": 1.0, "position": [1.0, 0.0, 0.0], "velocity": [0.0, 1.0, 0.0]},
-            {"m": 1.0, "position": [-1.0, 0.0, 0.0], "velocity": [0.0, -1.0, 0.0]},
+            {"m": 1.0, "position": [s, 0.0, 0.0], "velocity": [0.0, 1.0, 0.0]},
+            {"m": 1.0, "position": [-s, 0.0, 0.0], "velocity": [0.0, -1.0, 0.0]},
         ],
         "sim": {"dt": 0.001, "steps": 2},
     }
-    code, _, err = run_cli("simulate", scene_file(tmp_path, doc))
-    assert code == 3
-    assert "SingularInertiaError" in err
+    code, out, err = run_cli("simulate", scene_file(tmp_path, doc))
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith("domain error (SingularInertiaError): inertia principal values (0.0, ")
+    assert "np.float64" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_body_whose_inverse_inertia_overflows_is_a_domain_error(tmp_path):
+    # Not singular, but its principal moments are about 1e-322.
+    doc = {
+        "version": 1,
+        "masses": [
+            {"m": 1.0, "position": [1e-161, 0.0, 0.0]},
+            {"m": 1.0, "position": [0.0, 1e-161, 0.0]},
+            {"m": 1.0, "position": [0.0, 0.0, 1e-161]},
+            {"m": 1.0, "position": [0.0, 0.0, 0.0]},
+        ],
+        "sim": {"dt": 0.001, "steps": 2},
+    }
+    code, out, err = run_cli("simulate", scene_file(tmp_path, doc))
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("domain error (NonFiniteError): inertia principal values (")
+    assert err.endswith(") have no finite inverse\n")
 
 
 # -- error paths --------------------------------------------------------------

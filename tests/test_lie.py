@@ -267,10 +267,14 @@ def _perturbed_basis(kind, delta):
     return e1, e2, e3 * (1.0 + delta)  # "stretch": e3 . e3 off by about 2 delta
 
 
-@pytest.mark.parametrize("kind", ["tilt", "stretch"])
+@pytest.mark.parametrize("kind", ["tilt", "stretch", "overflow"])
 def test_frame_refuses_a_basis_off_by_1e_11(kind):
+    if kind == "overflow":  # off by far more: the squares of e1 overflow
+        basis = (Vec3(1e200, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
+    else:
+        basis = _perturbed_basis(kind, 1e-11)
     with pytest.raises(ValueError, match="^frame basis is not orthonormal$"):
-        Frame(Point(0.0, 0.0, 0.0), *_perturbed_basis(kind, 1e-11))
+        Frame(Point(0.0, 0.0, 0.0), *basis)
 
 
 @pytest.mark.parametrize("kind", ["tilt", "stretch"])

@@ -80,8 +80,10 @@ def test_the_module_level_guard_skips_function_bodies_only():
 
 
 # Each call runs through screwalg.cli.main in one fresh interpreter; after
-# each, numpy must still be absent.  reciprocal comes last and must load it,
-# which shows the probe can see numpy arrive.
+# each, numpy must still be absent, and so must dataclasses and inspect, which
+# no module of the package imports.  reciprocal and simulate come last and must
+# load numpy, which shows the probe can see it arrive; numpy itself imports
+# inspect, but never dataclasses.
 _PROBE = textwrap.dedent(
     """
     import io, sys
@@ -97,11 +99,16 @@ _PROBE = textwrap.dedent(
     ]
     for argv in calls + [argv + ["--json"] for argv in calls]:
         code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
-        if code != 0 or "numpy" in sys.modules:
-            sys.exit(f"{argv}: exit {code}, numpy loaded: {'numpy' in sys.modules}")
-    main(["reciprocal", scenes + "/revolute_joint.json"], stdout=io.StringIO())
-    if "numpy" not in sys.modules:
-        sys.exit("reciprocal did not load numpy")
+        loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+        if code != 0 or loaded:
+            sys.exit(f"{argv}: exit {code}, loaded: {loaded}")
+    for argv in (["reciprocal", scenes + "/revolute_joint.json"],
+                 ["simulate", scenes + "/tumble_midpoint.json"]):
+        code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+        if code != 0 or "dataclasses" in sys.modules:
+            sys.exit(f"{argv}: exit {code}, dataclasses loaded: {'dataclasses' in sys.modules}")
+        if "numpy" not in sys.modules:
+            sys.exit(f"{argv}: numpy not loaded")
     """
 )
 

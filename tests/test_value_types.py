@@ -200,6 +200,10 @@ def test_record_fields_cannot_be_assigned_or_deleted(cls, fields):
         with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
             delattr(rec, name)
         assert getattr(rec, name) is value
+    with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'extra'$"):
+        rec.extra = 1
+    with pytest.raises(FrozenInstanceError, match="^cannot delete field 'extra'$"):
+        del rec.extra
     assert not hasattr(rec, "__dict__")
 
 
