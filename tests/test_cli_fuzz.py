@@ -146,22 +146,11 @@ _SUBNORMAL_ROD = {
     ],
     "sim": {"dt": 0.001, "steps": 1},
 }
-_SUBNORMAL_BODY = {
-    "version": 1,
-    "masses": [
-        {"m": 1.0, "position": [1e-161, 0.0, 0.0]},
-        {"m": 1.0, "position": [0.0, 1e-161, 0.0]},
-        {"m": 1.0, "position": [0.0, 0.0, 1e-161]},
-        {"m": 1.0, "position": [0.0, 0.0, 0.0]},
-    ],
-    "sim": {"dt": 0.001, "steps": 1},
-}
 
 
 @pytest.mark.filterwarnings("error")
 @given(request=requests(), json_mode=st.booleans())
 @example(request=("simulate", _SUBNORMAL_ROD, []), json_mode=False)
-@example(request=("simulate", _SUBNORMAL_BODY, []), json_mode=True)
 def test_cli_contract_holds_for_random_scenes(tmp_path_factory, request, json_mode):
     sub, scene, argv = request
     path = tmp_path_factory.getbasetemp() / "fuzz_scene.json"

@@ -4,7 +4,8 @@ Only ``dynamics`` (the reciprocal-subspace SVD) and ``sim`` (the inertia
 eigendecomposition and the polar projection) may import it, and only inside
 the functions that factorize: no module imports it at module level, so a
 process that never factorizes never loads it.  The rest of the package works
-on plain floats.
+on plain floats.  No subcommand loads ``dataclasses``, and one that never
+factorizes does not load ``inspect`` either.
 """
 
 import ast
