@@ -307,6 +307,20 @@ def test_simulate_human_has_a_table(tmp_path):
     assert "renormalizations: 0" in out
 
 
+def test_simulate_mixed_velocities_is_a_domain_error(tmp_path):
+    doc = {
+        "version": 1,
+        "masses": [
+            {"m": 1.0, "position": [1.0, 0.0, 0.0], "velocity": [0.0, 1.0, 0.0]},
+            {"m": 1.0, "position": [0.0, 1.0, 0.0]},
+        ],
+        "sim": {"dt": 0.001, "steps": 2},
+    }
+    code, _, err = run_cli("simulate", scene_file(tmp_path, doc))
+    assert code == 3
+    assert "MissingVelocitiesError" in err
+
+
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 def test_simulate_with_velocities_on_some_particles_only_is_refused(tmp_path, mode):
     # The body does not start at rest: momentum needs a velocity on every particle.
