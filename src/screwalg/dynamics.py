@@ -33,7 +33,7 @@ from .lie import (
     to_dual,
 )
 from .screw import Screw
-from .vecmath import Mat3, Point, Vec3, _slot_setters, _Value
+from .vecmath import Mat3, Point, Vec3, _Value
 
 __all__ = [
     "Wrench",
@@ -89,7 +89,7 @@ class Wrench(_Value):
         return Wrench(self.screw + other.screw)
 
 
-(_set_wrench_screw,) = _slot_setters(Wrench)
+(_set_wrench_screw,) = Wrench._setters
 
 
 class MomentumScrew(_Value):
@@ -112,7 +112,7 @@ class MomentumScrew(_Value):
         return MomentumScrew(Screw.from_motor(point, linear, angular_at_point))
 
 
-(_set_momentum_screw,) = _slot_setters(MomentumScrew)
+(_set_momentum_screw,) = MomentumScrew._setters
 
 
 class ForceSystem(_Value):

@@ -9,7 +9,7 @@ screw addition, so the result does not depend on the order of the links.
 from __future__ import annotations
 
 from .screw import Screw
-from .vecmath import Point, Vec3, _slot_setters, _Value
+from .vecmath import Point, Vec3, _Value
 
 __all__ = ["Twist", "MotionChain", "compose_chain"]
 
@@ -45,7 +45,7 @@ class Twist(_Value):
         return Twist(self.screw + other.screw)
 
 
-(_set_twist_screw,) = _slot_setters(Twist)
+(_set_twist_screw,) = Twist._setters
 
 
 class MotionChain(_Value):

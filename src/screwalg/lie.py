@@ -24,7 +24,7 @@ s = sum a_i f_i + b_i m_i.  The commutation relations are
 from __future__ import annotations
 
 from .screw import Screw
-from .vecmath import Mat3, Point, Vec3, _slot_setters, _Value
+from .vecmath import Mat3, Point, Vec3, _Value
 
 __all__ = [
     "Frame",
@@ -83,7 +83,7 @@ class Screw6(_Value):
         _set_b(self, b)
 
 
-_set_a, _set_b = _slot_setters(Screw6)
+_set_a, _set_b = Screw6._setters
 
 
 class Dual6(_Value):
@@ -99,7 +99,7 @@ class Dual6(_Value):
         _set_d(self, d)
 
 
-_set_c, _set_d = _slot_setters(Dual6)
+_set_c, _set_d = Dual6._setters
 
 
 def klein_product(s1: Screw, s2: Screw) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .dynamics import ForceSystem, wrench_of
 from .errors import ZeroScrewError
 from .screw import Pitch, Screw, ScrewAxis
-from .vecmath import ORIGIN, Point, Vec3, _slot_setters, _Value
+from .vecmath import ORIGIN, Point, Vec3, _Value
 
 __all__ = ["AppliedVectorPair", "CentralAxisReport", "decompose_two_applied", "central_axis_report"]
 
@@ -46,7 +46,7 @@ class AppliedVectorPair(_Value):
             Screw.from_applied_vector(self.point2, self.vector2)
 
 
-_set_point1, _set_vector1, _set_point2, _set_vector2 = _slot_setters(AppliedVectorPair)
+_set_point1, _set_vector1, _set_point2, _set_vector2 = AppliedVectorPair._setters
 
 
 class CentralAxisReport(_Value):
@@ -70,7 +70,7 @@ class CentralAxisReport(_Value):
 
 
 (_set_resultant, _set_amplitude, _set_scalar_invariant, _set_vector_invariant,
- _set_axis, _set_pitch) = _slot_setters(CentralAxisReport)
+ _set_axis, _set_pitch) = CentralAxisReport._setters
 
 
 def _reference_perpendicular(u: Vec3) -> Vec3:

@@ -17,7 +17,7 @@ import math
 
 from .errors import InvalidRotationError, NonFiniteError, ZeroScrewError
 from .screw import DegenerateAxis, LineAxis, Screw, ScrewAxis
-from .vecmath import ORIGIN, Mat3, Point, Vec3, _slot_setters, _Value
+from .vecmath import ORIGIN, Mat3, Point, Vec3, _Value
 
 __all__ = ["RigidMap", "ChaslesDecomposition", "rodrigues", "exp_screw", "chasles"]
 
@@ -88,7 +88,7 @@ class RigidMap(_Value):
             self.translation.isclose(other.translation, rel, abs_)
 
 
-_set_rotation, _set_translation = _slot_setters(RigidMap)
+_set_rotation, _set_translation = RigidMap._setters
 
 
 class ChaslesDecomposition(_Value):
@@ -121,7 +121,7 @@ class ChaslesDecomposition(_Value):
         return exp_screw(self.to_screw(), 1.0)
 
 
-_set_axis, _set_angle, _set_slide, _set_pure_translation = _slot_setters(ChaslesDecomposition)
+_set_axis, _set_angle, _set_slide, _set_pure_translation = ChaslesDecomposition._setters
 
 
 def _exp_coeffs(theta: float) -> tuple[float, float]:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 
 from .errors import NonFiniteError
-from .vecmath import ORIGIN, Point, Vec3, _slot_setters, _Value
+from .vecmath import ORIGIN, Point, Vec3, _Value
 
 __all__ = [
     "Screw",
@@ -73,7 +73,7 @@ class LineAxis(_Value):
         _set_axis_direction(self, direction)
 
 
-_set_axis_point, _set_axis_direction = _slot_setters(LineAxis)
+_set_axis_point, _set_axis_direction = LineAxis._setters
 
 
 class DegenerateAxis(_Value):
@@ -97,7 +97,7 @@ class FinitePitch(_Value):
         _set_pitch_value(self, value)
 
 
-(_set_pitch_value,) = _slot_setters(FinitePitch)
+(_set_pitch_value,) = FinitePitch._setters
 
 
 class InfinitePitch(_Value):
@@ -247,4 +247,4 @@ class Screw(_Value):
         return FinitePitch(2.0 * math.pi * self.moment_at_origin.dot(w / n) / n)
 
 
-_set_resultant, _set_moment_at_origin = _slot_setters(Screw)
+_set_resultant, _set_moment_at_origin = Screw._setters

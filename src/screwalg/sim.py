@@ -32,7 +32,7 @@ from .dynamics import (
 from .errors import NonFiniteError, SingularInertiaError
 from .kinematics import Twist
 from .rigid import rodrigues
-from .vecmath import Mat3, Point, Vec3, _slot_setters, _Value
+from .vecmath import Mat3, Point, Vec3, _Value
 
 __all__ = [
     "INTEGRATORS",
@@ -86,7 +86,7 @@ class BodyState(_Value):
 
 
 (_set_orientation, _set_center, _set_linear_momentum, _set_angular_momentum_at_c,
- _set_body) = _slot_setters(BodyState)
+ _set_body) = BodyState._setters
 
 
 def _check_step(dt: float, integrator: str) -> None:
@@ -127,7 +127,7 @@ class StepDiagnostics(_Value):
 
 
 (_set_time, _set_kinetic_energy, _set_power, _set_omega_idot_omega,
- _set_balance_residual) = _slot_setters(StepDiagnostics)
+ _set_balance_residual) = StepDiagnostics._setters
 
 
 class Trajectory(_Value):
@@ -157,14 +157,28 @@ def _inverse_moment(body: InertiaOperator) -> Mat3:
     e = math.frexp(moments.max_abs())[1]
     m = np.ldexp(np.array(moments.flat(), dtype=float).reshape(3, 3), -e)
     evals, evecs = np.linalg.eigh(m)
-    values = tuple(math.ldexp(float(x), e) for x in evals)
     if evals[0] < _SINGULAR_RTOL * max(evals[-1], 0.0) or evals[-1] <= 0.0:
-        raise SingularInertiaError(f"inertia principal values {values} are not invertible")
+        raise SingularInertiaError(
+            f"inertia principal values {_scaled_values(evals, e)} are not invertible"
+        )
     inv = evecs @ np.diag(1.0 / evals) @ evecs.T
     try:
         return Mat3(*(math.ldexp(float(x), -e) for x in inv.ravel()))
     except OverflowError:
-        raise NonFiniteError(f"inertia principal values {values} have no finite inverse") from None
+        raise NonFiniteError(
+            f"inertia principal values {_scaled_values(evals, e)} have no finite inverse"
+        ) from None
+
+
+def _scaled_values(evals, e: int) -> str:
+    """The principal moments evals * 2**e as plain floats; a moment up to 1.5
+    times the largest matrix entry may lie beyond the float range, and is then
+    written as the scaled tuple times 2**e."""
+    scaled = tuple(float(x) for x in evals)
+    try:
+        return str(tuple(math.ldexp(x, e) for x in scaled))
+    except OverflowError:
+        return f"{scaled} * 2**{e}"
 
 
 def world_inertia_matrix(state: BodyState) -> Mat3:

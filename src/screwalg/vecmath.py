@@ -14,8 +14,10 @@ Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``_Value``.  It names its fields in ``__slots__`` and builds itself in its own
 ``__init__``: it makes its checks (a ``Vec3``, ``Point`` or ``Mat3`` refuses
 a NaN or infinite component with ``NonFiniteError``), then stores the fields
-through the member descriptors of the slots (``_slot_setters``), or through
-``_Value._store`` off the hot paths.  ``_Value`` supplies what a frozen slots
+through the ``__set__`` of each slot's member descriptor (``_setters``):
+directly, from module-level names, in the values and records built in the
+arithmetic, the sim step and the algebra calls, and through
+``_Value._store`` in the others.  ``_Value`` supplies what a frozen slots
 dataclass would: assigning or deleting any attribute raises
 ``dataclasses.FrozenInstanceError``, ``==`` holds only between values of the
 same class, ``hash`` is that of the field tuple, ``repr`` is the dataclass
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from math import isfinite
+from operator import attrgetter
 
 from .errors import NonFiniteError
 
@@ -53,10 +56,20 @@ def _require_finite(name: str, *values: float) -> None:
 
 class _Value:
     """Immutable value behaviour of every value and record class.  A subclass
-    names its fields in ``__slots__``; ``_fields`` returns them in that
-    order."""
+    names its fields in ``__slots__``; on its creation, ``_setters`` gets the
+    ``__set__`` of each slot's member descriptor, and ``_fields``, the field
+    tuple in that order, is read by one C-level ``attrgetter``."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+        if len(names) > 1:
+            cls._fields = property(attrgetter(*names))
+        else:
+            cls._fields = property(lambda self: tuple([getattr(self, n) for n in names]))
 
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError
@@ -69,36 +82,27 @@ class _Value:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _store(self, *values) -> None:
-        """Store the fields in ``__slots__`` order: the constructors of records
-        built off the hot paths end with this."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        """Store the fields in ``__slots__`` order, past the frozen
+        ``__setattr__``: the constructors of records built off the hot paths
+        end with this."""
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._fields == other._fields
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields)
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
         # Copies and unpickled values go through the constructor and its check.
-        return self.__class__, self._fields()
-
-
-def _slot_setters(cls: type) -> tuple:
-    """The ``__set__`` of each member descriptor of ``cls.__slots__``, in
-    order: a constructor stores its fields through them, past the frozen
-    ``__setattr__``."""
-    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        return self.__class__, self._fields
 
 
 class Vec3(_Value):
@@ -166,14 +170,12 @@ class Vec3(_Value):
     def components(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
-    _fields = components
-
     @staticmethod
     def zero() -> "Vec3":
         return Vec3(0.0, 0.0, 0.0)
 
 
-_set_vec3_x, _set_vec3_y, _set_vec3_z = _slot_setters(Vec3)
+_set_vec3_x, _set_vec3_y, _set_vec3_z = Vec3._setters
 
 
 class Point(_Value):
@@ -210,10 +212,8 @@ class Point(_Value):
     def components(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
-    _fields = components
 
-
-_set_point_x, _set_point_y, _set_point_z = _slot_setters(Point)
+_set_point_x, _set_point_y, _set_point_z = Point._setters
 
 ORIGIN = Point(0.0, 0.0, 0.0)
 
@@ -288,8 +288,6 @@ class Mat3(_Value):
             self.yx, self.yy, self.yz,
             self.zx, self.zy, self.zz,
         )
-
-    _fields = flat
 
     def __add__(self, o: "Mat3") -> "Mat3":
         a, b = self, o
@@ -371,4 +369,4 @@ class Mat3(_Value):
 
 
 (_set_xx, _set_xy, _set_xz, _set_yx, _set_yy, _set_yz,
- _set_zx, _set_zy, _set_zz) = _slot_setters(Mat3)
+ _set_zx, _set_zy, _set_zz) = Mat3._setters

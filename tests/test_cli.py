@@ -359,6 +359,26 @@ def test_simulate_collinear_body_is_a_domain_error(tmp_path, s):
 
 
 @pytest.mark.filterwarnings("error")
+def test_simulate_rod_whose_principal_moment_overflows_is_a_domain_error(tmp_path):
+    # Every entry of the moment matrix is finite (at most 4a^2, about
+    # 1.49e308), but the two nonzero principal moments, 6a^2, are not.
+    a = 6.1e153
+    doc = {
+        "version": 1,
+        "masses": [
+            {"m": 1.0, "position": [a, a, a]},
+            {"m": 1.0, "position": [-a, -a, -a]},
+        ],
+        "sim": {"dt": 0.001, "steps": 2},
+    }
+    code, out, err = run_cli("simulate", scene_file(tmp_path, doc))
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("domain error (SingularInertiaError): inertia principal values (")
+    assert err.endswith(") * 2**1024 are not invertible\n")
+
+
+@pytest.mark.filterwarnings("error")
 def test_simulate_body_whose_inverse_inertia_overflows_is_a_domain_error(tmp_path):
     # Not singular, but its principal moments are about 1e-322.
     doc = {

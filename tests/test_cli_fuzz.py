@@ -147,10 +147,21 @@ _SUBNORMAL_ROD = {
     "sim": {"dt": 0.001, "steps": 1},
 }
 
+# A rod whose moment matrix is finite but whose largest principal moment is not.
+_HUGE_ROD = {
+    "version": 1,
+    "masses": [
+        {"m": 1.0, "position": [6.1e153, 6.1e153, 6.1e153]},
+        {"m": 1.0, "position": [-6.1e153, -6.1e153, -6.1e153]},
+    ],
+    "sim": {"dt": 0.001, "steps": 1},
+}
+
 
 @pytest.mark.filterwarnings("error")
 @given(request=requests(), json_mode=st.booleans())
 @example(request=("simulate", _SUBNORMAL_ROD, []), json_mode=False)
+@example(request=("simulate", _HUGE_ROD, []), json_mode=True)
 def test_cli_contract_holds_for_random_scenes(tmp_path_factory, request, json_mode):
     sub, scene, argv = request
     path = tmp_path_factory.getbasetemp() / "fuzz_scene.json"
