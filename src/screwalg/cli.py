@@ -35,7 +35,7 @@ from .reduction import decompose_two_applied
 from .rigid import chasles, exp_screw
 from .scene import Scene, parse_scene
 from .screw import DegenerateAxis, FinitePitch, InfinitePitch, Screw
-from .sim import BodyState, run
+from .sim import BodyState, StepDiagnostics, _stream
 from .vecmath import Mat3, Vec3
 
 __all__ = ["main"]
@@ -69,6 +69,38 @@ def _machine_ready(doc, digits: int = MACHINE_DIGITS):
     if isinstance(doc, (list, tuple)):
         return [_machine_ready(v, digits) for v in doc]
     return doc
+
+
+class _Rows:
+    """Items, at least one, of a top-level doc list, each checked for
+    finiteness and rendered for the output mode as it was made: JSON text at
+    the depth of the list, or a text line.  ``_require_finite`` and
+    ``_machine_ready`` pass it by."""
+
+    __slots__ = ("rendered",)
+
+    def __init__(self, rendered: list[str]):
+        self.rendered = rendered
+
+
+# How ``json`` writes the stand-in for a ``_Rows`` value.
+_ROWS_MARK = json.dumps("\0rows")
+
+
+def _write_json(doc: dict, out) -> None:
+    """Write ``doc`` as ``json.dump(doc, out, indent=2)`` would, and a newline.
+    A top-level ``_Rows`` value, JSON already, goes out row by row in the
+    place of its list."""
+    rows = [v.rendered for v in doc.values() if isinstance(v, _Rows)]
+    head, *tails = json.dumps(doc, indent=2, default=lambda _: "\0rows").split(_ROWS_MARK)
+    out.write(head)
+    for rendered, tail in zip(rows, tails):
+        sep = "[\n"
+        for row in rendered:
+            out.write(sep + row)
+            sep = ",\n"
+        out.write("\n  ]" + tail)
+    out.write("\n")
 
 
 _KIND_TEXT = {
@@ -138,7 +170,9 @@ def _need(scene: Scene, section: str):
 
 # -- subcommand handlers: each returns its machine doc -------------------------
 # The doc holds every result.  In text mode ``main`` renders it through the
-# subcommand's ``_text_*`` function, from the doc alone.
+# subcommand's ``_text_*`` function, from the doc alone.  ``simulate`` is the
+# exception: it renders each diagnostics row for the output mode as the step
+# is made, and its doc holds them as ``_Rows``.
 
 
 def _cmd_reduce(scene: Scene, args) -> dict:
@@ -272,6 +306,26 @@ def _text_reciprocal(doc: dict) -> list[str]:
     return lines
 
 
+# A diagnostics row keys the fields of a step's ``StepDiagnostics``; in JSON
+# it is written as ``json.dump(indent=2)`` writes it in a top-level list.
+_JSON_ROW = (
+    "    {{\n"
+    + ",\n".join(f'      "{key}": {{!r}}' for key in StepDiagnostics.__slots__)
+    + "\n    }}"
+)
+
+
+def _simulate_row(n: int, diagnostics: StepDiagnostics, machine: bool) -> str:
+    values = diagnostics._fields
+    for key, x in zip(StepDiagnostics.__slots__, values):
+        if not math.isfinite(x):
+            raise NonFiniteError(f"non-finite result at $.diagnostics[{n}].{key}")
+    if machine:
+        return _JSON_ROW.format(*(_round_sig(x, MACHINE_DIGITS) for x in values))
+    t, ke, pw, wdw, res = map(_fmt, values)
+    return f"{n:<7d} {t:<13} {ke:<13} {pw:<13} {wdw:<13} {res}"
+
+
 def _cmd_simulate(scene: Scene, args) -> dict:
     masses = _need(scene, "masses")
     config = _need(scene, "sim")
@@ -285,43 +339,36 @@ def _cmd_simulate(scene: Scene, args) -> dict:
         angular_momentum_at_c=l0.angular_momentum_at(inertia.center),
         body=inertia,
     )
-    traj = run(config, state)
-    final = traj.states[-1]
+    # Of the run only the final state, the renormalization count and the
+    # printed rows are kept.
+    rows = []
+    renormalizations = 0
+    for n, (final, diagnostics, renormed) in enumerate(_stream(config, state)):
+        rows.append(_simulate_row(n, diagnostics, args.json))
+        renormalizations += renormed
     return {
         "steps": config.steps,
         "dt": config.dt,
         "integrator": config.integrator,
-        "diagnostics": [
-            {
-                "time": d.time,
-                "kinetic_energy": d.kinetic_energy,
-                "power": d.power,
-                "omega_idot_omega": d.omega_idot_omega,
-                "balance_residual": d.balance_residual,
-            }
-            for d in traj.diagnostics
-        ],
+        "diagnostics": _Rows(rows),
         "final": {
             "center": _vec_doc(final.center),
             "linear_momentum": _vec_doc(final.linear_momentum),
             "angular_momentum_at_c": _vec_doc(final.angular_momentum_at_c),
             "orientation": [float(x) for x in final.orientation.flat()],
         },
-        "renormalizations": traj.renormalizations,
+        "renormalizations": renormalizations,
     }
 
 
 def _text_simulate(doc: dict) -> list[str]:
-    lines = ["step    time          T             power         w.dI(w)       residual"]
-    for n, d in enumerate(doc["diagnostics"]):
-        lines.append(
-            f"{n:<7d} {_fmt(d['time']):<13} {_fmt(d['kinetic_energy']):<13} "
-            f"{_fmt(d['power']):<13} {_fmt(d['omega_idot_omega']):<13} {_fmt(d['balance_residual'])}"
-        )
-    lines.append(f"final center:   {_fmt(doc['final']['center'])}")
-    lines.append(f"final momentum: {_fmt(doc['final']['linear_momentum'])}")
-    lines.append(f"renormalizations: {doc['renormalizations']}")
-    return lines
+    return [
+        "step    time          T             power         w.dI(w)       residual",
+        *doc["diagnostics"].rendered,
+        f"final center:   {_fmt(doc['final']['center'])}",
+        f"final momentum: {_fmt(doc['final']['linear_momentum'])}",
+        f"renormalizations: {doc['renormalizations']}",
+    ]
 
 
 def _selfcheck_checks() -> list[tuple[str, bool]]:
@@ -467,8 +514,7 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         return 3
 
     if args.json:
-        json.dump(_machine_ready(doc), out, indent=2)
-        out.write("\n")
+        _write_json(_machine_ready(doc), out)
     else:
         for line in _TEXT[args.command](doc):
             print(line, file=out)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .dynamics import (
     InertiaOperator,
@@ -214,7 +214,7 @@ def state_kinetic_energy(state: BodyState) -> float:
 
 
 class _Screws(NamedTuple):
-    """A state's twist, momentum screw and world inertia matrix.  ``run``
+    """A state's twist, momentum screw and world inertia matrix.  ``_stream``
     builds them once per state: the step leaving the state takes its angular
     velocity, and the diagnostics of the steps on both sides of it take all
     three."""
@@ -359,28 +359,39 @@ def _diagnostics(
     )
 
 
-def run(config: SimConfig, initial: BodyState) -> Trajectory:
-    """Integrate for config.steps steps.  Returns the full state sequence
-    (steps + 1 entries) plus per-step diagnostics.  Bitwise deterministic for
-    identical inputs, and state for state equal to ``step`` applied
-    repeatedly."""
+def _stream(
+    config: SimConfig, initial: BodyState
+) -> Iterator[tuple[BodyState, StepDiagnostics, bool]]:
+    """Advance ``initial`` by config.steps steps, yielding each new state with
+    the diagnostics of the step that made it and whether that step projected
+    the orientation back onto SO(3), which is logged here.  ``run`` collects
+    every item; a caller that keeps only what it needs holds no history."""
     wrench = config.wrench if config.wrench is not None else Wrench.zero()
     dt = config.dt
     # The integrator never changes the body, so one inverse serves the run.
     inv_moment = _inverse_moment(initial.body)
-    states = [initial]
-    diags = []
-    renorms = 0
     state, screws = initial, _screws(initial, inv_moment)
     for n in range(config.steps):
         new, renormed = _step_impl(
             state, screws.twist.angular_velocity, wrench, dt, config.integrator, inv_moment
         )
         if renormed:
-            renorms += 1
             log.warning("step %d: orientation drifted off SO(3); applying polar projection", n)
         new_screws = _screws(new, inv_moment)
-        diags.append(_diagnostics(state, new, screws, new_screws, n * dt, dt, wrench))
-        states.append(new)
+        yield new, _diagnostics(state, new, screws, new_screws, n * dt, dt, wrench), renormed
         state, screws = new, new_screws
+
+
+def run(config: SimConfig, initial: BodyState) -> Trajectory:
+    """Integrate for config.steps steps.  Returns the full state sequence
+    (steps + 1 entries) plus per-step diagnostics.  Bitwise deterministic for
+    identical inputs, and state for state equal to ``step`` applied
+    repeatedly."""
+    states = [initial]
+    diags = []
+    renorms = 0
+    for state, diag, renormed in _stream(config, initial):
+        states.append(state)
+        diags.append(diag)
+        renorms += renormed
     return Trajectory(tuple(states), tuple(diags), renorms)

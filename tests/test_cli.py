@@ -6,12 +6,15 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from screwalg import NonFiniteError, Point, Screw, Vec3, exp_screw
-from screwalg import cli
+from screwalg import (
+    Mat3, NonFiniteError, Point, Screw, Vec3, exp_screw, inertia_of, momentum_screw, parse_scene,
+)
+from screwalg import cli, sim
 from screwalg.cli import main
 
 TESTS = Path(__file__).resolve().parent
@@ -232,6 +235,21 @@ def test_log_of_a_small_rotation_with_a_large_moment(tmp_path, mode):
         assert out.startswith("angle: 0.0001\n")
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_log_of_a_rotation_with_a_huge_entry_is_an_invalid_rotation(tmp_path, mode):
+    # The entry's square overflows; the block is refused before R^T R is formed.
+    doc = {
+        "version": 1,
+        "rigid_map": {
+            "rotation": [1e200, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+            "translation": [0.0, 0.0, 0.0],
+        },
+    }
+    code, out, err = run_cli("log", scene_file(tmp_path, doc), *mode)
+    assert (code, out) == (3, "")
+    assert err == "domain error (InvalidRotationError): rotation block is not orthonormal within 1e-10\n"
+
+
 def test_log_of_pure_translation(tmp_path):
     doc = {
         "version": 1,
@@ -305,6 +323,99 @@ def test_simulate_human_has_a_table(tmp_path):
     assert out.splitlines()[0].startswith("step    time")
     assert "final center:" in out
     assert "renormalizations: 0" in out
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("integrator", ["midpoint", "euler"])
+def test_simulate_failing_mid_run_writes_nothing(tmp_path, integrator, mode):
+    # A couple of 1e153 spins the body up until the kinetic energy of step 69
+    # overflows: the rows of the steps before it never reach stdout.
+    doc = {
+        "version": 1,
+        "masses": [
+            {"m": 1.0, "position": p}
+            for p in ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                      [0.0, -2.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, -3.0])
+        ],
+        "sim": {"dt": 1.0, "steps": 300, "integrator": integrator,
+                "wrench": {"moment_at_origin": [1e153, 0.0, 0.0]}},
+    }
+    code, out, err = run_cli("simulate", scene_file(tmp_path, doc), *mode)
+    assert (code, out) == (3, "")
+    assert err == "domain error (NonFiniteError): non-finite result at $.diagnostics[69].kinetic_energy\n"
+
+
+@pytest.mark.parametrize("integrator", ["midpoint", "euler"])
+def test_simulate_reports_what_run_returns(tmp_path, monkeypatch, integrator):
+    # With no drift tolerance nearly every step renormalizes, so the count
+    # the CLI keeps from the stream is checked as well as its rows.
+    monkeypatch.setattr(sim, "_ORTHO_DRIFT_TOL", 0.0)
+    doc = dict(TUMBLE, sim={"dt": 0.01, "steps": 40, "integrator": integrator})
+    path = scene_file(tmp_path, doc)
+    scene = parse_scene(json.dumps(doc))
+    inertia = inertia_of(scene.masses)
+    l0 = momentum_screw(scene.masses)
+    traj = sim.run(scene.sim, sim.BodyState(
+        Mat3.identity(), inertia.center, l0.linear_momentum,
+        l0.angular_momentum_at(inertia.center), inertia,
+    ))
+    assert traj.renormalizations >= 30
+    code, out, err = run_cli("simulate", path, "--json")
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    final = traj.states[-1]
+    assert got == cli._machine_ready({
+        "steps": 40,
+        "dt": 0.01,
+        "integrator": integrator,
+        "diagnostics": [dict(zip(sim.StepDiagnostics.__slots__, d._fields)) for d in traj.diagnostics],
+        "final": {
+            "center": list(final.center.components()),
+            "linear_momentum": list(final.linear_momentum.components()),
+            "angular_momentum_at_c": list(final.angular_momentum_at_c.components()),
+            "orientation": list(final.orientation.flat()),
+        },
+        "renormalizations": traj.renormalizations,
+    })
+    code, out, err = run_cli("simulate", path)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"\nrenormalizations: {traj.renormalizations}\n")
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+# Bytes per step that a 10^4-step simulate may hold at its peak beyond its
+# output: about 1000 when the run keeps its whole trajectory and a doc row per
+# step, about 70 when it keeps only its rendered rows.
+RETAINED_BYTES_PER_STEP = 300
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_simulate_keeps_only_the_rows_it_prints(tmp_path, mode):
+    steps = 10_000
+    doc = dict(TUMBLE, sim={"dt": 0.001, "steps": steps, "integrator": "euler",
+                            "wrench": {"force": [0.0, 0.0, -9.8], "moment_at_origin": [0.5, 0.0, 0.2]}})
+    # A one-step run first, so the lazy imports and caches are not counted.
+    short = scene_file(tmp_path, dict(doc, sim=dict(doc["sim"], steps=1)), "short.json")
+    assert main(["simulate", short, *mode], stdout=_CountingSink(), stderr=io.StringIO()) == 0
+    path = scene_file(tmp_path, doc)
+    out = _CountingSink()
+    tracemalloc.start()
+    try:
+        code = main(["simulate", path, *mode], stdout=out, stderr=io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (peak - out.size) / steps < RETAINED_BYTES_PER_STEP
 
 
 def test_simulate_mixed_velocities_is_a_domain_error(tmp_path):

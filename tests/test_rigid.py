@@ -285,6 +285,17 @@ def test_rotation_validation():
         RigidMap(Mat3(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0), Vec3.zero())
 
 
+@pytest.mark.parametrize("index", [0, 4, 7])
+@pytest.mark.parametrize("entry", [2.5, 1e154, 1e200, -1.7e308])
+def test_rotation_with_a_huge_entry_is_an_invalid_rotation(index, entry):
+    # Past about 1.3e154 the entry's square, and with it R^T R, overflows:
+    # the block is still refused as no rotation, not as a non-finite product.
+    entries = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    entries[index] = entry
+    with pytest.raises(InvalidRotationError, match="not orthonormal"):
+        RigidMap(Mat3(*entries), Vec3.zero())
+
+
 def test_chasles_to_screw_requires_line_axis_unless_translation():
     dec = ChaslesDecomposition(
         axis=LineAxis(Point(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 1.0)),
