@@ -368,7 +368,16 @@ def test_simulate_reports_what_run_returns(tmp_path, monkeypatch, integrator):
         "steps": 40,
         "dt": 0.01,
         "integrator": integrator,
-        "diagnostics": [dict(zip(sim.StepDiagnostics.__slots__, d._fields)) for d in traj.diagnostics],
+        "diagnostics": [
+            {
+                "time": d.time,
+                "kinetic_energy": d.kinetic_energy,
+                "power": d.power,
+                "omega_idot_omega": d.omega_idot_omega,
+                "balance_residual": d.balance_residual,
+            }
+            for d in traj.diagnostics
+        ],
         "final": {
             "center": list(final.center.components()),
             "linear_momentum": list(final.linear_momentum.components()),
