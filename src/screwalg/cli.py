@@ -331,7 +331,7 @@ def _cmd_simulate(scene: Scene, args) -> dict:
     config = _need(scene, "sim")
     inertia = inertia_of(masses)
     moving = any(p.velocity is not None for p in masses.particles)
-    l0 = momentum_screw(masses) if moving else MomentumScrew(Screw.zero())
+    l0 = momentum_screw(masses) if moving else MomentumScrew.zero()
     state = BodyState(
         orientation=Mat3.identity(),
         center=inertia.center,

@@ -32,7 +32,7 @@ from .lie import (
     klein_product,
     to_dual,
 )
-from .screw import Screw
+from .screw import Screw, _ScrewRole
 from .vecmath import Mat3, Point, Vec3, _Value
 
 __all__ = [
@@ -58,61 +58,23 @@ __all__ = [
 _NULLSPACE_RTOL = 1e-10
 
 
-class Wrench(_Value):
+class Wrench(_ScrewRole):
     """Force screw: resultant force plus moment field."""
 
-    __slots__ = ("screw",)
+    __slots__ = ()
 
-    def __init__(self, screw: Screw):
-        _set_wrench_screw(self, screw)
-
-    @property
-    def force(self) -> Vec3:
-        return self.screw.resultant
-
-    def moment_at(self, p: Point) -> Vec3:
-        return self.screw.value_at(p)
-
-    @staticmethod
-    def zero() -> "Wrench":
-        return Wrench(Screw.zero())
-
-    @staticmethod
-    def from_force(point: Point, force: Vec3) -> "Wrench":
-        return Wrench(Screw.from_applied_vector(point, force))
-
-    @staticmethod
-    def from_motor(point: Point, force: Vec3, moment_at_point: Vec3) -> "Wrench":
-        return Wrench(Screw.from_motor(point, force, moment_at_point))
-
-    def __add__(self, other: "Wrench") -> "Wrench":
-        return Wrench(self.screw + other.screw)
+    force = _ScrewRole._resultant
+    moment_at = _ScrewRole._value_at
+    from_force = classmethod(_ScrewRole._from_applied_vector)
 
 
-(_set_wrench_screw,) = Wrench._setters
-
-
-class MomentumScrew(_Value):
+class MomentumScrew(_ScrewRole):
     """Momentum screw: total linear momentum plus angular momentum field."""
 
-    __slots__ = ("screw",)
+    __slots__ = ()
 
-    def __init__(self, screw: Screw):
-        _set_momentum_screw(self, screw)
-
-    @property
-    def linear_momentum(self) -> Vec3:
-        return self.screw.resultant
-
-    def angular_momentum_at(self, p: Point) -> Vec3:
-        return self.screw.value_at(p)
-
-    @staticmethod
-    def from_motor(point: Point, linear: Vec3, angular_at_point: Vec3) -> "MomentumScrew":
-        return MomentumScrew(Screw.from_motor(point, linear, angular_at_point))
-
-
-(_set_momentum_screw,) = MomentumScrew._setters
+    linear_momentum = _ScrewRole._resultant
+    angular_momentum_at = _ScrewRole._value_at
 
 
 class ForceSystem(_Value):

@@ -8,44 +8,24 @@ screw addition, so the result does not depend on the order of the links.
 
 from __future__ import annotations
 
-from .screw import Screw
-from .vecmath import Point, Vec3, _Value
+from .screw import Screw, _ScrewRole
+from .vecmath import Vec3, _Value
 
 __all__ = ["Twist", "MotionChain", "compose_chain"]
 
 
-class Twist(_Value):
+class Twist(_ScrewRole):
     """Velocity screw of a rigid motion at one instant."""
 
-    __slots__ = ("screw",)
+    __slots__ = ()
 
-    def __init__(self, screw: Screw):
-        _set_twist_screw(self, screw)
-
-    @property
-    def angular_velocity(self) -> Vec3:
-        return self.screw.resultant
-
-    def velocity_at(self, p: Point) -> Vec3:
-        return self.screw.value_at(p)
-
-    @staticmethod
-    def pure_rotation(point_on_axis: Point, omega: Vec3) -> "Twist":
-        return Twist(Screw.from_applied_vector(point_on_axis, omega))
+    angular_velocity = _ScrewRole._resultant
+    velocity_at = _ScrewRole._value_at
+    pure_rotation = classmethod(_ScrewRole._from_applied_vector)
 
     @staticmethod
     def pure_translation(velocity: Vec3) -> "Twist":
         return Twist(Screw.from_free_vector(velocity))
-
-    @staticmethod
-    def from_motor(point: Point, omega: Vec3, velocity_at_point: Vec3) -> "Twist":
-        return Twist(Screw.from_motor(point, omega, velocity_at_point))
-
-    def __add__(self, other: "Twist") -> "Twist":
-        return Twist(self.screw + other.screw)
-
-
-(_set_twist_screw,) = Twist._setters
 
 
 class MotionChain(_Value):

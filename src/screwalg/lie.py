@@ -51,9 +51,7 @@ class Frame(_Value):
 
     def __init__(self, origin: Point, e1: Vec3, e2: Vec3, e3: Vec3):
         basis = Mat3.from_columns(e1, e2, e3)
-        # No component of an orthonormal basis exceeds 1, and one beyond 2
-        # could overflow the squares of the defect.
-        if basis.max_abs() > 2.0 or basis.orthonormality_defect() > _FRAME_TOL:
+        if not basis.is_orthonormal(_FRAME_TOL):
             raise ValueError("frame basis is not orthonormal")
         if e1.cross(e2).dot(e3) < 0.0:
             raise ValueError("frame basis is not right-handed")

@@ -55,9 +55,7 @@ class RigidMap(_Value):
     __slots__ = ("rotation", "translation")
 
     def __init__(self, rotation: Mat3, translation: Vec3):
-        # A block with an entry beyond 2 is no rotation; refusing it first
-        # keeps R^T R from overflowing.
-        if rotation.max_abs() > 2.0 or rotation.orthonormality_defect() > _ROTATION_TOL:
+        if not rotation.is_orthonormal(_ROTATION_TOL):
             raise InvalidRotationError(
                 f"rotation block is not orthonormal within {_ROTATION_TOL}"
             )

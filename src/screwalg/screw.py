@@ -8,7 +8,9 @@ A screw is a map ``s`` from points to vectors satisfying
 for a single vector ``resultant`` (written ``s.resultant``).  Angular-velocity
 fields of rigid bodies, force systems (resultant + moment field) and momentum
 fields all have this shape, which is why one algebra serves kinematics,
-statics and dynamics alike.
+statics and dynamics alike.  ``Twist``, ``Wrench`` and ``MomentumScrew``
+are one screw role (``_ScrewRole``) under three names: a ``Screw`` read
+through the role's names, equal to and summed with the same role only.
 
 Storage is canonical: the resultant together with the field value at the
 global origin.  Every constructor normalizes to that form, so two screws
@@ -248,3 +250,44 @@ class Screw(_Value):
 
 
 _set_resultant, _set_moment_at_origin = Screw._setters
+
+
+class _ScrewRole(_Value):
+    """A screw in one physical role.  ``Twist``, ``Wrench`` and
+    ``MomentumScrew`` subclass it with no field of their own and publish the
+    resultant, the value at a point and the applied-vector constructor under
+    their role's names."""
+
+    __slots__ = ("screw",)
+
+    def __init__(self, screw: Screw):
+        _set_role_screw(self, screw)
+
+    @classmethod
+    def zero(cls):
+        return cls(Screw.zero())
+
+    @classmethod
+    def from_motor(cls, point: Point, resultant: Vec3, value_at_point: Vec3):
+        """The role of ``Screw.from_motor(point, resultant, value_at_point)``."""
+        return cls(Screw.from_motor(point, resultant, value_at_point))
+
+    def __add__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__class__(self.screw + other.screw)
+        return NotImplemented
+
+    @property
+    def _resultant(self) -> Vec3:
+        return self.screw.resultant
+
+    def _value_at(self, point: Point) -> Vec3:
+        return self.screw.value_at(point)
+
+    def _from_applied_vector(cls, point: Point, vector: Vec3):
+        """The role of ``Screw.from_applied_vector(point, vector)``; a role
+        binds this function with ``classmethod``, so that it builds that role."""
+        return cls(Screw.from_applied_vector(point, vector))
+
+
+(_set_role_screw,) = _ScrewRole._setters

@@ -11,22 +11,24 @@ it.  Point - Point = Vec3, Point + Vec3 = Point; points cannot be added.
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,
 ``BodyState``, ``SimConfig``, ``Scene`` and the rest elsewhere) subclasses
-``_Value``.  It names its fields in ``__slots__`` and builds itself in its own
-``__init__``: it makes its checks (a ``Vec3``, ``Point`` or ``Mat3`` refuses
-a NaN or infinite component with ``NonFiniteError``), then stores the fields
-through the ``__set__`` of each slot's member descriptor (``_setters``):
-directly, from module-level names, in the values and records built in the
-arithmetic, the sim step and the algebra calls, and through
-``_Value._store`` in the others.  ``_Value`` supplies what a frozen slots
-dataclass would: assigning or deleting any attribute raises
-``dataclasses.FrozenInstanceError``, ``==`` holds only between values of the
-same class, ``hash`` is that of the field tuple, ``repr`` is the dataclass
-``repr``, and ``__reduce__`` goes through the constructor for ``pickle`` and
-``copy``.  No module imports ``dataclasses``: loading it, with the
-``inspect`` it imports, and decorating each class took a large share of a
-command-line process's start-up, and a dataclass ``__init__`` that stores
-each field through ``object.__setattr__`` and then calls ``__post_init__``
-costs more than the checks it guards.
+``_Value``.  It names its own fields in ``__slots__`` (its ``_field_names``
+are those of its whole MRO, base classes first, so a subclass with
+``__slots__ = ()``, as each screw role is, has its base's) and builds itself
+in its own or its base's ``__init__``: it makes its checks (a ``Vec3``,
+``Point`` or ``Mat3`` refuses a NaN or infinite component with
+``NonFiniteError``), then stores the fields through the ``__set__`` of each
+field's member descriptor (``_setters``): directly, from module-level names,
+in the values and records built in the arithmetic, the sim step and the
+algebra calls, and through ``_Value._store`` in the others.  ``_Value``
+supplies what a frozen slots dataclass would: assigning or deleting any
+attribute raises ``dataclasses.FrozenInstanceError``, ``==`` holds only
+between values of the same class, ``hash`` is that of the field tuple,
+``repr`` is the dataclass ``repr``, and ``__reduce__`` goes through the
+constructor for ``pickle`` and ``copy``.  No module imports ``dataclasses``:
+loading it, with the ``inspect`` it imports, and decorating each class took a
+large share of a command-line process's start-up, and a dataclass
+``__init__`` that stores each field through ``object.__setattr__`` and then
+calls ``__post_init__`` costs more than the checks it guards.
 """
 
 from __future__ import annotations
@@ -56,15 +58,19 @@ def _require_finite(name: str, *values: float) -> None:
 
 class _Value:
     """Immutable value behaviour of every value and record class.  A subclass
-    names its fields in ``__slots__``; on its creation, ``_setters`` gets the
-    ``__set__`` of each slot's member descriptor, and ``_fields``, the field
+    names its own fields in ``__slots__``; on its creation, ``_field_names``
+    gets the fields over its MRO, base classes first, ``_setters`` the
+    ``__set__`` of each one's member descriptor, and ``_fields``, the field
     tuple in that order, is read by one C-level ``attrgetter``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls.__slots__
+        names = tuple(
+            name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())
+        )
+        cls._field_names = names
         cls._setters = tuple(getattr(cls, name).__set__ for name in names)
         if len(names) > 1:
             cls._fields = property(attrgetter(*names))
@@ -82,7 +88,7 @@ class _Value:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _store(self, *values) -> None:
-        """Store the fields in ``__slots__`` order, past the frozen
+        """Store the fields in ``_field_names`` order, past the frozen
         ``__setattr__``: the constructors of records built off the hot paths
         end with this."""
         for set_field, value in zip(self._setters, values):
@@ -97,7 +103,7 @@ class _Value:
         return hash(self._fields)
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._field_names, self._fields))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
@@ -366,6 +372,12 @@ class Mat3(_Value):
     def orthonormality_defect(self) -> float:
         """max |R^T R - I|, zero for an exact rotation."""
         return (self.transpose().matmul(self) - Mat3.identity()).max_abs()
+
+    def is_orthonormal(self, tol: float) -> bool:
+        """Whether ``orthonormality_defect()`` is within ``tol``.  No entry of
+        an orthonormal matrix exceeds 1, and one beyond 2 could overflow the
+        squares of R^T R, so such a matrix is refused before forming it."""
+        return self.max_abs() <= 2.0 and self.orthonormality_defect() <= tol
 
 
 (_set_xx, _set_xy, _set_xz, _set_yx, _set_yy, _set_yz,

@@ -235,6 +235,79 @@ def test_records_of_the_same_shape_differ_by_class(group):
     assert len(set(recs)) == len(recs)
 
 
+# -- screw roles ---------------------------------------------------------------
+# Twist, Wrench and MomentumScrew: one screw role under three names, each with
+# its own names for the resultant, the field value at a point and (for the
+# first two) the applied-vector constructor.
+
+_S2 = Screw(Vec3(-0.5, 4.0, 2.0), Vec3(0.25, -1.0, 8.0))
+ROLES = [
+    pytest.param(Twist, "angular_velocity", "velocity_at", "pure_rotation", id="Twist"),
+    pytest.param(Wrench, "force", "moment_at", "from_force", id="Wrench"),
+    pytest.param(MomentumScrew, "linear_momentum", "angular_momentum_at", None, id="MomentumScrew"),
+]
+
+
+@pytest.mark.parametrize("cls, resultant, value_at, applied", ROLES)
+def test_role_zero_and_sum(cls, resultant, value_at, applied):
+    zero = cls.zero()
+    assert type(zero) is cls and zero.screw == Screw.zero()
+    total = cls(_S) + cls(_S2)
+    assert type(total) is cls and total.screw == _S + _S2
+    assert cls(_S) + zero == cls(_S)
+
+
+@pytest.mark.parametrize("cls, resultant, value_at, applied", ROLES)
+def test_role_constructors_read_back(cls, resultant, value_at, applied):
+    rec = cls.from_motor(_P, _V, _W)
+    assert type(rec) is cls and rec.screw == Screw.from_motor(_P, _V, _W)
+    assert getattr(rec, resultant) is rec.screw.resultant
+    assert getattr(rec, value_at)(_P).isclose(_W)
+    assert getattr(rec, value_at)(ORIGIN) == rec.screw.moment_at_origin
+    if applied is not None:
+        rec = getattr(cls, applied)(_P, _V)
+        assert type(rec) is cls and rec.screw == Screw.from_applied_vector(_P, _V)
+        assert getattr(rec, value_at)(_P).is_zero()
+
+
+@pytest.mark.parametrize("cls, resultant, value_at, applied", ROLES)
+def test_role_names_cannot_be_assigned(cls, resultant, value_at, applied):
+    rec = cls(_S)
+    for name in (resultant, value_at):
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(rec, name, _V)
+    assert getattr(rec, resultant) is _V
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [(Twist, Wrench), (Wrench, Twist), (Twist, MomentumScrew), (MomentumScrew, Twist),
+     (Wrench, MomentumScrew), (MomentumScrew, Wrench)],
+    ids=lambda cls: cls.__name__,
+)
+def test_roles_add_only_to_the_same_role(left, right):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        left(_S) + right(_S)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        left(_S) + _S
+
+
+@pytest.mark.parametrize(
+    "cls, expected",
+    [
+        (Twist, "Twist(screw=Screw(resultant=Vec3(x=1.0, y=-2.5, z=0.0), "
+                "moment_at_origin=Vec3(x=3.0, y=1e-300, z=-0.0)))"),
+        (Wrench, "Wrench(screw=Screw(resultant=Vec3(x=1.0, y=-2.5, z=0.0), "
+                 "moment_at_origin=Vec3(x=3.0, y=1e-300, z=-0.0)))"),
+        (MomentumScrew, "MomentumScrew(screw=Screw(resultant=Vec3(x=1.0, y=-2.5, z=0.0), "
+                        "moment_at_origin=Vec3(x=3.0, y=1e-300, z=-0.0)))"),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else "",
+)
+def test_role_repr(cls, expected):
+    assert repr(cls(_S)) == expected
+
+
 @pytest.mark.parametrize("cls, fields", RECORD_PARAMS)
 def test_record_repr_is_the_dataclass_repr(cls, fields):
     listed = ", ".join(f"{name}={value!r}" for name, value in fields.items())
