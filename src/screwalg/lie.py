@@ -121,10 +121,20 @@ def commutator(s1: Screw, s2: Screw) -> Screw:
     with resultant -(s1.resultant x s2.resultant).  Bilinear, antisymmetric,
     satisfies the Jacobi identity.
     """
+    # Fused (see vecmath): Screw(-w1.cross(w2), w2.cross(m1) - w1.cross(m2)).
     w1, w2 = s1.resultant, s2.resultant
+    m1, m2 = s1.moment_at_origin, s2.moment_at_origin
     return Screw(
-        -w1.cross(w2),
-        w2.cross(s1.moment_at_origin) - w1.cross(s2.moment_at_origin),
+        Vec3(
+            -(w1.y * w2.z - w1.z * w2.y),
+            -(w1.z * w2.x - w1.x * w2.z),
+            -(w1.x * w2.y - w1.y * w2.x),
+        ),
+        Vec3(
+            (w2.y * m1.z - w2.z * m1.y) - (w1.y * m2.z - w1.z * m2.y),
+            (w2.z * m1.x - w2.x * m1.z) - (w1.z * m2.x - w1.x * m2.z),
+            (w2.x * m1.y - w2.y * m1.x) - (w1.x * m2.y - w1.y * m2.x),
+        ),
     )
 
 

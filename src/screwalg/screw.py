@@ -56,6 +56,16 @@ __all__ = [
     "Pitch",
 ]
 
+
+def _add_cross(v: Vec3, w: Vec3, dx: float, dy: float, dz: float) -> Vec3:
+    """``v + w.cross(Vec3(dx, dy, dz))``, fused (see ``vecmath``)."""
+    return Vec3(
+        v.x + (w.y * dz - w.z * dy),
+        v.y + (w.z * dx - w.x * dz),
+        v.z + (w.x * dy - w.y * dx),
+    )
+
+
 def _negligible(v: Vec3) -> bool:
     """The one degeneracy rule: a resultant (or moment) is negligible only when
     its squared norm is 0.0 in floating point.  That is an exact zero, or a
@@ -151,25 +161,30 @@ class Screw(_Value):
     def from_motor(point: Point, resultant: Vec3, value_at_point: Vec3) -> "Screw":
         """Reconstruct the screw whose field takes ``value_at_point`` at
         ``point``.  Inverse of reading (resultant, value_at(point))."""
-        return Screw(
-            resultant, value_at_point + resultant.cross(ORIGIN - point)
-        )
+        # O - P is 0.0 - p.x, not -p.x, which would flip the sign of a zero.
+        moment = _add_cross(value_at_point, resultant, 0.0 - point.x, 0.0 - point.y, 0.0 - point.z)
+        return Screw(resultant, moment)
 
     # -- the field ---------------------------------------------------------
 
     def value_at(self, point: Point) -> Vec3:
         """Field value at a point: s(P) = s(O) + resultant x (P - O)."""
-        return self.moment_at_origin + self.resultant.cross(point - ORIGIN)
+        # P - O is the point's coordinates: p.x - 0.0 is exactly p.x.
+        return _add_cross(self.moment_at_origin, self.resultant, point.x, point.y, point.z)
 
     # -- vector-space structure --------------------------------------------
 
     def __add__(self, other: "Screw") -> "Screw":
+        if other.__class__ is not Screw:
+            return NotImplemented
         return Screw(
             self.resultant + other.resultant,
             self.moment_at_origin + other.moment_at_origin,
         )
 
     def __sub__(self, other: "Screw") -> "Screw":
+        if other.__class__ is not Screw:
+            return NotImplemented
         return Screw(
             self.resultant - other.resultant,
             self.moment_at_origin - other.moment_at_origin,

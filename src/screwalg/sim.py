@@ -184,12 +184,12 @@ def _scaled_values(evals, e: int) -> str:
 def world_inertia_matrix(state: BodyState) -> Mat3:
     """Moment matrix about the center in world axes: R I_body R^T."""
     r = state.orientation
-    return r.matmul(state.body.moment_matrix).matmul(r.transpose())
+    return r.matmul(state.body.moment_matrix).matmul_transpose(r)
 
 
 def _angular_velocity(state: BodyState, inv_moment: Mat3) -> Vec3:
     r = state.orientation
-    body_l = r.transpose().matvec(state.angular_momentum_at_c)
+    body_l = r.transpose_matvec(state.angular_momentum_at_c)
     return r.matvec(inv_moment.matvec(body_l))
 
 

@@ -5,8 +5,15 @@ Vectors, points and 3x3 matrices are immutable value objects built on plain
 floats; numpy enters only where a real matrix factorization is needed (see
 ``dynamics`` and ``sim``).
 
-A ``Point`` is a location in the affine space, a ``Vec3`` a displacement of
-it.  Point - Point = Vec3, Point + Vec3 = Point; points cannot be added.
+A ``Point`` is a location, a ``Vec3`` a displacement: Point - Point = Vec3,
+Point + Vec3 = Point, and any other sum or difference of them is a TypeError.
+
+Composite operations on hot paths are fused (``Mat3.transpose_matvec``,
+``matmul_transpose`` and ``orthonormality_defect`` here; ``Screw.value_at``,
+``from_motor``, ``lie.commutator``, ``rigid.rodrigues``): one value, built
+entry by entry through the checking constructor with the float operations of
+the composed expression in its order.  It rounds as that expression does, to
+the bit, and raises ``NonFiniteError`` on the same inputs.
 
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,
@@ -124,9 +131,13 @@ class Vec3(_Value):
         _set_vec3_z(self, z)
 
     def __add__(self, other: "Vec3") -> "Vec3":
+        if other.__class__ is not Vec3:
+            return NotImplemented
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
 
     def __sub__(self, other: "Vec3") -> "Vec3":
+        if other.__class__ is not Vec3:
+            return NotImplemented
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
     def __neg__(self) -> "Vec3":
@@ -343,6 +354,29 @@ class Mat3(_Value):
             a.zx * b.xz + a.zy * b.yz + a.zz * b.zz,
         )
 
+    def transpose_matvec(self, v: Vec3) -> Vec3:
+        """``self.transpose().matvec(v)``: columns dotted with v."""
+        return Vec3(
+            self.xx * v.x + self.yx * v.y + self.zx * v.z,
+            self.xy * v.x + self.yy * v.y + self.zy * v.z,
+            self.xz * v.x + self.yz * v.y + self.zz * v.z,
+        )
+
+    def matmul_transpose(self, o: "Mat3") -> "Mat3":
+        """``self.matmul(o.transpose())``: rows of self dotted with rows of o."""
+        a, b = self, o
+        return Mat3(
+            a.xx * b.xx + a.xy * b.xy + a.xz * b.xz,
+            a.xx * b.yx + a.xy * b.yy + a.xz * b.yz,
+            a.xx * b.zx + a.xy * b.zy + a.xz * b.zz,
+            a.yx * b.xx + a.yy * b.xy + a.yz * b.xz,
+            a.yx * b.yx + a.yy * b.yy + a.yz * b.yz,
+            a.yx * b.zx + a.yy * b.zy + a.yz * b.zz,
+            a.zx * b.xx + a.zy * b.xy + a.zz * b.xz,
+            a.zx * b.yx + a.zy * b.yy + a.zz * b.yz,
+            a.zx * b.zx + a.zy * b.zy + a.zz * b.zz,
+        )
+
     def transpose(self) -> "Mat3":
         return Mat3(
             self.xx, self.yx, self.zx,
@@ -370,8 +404,14 @@ class Mat3(_Value):
         )
 
     def orthonormality_defect(self) -> float:
-        """max |R^T R - I|, zero for an exact rotation."""
-        return (self.transpose().matmul(self) - Mat3.identity()).max_abs()
+        """max |R^T R - I|, zero for an exact rotation; R^T R is symmetric to the bit."""
+        xy = self.xx * self.xy + self.yx * self.yy + self.zx * self.zy
+        xz = self.xx * self.xz + self.yx * self.yz + self.zx * self.zz
+        yz = self.xy * self.xz + self.yy * self.yz + self.zy * self.zz
+        d0 = (self.xx * self.xx + self.yx * self.yx + self.zx * self.zx) - 1.0
+        d1 = (self.xy * self.xy + self.yy * self.yy + self.zy * self.zy) - 1.0
+        d2 = (self.xz * self.xz + self.yz * self.yz + self.zz * self.zz) - 1.0
+        return Mat3(d0, xy, xz, xy, d1, yz, xz, yz, d2).max_abs()
 
     def is_orthonormal(self, tol: float) -> bool:
         """Whether ``orthonormality_defect()`` is within ``tol``.  No entry of

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from screwalg import Frame, Point, Screw, Twist, Vec3
+from screwalg import Frame, Mat3, NonFiniteError, Point, Screw, Twist, Vec3
 
 settings.register_profile(
     "fast",
@@ -42,6 +42,58 @@ screws = st.builds(Screw, vec3s, vec3s)
 # Resultant bounded away from zero: these have a line axis and a finite pitch.
 line_screws = st.builds(Screw, nonzero_vec3s, vec3s)
 twists = st.builds(Twist, screws)
+
+
+# Values at the corners of float arithmetic, for the bit-for-bit tests of
+# fused forms.  Each value draws its components from one regime: floats of
+# magnitude 1 to 4 (whose sums of products round, so that an order of
+# operations shows), signed zeros and small integers (whose products cancel
+# exactly, which is where the sign of a zero shows), a mix of the two,
+# subnormals, magnitudes from 1e154 up (whose products overflow), or all
+# finite floats.
+_MAX = 1.7976931348623157e308
+_rough = st.builds(
+    lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]), st.floats(min_value=0.5, max_value=4.0)
+)
+_exact = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0])
+_regimes = st.sampled_from([
+    _rough,
+    _rough,
+    st.one_of(_exact, _rough),
+    _exact,
+    _exact,
+    st.one_of(_exact, st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308)),
+    st.one_of(_exact, st.floats(min_value=1e154, max_value=_MAX), st.floats(min_value=-_MAX, max_value=-1e154)),
+    st.floats(allow_nan=False, allow_infinity=False),
+])
+edge_vec3s = _regimes.flatmap(lambda f: st.builds(Vec3, f, f, f))
+edge_points = _regimes.flatmap(lambda f: st.builds(Point, f, f, f))
+edge_screws = st.builds(Screw, edge_vec3s, edge_vec3s)
+edge_mat3s = _regimes.flatmap(lambda f: st.builds(Mat3, *[f] * 9))
+# A changed order of operations or sign of a zero shows in a few percent of
+# these draws, so the bit-for-bit tests take more examples than the fast
+# profile gives, and never fewer than the loaded profile.
+bit_examples = settings(max_examples=max(200, settings.default.max_examples))
+
+
+def _bits(value) -> tuple[str, ...]:
+    if isinstance(value, float):
+        return (float.hex(value),)
+    if isinstance(value, Mat3):
+        return tuple(float.hex(x) for x in value.flat())
+    if isinstance(value, Screw):
+        return _bits(value.resultant) + _bits(value.moment_at_origin)
+    return tuple(float.hex(x) for x in value.components())
+
+
+def bit_outcome(f, *args):
+    """The float.hex of every component of f(*args), or NonFiniteError when
+    it raises that: two forms with the same outcome round alike, signed
+    zeros included, and refuse the same inputs."""
+    try:
+        return _bits(f(*args))
+    except NonFiniteError:
+        return NonFiniteError
 
 
 def _quat_to_frame(q: tuple, origin: Point) -> Frame:

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import (
     assert_scalar_close,
     assert_screw_close,
     assert_vec_close,
+    bit_examples,
+    bit_outcome,
+    edge_screws,
     frames,
     screws,
     small_params,
@@ -153,6 +156,19 @@ def test_ad_matrix_matches_commutator(s, x, frame):
     lhs = np.array(ad(s, frame)) @ _coords(x, frame)
     rhs = _coords(commutator(s, x), frame)
     assert np.max(np.abs(lhs - rhs)) <= 1e-11 * max(1.0, np.max(np.abs(rhs)))
+
+
+@bit_examples
+@given(edge_screws, edge_screws)
+@example(Screw(Vec3.zero(), Vec3(0.0, 0.0, -0.0)), Screw(Vec3(0.0, 1.0, 0.0), Vec3.zero()))
+def test_commutator_is_the_composed_bracket_bit_for_bit(s1, s2):
+    # In the example the moment's x is -0.0 - 0.0 = -0.0; as a sum with the
+    # negated cross product, -0.0 + 0.0, it would be 0.0.
+    def composed(s1, s2):
+        w1, w2 = s1.resultant, s2.resultant
+        return Screw(-w1.cross(w2), w2.cross(s1.moment_at_origin) - w1.cross(s2.moment_at_origin))
+
+    assert bit_outcome(commutator, s1, s2) == bit_outcome(composed, s1, s2)
 
 
 def test_ad_of_zero_screw():

@@ -17,7 +17,12 @@ from conftest import (
     assert_scalar_close,
     assert_screw_close,
     assert_vec_close,
+    bit_examples,
+    bit_outcome,
     coords,
+    edge_points,
+    edge_screws,
+    edge_vec3s,
     line_screws,
     points,
     screws,
@@ -346,3 +351,26 @@ def _classify(s: Screw) -> tuple:
 @example(Screw(Vec3.zero(), Vec3(1e-13, 0.0, 0.0)), 1e6)
 def test_classification_does_not_depend_on_the_units(s, k):
     assert _classify(s * k) == _classify(s)
+
+
+# value_at and from_motor each build their field value as one Vec3; these pin
+# them to the bit to the composed expressions they replace.
+
+
+@bit_examples
+@given(edge_screws, edge_points)
+def test_value_at_is_the_composed_field_bit_for_bit(s, p):
+    assert bit_outcome(s.value_at, p) == bit_outcome(
+        lambda p: s.moment_at_origin + s.resultant.cross(p - ORIGIN), p
+    )
+
+
+@bit_examples
+@given(edge_points, edge_vec3s, edge_vec3s)
+@example(Point(0.0, 0.0, 0.0), Vec3(-0.0, 1.0, 0.0), Vec3(-0.0, -0.0, -0.0))
+def test_from_motor_is_the_composed_screw_bit_for_bit(p, w, v):
+    # At p = ORIGIN, O - P is (0.0, 0.0, 0.0); -p would be all -0.0 and give
+    # the example a moment of (0.0, -0.0, 0.0) instead of (0.0, 0.0, -0.0).
+    assert bit_outcome(Screw.from_motor, p, w, v) == bit_outcome(
+        lambda p, w, v: Screw(w, v + w.cross(ORIGIN - p)), p, w, v
+    )

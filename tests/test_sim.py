@@ -3,9 +3,11 @@ measured convergence order where it does not."""
 
 import logging
 import math
+import sys
 
 import pytest
 
+import test_trajectory_bits
 from conftest import assert_screw_close, assert_vec_close
 from screwalg import (
     ORIGIN,
@@ -321,3 +323,52 @@ def test_renormalization_keeps_run_equal_to_the_reference(integrator, caplog):
     assert messages[0] == "step 0: orientation drifted off SO(3); applying polar projection"
     assert traj.states[1].orientation.orthonormality_defect() <= 1e-12
     _assert_run_matches_reference(cfg, s0)
+
+
+def _trajectory_bits_scenes() -> list[tuple[SimConfig, BodyState]]:
+    """The (config, initial state) of each run pinned in
+    test_trajectory_bits, taken from its scene functions."""
+    scenes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(test_trajectory_bits, "run", lambda config, s0: scenes.append((config, s0)))
+        test_trajectory_bits._tumble()
+        test_trajectory_bits._forced_euler()
+    return scenes
+
+
+def _values_built(config: SimConfig, s0: BodyState) -> int:
+    """Vec3, Point and Mat3 constructions in run(config, s0), counted on the
+    constructors' code objects."""
+    codes = {cls.__init__.__code__ for cls in (Vec3, Point, Mat3)}
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run(config, s0)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+# Upper bounds on the values one run step builds.  They hold while the screw
+# field, the bracket, R^T R - I, R^T v and A B^T each build one value; built
+# from composed Vec3 and Mat3 operations, the steps take 96 and 79.
+@pytest.mark.parametrize("scene, most", [(0, 67), (1, 53)], ids=["midpoint-tumble", "forced-euler"])
+def test_values_built_per_run_step(scene, most):
+    """Counted as the difference between runs of 2n and n steps, which
+    leaves out the initial state's screws and the first steps' projection
+    back onto SO(3) and start from rest; a first run caches the body's
+    inverse inertia for both."""
+    config, s0 = _trajectory_bits_scenes()[scene]
+    n = 40
+    counts = [
+        _values_built(SimConfig(config.dt, steps, config.integrator, config.wrench), s0)
+        for steps in (n, n, 2 * n)
+    ]
+    assert (counts[2] - counts[1]) / n <= most

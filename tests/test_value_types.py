@@ -290,6 +290,10 @@ def test_roles_add_only_to_the_same_role(left, right):
         left(_S) + right(_S)
     with pytest.raises(TypeError, match="unsupported operand"):
         left(_S) + _S
+    with pytest.raises(TypeError, match="unsupported operand"):
+        _S + right(_S)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        _S - right(_S)
 
 
 @pytest.mark.parametrize(

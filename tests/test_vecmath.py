@@ -2,9 +2,22 @@ import math
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import assert_scalar_close, assert_vec_close, coords, points, vec3s
-from screwalg import ORIGIN, Mat3, NonFiniteError, Point, Vec3
+from conftest import (
+    assert_scalar_close,
+    assert_vec_close,
+    bit_examples,
+    bit_outcome,
+    coords,
+    edge_mat3s,
+    edge_vec3s,
+    points,
+    small_params,
+    unit_vec3s,
+    vec3s,
+)
+from screwalg import ORIGIN, Mat3, NonFiniteError, Point, Vec3, rodrigues
 
 
 @given(vec3s, vec3s)
@@ -52,6 +65,16 @@ def test_points_do_not_add():
         Point(1.0, 0.0, 0.0) + Point(0.0, 1.0, 0.0)  # type: ignore[operator]
 
 
+def test_a_point_is_not_a_displacement():
+    v, p = Vec3(1.0, 2.0, 3.0), Point(1.0, 1.0, 1.0)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        v + p  # type: ignore[operator]
+    with pytest.raises(TypeError, match="unsupported operand"):
+        v - p  # type: ignore[operator]
+    with pytest.raises(TypeError, match="unsupported operand"):
+        p - v  # type: ignore[operator]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize(
     "cls, position",
@@ -91,6 +114,32 @@ def test_matmul_is_matvec_on_each_column_bit_for_bit(a0, a1, a2, b0, b1, b2):
     a, b = Mat3.from_rows(a0, a1, a2), Mat3.from_columns(b0, b1, b2)
     want = Mat3.from_columns(a.matvec(b0), a.matvec(b1), a.matvec(b2))
     assert repr(a.matmul(b)) == repr(want)
+
+
+# The fused Mat3 forms against the composed expressions they replace, to the
+# bit and in what they refuse.
+
+
+@bit_examples
+@given(edge_mat3s, edge_vec3s)
+def test_transpose_matvec_is_the_composed_product_bit_for_bit(r, v):
+    assert bit_outcome(r.transpose_matvec, v) == bit_outcome(lambda v: r.transpose().matvec(v), v)
+
+
+@bit_examples
+@given(edge_mat3s, edge_mat3s)
+def test_matmul_transpose_is_the_composed_product_bit_for_bit(a, b):
+    assert bit_outcome(a.matmul_transpose, b) == bit_outcome(lambda b: a.matmul(b.transpose()), b)
+
+
+@bit_examples
+@given(st.one_of(edge_mat3s, st.builds(rodrigues, unit_vec3s, small_params)))
+def test_orthonormality_defect_is_the_composed_defect_bit_for_bit(r):
+    # Near a rotation each diagonal entry of R^T R - I cancels to a few ulps,
+    # where the order of the sums shows.
+    assert bit_outcome(r.orthonormality_defect) == bit_outcome(
+        lambda: (r.transpose().matmul(r) - Mat3.identity()).max_abs()
+    )
 
 
 def test_identity_and_trace():
