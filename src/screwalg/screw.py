@@ -161,6 +161,8 @@ class Screw(_Value):
     def from_motor(point: Point, resultant: Vec3, value_at_point: Vec3) -> "Screw":
         """Reconstruct the screw whose field takes ``value_at_point`` at
         ``point``.  Inverse of reading (resultant, value_at(point))."""
+        if not isinstance(point, Point):
+            raise TypeError(f"from_motor takes a Point, got {point.__class__.__name__}")
         # O - P is 0.0 - p.x, not -p.x, which would flip the sign of a zero.
         moment = _add_cross(value_at_point, resultant, 0.0 - point.x, 0.0 - point.y, 0.0 - point.z)
         return Screw(resultant, moment)
@@ -169,6 +171,8 @@ class Screw(_Value):
 
     def value_at(self, point: Point) -> Vec3:
         """Field value at a point: s(P) = s(O) + resultant x (P - O)."""
+        if not isinstance(point, Point):
+            raise TypeError(f"value_at takes a Point, got {point.__class__.__name__}")
         # P - O is the point's coordinates: p.x - 0.0 is exactly p.x.
         return _add_cross(self.moment_at_origin, self.resultant, point.x, point.y, point.z)
 

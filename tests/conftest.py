@@ -46,7 +46,7 @@ twists = st.builds(Twist, screws)
 
 # Values at the corners of float arithmetic, for the bit-for-bit tests of
 # fused forms.  Each value draws its components from one regime: floats of
-# magnitude 1 to 4 (whose sums of products round, so that an order of
+# magnitude 0.5 to 4 (whose sums of products round, so that an order of
 # operations shows), signed zeros and small integers (whose products cancel
 # exactly, which is where the sign of a zero shows), a mix of the two,
 # subnormals, magnitudes from 1e154 up (whose products overflow), or all

@@ -353,6 +353,14 @@ def test_classification_does_not_depend_on_the_units(s, k):
     assert _classify(s * k) == _classify(s)
 
 
+def test_the_field_is_read_and_set_at_points_only():
+    s, v = Screw(Vec3(0.0, 0.0, 1.0), Vec3(1.0, 0.0, 0.0)), Vec3(1.0, 2.0, 3.0)
+    with pytest.raises(TypeError, match="value_at takes a Point, got Vec3"):
+        s.value_at(v)  # type: ignore[arg-type]
+    with pytest.raises(TypeError, match="from_motor takes a Point, got Vec3"):
+        Screw.from_motor(v, s.resultant, v)  # type: ignore[arg-type]
+
+
 # value_at and from_motor each build their field value as one Vec3; these pin
 # them to the bit to the composed expressions they replace.
 

@@ -361,10 +361,10 @@ def _values_built(config: SimConfig, s0: BodyState) -> int:
 # from composed Vec3 and Mat3 operations, the steps take 96 and 79.
 @pytest.mark.parametrize("scene, most", [(0, 67), (1, 53)], ids=["midpoint-tumble", "forced-euler"])
 def test_values_built_per_run_step(scene, most):
-    """Counted as the difference between runs of 2n and n steps, which
-    leaves out the initial state's screws and the first steps' projection
-    back onto SO(3) and start from rest; a first run caches the body's
-    inverse inertia for both."""
+    """Counted as the difference between runs of 2n and n steps, so the
+    initial state's screws and the forced run's first step (from rest, with
+    a projection back onto SO(3)) are left out; a first run caches the
+    body's inverse inertia for both."""
     config, s0 = _trajectory_bits_scenes()[scene]
     n = 40
     counts = [
