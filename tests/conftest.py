@@ -8,6 +8,7 @@ tests that care.
 
 import math
 import os
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -51,7 +52,7 @@ twists = st.builds(Twist, screws)
 # exactly, which is where the sign of a zero shows), a mix of the two,
 # subnormals, magnitudes from 1e154 up (whose products overflow), or all
 # finite floats.
-_MAX = 1.7976931348623157e308
+_MAX, _MIN_NORMAL = sys.float_info.max, sys.float_info.min
 _rough = st.builds(
     lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]), st.floats(min_value=0.5, max_value=4.0)
 )
@@ -62,7 +63,7 @@ _regimes = st.sampled_from([
     st.one_of(_exact, _rough),
     _exact,
     _exact,
-    st.one_of(_exact, st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308)),
+    st.one_of(_exact, st.floats(min_value=-_MIN_NORMAL, max_value=_MIN_NORMAL)),
     st.one_of(_exact, st.floats(min_value=1e154, max_value=_MAX), st.floats(min_value=-_MAX, max_value=-1e154)),
     st.floats(allow_nan=False, allow_infinity=False),
 ])
