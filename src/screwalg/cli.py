@@ -49,33 +49,26 @@ def _round_sig(x: float, digits: int) -> float:
     return float(f"{x:.{digits}g}")
 
 
-def _require_finite(value, where: str = "$") -> None:
-    """Refuse a doc that holds a non-finite float, naming its path."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise NonFiniteError(f"non-finite result at {where}")
+def _finished(value, digits: int | None, where: str = "$"):
+    """``value`` with every float checked finite, refusing one that is not
+    with its path, and rounded to ``digits`` significant digits unless
+    ``digits`` is None."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"non-finite result at {where}")
+        return value if digits is None else _round_sig(value, digits)
     if isinstance(value, dict):
-        for key, v in value.items():
-            _require_finite(v, f"{where}.{key}")
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            _require_finite(v, f"{where}[{i}]")
-
-
-def _machine_ready(doc, digits: int = MACHINE_DIGITS):
-    if isinstance(doc, float):
-        return _round_sig(doc, digits)
-    if isinstance(doc, dict):
-        return {k: _machine_ready(v, digits) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_machine_ready(v, digits) for v in doc]
-    return doc
+        return {k: _finished(v, digits, f"{where}.{k}") for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finished(v, digits, f"{where}[{i}]") for i, v in enumerate(value)]
+    return value
 
 
 class _Rows:
     """Items, at least one, of a top-level doc list, each checked for
     finiteness and rendered for the output mode as it was made: JSON text at
-    the depth of the list, or a text line.  ``_require_finite`` and
-    ``_machine_ready`` pass it by."""
+    the depth of the list, or a text line.  ``_finished``, the one walk that
+    checks and rounds the rest of the doc, passes it by."""
 
     __slots__ = ("rendered",)
 
@@ -502,7 +495,7 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
                 return 2
             scene = parse_scene(text)
             doc = _HANDLERS[args.command](scene, args)
-            _require_finite(doc)
+        doc = _finished(doc, MACHINE_DIGITS if args.json else None)
     except SceneError as e:
         print(f"scene error at {e.where}: {e.message}", file=err)
         return 2
@@ -514,7 +507,7 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         return 3
 
     if args.json:
-        _write_json(_machine_ready(doc), out)
+        _write_json(doc, out)
     else:
         for line in _TEXT[args.command](doc):
             print(line, file=out)

@@ -168,15 +168,15 @@ def exp_screw(s: Screw, t: float = 1.0) -> RigidMap:
     return RigidMap(rot, trans)
 
 
-def _axis_from_symmetric_part(r: Mat3, cos_theta: float) -> Vec3:
+def _axis_from_symmetric_part(r: Mat3, w: Vec3, cos_theta: float) -> Vec3:
     # Near a half turn (R + R^T)/2 - cos(theta) I = (1 - cos(theta)) u u^T;
-    # its largest-diagonal column is parallel to the axis.
+    # its largest-diagonal column is parallel to the axis.  w is the axial
+    # vector 2 sin(theta) u of R.
     m = 0.5 * (r + r.transpose()) - cos_theta * Mat3.identity()
     diag = (m.xx, m.yy, m.zz)
     j = max(range(3), key=lambda i: diag[i])
     u = m.column(j).normalized()
     # Orient consistently with the (possibly tiny) antisymmetric part.
-    w = Vec3(r.zy - r.yz, r.xz - r.zx, r.yx - r.xy)
     if w.norm() > 1e-12 and w.dot(u) < 0.0:
         u = -u
     return u
@@ -195,11 +195,12 @@ def chasles(g: RigidMap) -> ChaslesDecomposition:
     r = g.rotation
     tv = g.translation
     w = Vec3(r.zy - r.yz, r.xz - r.zx, r.yx - r.xy)  # 2 sin(theta) u
-    theta = math.atan2(w.norm(), r.trace() - 1.0)
+    trace_less_one = r.trace() - 1.0  # 2 cos(theta)
+    theta = math.atan2(w.norm(), trace_less_one)
     s = Screw.from_free_vector(tv)
     if theta > 0.0:
         if math.pi - theta < _NEAR_PI:
-            u = _axis_from_symmetric_part(r, 0.5 * (r.trace() - 1.0))
+            u = _axis_from_symmetric_part(r, w, 0.5 * trace_less_one)
         else:
             u = w.normalized()
         # Invert the translation integral V(1): on the axis direction V is the

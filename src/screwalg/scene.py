@@ -28,9 +28,6 @@ __all__ = ["Scene", "parse_scene", "scene_from_dict"]
 
 SCENE_VERSION = 1
 
-_TOP_KEYS = {"version", "forces", "masses", "twists", "rigid_map", "sim"}
-
-
 class Scene(_Value):
     __slots__ = ("version", "forces", "masses", "twists", "rigid_map", "sim")
 
@@ -177,25 +174,26 @@ def _parse_sim(value, path: str) -> SimConfig:
     return SimConfig(dt=dt, steps=steps_raw, integrator=integrator, wrench=wrench)
 
 
+# Each section's parser, in the order they run: a scene with several bad
+# sections reports the first of them in this order.
+_SECTIONS = {
+    "forces": _parse_forces,
+    "masses": _parse_masses,
+    "twists": _parse_twists,
+    "rigid_map": _parse_rigid_map,
+    "sim": _parse_sim,
+}
+
+
 def scene_from_dict(data) -> Scene:
-    obj = _require_object(data, "$", _TOP_KEYS)
+    obj = _require_object(data, "$", {"version", *_SECTIONS})
     if "version" not in obj:
         raise SceneError("$.version", "missing key: version")
     version = obj["version"]
     if isinstance(version, bool) or not isinstance(version, int) or version != SCENE_VERSION:
         raise SceneError("$.version", f"unsupported version {version!r}, expected {SCENE_VERSION}")
-    kwargs = {}
-    if "forces" in obj:
-        kwargs["forces"] = _parse_forces(obj["forces"], "$.forces")
-    if "masses" in obj:
-        kwargs["masses"] = _parse_masses(obj["masses"], "$.masses")
-    if "twists" in obj:
-        kwargs["twists"] = _parse_twists(obj["twists"], "$.twists")
-    if "rigid_map" in obj:
-        kwargs["rigid_map"] = _parse_rigid_map(obj["rigid_map"], "$.rigid_map")
-    if "sim" in obj:
-        kwargs["sim"] = _parse_sim(obj["sim"], "$.sim")
-    return Scene(version=version, **kwargs)
+    sections = {key: parse(obj[key], f"$.{key}") for key, parse in _SECTIONS.items() if key in obj}
+    return Scene(version=version, **sections)
 
 
 def parse_scene(text: str) -> Scene:

@@ -214,22 +214,28 @@ def state_kinetic_energy(state: BodyState) -> float:
 
 
 class _Screws(NamedTuple):
-    """A state's twist, momentum screw and world inertia matrix.  ``_stream``
-    builds them once per state: the step leaving the state takes its angular
-    velocity, and the diagnostics of the steps on both sides of it take all
-    three."""
+    """What the step and the diagnostics read of one state, which ``_stream``
+    builds once: its twist, momentum screw and world inertia matrix, its two
+    poles (the center and the body-fixed marker center + R (1, 0, 0)) and the
+    momentum field at each pole.  The step leaving the state takes its
+    angular velocity, and the diagnostics of the steps on both sides of it
+    take the rest."""
 
     twist: Twist
     momentum: MomentumScrew
     inertia: Mat3
+    poles: tuple[Point, Point]
+    fields: tuple[Vec3, Vec3]
 
 
 def _screws(state: BodyState, inv_moment: Mat3) -> _Screws:
-    return _Screws(
-        _twist(state, _angular_velocity(state, inv_moment)),
-        state_momentum(state),
-        world_inertia_matrix(state),
-    )
+    twist = _twist(state, _angular_velocity(state, inv_moment))
+    momentum = state_momentum(state)
+    inertia = world_inertia_matrix(state)
+    center = state.center
+    marker = center + state.orientation.matvec(_MARKER_OFFSET)
+    fields = (momentum.angular_momentum_at(center), momentum.angular_momentum_at(marker))
+    return _Screws(twist, momentum, inertia, (center, marker), fields)
 
 
 def _rotate(orientation: Mat3, omega: Vec3, dt: float) -> Mat3:
@@ -240,22 +246,22 @@ def _rotate(orientation: Mat3, omega: Vec3, dt: float) -> Mat3:
 
 
 def _advance(
-    state: BodyState, force: Vec3, moment_at_c: Vec3, v: Vec3, omega: Vec3, dt: float
+    state: BodyState, rates: BodyState, omega: Vec3, wrench: Wrench, dt: float
 ) -> BodyState:
+    """``state`` advanced by ``dt`` at the angular velocity ``omega`` and at
+    the rates read from ``rates``: the center velocity p / M and the
+    wrench's moment about the center.  ``rates`` is ``state`` itself for an
+    Euler step and a midpoint half step, and the half state for the full
+    midpoint step."""
+    moment_at_c = wrench.moment_at(rates.center)
+    v = rates.linear_momentum / rates.body.total_mass
     return BodyState(
         orientation=_rotate(state.orientation, omega, dt),
         center=state.center + v * dt,
-        linear_momentum=state.linear_momentum + force * dt,
+        linear_momentum=state.linear_momentum + wrench.force * dt,
         angular_momentum_at_c=state.angular_momentum_at_c + moment_at_c * dt,
         body=state.body,
     )
-
-
-def _derivatives(state: BodyState, wrench: Wrench) -> tuple[Vec3, Vec3, Vec3]:
-    force = wrench.force
-    moment_at_c = wrench.moment_at(state.center)
-    v = state.linear_momentum / state.body.total_mass
-    return force, moment_at_c, v
 
 
 def _renormalize(r: Mat3) -> Mat3:
@@ -278,11 +284,10 @@ def _step_impl(
     ``inv_moment`` is the inverse body moment matrix.  Also returns whether
     the orientation was projected back onto SO(3), which the caller logs."""
     if integrator == "euler":
-        new = _advance(state, *_derivatives(state, wrench), omega, dt)
+        new = _advance(state, state, omega, wrench, dt)
     else:
-        half = _advance(state, *_derivatives(state, wrench), omega, dt / 2.0)
-        omega_half = _angular_velocity(half, inv_moment)
-        new = _advance(state, *_derivatives(half, wrench), omega_half, dt)
+        half = _advance(state, state, omega, wrench, dt / 2.0)
+        new = _advance(state, half, _angular_velocity(half, inv_moment), wrench, dt)
 
     renormalized = False
     if new.orientation.orthonormality_defect() > _ORTHO_DRIFT_TOL:
@@ -311,17 +316,9 @@ def step(
     return new
 
 
-def _diagnostics(
-    before: BodyState,
-    after: BodyState,
-    s0: _Screws,
-    s1: _Screws,
-    t: float,
-    dt: float,
-    wrench: Wrench,
-) -> StepDiagnostics:
-    """Diagnostics of the step from ``before`` to ``after``, whose screws are
-    ``s0`` and ``s1``."""
+def _diagnostics(s0: _Screws, s1: _Screws, t: float, dt: float, wrench: Wrench) -> StepDiagnostics:
+    """Diagnostics of the step between the states whose screws are ``s0``
+    and ``s1``."""
     k0, l0 = s0.twist, s0.momentum
     k1, l1 = s1.twist, s1.momentum
 
@@ -337,17 +334,13 @@ def _diagnostics(
     rhs = moving_frame_derivative(l0, k0, wrench)
     omega0 = k0.angular_velocity
     res_lin = (
-        (after.linear_momentum - before.linear_momentum) / dt
-        - omega0.cross(before.linear_momentum)
+        (l1.linear_momentum - l0.linear_momentum) / dt
+        - omega0.cross(l0.linear_momentum)
         - rhs.resultant
     )
     residual = res_lin.norm()
-    marker0 = before.center + before.orientation.matvec(_MARKER_OFFSET)
-    marker1 = after.center + after.orientation.matvec(_MARKER_OFFSET)
-    for p0, p1 in ((before.center, after.center), (marker0, marker1)):
-        h0 = l0.angular_momentum_at(p0)
-        fd = (l1.angular_momentum_at(p1) - h0) / dt
-        res = fd - omega0.cross(h0) - rhs.value_at(p0)
+    for p0, h0, h1 in zip(s0.poles, s0.fields, s1.fields):
+        res = (h1 - h0) / dt - omega0.cross(h0) - rhs.value_at(p0)
         residual = max(residual, res.norm())
 
     return StepDiagnostics(
@@ -378,7 +371,7 @@ def _stream(
         if renormed:
             log.warning("step %d: orientation drifted off SO(3); applying polar projection", n)
         new_screws = _screws(new, inv_moment)
-        yield new, _diagnostics(state, new, screws, new_screws, n * dt, dt, wrench), renormed
+        yield new, _diagnostics(screws, new_screws, n * dt, dt, wrench), renormed
         state, screws = new, new_screws
 
 

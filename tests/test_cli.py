@@ -364,7 +364,7 @@ def test_simulate_reports_what_run_returns(tmp_path, monkeypatch, integrator):
     assert (code, err) == (0, "")
     got = json.loads(out)
     final = traj.states[-1]
-    assert got == cli._machine_ready({
+    assert got == cli._finished({
         "steps": 40,
         "dt": 0.01,
         "integrator": integrator,
@@ -385,7 +385,7 @@ def test_simulate_reports_what_run_returns(tmp_path, monkeypatch, integrator):
             "orientation": list(final.orientation.flat()),
         },
         "renormalizations": traj.renormalizations,
-    })
+    }, cli.MACHINE_DIGITS)
     code, out, err = run_cli("simulate", path)
     assert (code, err) == (0, "")
     assert out.endswith(f"\nrenormalizations: {traj.renormalizations}\n")
@@ -689,7 +689,7 @@ def test_json_mode_renders_no_text(monkeypatch, argv):
 def test_non_finite_result_names_its_path():
     doc = {"steps": 2, "legs": [{"v": [0.0, 1.0, 2.0]}, {"v": [0.0, 1.0, -math.inf]}]}
     with pytest.raises(NonFiniteError, match=r"^non-finite result at \$\.legs\[1\]\.v\[2\]$"):
-        cli._require_finite(doc)
+        cli._finished(doc, None)
 
 
 def test_non_utf8_scene_is_an_input_error(tmp_path):

@@ -211,6 +211,15 @@ def test_scene_sections_must_have_the_right_shape():
     _reject({"version": 1, "sim": "fast"}, "$.sim")
 
 
+def test_the_first_bad_section_in_parse_order_is_reported():
+    # Sections are parsed forces, masses, twists, rigid_map, sim, whatever
+    # their order in the document.
+    order = ["forces", "masses", "twists", "rigid_map", "sim"]
+    for i, key in enumerate(order):
+        doc = {"version": 1, **{k: "bad" for k in reversed(order[i:])}}
+        assert _reject(doc, "$").where == f"$.{key}"
+
+
 # -- fuzz: whatever the JSON, parsing fails only with a library error ---------
 
 _KEYS = [
