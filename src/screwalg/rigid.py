@@ -31,17 +31,24 @@ _NEAR_PI = 1e-6
 def rodrigues(axis: Vec3, angle: float) -> Mat3:
     """Rotation by ``angle`` about the unit vector ``axis``:
     R = I + sin(t) K + (1 - cos(t)) K^2 with K the cross matrix of the axis."""
+    return Mat3(*_rodrigues(axis.x, axis.y, axis.z, angle))
+
+
+def _rodrigues(x: float, y: float, z: float, angle: float) -> tuple[float, ...]:
+    """The entries of ``rodrigues(Vec3(x, y, z), angle)``, row by row: the one
+    definition, which ``rodrigues`` and the sim step kernel share.  The angle
+    is checked here; the entries are checked by ``rodrigues``' ``Mat3``, and
+    need no check in the kernel, whose unit axis keeps them within [-3, 3]."""
     if not math.isfinite(angle):
         raise NonFiniteError(f"rotation angle must be finite, got {angle}")
     # Entry by entry, with the float operations of the matrix expression in
     # its order, so the result is bit-identical to it: K^2 is K.matmul(K)
     # with its exact-zero terms dropped (uu^T - I would round differently),
     # and each entry of I + sin(t) K keeps its 0.0 or 1.0 addend.
-    x, y, z = axis.x, axis.y, axis.z
     s = math.sin(angle)
     c = 1.0 - math.cos(angle)
     xy, xz, yz = x * y, x * z, y * z
-    return Mat3(
+    return (
         1.0 + c * (-z * z - y * y), (0.0 - z * s) + c * xy, (0.0 + y * s) + c * xz,
         (0.0 + z * s) + c * xy, 1.0 + c * (-z * z - x * x), (0.0 - x * s) + c * yz,
         (0.0 - y * s) + c * xz, (0.0 + x * s) + c * yz, 1.0 + c * (-y * y - x * x),

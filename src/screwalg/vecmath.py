@@ -8,12 +8,15 @@ floats; numpy enters only where a real matrix factorization is needed (see
 A ``Point`` is a location, a ``Vec3`` a displacement: Point - Point = Vec3,
 Point + Vec3 = Point, and any other sum or difference of them is a TypeError.
 
-Composite operations on hot paths are fused (``Mat3.transpose_matvec``,
-``matmul_transpose`` and ``orthonormality_defect`` here; ``Screw.value_at``,
-``from_motor``, ``lie.commutator``, ``rigid.rodrigues``): one value, built
-entry by entry through the checking constructor with the float operations of
-the composed expression in its order.  It rounds as that expression does, to
-the bit, and raises ``NonFiniteError`` on the same inputs.
+Composite operations on the algebra's hot paths are fused
+(``Mat3.transpose_matvec``, ``matmul_transpose`` and ``orthonormality_defect``
+here; ``Screw.value_at``, ``from_motor``, ``lie.commutator``,
+``rigid.rodrigues``): one value, built entry by entry through the checking
+constructor with the float operations of the composed expression in its
+order.  It rounds as that expression does, to the bit, and raises
+``NonFiniteError`` on the same inputs.  The sim step goes further: its kernel
+builds no value at all, but works on floats with the same operations and
+checks (``sim._stream``), sharing ``_norm`` here and ``rigid._rodrigues``.
 
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,
@@ -25,8 +28,9 @@ in its own or its base's ``__init__``: it makes its checks (a ``Vec3``,
 ``Point`` or ``Mat3`` refuses a NaN or infinite component with
 ``NonFiniteError``), then stores the fields through the ``__set__`` of each
 field's member descriptor (``_setters``): directly, from module-level names,
-in the values and records built in the arithmetic, the sim step and the
-algebra calls, and through ``_Value._store`` in the others.  ``_Value``
+in the values and records built in the arithmetic, the records the sim
+kernel yields and the algebra calls, and through ``_Value._store`` in the
+others.  ``_Value``
 supplies what a frozen slots dataclass would: assigning or deleting any
 attribute raises ``dataclasses.FrozenInstanceError``, ``==`` holds only
 between values of the same class, ``hash`` is that of the field tuple,
@@ -56,6 +60,17 @@ def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not isfinite(v):
             raise NonFiniteError(f"{name} components must be finite, got {values}")
+
+
+def _norm(x: float, y: float, z: float) -> float:
+    """|(x, y, z)|, the one definition, which ``Vec3.norm`` and the sim step
+    kernel share."""
+    d = x * x + y * y + z * z
+    if _MIN_NORMAL <= d < math.inf:
+        return math.sqrt(d)
+    # The sum of squares overflowed, or fell to 0.0 or into the subnormals
+    # where it loses digits; hypot scales before squaring.
+    return math.hypot(x, y, z)
 
 
 # The constructors below test each field inline and call _require_finite only
@@ -162,12 +177,7 @@ class Vec3(_Value):
         )
 
     def norm(self) -> float:
-        d = self.dot(self)
-        if _MIN_NORMAL <= d < math.inf:
-            return math.sqrt(d)
-        # The sum of squares overflowed, or fell to 0.0 or into the subnormals
-        # where it loses digits; hypot scales before squaring.
-        return math.hypot(self.x, self.y, self.z)
+        return _norm(self.x, self.y, self.z)
 
     def normalized(self) -> "Vec3":
         n = self.norm()

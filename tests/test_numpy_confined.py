@@ -5,7 +5,8 @@ eigendecomposition and the polar projection) may import it, and only inside
 the functions that factorize: no module imports it at module level, so a
 process that never factorizes never loads it.  The rest of the package works
 on plain floats.  No subcommand loads ``dataclasses``, and one that never
-factorizes does not load ``inspect`` either.
+factorizes does not load ``inspect`` either.  Importing the command line
+loads no ``logging``: ``sim`` imports it at its first warning.
 """
 
 import ast
@@ -120,4 +121,13 @@ def test_subcommands_without_a_factorization_never_load_numpy():
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, str(SCENES)], capture_output=True, text=True, env=env
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_does_not_load_logging():
+    # -S keeps site out, whose .pth files may import logging themselves.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = "import sys, screwalg.cli; sys.exit('logging loaded' if 'logging' in sys.modules else 0)"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
