@@ -236,13 +236,6 @@ def _renormalize(r: tuple[float, ...]) -> tuple[float, ...]:
     return tuple((u @ vt).ravel().tolist())
 
 
-def _warn(message: str, *args) -> None:
-    # logging is loaded at the first warning, not with the package.
-    import logging
-
-    logging.getLogger(__name__).warning(message, *args)
-
-
 def step(
     state: BodyState,
     wrench: Wrench | None,
@@ -251,7 +244,8 @@ def step(
 ) -> BodyState:
     """Advance one step of ``dt`` under ``wrench`` (None means unforced) with
     the chosen integrator: explicit midpoint by default, explicit Euler on
-    request."""
+    request.  The state is the first a one-step ``_stream`` yields, so
+    ``run`` and ``step`` take one step path."""
     new, _, _ = next(_stream(SimConfig(dt, 1, integrator, wrench), state))
     return new
 
@@ -272,11 +266,14 @@ def _stream(
     in their order (``tests/test_sim.py`` keeps those forms as the bit
     oracle), and each that the composed form built through a checking
     constructor is checked finite before it is used, in the same order and
-    with the same ``NonFiniteError`` message.  Values that cannot leave the
-    float range go unchecked: the unit axis omega / |omega|, its Rodrigues
-    entries and half a finite sum.  The marker c + R (1, 0, 0) is c plus R's
-    first column, which differs from c + R.matvec((1, 0, 0)) at most in the
-    sign of a zero, and a residual's norm cannot see that."""
+    with the same ``NonFiniteError`` message.  A check tests the sum of the
+    components, which is non-finite whenever one of them is, and only then
+    calls ``_require_finite``, which raises if one is and returns if the sum
+    merely overflowed.  Values that cannot leave the float range go
+    unchecked: the unit axis omega / |omega|, its Rodrigues entries and half
+    a finite sum.  The marker c + R (1, 0, 0) is c plus R's first column,
+    which differs from c + R.matvec((1, 0, 0)) at most in the sign of a
+    zero, and a residual's norm cannot see that."""
     dt = config.dt
     last = config.steps - 1
     wrench = config.wrench if config.wrench is not None else Wrench.zero()
@@ -602,7 +599,12 @@ def _stream(
         renormed = max(abs(dxx), abs(dxy), abs(dxz), abs(dyy), abs(dyz), abs(dzz)) > _ORTHO_DRIFT_TOL
         if renormed:
             r = _renormalize(r)
-            _warn("step %d: orientation drifted off SO(3); applying polar projection", n)
+            # logging is loaded at the first warning, not with the package.
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "step %d: orientation drifted off SO(3); applying polar projection", n
+            )
 
 
 def run(config: SimConfig, initial: BodyState) -> Trajectory:
