@@ -19,7 +19,11 @@ local variables from one step to the next.  Records are built only where a
 value leaves the module: the kernel yields each new state as a ``BodyState``
 with its ``StepDiagnostics``, which ``run`` collects and ``step`` takes the
 first of.  The public ``state_twist``, ``state_momentum`` and
-``world_inertia_matrix`` read a ``BodyState`` with the value types.
+``world_inertia_matrix`` read a ``BodyState`` with the value types; the
+kernel shares its float cores with them and with the vector types
+(``_angular_velocity``, ``_world_inertia``, ``vecmath._norm`` and
+``_orthonormality_defect``, ``rigid._rodrigues``), so each formula has one
+definition.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .dynamics import InertiaOperator, MomentumScrew, Wrench, kinetic_energy
 from .errors import NonFiniteError, SingularInertiaError
 from .kinematics import Twist
 from .rigid import _rodrigues
-from .vecmath import Mat3, Point, Vec3, _norm, _require_finite, _Value
+from .vecmath import Mat3, Point, Vec3, _norm, _orthonormality_defect, _require_finite, _Value
 
 __all__ = [
     "INTEGRATORS",
@@ -173,12 +177,44 @@ def _scaled_values(evals, e: int) -> str:
         return f"{scaled} * 2**{e}"
 
 
-
-
 def world_inertia_matrix(state: BodyState) -> Mat3:
     """Moment matrix about the center in world axes: R I_body R^T."""
-    r = state.orientation
-    return r.matmul(state.body.moment_matrix).matmul_transpose(r)
+    return Mat3(*_world_inertia(state.orientation.flat(), state.body.moment_matrix.flat()))
+
+
+def _world_inertia(r: tuple[float, ...], j: tuple[float, ...]) -> tuple[float, ...]:
+    """R J R^T for the orientation R and the body moment matrix J, each a
+    row-major 9-tuple: the one definition, which ``world_inertia_matrix`` and
+    the step kernel share.  R J is formed as ``Mat3.matmul`` forms it, and
+    its rows are then dotted with the rows of R; each product is checked
+    finite as the ``Mat3`` it forms."""
+    rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
+    jxx, jxy, jxz, jyx, jyy, jyz, jzx, jzy, jzz = j
+    axx = rxx * jxx + rxy * jyx + rxz * jzx
+    axy = rxx * jxy + rxy * jyy + rxz * jzy
+    axz = rxx * jxz + rxy * jyz + rxz * jzz
+    ayx = ryx * jxx + ryy * jyx + ryz * jzx
+    ayy = ryx * jxy + ryy * jyy + ryz * jzy
+    ayz = ryx * jxz + ryy * jyz + ryz * jzz
+    azx = rzx * jxx + rzy * jyx + rzz * jzx
+    azy = rzx * jxy + rzy * jyy + rzz * jzy
+    azz = rzx * jxz + rzy * jyz + rzz * jzz
+    if not isfinite(axx + axy + axz + ayx + ayy + ayz + azx + azy + azz):
+        _require_finite("Mat3", axx, axy, axz, ayx, ayy, ayz, azx, azy, azz)
+    world = (
+        axx * rxx + axy * rxy + axz * rxz,
+        axx * ryx + axy * ryy + axz * ryz,
+        axx * rzx + axy * rzy + axz * rzz,
+        ayx * rxx + ayy * rxy + ayz * rxz,
+        ayx * ryx + ayy * ryy + ayz * ryz,
+        ayx * rzx + ayy * rzy + ayz * rzz,
+        azx * rxx + azy * rxy + azz * rxz,
+        azx * ryx + azy * ryy + azz * ryz,
+        azx * rzx + azy * rzy + azz * rzz,
+    )
+    if not isfinite(sum(world)):
+        _require_finite("Mat3", *world)
+    return world
 
 
 def _angular_velocity(
@@ -245,7 +281,10 @@ def step(
     """Advance one step of ``dt`` under ``wrench`` (None means unforced) with
     the chosen integrator: explicit midpoint by default, explicit Euler on
     request.  The state is the first a one-step ``_stream`` yields, so
-    ``run`` and ``step`` take one step path."""
+    ``run`` and ``step`` take one step path, and a call also computes the
+    starting state's screws and the step's diagnostics, throws them away, and
+    raises where they overflow: it costs nearly two ``run`` steps, and a loop
+    should call ``run``."""
     new, _, _ = next(_stream(SimConfig(dt, 1, integrator, wrench), state))
     return new
 
@@ -260,20 +299,22 @@ def _stream(
     history.
 
     This is the step kernel.  The state (R, c, p, L) and everything the step
-    and its diagnostics derive from it are float locals; a ``BodyState`` and
-    a ``StepDiagnostics`` are built only for the yield.  Each quantity is
-    computed with the float operations of its composed ``Vec3``/``Mat3`` form
-    in their order (``tests/test_sim.py`` keeps those forms as the bit
-    oracle), and each that the composed form built through a checking
-    constructor is checked finite before it is used, in the same order and
-    with the same ``NonFiniteError`` message.  A check tests the sum of the
-    components, which is non-finite whenever one of them is, and only then
-    calls ``_require_finite``, which raises if one is and returns if the sum
-    merely overflowed.  Values that cannot leave the float range go
-    unchecked: the unit axis omega / |omega|, its Rodrigues entries and half
-    a finite sum.  The marker c + R (1, 0, 0) is c plus R's first column,
-    which differs from c + R.matvec((1, 0, 0)) at most in the sign of a
-    zero, and a residual's norm cannot see that."""
+    and its diagnostics derive from it are float locals; a ``BodyState`` and a
+    ``StepDiagnostics`` are built only for the yield.  The float cores give
+    omega, R J R^T, the drift test, the norms and the rotation; the rest, the
+    screw transport v + w x d too, is inline, where a call would cost more
+    than its arithmetic.  Each quantity is computed with the float operations
+    of its composed ``Vec3``/``Mat3`` form in their order
+    (``tests/test_sim.py`` keeps those forms as the bit oracle), and each that
+    the composed form built through a checking constructor is checked finite
+    before it is used, in the same order and with the same ``NonFiniteError``
+    message.  A check tests the sum of the components, which is non-finite
+    whenever one of them is, and only then calls ``_require_finite``, which
+    raises if one is and returns if the sum merely overflowed.  Values that
+    cannot leave the float range go unchecked: the unit axis omega / |omega|,
+    its Rodrigues entries and half a finite sum.  The marker c + R (1, 0, 0)
+    is c plus R's first column, which differs from c + R.matvec((1, 0, 0)) at
+    most in the sign of a zero, and a residual's norm cannot see that."""
     dt = config.dt
     last = config.steps - 1
     wrench = config.wrench if config.wrench is not None else Wrench.zero()
@@ -286,7 +327,7 @@ def _stream(
         advances = ((dt, False),)
     body = initial.body
     mass = body.total_mass
-    jxx, jxy, jxz, jyx, jyy, jyz, jzx, jzy, jzz = body.moment_matrix.flat()
+    j = body.moment_matrix.flat()
     # The integrator never changes the body, so one inverse serves the run.
     inv = _inverse_moment(body).flat()
     r = initial.orientation.flat()
@@ -320,31 +361,8 @@ def _stream(
         loz = lz + (px * oy - py * ox)
         if not isfinite(lox + loy + loz):
             _require_finite("Vec3", lox, loy, loz)
+        world = _world_inertia(r, j)
         rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
-        axx = rxx * jxx + rxy * jyx + rxz * jzx
-        axy = rxx * jxy + rxy * jyy + rxz * jzy
-        axz = rxx * jxz + rxy * jyz + rxz * jzz
-        ayx = ryx * jxx + ryy * jyx + ryz * jzx
-        ayy = ryx * jxy + ryy * jyy + ryz * jzy
-        ayz = ryx * jxz + ryy * jyz + ryz * jzz
-        azx = rzx * jxx + rzy * jyx + rzz * jzx
-        azy = rzx * jxy + rzy * jyy + rzz * jzy
-        azz = rzx * jxz + rzy * jyz + rzz * jzz
-        if not isfinite(axx + axy + axz + ayx + ayy + ayz + azx + azy + azz):
-            _require_finite("Mat3", axx, axy, axz, ayx, ayy, ayz, azx, azy, azz)
-        world = (
-            axx * rxx + axy * rxy + axz * rxz,
-            axx * ryx + axy * ryy + axz * ryz,
-            axx * rzx + axy * rzy + axz * rzz,
-            ayx * rxx + ayy * rxy + ayz * rxz,
-            ayx * ryx + ayy * ryy + ayz * ryz,
-            ayx * rzx + ayy * rzy + ayz * rzz,
-            azx * rxx + azy * rxy + azz * rxz,
-            azx * ryx + azy * ryy + azz * ryz,
-            azx * rzx + azy * rzy + azz * rzz,
-        )
-        if not isfinite(sum(world)):
-            _require_finite("Mat3", *world)
         qx = cx + rxx
         qy = cy + ryx
         qz = cz + rzx
@@ -586,17 +604,8 @@ def _stream(
         lx, ly, lz = nlx, nly, nlz
 
         # Project R back onto SO(3) when max |R^T R - I| exceeds the drift
-        # tolerance, as Mat3.orthonormality_defect measures it.
-        rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
-        dxy = rxx * rxy + ryx * ryy + rzx * rzy
-        dxz = rxx * rxz + ryx * ryz + rzx * rzz
-        dyz = rxy * rxz + ryy * ryz + rzy * rzz
-        dxx = (rxx * rxx + ryx * ryx + rzx * rzx) - 1.0
-        dyy = (rxy * rxy + ryy * ryy + rzy * rzy) - 1.0
-        dzz = (rxz * rxz + ryz * ryz + rzz * rzz) - 1.0
-        if not isfinite(dxx + dxy + dxz + dyy + dyz + dzz):
-            _require_finite("Mat3", dxx, dxy, dxz, dxy, dyy, dyz, dxz, dyz, dzz)
-        renormed = max(abs(dxx), abs(dxy), abs(dxz), abs(dyy), abs(dyz), abs(dzz)) > _ORTHO_DRIFT_TOL
+        # tolerance.
+        renormed = _orthonormality_defect(r) > _ORTHO_DRIFT_TOL
         if renormed:
             r = _renormalize(r)
             # logging is loaded at the first warning, not with the package.

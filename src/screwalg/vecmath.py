@@ -8,15 +8,14 @@ floats; numpy enters only where a real matrix factorization is needed (see
 A ``Point`` is a location, a ``Vec3`` a displacement: Point - Point = Vec3,
 Point + Vec3 = Point, and any other sum or difference of them is a TypeError.
 
-Composite operations on the algebra's hot paths are fused
-(``Mat3.transpose_matvec``, ``matmul_transpose`` and ``orthonormality_defect``
-here; ``Screw.value_at``, ``from_motor``, ``lie.commutator``,
-``rigid.rodrigues``): one value, built entry by entry through the checking
-constructor with the float operations of the composed expression in its
-order.  It rounds as that expression does, to the bit, and raises
-``NonFiniteError`` on the same inputs.  The sim step goes further: its kernel
-builds no value at all, but works on floats with the same operations and
-checks (``sim._stream``), sharing ``_norm`` here and ``rigid._rodrigues``.
+Composite operations on the algebra's hot paths are fused (``Screw.value_at``,
+``from_motor``, ``lie.commutator``, ``rigid.rodrigues``): one value, built
+entry by entry through the checking constructor with the float operations of
+the composed expression in its order.  It rounds as that expression does, to
+the bit, and raises ``NonFiniteError`` on the same inputs.  Float cores build
+no value at all but keep those operations and checks; the value API wraps
+them and the sim step kernel (``sim._stream``) shares them: ``_norm`` and
+``_orthonormality_defect`` here, ``rigid._rodrigues``, ``sim._world_inertia``.
 
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,
@@ -71,6 +70,23 @@ def _norm(x: float, y: float, z: float) -> float:
     # The sum of squares overflowed, or fell to 0.0 or into the subnormals
     # where it loses digits; hypot scales before squaring.
     return math.hypot(x, y, z)
+
+
+def _orthonormality_defect(r: tuple[float, ...]) -> float:
+    """max |R^T R - I| for the row-major 9-tuple R, the one definition, which
+    ``Mat3.orthonormality_defect`` and the sim kernel's drift test share.
+    R^T R is symmetric to the bit, and R^T R - I is checked finite as the
+    ``Mat3`` it forms."""
+    xx, xy, xz, yx, yy, yz, zx, zy, zz = r
+    dxy = xx * xy + yx * yy + zx * zy
+    dxz = xx * xz + yx * yz + zx * zz
+    dyz = xy * xz + yy * yz + zy * zz
+    dxx = (xx * xx + yx * yx + zx * zx) - 1.0
+    dyy = (xy * xy + yy * yy + zy * zy) - 1.0
+    dzz = (xz * xz + yz * yz + zz * zz) - 1.0
+    if not isfinite(dxx + dxy + dxz + dyy + dyz + dzz):
+        _require_finite("Mat3", dxx, dxy, dxz, dxy, dyy, dyz, dxz, dyz, dzz)
+    return max(abs(dxx), abs(dxy), abs(dxz), abs(dyy), abs(dyz), abs(dzz))
 
 
 # The constructors below test each field inline and call _require_finite only
@@ -364,29 +380,6 @@ class Mat3(_Value):
             a.zx * b.xz + a.zy * b.yz + a.zz * b.zz,
         )
 
-    def transpose_matvec(self, v: Vec3) -> Vec3:
-        """``self.transpose().matvec(v)``: columns dotted with v."""
-        return Vec3(
-            self.xx * v.x + self.yx * v.y + self.zx * v.z,
-            self.xy * v.x + self.yy * v.y + self.zy * v.z,
-            self.xz * v.x + self.yz * v.y + self.zz * v.z,
-        )
-
-    def matmul_transpose(self, o: "Mat3") -> "Mat3":
-        """``self.matmul(o.transpose())``: rows of self dotted with rows of o."""
-        a, b = self, o
-        return Mat3(
-            a.xx * b.xx + a.xy * b.xy + a.xz * b.xz,
-            a.xx * b.yx + a.xy * b.yy + a.xz * b.yz,
-            a.xx * b.zx + a.xy * b.zy + a.xz * b.zz,
-            a.yx * b.xx + a.yy * b.xy + a.yz * b.xz,
-            a.yx * b.yx + a.yy * b.yy + a.yz * b.yz,
-            a.yx * b.zx + a.yy * b.zy + a.yz * b.zz,
-            a.zx * b.xx + a.zy * b.xy + a.zz * b.xz,
-            a.zx * b.yx + a.zy * b.yy + a.zz * b.yz,
-            a.zx * b.zx + a.zy * b.zy + a.zz * b.zz,
-        )
-
     def transpose(self) -> "Mat3":
         return Mat3(
             self.xx, self.yx, self.zx,
@@ -414,14 +407,8 @@ class Mat3(_Value):
         )
 
     def orthonormality_defect(self) -> float:
-        """max |R^T R - I|, zero for an exact rotation; R^T R is symmetric to the bit."""
-        xy = self.xx * self.xy + self.yx * self.yy + self.zx * self.zy
-        xz = self.xx * self.xz + self.yx * self.yz + self.zx * self.zz
-        yz = self.xy * self.xz + self.yy * self.yz + self.zy * self.zz
-        d0 = (self.xx * self.xx + self.yx * self.yx + self.zx * self.zx) - 1.0
-        d1 = (self.xy * self.xy + self.yy * self.yy + self.zy * self.zy) - 1.0
-        d2 = (self.xz * self.xz + self.yz * self.yz + self.zz * self.zz) - 1.0
-        return Mat3(d0, xy, xz, xy, d1, yz, xz, yz, d2).max_abs()
+        """max |R^T R - I|, zero for an exact rotation."""
+        return _orthonormality_defect(self.flat())
 
     def is_orthonormal(self, tol: float) -> bool:
         """Whether ``orthonormality_defect()`` is within ``tol``.  No entry of

@@ -87,6 +87,26 @@ def _bits(value) -> tuple[str, ...]:
     return tuple(float.hex(x) for x in value.components())
 
 
+def values_built(f, *args, classes=(Vec3, Point, Mat3)) -> int:
+    """The constructions of ``classes`` in f(*args), counted on the
+    constructors' code objects."""
+    codes = {cls.__init__.__code__ for cls in classes}
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
 def bit_outcome(f, *args):
     """The float.hex of every component of f(*args), or NonFiniteError when
     it raises that: two forms with the same outcome round alike, signed
@@ -95,6 +115,15 @@ def bit_outcome(f, *args):
         return _bits(f(*args))
     except NonFiniteError:
         return NonFiniteError
+
+
+def refusal(f, *args):
+    """The message of the NonFiniteError that f(*args) raises, or None."""
+    try:
+        f(*args)
+    except NonFiniteError as err:
+        return str(err)
+    return None
 
 
 def _quat_to_frame(q: tuple, origin: Point) -> Frame:

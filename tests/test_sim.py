@@ -3,7 +3,6 @@ measured convergence order where it does not."""
 
 import logging
 import math
-import sys
 from typing import NamedTuple
 
 import pytest
@@ -11,7 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import test_trajectory_bits
-from conftest import assert_screw_close, assert_vec_close
+from conftest import (
+    assert_screw_close,
+    assert_vec_close,
+    bit_examples,
+    bit_outcome,
+    edge_mat3s,
+    refusal,
+    values_built,
+)
 from screwalg import (
     INTEGRATORS,
     ORIGIN,
@@ -184,6 +191,20 @@ def test_state_twist_and_momentum_are_mutually_consistent():
     assert_screw_close(rebuilt.screw, state_momentum(s).screw, tol=1e-12)
 
 
+@bit_examples
+@given(edge_mat3s, edge_mat3s)
+def test_world_inertia_matrix_is_the_composed_product_bit_for_bit(r, j):
+    # The float core the kernel shares, against R J R^T composed from Mat3s:
+    # a refusal names the same Mat3, R J or R J R^T.
+    s = BodyState(r, ORIGIN, Vec3.zero(), Vec3.zero(), InertiaOperator(1.0, ORIGIN, j))
+
+    def composed():
+        return r.matmul(j).matmul(r.transpose())
+
+    assert bit_outcome(world_inertia_matrix, s) == bit_outcome(composed)
+    assert refusal(world_inertia_matrix, s) == refusal(composed)
+
+
 def test_energy_rate_matches_power():
     body = _lumpy_body()
     wrench = Wrench.from_motor(ORIGIN, Vec3(0.5, -0.2, 0.1), Vec3(0.3, 0.4, -0.6))
@@ -248,7 +269,7 @@ def test_diagnostics_track_a_torque_free_tumble():
 
 def _vec3_angular_velocity(state: BodyState, inv_moment: Mat3) -> Vec3:
     r = state.orientation
-    body_l = r.transpose_matvec(state.angular_momentum_at_c)
+    body_l = r.transpose().matvec(state.angular_momentum_at_c)
     return r.matvec(inv_moment.matvec(body_l))
 
 
@@ -481,23 +502,8 @@ def _trajectory_bits_scenes() -> list[tuple[SimConfig, BodyState]]:
 
 
 def _values_built(config: SimConfig, s0: BodyState) -> int:
-    """Vec3, Point and Mat3 constructions in run(config, s0), counted on the
-    constructors' code objects."""
-    codes = {cls.__init__.__code__ for cls in (Vec3, Point, Mat3)}
-    count = 0
-
-    def hook(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code in codes:
-            count += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        run(config, s0)
-    finally:
-        sys.setprofile(previous)
-    return count
+    """Vec3, Point and Mat3 constructions in run(config, s0)."""
+    return values_built(run, config, s0)
 
 
 # Upper bound on the values one run step builds: the step and its diagnostics
@@ -565,7 +571,7 @@ def _scenes(draw, forced: bool, exponents=st.floats(-6.0, 6.0), independent: boo
     k = scale(1, 2)
     diag = Mat3(*(draw(st.floats(0.5, 3.0)) * k if i % 4 == 0 else 0.0 for i in range(9)))
     body = InertiaOperator(draw(st.floats(0.5, 3.0)) * scale(1, 0), ORIGIN,
-                           q.matmul(diag).matmul_transpose(q))
+                           q.matmul(diag).matmul(q.transpose()))
     orientation = rotation()
     if draw(st.booleans()):
         orientation = orientation * (1.0 + 1e-7)

@@ -11,13 +11,14 @@ from conftest import (
     bit_outcome,
     coords,
     edge_mat3s,
-    edge_vec3s,
     points,
+    refusal,
     small_params,
     unit_vec3s,
+    values_built,
     vec3s,
 )
-from screwalg import ORIGIN, Mat3, NonFiniteError, Point, Vec3, rodrigues
+from screwalg import ORIGIN, Mat3, NonFiniteError, Point, RigidMap, Vec3, rodrigues
 
 
 @given(vec3s, vec3s)
@@ -116,20 +117,18 @@ def test_matmul_is_matvec_on_each_column_bit_for_bit(a0, a1, a2, b0, b1, b2):
     assert repr(a.matmul(b)) == repr(want)
 
 
-# The fused Mat3 forms against the composed expressions they replace, to the
-# bit and in what they refuse.
+# The orthonormality defect against the composed expression it replaces, to
+# the bit and in what it refuses, and what its float core spares.
 
 
-@bit_examples
-@given(edge_mat3s, edge_vec3s)
-def test_transpose_matvec_is_the_composed_product_bit_for_bit(r, v):
-    assert bit_outcome(r.transpose_matvec, v) == bit_outcome(lambda v: r.transpose().matvec(v), v)
-
-
-@bit_examples
-@given(edge_mat3s, edge_mat3s)
-def test_matmul_transpose_is_the_composed_product_bit_for_bit(a, b):
-    assert bit_outcome(a.matmul_transpose, b) == bit_outcome(lambda b: a.matmul(b.transpose()), b)
+@pytest.mark.parametrize("scale, orthonormal", [(1.0, True), (1.0 + 1e-7, False), (3.0, False)])
+def test_is_orthonormal_builds_no_mat3(scale, orthonormal):
+    # RigidMap and Frame check their rotation with is_orthonormal.
+    r = rodrigues(Vec3(0.6, 0.0, 0.8), 0.3) * scale
+    assert r.is_orthonormal(1e-10) is orthonormal
+    assert values_built(r.is_orthonormal, 1e-10, classes=(Mat3,)) == 0
+    if orthonormal:
+        assert values_built(RigidMap, r, Vec3.zero(), classes=(Mat3,)) == 0
 
 
 @bit_examples
@@ -140,6 +139,15 @@ def test_orthonormality_defect_is_the_composed_defect_bit_for_bit(r):
     assert bit_outcome(r.orthonormality_defect) == bit_outcome(
         lambda: (r.transpose().matmul(r) - Mat3.identity()).max_abs()
     )
+
+
+def test_orthonormality_defect_refuses_with_the_entries_of_r_t_r_minus_i():
+    # Row by row, each off-diagonal entry twice, as Mat3(R^T R - I) names them.
+    r = Mat3(1e200, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    assert refusal(r.orthonormality_defect) == (
+        "Mat3 components must be finite, got (inf, 1e+200, 0.0, 1e+200, 1.0, 0.0, 0.0, 0.0, 0.0)"
+    )
+    assert not r.is_orthonormal(1e-10)
 
 
 def test_identity_and_trace():
