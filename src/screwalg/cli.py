@@ -164,8 +164,8 @@ def _need(scene: Scene, section: str):
 # -- subcommand handlers: each returns its machine doc -------------------------
 # The doc holds every result.  In text mode ``main`` renders it through the
 # subcommand's ``_text_*`` function, from the doc alone.  ``simulate`` is the
-# exception: it renders each diagnostics row for the output mode as the step
-# is made, and its doc holds them as ``_Rows``.
+# exception: it renders each diagnostics row for the output mode from the
+# floats the step kernel yields, and its doc holds them as ``_Rows``.
 
 
 def _cmd_reduce(scene: Scene, args) -> dict:
@@ -300,23 +300,28 @@ def _text_reciprocal(doc: dict) -> list[str]:
 
 
 # A diagnostics row keys the fields of a step's ``StepDiagnostics``; in JSON
-# it is written as ``json.dump(indent=2)`` writes it in a top-level list.
+# it is written as ``json.dump(indent=2)`` writes it in a top-level list.  A
+# row is rendered by C-level ``%`` calls: %.12g rounds as ``_round_sig`` does
+# and %r writes the rounded float as json does, and %.6g is ``_fmt``.
 _JSON_ROW = (
-    "    {{\n"
-    + ",\n".join(f'      "{key}": {{!r}}' for key in StepDiagnostics.__slots__)
-    + "\n    }}"
+    "    {\n" + ",\n".join(f'      "{key}": %r' for key in StepDiagnostics.__slots__) + "\n    }"
 )
+_JSON_ROUND = ",".join([f"%.{MACHINE_DIGITS}g"] * len(StepDiagnostics.__slots__))
+_TEXT_ROW = "%-7d " + f"%-13.{HUMAN_DIGITS}g " * 4 + f"%.{HUMAN_DIGITS}g"
 
 
-def _simulate_row(n: int, diagnostics: StepDiagnostics, machine: bool) -> str:
-    values = diagnostics._fields
-    for key, x in zip(StepDiagnostics.__slots__, values):
-        if not math.isfinite(x):
-            raise NonFiniteError(f"non-finite result at $.diagnostics[{n}].{key}")
+def _simulate_row(n: int, values: tuple[float, ...], machine: bool) -> str:
+    """The row of step n's diagnostics, ``values`` in ``StepDiagnostics``
+    field order, refusing the first that is not finite with its path."""
+    if not math.isfinite(sum(values)):
+        for key, x in zip(StepDiagnostics.__slots__, values):
+            if not math.isfinite(x):
+                raise NonFiniteError(f"non-finite result at $.diagnostics[{n}].{key}")
+    t, ke, pw, wdw, res = values
+    values = (t + 0.0, ke + 0.0, pw + 0.0, wdw + 0.0, res + 0.0)  # normalize -0.0
     if machine:
-        return _JSON_ROW.format(*(_round_sig(x, MACHINE_DIGITS) for x in values))
-    t, ke, pw, wdw, res = map(_fmt, values)
-    return f"{n:<7d} {t:<13} {ke:<13} {pw:<13} {wdw:<13} {res}"
+        return _JSON_ROW % tuple(map(float, (_JSON_ROUND % values).split(",")))
+    return _TEXT_ROW % (n, *values)
 
 
 def _cmd_simulate(scene: Scene, args) -> dict:
@@ -336,19 +341,20 @@ def _cmd_simulate(scene: Scene, args) -> dict:
     # printed rows are kept.
     rows = []
     renormalizations = 0
-    for n, (final, diagnostics, renormed) in enumerate(_stream(config, state)):
-        rows.append(_simulate_row(n, diagnostics, args.json))
-        renormalizations += renormed
+    for n, item in enumerate(_stream(config, state)):
+        rows.append(_simulate_row(n, item[10:15], args.json))
+        renormalizations += item[15]
+    r, cx, cy, cz, px, py, pz, lx, ly, lz = item[:10]
     return {
         "steps": config.steps,
         "dt": config.dt,
         "integrator": config.integrator,
         "diagnostics": _Rows(rows),
         "final": {
-            "center": _vec_doc(final.center),
-            "linear_momentum": _vec_doc(final.linear_momentum),
-            "angular_momentum_at_c": _vec_doc(final.angular_momentum_at_c),
-            "orientation": [float(x) for x in final.orientation.flat()],
+            "center": [cx, cy, cz],
+            "linear_momentum": [px, py, pz],
+            "angular_momentum_at_c": [lx, ly, lz],
+            "orientation": list(r),
         },
         "renormalizations": renormalizations,
     }

@@ -15,15 +15,15 @@ finite-difference derivative of the momentum screw at body-dragged poles.
 
 One kernel, the generator ``_stream``, does the stepping and the diagnostics
 on plain floats: the state's 18 numbers and everything derived from them stay
-local variables from one step to the next.  Records are built only where a
-value leaves the module: the kernel yields each new state as a ``BodyState``
-with its ``StepDiagnostics``, which ``run`` collects and ``step`` takes the
-first of.  The public ``state_twist``, ``state_momentum`` and
-``world_inertia_matrix`` read a ``BodyState`` with the value types; the
-kernel shares its float cores with them and with the vector types
-(``_angular_velocity``, ``_world_inertia``, ``vecmath._norm`` and
-``_orthonormality_defect``, ``rigid._rodrigues``), so each formula has one
-definition.
+local variables from one step to the next.  The kernel yields each new state
+and its step's diagnostics as floats; ``_records`` builds the ``BodyState``
+and ``StepDiagnostics`` of an item for ``run`` and ``step``, and the
+``simulate`` command renders its rows from the floats.  The public
+``state_twist``, ``state_momentum`` and ``world_inertia_matrix`` read a
+``BodyState`` with the value types; the kernel shares its float cores with
+them and with the vector types (``_angular_velocity``, ``_world_inertia``,
+``vecmath._norm`` and ``_orthonormality_defect``, ``rigid._rodrigues``), so
+each formula has one definition.
 """
 
 from __future__ import annotations
@@ -285,22 +285,27 @@ def step(
     starting state's screws and the step's diagnostics, throws them away, and
     raises where they overflow: it costs nearly two ``run`` steps, and a loop
     should call ``run``."""
-    new, _, _ = next(_stream(SimConfig(dt, 1, integrator, wrench), state))
-    return new
+    return _records(next(_stream(SimConfig(dt, 1, integrator, wrench), state)), state.body)[0]
 
 
-def _stream(
-    config: SimConfig, initial: BodyState
-) -> Iterator[tuple[BodyState, StepDiagnostics, bool]]:
+def _records(item: tuple, body: InertiaOperator) -> tuple[BodyState, StepDiagnostics]:
+    """The state of ``body`` and the diagnostics in a ``_stream`` item."""
+    r, cx, cy, cz, px, py, pz, lx, ly, lz, *diagnostics, _ = item
+    state = BodyState(Mat3(*r), Point(cx, cy, cz), Vec3(px, py, pz), Vec3(lx, ly, lz), body)
+    return state, StepDiagnostics(*diagnostics)
+
+
+def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
     """Advance ``initial`` by config.steps steps, yielding each new state with
     the diagnostics of the step that made it and whether that step projected
-    the orientation back onto SO(3), which is logged here.  ``run`` and
-    ``step`` collect from it; a caller that keeps only what it needs holds no
-    history.
+    the orientation back onto SO(3), which is logged here.  An item is flat
+    floats: R as a row-major 9-tuple, then the components of c, p and L, the
+    five diagnostics in ``StepDiagnostics`` field order, and the projection
+    flag.  ``run`` and ``step`` build records from it (``_records``); a caller
+    that keeps only what it needs holds no history and builds no value.
 
     This is the step kernel.  The state (R, c, p, L) and everything the step
-    and its diagnostics derive from it are float locals; a ``BodyState`` and a
-    ``StepDiagnostics`` are built only for the yield.  The float cores give
+    and its diagnostics derive from it are float locals.  The float cores give
     omega, R J R^T, the drift test, the norms and the rotation; the rest, the
     screw transport v + w x d too, is inline, where a call would cost more
     than its arithmetic.  Each quantity is computed with the float operations
@@ -498,17 +503,14 @@ def _stream(
                 residual = max(residual, _norm(ux, uy, uz))
 
             # T = <k, l> / 2 and P = <k, d>, as klein_product pairs them.
-            diagnostics = StepDiagnostics(
+            yield (
+                r, cx, cy, cz, px, py, pz, lx, ly, lz,
                 n * dt,
                 0.5 * ((wx0 * lox0 + wy0 * loy0 + wz0 * loz0)
                        + (px0 * kox0 + py0 * koy0 + pz0 * koz0)),
                 (wx0 * dox + wy0 * doy + wz0 * doz) + (fx * kox0 + fy * koy0 + fz * koz0),
                 omega_idot,
                 residual,
-            )
-            yield (
-                BodyState(Mat3(*r), Point(cx, cy, cz), Vec3(px, py, pz), Vec3(lx, ly, lz), body),
-                diagnostics,
                 renormed,
             )
             if n == last:
@@ -624,8 +626,9 @@ def run(config: SimConfig, initial: BodyState) -> Trajectory:
     states = [initial]
     diags = []
     renorms = 0
-    for state, diag, renormed in _stream(config, initial):
+    for item in _stream(config, initial):
+        state, diag = _records(item, initial.body)
         states.append(state)
         diags.append(diag)
-        renorms += renormed
+        renorms += item[-1]
     return Trajectory(tuple(states), tuple(diags), renorms)

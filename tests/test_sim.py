@@ -529,16 +529,25 @@ def test_values_built_per_run_step(scene, most):
 # -- the kernel against its Vec3 form, bit for bit ----------------------------
 
 
+def _floats(item) -> tuple:
+    """A stream item as the kernel yields it: R as a 9-tuple, the components
+    of c, p and L, the five diagnostics and the projection flag.  An item of
+    the Vec3 form, a state with its diagnostics and flag, is flattened."""
+    if not isinstance(item[0], BodyState):
+        return item
+    state, diagnostics, renormed = item
+    return (state.orientation.flat(), *state.center.components(),
+            *state.linear_momentum.components(),
+            *state.angular_momentum_at_c.components(), *diagnostics._fields, renormed)
+
+
 def _outcome(items) -> list:
-    """The float.hex of every field of every item of a stream, ending with
+    """The float.hex of every float of every item of a stream, ending with
     the type and message of the error that stopped it, if any."""
     out = []
     try:
-        for state, diagnostics, renormed in items:
-            fields = (*state.orientation.flat(), *state.center.components(),
-                      *state.linear_momentum.components(),
-                      *state.angular_momentum_at_c.components(), *diagnostics._fields)
-            out.append((tuple(float.hex(x) for x in fields), renormed))
+        for r, *fields, renormed in map(_floats, items):
+            out.append((tuple(float.hex(x) for x in (*r, *fields)), renormed))
     except (NonFiniteError, SingularInertiaError) as err:
         out.append((type(err), str(err)))
     return out
