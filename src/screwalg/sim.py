@@ -290,9 +290,9 @@ def step(
 
 def _records(item: tuple, body: InertiaOperator) -> tuple[BodyState, StepDiagnostics]:
     """The state of ``body`` and the diagnostics in a ``_stream`` item."""
-    r, cx, cy, cz, px, py, pz, lx, ly, lz, *diagnostics, _ = item
+    r, cx, cy, cz, px, py, pz, lx, ly, lz, t, ke, pw, wdw, res, _ = item
     state = BodyState(Mat3(*r), Point(cx, cy, cz), Vec3(px, py, pz), Vec3(lx, ly, lz), body)
-    return state, StepDiagnostics(*diagnostics)
+    return state, StepDiagnostics(t, ke, pw, wdw, res)
 
 
 def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
