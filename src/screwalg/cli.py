@@ -337,8 +337,8 @@ def _cmd_simulate(scene: Scene, args) -> dict:
         angular_momentum_at_c=l0.angular_momentum_at(inertia.center),
         body=inertia,
     )
-    # Of the run only the final state, the renormalization count and the
-    # printed rows are kept.
+    # Of the run, whose items ``sim._stream`` lays out, only the final state,
+    # the renormalization count and the printed rows are kept.
     rows = []
     renormalizations = 0
     for n, item in enumerate(_stream(config, state)):
