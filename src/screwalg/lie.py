@@ -23,8 +23,9 @@ s = sum a_i f_i + b_i m_i.  The commutation relations are
 
 from __future__ import annotations
 
+from .errors import NonFiniteError
 from .screw import Screw
-from .vecmath import Mat3, Point, Vec3, _Value
+from .vecmath import Mat3, Point, Vec3, _require_finite, _Value
 
 __all__ = [
     "Frame",
@@ -124,18 +125,27 @@ def commutator(s1: Screw, s2: Screw) -> Screw:
     # Fused (see vecmath): Screw(-w1.cross(w2), w2.cross(m1) - w1.cross(m2)).
     w1, w2 = s1.resultant, s2.resultant
     m1, m2 = s1.moment_at_origin, s2.moment_at_origin
-    return Screw(
-        Vec3(
-            -(w1.y * w2.z - w1.z * w2.y),
-            -(w1.z * w2.x - w1.x * w2.z),
-            -(w1.x * w2.y - w1.y * w2.x),
-        ),
-        Vec3(
-            (w2.y * m1.z - w2.z * m1.y) - (w1.y * m2.z - w1.z * m2.y),
-            (w2.z * m1.x - w2.x * m1.z) - (w1.z * m2.x - w1.x * m2.z),
-            (w2.x * m1.y - w2.y * m1.x) - (w1.x * m2.y - w1.y * m2.x),
-        ),
-    )
+    try:
+        return Screw(
+            Vec3(
+                -(w1.y * w2.z - w1.z * w2.y),
+                -(w1.z * w2.x - w1.x * w2.z),
+                -(w1.x * w2.y - w1.y * w2.x),
+            ),
+            Vec3(
+                (w2.y * m1.z - w2.z * m1.y) - (w1.y * m2.z - w1.z * m2.y),
+                (w2.z * m1.x - w2.x * m1.z) - (w1.z * m2.x - w1.x * m2.z),
+                (w2.x * m1.y - w2.y * m1.x) - (w1.x * m2.y - w1.y * m2.x),
+            ),
+        )
+    except NonFiniteError as err:
+        refusal = err
+    # The composed form refuses w1 x w2, w2 x m1 and w1 x m2, in this order,
+    # before the difference.
+    _require_finite("Vec3", w1.y * w2.z - w1.z * w2.y, w1.z * w2.x - w1.x * w2.z, w1.x * w2.y - w1.y * w2.x)
+    _require_finite("Vec3", w2.y * m1.z - w2.z * m1.y, w2.z * m1.x - w2.x * m1.z, w2.x * m1.y - w2.y * m1.x)
+    _require_finite("Vec3", w1.y * m2.z - w1.z * m2.y, w1.z * m2.x - w1.x * m2.z, w1.x * m2.y - w1.y * m2.x)
+    raise refusal
 
 
 def basis_screws(frame: Frame) -> tuple[Screw, ...]:

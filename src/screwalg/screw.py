@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 
 from .errors import NonFiniteError
-from .vecmath import ORIGIN, Point, Vec3, _Value
+from .vecmath import ORIGIN, Point, Vec3, _require_finite, _Value
 
 __all__ = [
     "Screw",
@@ -59,11 +59,17 @@ __all__ = [
 
 def _add_cross(v: Vec3, w: Vec3, dx: float, dy: float, dz: float) -> Vec3:
     """``v + w.cross(Vec3(dx, dy, dz))``, fused (see ``vecmath``)."""
-    return Vec3(
-        v.x + (w.y * dz - w.z * dy),
-        v.y + (w.z * dx - w.x * dz),
-        v.z + (w.x * dy - w.y * dx),
-    )
+    try:
+        return Vec3(
+            v.x + (w.y * dz - w.z * dy),
+            v.y + (w.z * dx - w.x * dz),
+            v.z + (w.x * dy - w.y * dx),
+        )
+    except NonFiniteError as err:
+        refusal = err
+    # The composed form refuses the cross product before the sum.
+    _require_finite("Vec3", w.y * dz - w.z * dy, w.z * dx - w.x * dz, w.x * dy - w.y * dx)
+    raise refusal
 
 
 def _negligible(v: Vec3) -> bool:

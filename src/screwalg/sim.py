@@ -24,11 +24,17 @@ and ``StepDiagnostics`` of an item for ``run`` and ``step``, and the
 them and with the vector types (``_angular_velocity``, ``_world_inertia``,
 ``vecmath._norm`` and ``_orthonormality_defect``, ``rigid._rodrigues``), so
 each formula has one definition.
+
+The inverse body inertia, which omega = R I^-1 R^T L needs, comes from a
+pure-Python cyclic Jacobi eigensolve (``_jacobi_eigen``), once per run.
+numpy is loaded only by the polar projection (``_renormalize``), an SVD that
+runs only when the orientation drifts off SO(3).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from math import isfinite
 from typing import Iterator
@@ -56,6 +62,8 @@ __all__ = [
 INTEGRATORS = ("midpoint", "euler")
 
 _SINGULAR_RTOL = 1e-12
+_EPS = sys.float_info.epsilon
+_JACOBI_SWEEPS = 16
 _ORTHO_DRIFT_TOL = 1e-8
 
 
@@ -146,31 +154,80 @@ def _inverse_moment(body: InertiaOperator) -> Mat3:
     The matrix is first scaled by the exact power of two 2**-e that brings
     its largest entry into [0.5, 1), so the principal moments are ranked and
     inverted at the same size whatever the units, and their ratio cannot
-    underflow; the inverse is scaled back by 2**-e."""
-    import numpy as np
-
+    underflow; the inverse V diag(1/lambda) V^T is scaled back by 2**-e.  The
+    eigendecomposition is the pure-Python Jacobi solve ``_jacobi_eigen``, so
+    no call loads numpy, and a diagonal moment matrix inverts to exactly
+    diag(1/d_i)."""
     moments = body.moment_matrix
     e = math.frexp(moments.max_abs())[1]
-    m = np.ldexp(np.array(moments.flat(), dtype=float).reshape(3, 3), -e)
-    evals, evecs = np.linalg.eigh(m)
+    evals, evecs, _ = _jacobi_eigen(tuple(math.ldexp(x, -e) for x in moments.flat()))
+    order = sorted(range(3), key=evals.__getitem__)
+    evals = [evals[k] for k in order]
     if evals[0] < _SINGULAR_RTOL * max(evals[-1], 0.0) or evals[-1] <= 0.0:
         raise SingularInertiaError(
             f"inertia principal values {_scaled_values(evals, e)} are not invertible"
         )
-    inv = evecs @ np.diag(1.0 / evals) @ evecs.T
+    u, v, w = ([row[k] for row in evecs] for k in order)
+    a, b, c = evals
+    # u[i] * u[j] is u[j] * u[i], so the inverse is exactly symmetric.
+    inv = (u[i] * u[j] / a + v[i] * v[j] / b + w[i] * w[j] / c for i in range(3) for j in range(3))
     try:
-        return Mat3(*(math.ldexp(float(x), -e) for x in inv.ravel()))
+        return Mat3(*(math.ldexp(x, -e) for x in inv))
     except OverflowError:
         raise NonFiniteError(
             f"inertia principal values {_scaled_values(evals, e)} have no finite inverse"
         ) from None
 
 
-def _scaled_values(evals, e: int) -> str:
+def _jacobi_eigen(m: tuple[float, ...]) -> tuple[list[float], list[list[float]], int]:
+    """Eigenvalues, eigenvectors (the columns of V) and the sweeps taken for
+    the symmetric 3x3 matrix whose lower triangle is that of the row-major
+    9-tuple ``m``, as numpy's ``eigh`` reads it: cyclic Jacobi
+    (Rutishauser 1966), at least as accurate as a QR solve (Demmel and
+    Veselic 1992).
+
+    A pair (p, q) is rotated away only while |a_pq| > eps sqrt(|a_pp a_qq|),
+    the relative stopping rule, which an exact zero always meets: a diagonal
+    matrix takes no rotation and keeps V = I.  The sweeps stop when one
+    rotates nothing, and at ``_JACOBI_SWEEPS`` at most."""
+    d = [m[0], m[4], m[8]]
+    # off[r] is the entry of the pair (p, q) that leaves out index r.
+    off = [m[7], m[6], m[3]]
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for sweep in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq = off[r]
+            if abs(apq) <= _EPS * math.sqrt(abs(d[p] * d[q])):
+                continue
+            rotated = True
+            # The smaller rotation angle, tan = t, that zeroes a_pq; hypot
+            # keeps theta^2 from overflowing, and t is 0 if theta is infinite.
+            theta = (d[q] - d[p]) / (2.0 * apq)
+            t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            d[p] -= t * apq
+            d[q] += t * apq
+            off[r] = 0.0
+            g, h = off[q], off[p]
+            off[q] = g - s * (h + g * tau)
+            off[p] = h + s * (g - h * tau)
+            for row in v:
+                g, h = row[p], row[q]
+                row[p] = g - s * (h + g * tau)
+                row[q] = h + s * (g - h * tau)
+        if not rotated:
+            return d, v, sweep
+    return d, v, _JACOBI_SWEEPS
+
+
+def _scaled_values(evals: list[float], e: int) -> str:
     """The principal moments evals * 2**e as plain floats; a moment up to 1.5
     times the largest matrix entry may lie beyond the float range, and is then
     written as the scaled tuple times 2**e."""
-    scaled = tuple(float(x) for x in evals)
+    scaled = tuple(evals)
     try:
         return str(tuple(math.ldexp(x, e) for x in scaled))
     except OverflowError:
@@ -315,7 +372,9 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
     before it is used, in the same order and with the same ``NonFiniteError``
     message.  A check tests the sum of the components, which is non-finite
     whenever one of them is, and only then calls ``_require_finite``, which
-    raises if one is and returns if the sum merely overflowed.  Values that
+    raises if one is and returns if the sum merely overflowed; a transport
+    v + w x d, and the bracket [k, l], then checks each cross product first,
+    as the composed form builds it.  Values that
     cannot leave the float range go unchecked: the unit axis omega / |omega|,
     its Rodrigues entries and half a finite sum.  The marker c + R (1, 0, 0)
     is c plus R's first column, which differs from c + R.matvec((1, 0, 0)) at
@@ -360,11 +419,13 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
         koy = vy + (wz * ox - wx * oz)
         koz = vz + (wx * oy - wy * ox)
         if not isfinite(kox + koy + koz):
+            _require_finite("Vec3", wy * oz - wz * oy, wz * ox - wx * oz, wx * oy - wy * ox)
             _require_finite("Vec3", kox, koy, koz)
         lox = lx + (py * oz - pz * oy)
         loy = ly + (pz * ox - px * oz)
         loz = lz + (px * oy - py * ox)
         if not isfinite(lox + loy + loz):
+            _require_finite("Vec3", py * oz - pz * oy, pz * ox - px * oz, px * oy - py * ox)
             _require_finite("Vec3", lox, loy, loz)
         world = _world_inertia(r, j)
         rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
@@ -376,12 +437,14 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
         hcx = lox + (py * cz - pz * cy)
         hcy = loy + (pz * cx - px * cz)
         hcz = loz + (px * cy - py * cx)
+        # p x c is -(p x (O - c)), which l(O) checked.
         if not isfinite(hcx + hcy + hcz):
             _require_finite("Vec3", hcx, hcy, hcz)
         hqx = lox + (py * qz - pz * qy)
         hqy = loy + (pz * qx - px * qz)
         hqz = loz + (px * qy - py * qx)
         if not isfinite(hqx + hqy + hqz):
+            _require_finite("Vec3", py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx)
             _require_finite("Vec3", hqx, hqy, hqz)
 
         if n >= 0:
@@ -426,11 +489,13 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
             ny = -(wz0 * px0 - wx0 * pz0)
             nz = -(wx0 * py0 - wy0 * px0)
             if not isfinite(nx + ny + nz):
-                _require_finite("Vec3", nx, ny, nz)
+                _require_finite("Vec3", -nx, -ny, -nz)
             bx = (py0 * koz0 - pz0 * koy0) - (wy0 * loz0 - wz0 * loy0)
             by = (pz0 * kox0 - px0 * koz0) - (wz0 * lox0 - wx0 * loz0)
             bz = (px0 * koy0 - py0 * kox0) - (wx0 * loy0 - wy0 * lox0)
             if not isfinite(bx + by + bz):
+                _require_finite("Vec3", py0 * koz0 - pz0 * koy0, pz0 * kox0 - px0 * koz0, px0 * koy0 - py0 * kox0)
+                _require_finite("Vec3", wy0 * loz0 - wz0 * loy0, wz0 * lox0 - wx0 * loz0, wx0 * loy0 - wy0 * lox0)
                 _require_finite("Vec3", bx, by, bz)
             rrx = fx + nx
             rry = fy + ny
@@ -494,6 +559,7 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
                 hy = roy + (rrz * ax - rrx * az)
                 hz = roz + (rrx * ay - rry * ax)
                 if not isfinite(hx + hy + hz):
+                    _require_finite("Vec3", rry * az - rrz * ay, rrz * ax - rrx * az, rrx * ay - rry * ax)
                     _require_finite("Vec3", hx, hy, hz)
                 ux = ux - hx
                 uy = uy - hy
@@ -540,6 +606,7 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
             ay = doy + (fz * scx - fx * scz)
             az = doz + (fx * scy - fy * scx)
             if not isfinite(ax + ay + az):
+                _require_finite("Vec3", fy * scz - fz * scy, fz * scx - fx * scz, fx * scy - fy * scx)
                 _require_finite("Vec3", ax, ay, az)
             vx = spx / mass
             vy = spy / mass

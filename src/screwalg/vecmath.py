@@ -2,8 +2,10 @@
 immutable base of every value and record class of the library.
 
 Vectors, points and 3x3 matrices are immutable value objects built on plain
-floats; numpy enters only where a real matrix factorization is needed (see
-``dynamics`` and ``sim``).
+floats; numpy enters only where a real matrix factorization is needed: the
+reciprocal-subspace SVD in ``dynamics`` and the polar projection in ``sim``.
+The inertia inverse (``sim._inverse_moment``) is a pure-Python Jacobi
+eigensolve, so ``simulate`` loads numpy only at a polar projection.
 
 A ``Point`` is a location, a ``Vec3`` a displacement: Point - Point = Vec3,
 Point + Vec3 = Point, and any other sum or difference of them is a TypeError.
@@ -75,8 +77,8 @@ def _norm(x: float, y: float, z: float) -> float:
 def _orthonormality_defect(r: tuple[float, ...]) -> float:
     """max |R^T R - I| for the row-major 9-tuple R, the one definition, which
     ``Mat3.orthonormality_defect`` and the sim kernel's drift test share.
-    R^T R is symmetric to the bit, and R^T R - I is checked finite as the
-    ``Mat3`` it forms."""
+    R^T R is symmetric to the bit, and R^T R and then R^T R - I are checked
+    finite as the ``Mat3`` each forms, R^T R only when R^T R - I is not."""
     xx, xy, xz, yx, yy, yz, zx, zy, zz = r
     dxy = xx * xy + yx * yy + zx * zy
     dxz = xx * xz + yx * yz + zx * zz
@@ -85,6 +87,10 @@ def _orthonormality_defect(r: tuple[float, ...]) -> float:
     dyy = (xy * xy + yy * yy + zy * zy) - 1.0
     dzz = (xz * xz + yz * yz + zz * zz) - 1.0
     if not isfinite(dxx + dxy + dxz + dyy + dyz + dzz):
+        sxx = xx * xx + yx * yx + zx * zx
+        syy = xy * xy + yy * yy + zy * zy
+        szz = xz * xz + yz * yz + zz * zz
+        _require_finite("Mat3", sxx, dxy, dxz, dxy, syy, dyz, dxz, dyz, szz)
         _require_finite("Mat3", dxx, dxy, dxz, dxy, dyy, dyz, dxz, dyz, dzz)
     return max(abs(dxx), abs(dxy), abs(dxz), abs(dyy), abs(dyz), abs(dzz))
 

@@ -108,13 +108,14 @@ def values_built(f, *args, classes=(Vec3, Point, Mat3)) -> int:
 
 
 def bit_outcome(f, *args):
-    """The float.hex of every component of f(*args), or NonFiniteError when
-    it raises that: two forms with the same outcome round alike, signed
-    zeros included, and refuse the same inputs."""
+    """The float.hex of every component of f(*args), or the message of the
+    NonFiniteError it raises: two forms with the same outcome round alike,
+    signed zeros included, and refuse the same inputs with the components of
+    the same intermediate."""
     try:
         return _bits(f(*args))
-    except NonFiniteError:
-        return NonFiniteError
+    except NonFiniteError as err:
+        return str(err)
 
 
 def refusal(f, *args):

@@ -1,12 +1,14 @@
-"""numpy stays behind the three matrix factorizations.
+"""numpy stays behind the two matrix factorizations.
 
-Only ``dynamics`` (the reciprocal-subspace SVD) and ``sim`` (the inertia
-eigendecomposition and the polar projection) may import it, and only inside
-the functions that factorize: no module imports it at module level, so a
-process that never factorizes never loads it.  The rest of the package works
-on plain floats.  No subcommand loads ``dataclasses``, and one that never
-factorizes does not load ``inspect`` either.  Importing the command line
-loads no ``logging``: ``sim`` imports it at its first warning.
+Only ``dynamics`` (the reciprocal-subspace SVD) and ``sim`` (the polar
+projection of a drifted orientation) may import it, and only inside the
+functions that factorize: no module imports it at module level, so a process
+that never factorizes never loads it.  The rest of the package works on plain
+floats; the inertia inverse is a pure-Python Jacobi solve, so ``simulate``
+loads numpy only at a polar projection.  No subcommand loads
+``dataclasses``, and one that never factorizes does not load ``inspect``
+either.  Importing the command line loads no ``logging``: ``sim`` imports it
+at its first warning.
 """
 
 import ast
@@ -83,9 +85,10 @@ def test_the_module_level_guard_skips_function_bodies_only():
 
 # Each call runs through screwalg.cli.main in one fresh interpreter; after
 # each, numpy must still be absent, and so must dataclasses and inspect, which
-# no module of the package imports.  reciprocal and simulate come last and must
-# load numpy, which shows the probe can see it arrive; numpy itself imports
-# inspect, but never dataclasses.
+# no module of the package imports.  simulate inverts its body's inertia
+# without numpy, and neither scene drifts off SO(3).  reciprocal comes last
+# and must load numpy, which shows the probe can see it arrive; numpy itself
+# imports inspect, but never dataclasses.
 _PROBE = textwrap.dedent(
     """
     import io, sys
@@ -98,36 +101,58 @@ _PROBE = textwrap.dedent(
         ["exp", scenes + "/screw_motion.json", "--t", "0.5"],
         ["log", scenes + "/screw_motion.json"],
         ["selfcheck"],
+        ["simulate", scenes + "/tumble_midpoint.json"],
+        ["simulate", scenes + "/forced_euler.json"],
     ]
     for argv in calls + [argv + ["--json"] for argv in calls]:
         code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
         loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
         if code != 0 or loaded:
             sys.exit(f"{argv}: exit {code}, loaded: {loaded}")
-    for argv in (["reciprocal", scenes + "/revolute_joint.json"],
-                 ["simulate", scenes + "/tumble_midpoint.json"]):
-        code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
-        if code != 0 or "dataclasses" in sys.modules:
-            sys.exit(f"{argv}: exit {code}, dataclasses loaded: {'dataclasses' in sys.modules}")
-        if "numpy" not in sys.modules:
-            sys.exit(f"{argv}: numpy not loaded")
+    argv = ["reciprocal", scenes + "/revolute_joint.json"]
+    code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    if code != 0 or "dataclasses" in sys.modules:
+        sys.exit(f"{argv}: exit {code}, dataclasses loaded: {'dataclasses' in sys.modules}")
+    if "numpy" not in sys.modules:
+        sys.exit(f"{argv}: numpy not loaded")
+    """
+)
+
+# A library run from an orientation off SO(3), as in
+# test_trajectory_bits._forced_euler: its first step projects the orientation
+# back through the SVD, so it must load numpy, in a fresh interpreter.
+_PROJECTING_RUN = textwrap.dedent(
+    """
+    import sys
+    from screwalg import BodyState, InertiaOperator, Mat3, Point, SimConfig, Vec3, run
+
+    body = InertiaOperator(2.5, Point(0.0, 0.0, 0.0), Mat3(1.25, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.5))
+    s0 = BodyState(Mat3.identity() * (1.0 + 1e-7), Point(0.0, 0.0, 0.0), Vec3.zero(), Vec3.zero(), body)
+    traj = run(SimConfig(dt=2e-3, steps=3, integrator="euler"), s0)
+    if traj.renormalizations != 1 or "numpy" not in sys.modules:
+        sys.exit(f"renormalizations: {traj.renormalizations}, numpy loaded: {'numpy' in sys.modules}")
     """
 )
 
 
-def test_subcommands_without_a_factorization_never_load_numpy():
+def _run_probe(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(SCENES)], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_subcommands_without_a_factorization_never_load_numpy():
+    proc = _run_probe("-c", _PROBE, str(SCENES))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_run_that_projects_its_orientation_loads_numpy():
+    proc = _run_probe("-c", _PROJECTING_RUN)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_importing_the_cli_does_not_load_logging():
     # -S keeps site out, whose .pth files may import logging themselves.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     probe = "import sys, screwalg.cli; sys.exit('logging loaded' if 'logging' in sys.modules else 0)"
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env)
+    proc = _run_probe("-S", "-c", probe)
     assert proc.returncode == 0, proc.stderr

@@ -30,6 +30,7 @@ from screwalg import (
     NonFiniteError,
     Particle,
     Point,
+    Screw,
     SimConfig,
     SingularInertiaError,
     StepDiagnostics,
@@ -653,3 +654,38 @@ def test_a_rotation_angle_beyond_the_float_range_is_refused(integrator):
     s0 = BodyState(Mat3.identity(), ORIGIN, Vec3.zero(), Vec3(0.0, 2e300, 0.0), body)
     with pytest.raises(NonFiniteError, match="rotation angle must be finite, got inf"):
         step(s0, None, 1e10, integrator)
+
+
+_DIAGONAL = InertiaOperator(1.0, ORIGIN, Mat3(1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0))
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+@pytest.mark.parametrize("s0, wrench, got", [
+    # omega x (O - c) in k(O) = v + omega x (O - c), with v = (1, 1, 1)
+    (BodyState(Mat3.identity(), Point(0.0, 1e200, 0.0), Vec3(1.0, 1.0, 1.0), Vec3(1e200, 0.0, 0.0), _DIAGONAL),
+     None, "(0.0, 0.0, -inf)"),
+    # p x q in the momentum field at the marker q, l(O) + p x q, with l(O)
+    # finite and 1 in x and z
+    (BodyState(Mat3.identity(), Point(0.5, 0.0, 0.0), Vec3(0.0, 0.0, 1.5e308), Vec3(1.0, 1.0, 1.0), _DIAGONAL),
+     None, "(0.0, inf, 0.0)"),
+    # f x c in the wrench's moment about the center, d(O) + f x c, with
+    # d(O) = (1, 1, 1)
+    (BodyState(Mat3.identity(), Point(0.0, 1e200, 0.0), Vec3.zero(), Vec3.zero(), _DIAGONAL),
+     Wrench(Screw(Vec3(1e200, 0.0, 0.0), Vec3(1.0, 1.0, 1.0))), "(0.0, 0.0, inf)"),
+], ids=["twist", "marker", "moment"])
+def test_an_overflowing_transport_is_refused_with_its_cross_product(integrator, s0, wrench, got):
+    """A screw transport v + w x d refuses as its composed form does, with
+    the components of w x d and not of the sum."""
+    config = SimConfig(1e-3, 1, integrator, wrench)
+    refused = (NonFiniteError, f"Vec3 components must be finite, got {got}")
+    assert _outcome(sim._stream(config, s0)) == _outcome(_vec3_stream(config, s0)) == [refused]
+
+
+def test_an_overflowing_residual_transport_is_refused_with_its_cross_product():
+    """At the marker q0 = (2, 0, 1), (d + [k, l])(q0) = r(O) + r x q0 with the
+    resultant r = f - omega0 x p0, whose y is -9e307: r x q0 overflows in z."""
+    body = InertiaOperator(5000.0, ORIGIN, _DIAGONAL.moment_matrix)
+    s0 = BodyState(Mat3.identity(), Point(1.0, 0.0, 1.0), Vec3(0.0, 0.0, -100.0), Vec3(9e305, 0.0, 0.0), body)
+    config = SimConfig(5e-5, 1, "euler", Wrench(Screw(Vec3(-1.4e303, 0.0, 0.0), Vec3(0.0, 0.0, 1.0))))
+    refused = (NonFiniteError, "Vec3 components must be finite, got (-9e+307, 1.4e+303, inf)")
+    assert _outcome(sim._stream(config, s0)) == _outcome(_vec3_stream(config, s0)) == [refused]

@@ -6,8 +6,9 @@ in the last bit of a trajectory.  These tests pin two runs to the bit: the
 ``float.hex`` of every field of the final state, and a sha256 over the
 ``repr`` of every state and every diagnostic.
 
-Both bodies have diagonal moment matrices, so the inverse inertia and the one
-SVD projection are exact and the pins do not depend on the LAPACK build.
+The inverse inertia is a pure-Python Jacobi solve and never depends on the
+LAPACK build.  The one SVD projection does, so both bodies have diagonal
+moment matrices, which keeps it exact and the pins independent of LAPACK.
 A change that moves a pin changes trajectories; it has to say so, and
 ``python tests/test_trajectory_bits.py`` prints the new pins.
 """

@@ -141,11 +141,12 @@ def test_orthonormality_defect_is_the_composed_defect_bit_for_bit(r):
     )
 
 
-def test_orthonormality_defect_refuses_with_the_entries_of_r_t_r_minus_i():
-    # Row by row, each off-diagonal entry twice, as Mat3(R^T R - I) names them.
+def test_orthonormality_defect_refuses_with_the_entries_of_r_t_r():
+    # Row by row, each off-diagonal entry twice, as the composed
+    # R.transpose().matmul(R) names them before R^T R - I is formed.
     r = Mat3(1e200, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     assert refusal(r.orthonormality_defect) == (
-        "Mat3 components must be finite, got (inf, 1e+200, 0.0, 1e+200, 1.0, 0.0, 0.0, 0.0, 0.0)"
+        "Mat3 components must be finite, got (inf, 1e+200, 0.0, 1e+200, 2.0, 0.0, 0.0, 0.0, 1.0)"
     )
     assert not r.is_orthonormal(1e-10)
 
