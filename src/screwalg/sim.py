@@ -489,6 +489,7 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
             ny = -(wz0 * px0 - wx0 * pz0)
             nz = -(wx0 * py0 - wy0 * px0)
             if not isfinite(nx + ny + nz):
+                # omega x p, which the composed form checks before negating
                 _require_finite("Vec3", -nx, -ny, -nz)
             bx = (py0 * koz0 - pz0 * koy0) - (wy0 * loz0 - wz0 * loy0)
             by = (pz0 * kox0 - px0 * koz0) - (wz0 * lox0 - wx0 * loz0)
