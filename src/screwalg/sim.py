@@ -13,9 +13,12 @@ omega . (dI_C/dt)(omega) (identically zero along exact motion), and the
 residual of the body-relative balance law d + [k, l] against a direct
 finite-difference derivative of the momentum screw at body-dragged poles.
 
-One kernel, the generator ``_stream``, does the stepping and the diagnostics
-on plain floats: the state's 18 numbers and everything derived from them stay
-local variables from one step to the next.  The kernel yields each new state
+The step kernel, the generator ``_stream``, runs on plain floats in three
+phases: ``_read`` reads a state's screws, world inertia, marker and momentum
+field values, ``_advance`` advances the state, and ``_diagnose`` diagnoses a
+step from what was read on both sides of it.  A state and what is read of it
+travel as one tuple, so each state is read once, and what the diagnostics
+read before a step is what the step read.  The kernel yields each new state
 and its step's diagnostics as floats; ``_records`` builds the ``BodyState``
 and ``StepDiagnostics`` of an item for ``run`` and ``step``, and the
 ``simulate`` command renders its rows from the floats.  The public
@@ -86,15 +89,7 @@ class BodyState(_Value):
         angular_momentum_at_c: Vec3,
         body: InertiaOperator,
     ):
-        _set_orientation(self, orientation)
-        _set_center(self, center)
-        _set_linear_momentum(self, linear_momentum)
-        _set_angular_momentum_at_c(self, angular_momentum_at_c)
-        _set_body(self, body)
-
-
-(_set_orientation, _set_center, _set_linear_momentum, _set_angular_momentum_at_c,
- _set_body) = BodyState._setters
+        self._store(orientation, center, linear_momentum, angular_momentum_at_c, body)
 
 
 class SimConfig(_Value):
@@ -105,8 +100,12 @@ class SimConfig(_Value):
     ):
         if not dt > 0.0:
             raise ValueError("dt must be positive")
+        if dt == math.inf:
+            raise ValueError("dt must be finite")
         if integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be {' or '.join(map(repr, INTEGRATORS))}")
+        if isinstance(steps, bool) or not isinstance(steps, int):
+            raise TypeError(f"steps must be an integer, got {steps!r}")
         if steps < 1:
             raise ValueError("steps must be at least 1")
         self._store(dt, steps, integrator, wrench)
@@ -123,15 +122,7 @@ class StepDiagnostics(_Value):
         omega_idot_omega: float,
         balance_residual: float,
     ):
-        _set_time(self, time)
-        _set_kinetic_energy(self, kinetic_energy)
-        _set_power(self, power)
-        _set_omega_idot_omega(self, omega_idot_omega)
-        _set_balance_residual(self, balance_residual)
-
-
-(_set_time, _set_kinetic_energy, _set_power, _set_omega_idot_omega,
- _set_balance_residual) = StepDiagnostics._setters
+        self._store(time, kinetic_energy, power, omega_idot_omega, balance_residual)
 
 
 class Trajectory(_Value):
@@ -361,29 +352,23 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
     flag.  ``run`` and ``step`` build records from it (``_records``); a caller
     that keeps only what it needs holds no history and builds no value.
 
-    This is the step kernel.  The state (R, c, p, L) and everything the step
-    and its diagnostics derive from it are float locals.  The float cores give
-    omega, R J R^T, the drift test, the norms and the rotation; the rest, the
-    screw transport v + w x d too, is inline, where a call would cost more
-    than its arithmetic.  Each quantity is computed with the float operations
-    of its composed ``Vec3``/``Mat3`` form in their order
-    (``tests/test_sim.py`` keeps those forms as the bit oracle), and each that
-    the composed form built through a checking constructor is checked finite
-    before it is used, in the same order and with the same ``NonFiniteError``
-    message.  A check tests the sum of the components, which is non-finite
-    whenever one of them is, and only then calls ``_require_finite``, which
-    raises if one is and returns if the sum merely overflowed; a transport
-    v + w x d, and the bracket [k, l], then checks each cross product first,
-    as the composed form builds it.  Values that
-    cannot leave the float range go unchecked: the unit axis omega / |omega|,
-    its Rodrigues entries and half a finite sum.  The marker c + R (1, 0, 0)
-    is c plus R's first column, which differs from c + R.matvec((1, 0, 0)) at
-    most in the sign of a zero, and a residual's norm cannot see that."""
+    This is the step kernel, a loop over three phases on floats: ``_read``
+    reads a state once, ``_advance`` steps from what was read, and
+    ``_diagnose`` diagnoses the step from what was read on both sides of it.
+    Each phase computes each quantity with the float operations of its
+    composed ``Vec3``/``Mat3`` form in their order (``tests/test_sim.py``
+    keeps those forms as the bit oracle), and each that the composed form
+    built through a checking constructor is checked finite before it is used,
+    in the same order and with the same ``NonFiniteError`` message.  A check
+    tests the sum of the components, which is non-finite whenever one of them
+    is, and only then calls ``_require_finite``, which raises if one is and
+    returns if the sum merely overflowed; a transport v + w x d, and the
+    bracket [k, l], then checks each cross product first, as the composed
+    form builds it.  The transports are written out in the phases, where a
+    call would cost more than its arithmetic."""
     dt = config.dt
-    last = config.steps - 1
     wrench = config.wrench if config.wrench is not None else Wrench.zero()
-    fx, fy, fz = wrench.screw.resultant.components()
-    dox, doy, doz = wrench.screw.moment_at_origin.components()
+    d = (*wrench.screw.resultant.components(), *wrench.screw.moment_at_origin.components())
     # (h, whether the advance by h ends at the midpoint's half state)
     if config.integrator == "midpoint":
         advances = ((dt / 2.0, True), (dt, False))
@@ -394,296 +379,301 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
     j = body.moment_matrix.flat()
     # The integrator never changes the body, so one inverse serves the run.
     inv = _inverse_moment(body).flat()
-    r = initial.orientation.flat()
-    cx, cy, cz = initial.center.components()
-    px, py, pz = initial.linear_momentum.components()
-    lx, ly, lz = initial.angular_momentum_at_c.components()
-    renormed = False
-    n = -1
-    while True:
-        # -- What the step leaving the state and the diagnostics on both sides
-        # read of it: the twist k = (omega, k(O)) with k(c) = p / M, the
-        # momentum screw l = (p, l(O)) with l(c) = L, the world inertia
-        # R J R^T, the marker and the momentum field at the center and there.
-        wx, wy, wz = _angular_velocity(r, inv, lx, ly, lz)
-        vx = px / mass
-        vy = py / mass
-        vz = pz / mass
-        if not isfinite(vx + vy + vz):
-            _require_finite("Vec3", vx, vy, vz)
-        # O - c is 0.0 - c, not -c, which would flip the sign of a zero.
-        ox = 0.0 - cx
-        oy = 0.0 - cy
-        oz = 0.0 - cz
-        kox = vx + (wy * oz - wz * oy)
-        koy = vy + (wz * ox - wx * oz)
-        koz = vz + (wx * oy - wy * ox)
-        if not isfinite(kox + koy + koz):
-            _require_finite("Vec3", wy * oz - wz * oy, wz * ox - wx * oz, wx * oy - wy * ox)
-            _require_finite("Vec3", kox, koy, koz)
-        lox = lx + (py * oz - pz * oy)
-        loy = ly + (pz * ox - px * oz)
-        loz = lz + (px * oy - py * ox)
-        if not isfinite(lox + loy + loz):
-            _require_finite("Vec3", py * oz - pz * oy, pz * ox - px * oz, px * oy - py * ox)
-            _require_finite("Vec3", lox, loy, loz)
-        world = _world_inertia(r, j)
-        rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
-        qx = cx + rxx
-        qy = cy + ryx
-        qz = cz + rzx
-        if not isfinite(qx + qy + qz):
-            _require_finite("Point", qx, qy, qz)
-        hcx = lox + (py * cz - pz * cy)
-        hcy = loy + (pz * cx - px * cz)
-        hcz = loz + (px * cy - py * cx)
-        # p x c is -(p x (O - c)), which l(O) checked.
-        if not isfinite(hcx + hcy + hcz):
-            _require_finite("Vec3", hcx, hcy, hcz)
-        hqx = lox + (py * qz - pz * qy)
-        hqy = loy + (pz * qx - px * qz)
-        hqz = loz + (px * qy - py * qx)
-        if not isfinite(hqx + hqy + hqz):
-            _require_finite("Vec3", py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx)
-            _require_finite("Vec3", hqx, hqy, hqz)
-
-        if n >= 0:
-            # -- Diagnostics of the step from the state marked 0 to this one.
-            # Symmetric estimate of omega . (dI_C/dt) (omega) across the
-            # step; the lemma makes the exact value zero, so this should
-            # vanish at O(dt^2).
-            sx = wx0 + wx
-            sy = wy0 + wy
-            sz = wz0 + wz
-            if not isfinite(sx + sy + sz):
-                _require_finite("Vec3", sx, sy, sz)
-            sx = sx * 0.5
-            sy = sy * 0.5
-            sz = sz * 0.5
-            bxx, bxy, bxz, byx, byy, byz, bzx, bzy, bzz = world0
-            axx, axy, axz, ayx, ayy, ayz, azx, azy, azz = world
-            axx = axx - bxx
-            axy = axy - bxy
-            axz = axz - bxz
-            ayx = ayx - byx
-            ayy = ayy - byy
-            ayz = ayz - byz
-            azx = azx - bzx
-            azy = azy - bzy
-            azz = azz - bzz
-            if not isfinite(axx + axy + axz + ayx + ayy + ayz + azx + azy + azz):
-                _require_finite("Mat3", axx, axy, axz, ayx, ayy, ayz, azx, azy, azz)
-            ux = axx * sx + axy * sy + axz * sz
-            uy = ayx * sx + ayy * sy + ayz * sz
-            uz = azx * sx + azy * sy + azz * sz
-            if not isfinite(ux + uy + uz):
-                _require_finite("Vec3", ux, uy, uz)
-            omega_idot = (sx * ux + sy * uy + sz * uz) / dt
-
-            # Residual of the body-relative balance law d + [k, l] against a
-            # forward difference of the momentum field taken at body-dragged
-            # poles (the center and the marker), O(dt) along an exact
-            # trajectory.  [k, l] has the resultant -(omega x p), which is
-            # also the negated omega x p the linear residual subtracts.
-            nx = -(wy0 * pz0 - wz0 * py0)
-            ny = -(wz0 * px0 - wx0 * pz0)
-            nz = -(wx0 * py0 - wy0 * px0)
-            if not isfinite(nx + ny + nz):
-                # omega x p, which the composed form checks before negating
-                _require_finite("Vec3", -nx, -ny, -nz)
-            bx = (py0 * koz0 - pz0 * koy0) - (wy0 * loz0 - wz0 * loy0)
-            by = (pz0 * kox0 - px0 * koz0) - (wz0 * lox0 - wx0 * loz0)
-            bz = (px0 * koy0 - py0 * kox0) - (wx0 * loy0 - wy0 * lox0)
-            if not isfinite(bx + by + bz):
-                _require_finite("Vec3", py0 * koz0 - pz0 * koy0, pz0 * kox0 - px0 * koz0, px0 * koy0 - py0 * kox0)
-                _require_finite("Vec3", wy0 * loz0 - wz0 * loy0, wz0 * lox0 - wx0 * loz0, wx0 * loy0 - wy0 * lox0)
-                _require_finite("Vec3", bx, by, bz)
-            rrx = fx + nx
-            rry = fy + ny
-            rrz = fz + nz
-            if not isfinite(rrx + rry + rrz):
-                _require_finite("Vec3", rrx, rry, rrz)
-            rox = dox + bx
-            roy = doy + by
-            roz = doz + bz
-            if not isfinite(rox + roy + roz):
-                _require_finite("Vec3", rox, roy, roz)
-            ux = px - px0
-            uy = py - py0
-            uz = pz - pz0
-            if not isfinite(ux + uy + uz):
-                _require_finite("Vec3", ux, uy, uz)
-            ux = ux / dt
-            uy = uy / dt
-            uz = uz / dt
-            if not isfinite(ux + uy + uz):
-                _require_finite("Vec3", ux, uy, uz)
-            # minus omega x p, which is n to the bit
-            ux = ux + nx
-            uy = uy + ny
-            uz = uz + nz
-            if not isfinite(ux + uy + uz):
-                _require_finite("Vec3", ux, uy, uz)
-            ux = ux - rrx
-            uy = uy - rry
-            uz = uz - rrz
-            if not isfinite(ux + uy + uz):
-                _require_finite("Vec3", ux, uy, uz)
-            residual = _norm(ux, uy, uz)
-            for ax, ay, az, bx, by, bz, hx, hy, hz in (
-                (cx0, cy0, cz0, hcx0, hcy0, hcz0, hcx, hcy, hcz),
-                (qx0, qy0, qz0, hqx0, hqy0, hqz0, hqx, hqy, hqz),
-            ):
-                # (h1 - h0) / dt - omega0 x h0 - (d + [k, l])(a0) at the
-                # pole a0, field value h0 there before and h1 after.
-                ux = hx - bx
-                uy = hy - by
-                uz = hz - bz
-                if not isfinite(ux + uy + uz):
-                    _require_finite("Vec3", ux, uy, uz)
-                ux = ux / dt
-                uy = uy / dt
-                uz = uz / dt
-                if not isfinite(ux + uy + uz):
-                    _require_finite("Vec3", ux, uy, uz)
-                hx = wy0 * bz - wz0 * by
-                hy = wz0 * bx - wx0 * bz
-                hz = wx0 * by - wy0 * bx
-                if not isfinite(hx + hy + hz):
-                    _require_finite("Vec3", hx, hy, hz)
-                ux = ux - hx
-                uy = uy - hy
-                uz = uz - hz
-                if not isfinite(ux + uy + uz):
-                    _require_finite("Vec3", ux, uy, uz)
-                hx = rox + (rry * az - rrz * ay)
-                hy = roy + (rrz * ax - rrx * az)
-                hz = roz + (rrx * ay - rry * ax)
-                if not isfinite(hx + hy + hz):
-                    _require_finite("Vec3", rry * az - rrz * ay, rrz * ax - rrx * az, rrx * ay - rry * ax)
-                    _require_finite("Vec3", hx, hy, hz)
-                ux = ux - hx
-                uy = uy - hy
-                uz = uz - hz
-                if not isfinite(ux + uy + uz):
-                    _require_finite("Vec3", ux, uy, uz)
-                residual = max(residual, _norm(ux, uy, uz))
-
-            # T = <k, l> / 2 and P = <k, d>, as klein_product pairs them.
-            yield (
-                r, cx, cy, cz, px, py, pz, lx, ly, lz,
-                n * dt,
-                0.5 * ((wx0 * lox0 + wy0 * loy0 + wz0 * loz0)
-                       + (px0 * kox0 + py0 * koy0 + pz0 * koz0)),
-                (wx0 * dox + wy0 * doy + wz0 * doz) + (fx * kox0 + fy * koy0 + fz * koz0),
-                omega_idot,
-                residual,
-                renormed,
-            )
-            if n == last:
-                return
-
-        wx0, wy0, wz0 = wx, wy, wz
-        kox0, koy0, koz0 = kox, koy, koz
-        lox0, loy0, loz0 = lox, loy, loz
-        world0 = world
-        cx0, cy0, cz0 = cx, cy, cz
-        px0, py0, pz0 = px, py, pz
-        qx0, qy0, qz0 = qx, qy, qz
-        hcx0, hcy0, hcz0 = hcx, hcy, hcz
-        hqx0, hqy0, hqz0 = hqx, hqy, hqz
-        n += 1
-
-        # -- The step.  Each advance goes from the state, at an angular
-        # velocity and at the rates read at a center and a momentum: the
-        # center velocity p / M and the wrench's moment about the center.
-        # Euler takes them from the state; midpoint advances by dt / 2 to the
-        # half state and then by dt at the half state's rates.
-        scx, scy, scz = cx, cy, cz
-        spx, spy, spz = px, py, pz
-        swx, swy, swz = wx, wy, wz
-        for h, half in advances:
-            ax = dox + (fy * scz - fz * scy)
-            ay = doy + (fz * scx - fx * scz)
-            az = doz + (fx * scy - fy * scx)
-            if not isfinite(ax + ay + az):
-                _require_finite("Vec3", fy * scz - fz * scy, fz * scx - fx * scz, fx * scy - fy * scx)
-                _require_finite("Vec3", ax, ay, az)
-            vx = spx / mass
-            vy = spy / mass
-            vz = spz / mass
-            if not isfinite(vx + vy + vz):
-                _require_finite("Vec3", vx, vy, vz)
-            speed = _norm(swx, swy, swz)
-            if speed == 0.0:
-                nr = r
-            else:
-                qxx, qxy, qxz, qyx, qyy, qyz, qzx, qzy, qzz = _rodrigues(
-                    swx / speed, swy / speed, swz / speed, speed * h
-                )
-                nr = (
-                    qxx * rxx + qxy * ryx + qxz * rzx,
-                    qxx * rxy + qxy * ryy + qxz * rzy,
-                    qxx * rxz + qxy * ryz + qxz * rzz,
-                    qyx * rxx + qyy * ryx + qyz * rzx,
-                    qyx * rxy + qyy * ryy + qyz * rzy,
-                    qyx * rxz + qyy * ryz + qyz * rzz,
-                    qzx * rxx + qzy * ryx + qzz * rzx,
-                    qzx * rxy + qzy * ryy + qzz * rzy,
-                    qzx * rxz + qzy * ryz + qzz * rzz,
-                )
-                if not isfinite(sum(nr)):
-                    _require_finite("Mat3", *nr)
-            ux = vx * h
-            uy = vy * h
-            uz = vz * h
-            if not isfinite(ux + uy + uz):
-                _require_finite("Vec3", ux, uy, uz)
-            ncx = cx + ux
-            ncy = cy + uy
-            ncz = cz + uz
-            if not isfinite(ncx + ncy + ncz):
-                _require_finite("Point", ncx, ncy, ncz)
-            ux = fx * h
-            uy = fy * h
-            uz = fz * h
-            if not isfinite(ux + uy + uz):
-                _require_finite("Vec3", ux, uy, uz)
-            npx = px + ux
-            npy = py + uy
-            npz = pz + uz
-            if not isfinite(npx + npy + npz):
-                _require_finite("Vec3", npx, npy, npz)
-            ux = ax * h
-            uy = ay * h
-            uz = az * h
-            if not isfinite(ux + uy + uz):
-                _require_finite("Vec3", ux, uy, uz)
-            nlx = lx + ux
-            nly = ly + uy
-            nlz = lz + uz
-            if not isfinite(nlx + nly + nlz):
-                _require_finite("Vec3", nlx, nly, nlz)
-            if half:
-                scx, scy, scz = ncx, ncy, ncz
-                spx, spy, spz = npx, npy, npz
-                swx, swy, swz = _angular_velocity(nr, inv, nlx, nly, nlz)
-        r = nr
-        cx, cy, cz = ncx, ncy, ncz
-        px, py, pz = npx, npy, npz
-        lx, ly, lz = nlx, nly, nlz
-
-        # Project R back onto SO(3) when max |R^T R - I| exceeds the drift
-        # tolerance.
-        renormed = _orthonormality_defect(r) > _ORTHO_DRIFT_TOL
+    state = (initial.orientation.flat(), *initial.center.components(),
+             *initial.linear_momentum.components(), *initial.angular_momentum_at_c.components())
+    before = _read(state, mass, j, inv)
+    for n in range(config.steps):
+        state, renormed = _advance(before, advances, mass, inv, d)
         if renormed:
-            r = _renormalize(r)
             # logging is loaded at the first warning, not with the package.
             import logging
 
             logging.getLogger(__name__).warning(
                 "step %d: orientation drifted off SO(3); applying polar projection", n
             )
+        after = _read(state, mass, j, inv)
+        yield (*state, n * dt, *_diagnose(before, after, dt, d), renormed)
+        before = after
+
+
+def _read(state: tuple, mass: float, j: tuple[float, ...], inv: tuple[float, ...]) -> tuple:
+    """The state (R, c, p, L) and what the step leaving it and the
+    diagnostics on both sides of it read of it, as one tuple: omega and k(O)
+    of the twist k, with k(c) = p / M; l(O) of the momentum screw l, with
+    l(c) = L; R J R^T; the marker q; and the momentum field at c and at q.
+    The marker c + R (1, 0, 0) is c plus R's first column, which differs from
+    c + R.matvec((1, 0, 0)) at most in the sign of a zero, and a residual's
+    norm cannot see that."""
+    r, cx, cy, cz, px, py, pz, lx, ly, lz = state
+    wx, wy, wz = _angular_velocity(r, inv, lx, ly, lz)
+    vx = px / mass
+    vy = py / mass
+    vz = pz / mass
+    if not isfinite(vx + vy + vz):
+        _require_finite("Vec3", vx, vy, vz)
+    # O - c is 0.0 - c, not -c, which would flip the sign of a zero.
+    ox = 0.0 - cx
+    oy = 0.0 - cy
+    oz = 0.0 - cz
+    kox = vx + (wy * oz - wz * oy)
+    koy = vy + (wz * ox - wx * oz)
+    koz = vz + (wx * oy - wy * ox)
+    if not isfinite(kox + koy + koz):
+        _require_finite("Vec3", wy * oz - wz * oy, wz * ox - wx * oz, wx * oy - wy * ox)
+        _require_finite("Vec3", kox, koy, koz)
+    lox = lx + (py * oz - pz * oy)
+    loy = ly + (pz * ox - px * oz)
+    loz = lz + (px * oy - py * ox)
+    if not isfinite(lox + loy + loz):
+        _require_finite("Vec3", py * oz - pz * oy, pz * ox - px * oz, px * oy - py * ox)
+        _require_finite("Vec3", lox, loy, loz)
+    world = _world_inertia(r, j)
+    qx = cx + r[0]
+    qy = cy + r[3]
+    qz = cz + r[6]
+    if not isfinite(qx + qy + qz):
+        _require_finite("Point", qx, qy, qz)
+    hcx = lox + (py * cz - pz * cy)
+    hcy = loy + (pz * cx - px * cz)
+    hcz = loz + (px * cy - py * cx)
+    # p x c is -(p x (O - c)), which l(O) checked.
+    if not isfinite(hcx + hcy + hcz):
+        _require_finite("Vec3", hcx, hcy, hcz)
+    hqx = lox + (py * qz - pz * qy)
+    hqy = loy + (pz * qx - px * qz)
+    hqz = loz + (px * qy - py * qx)
+    if not isfinite(hqx + hqy + hqz):
+        _require_finite("Vec3", py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx)
+        _require_finite("Vec3", hqx, hqy, hqz)
+    return (r, cx, cy, cz, px, py, pz, lx, ly, lz, wx, wy, wz, kox, koy, koz, lox, loy, loz,
+            world, qx, qy, qz, hcx, hcy, hcz, hqx, hqy, hqz)
+
+
+def _advance(
+    before: tuple, advances: tuple, mass: float, inv: tuple[float, ...], d: tuple[float, ...]
+) -> tuple[tuple, bool]:
+    """The state (R, c, p, L) one step on from the one read as ``before``,
+    under the wrench d = (f, d(O)), and whether R was projected back onto
+    SO(3).  Each advance by h in ``advances`` goes from the state, at the
+    angular velocity and the rates (p / M and the wrench's moment about the
+    center) read from the state for Euler, and from the half state of an
+    advance by dt / 2 for midpoint's full step.  The unit axis omega / |omega|
+    and its Rodrigues entries cannot leave the float range: they go
+    unchecked."""
+    fx, fy, fz, dox, doy, doz = d
+    r, cx, cy, cz, px, py, pz, lx, ly, lz, swx, swy, swz = before[:13]
+    rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
+    scx, scy, scz = cx, cy, cz
+    spx, spy, spz = px, py, pz
+    for h, half in advances:
+        ax = dox + (fy * scz - fz * scy)
+        ay = doy + (fz * scx - fx * scz)
+        az = doz + (fx * scy - fy * scx)
+        if not isfinite(ax + ay + az):
+            _require_finite("Vec3", fy * scz - fz * scy, fz * scx - fx * scz, fx * scy - fy * scx)
+            _require_finite("Vec3", ax, ay, az)
+        vx = spx / mass
+        vy = spy / mass
+        vz = spz / mass
+        if not isfinite(vx + vy + vz):
+            _require_finite("Vec3", vx, vy, vz)
+        speed = _norm(swx, swy, swz)
+        if speed == 0.0:
+            nr = r
+        else:
+            qxx, qxy, qxz, qyx, qyy, qyz, qzx, qzy, qzz = _rodrigues(
+                swx / speed, swy / speed, swz / speed, speed * h
+            )
+            nr = (
+                qxx * rxx + qxy * ryx + qxz * rzx,
+                qxx * rxy + qxy * ryy + qxz * rzy,
+                qxx * rxz + qxy * ryz + qxz * rzz,
+                qyx * rxx + qyy * ryx + qyz * rzx,
+                qyx * rxy + qyy * ryy + qyz * rzy,
+                qyx * rxz + qyy * ryz + qyz * rzz,
+                qzx * rxx + qzy * ryx + qzz * rzx,
+                qzx * rxy + qzy * ryy + qzz * rzy,
+                qzx * rxz + qzy * ryz + qzz * rzz,
+            )
+            if not isfinite(sum(nr)):
+                _require_finite("Mat3", *nr)
+        ux = vx * h
+        uy = vy * h
+        uz = vz * h
+        if not isfinite(ux + uy + uz):
+            _require_finite("Vec3", ux, uy, uz)
+        ncx = cx + ux
+        ncy = cy + uy
+        ncz = cz + uz
+        if not isfinite(ncx + ncy + ncz):
+            _require_finite("Point", ncx, ncy, ncz)
+        ux = fx * h
+        uy = fy * h
+        uz = fz * h
+        if not isfinite(ux + uy + uz):
+            _require_finite("Vec3", ux, uy, uz)
+        npx = px + ux
+        npy = py + uy
+        npz = pz + uz
+        if not isfinite(npx + npy + npz):
+            _require_finite("Vec3", npx, npy, npz)
+        ux = ax * h
+        uy = ay * h
+        uz = az * h
+        if not isfinite(ux + uy + uz):
+            _require_finite("Vec3", ux, uy, uz)
+        nlx = lx + ux
+        nly = ly + uy
+        nlz = lz + uz
+        if not isfinite(nlx + nly + nlz):
+            _require_finite("Vec3", nlx, nly, nlz)
+        if half:
+            scx, scy, scz = ncx, ncy, ncz
+            spx, spy, spz = npx, npy, npz
+            swx, swy, swz = _angular_velocity(nr, inv, nlx, nly, nlz)
+    # Project R back onto SO(3) when max |R^T R - I| exceeds the drift
+    # tolerance.
+    renormed = _orthonormality_defect(nr) > _ORTHO_DRIFT_TOL
+    if renormed:
+        nr = _renormalize(nr)
+    return (nr, ncx, ncy, ncz, npx, npy, npz, nlx, nly, nlz), renormed
+
+
+def _diagnose(before: tuple, after: tuple, dt: float, d: tuple[float, ...]) -> tuple:
+    """T, P, omega . (dI_C/dt)(omega) and the balance residual of the step of
+    ``dt`` under d from the state read as ``before`` to the one read as
+    ``after``; a name ending in 1 is read after the step.  Half a finite sum
+    cannot leave the float range: it goes unchecked."""
+    fx, fy, fz, dox, doy, doz = d
+    (_, cx, cy, cz, px, py, pz, _, _, _, wx, wy, wz, kox, koy, koz, lox, loy, loz,
+     world, qx, qy, qz, hcx, hcy, hcz, hqx, hqy, hqz) = before
+    (_, _, _, _, px1, py1, pz1, _, _, _, wx1, wy1, wz1, _, _, _, _, _, _,
+     world1, _, _, _, hcx1, hcy1, hcz1, hqx1, hqy1, hqz1) = after
+    # Symmetric estimate of omega . (dI_C/dt) (omega) across the step; the
+    # lemma makes the exact value zero, so this should vanish at O(dt^2).
+    sx = wx + wx1
+    sy = wy + wy1
+    sz = wz + wz1
+    if not isfinite(sx + sy + sz):
+        _require_finite("Vec3", sx, sy, sz)
+    sx = sx * 0.5
+    sy = sy * 0.5
+    sz = sz * 0.5
+    bxx, bxy, bxz, byx, byy, byz, bzx, bzy, bzz = world
+    axx, axy, axz, ayx, ayy, ayz, azx, azy, azz = world1
+    axx = axx - bxx
+    axy = axy - bxy
+    axz = axz - bxz
+    ayx = ayx - byx
+    ayy = ayy - byy
+    ayz = ayz - byz
+    azx = azx - bzx
+    azy = azy - bzy
+    azz = azz - bzz
+    if not isfinite(axx + axy + axz + ayx + ayy + ayz + azx + azy + azz):
+        _require_finite("Mat3", axx, axy, axz, ayx, ayy, ayz, azx, azy, azz)
+    ux = axx * sx + axy * sy + axz * sz
+    uy = ayx * sx + ayy * sy + ayz * sz
+    uz = azx * sx + azy * sy + azz * sz
+    if not isfinite(ux + uy + uz):
+        _require_finite("Vec3", ux, uy, uz)
+    omega_idot = (sx * ux + sy * uy + sz * uz) / dt
+
+    # Residual of the body-relative balance law d + [k, l] against a forward
+    # difference of the momentum field taken at body-dragged poles (the
+    # center and the marker), O(dt) along an exact trajectory.  [k, l] has
+    # the resultant -(omega x p), which is also the negated omega x p the
+    # linear residual subtracts.
+    nx = -(wy * pz - wz * py)
+    ny = -(wz * px - wx * pz)
+    nz = -(wx * py - wy * px)
+    if not isfinite(nx + ny + nz):
+        # omega x p, which the composed form checks before negating
+        _require_finite("Vec3", -nx, -ny, -nz)
+    bx = (py * koz - pz * koy) - (wy * loz - wz * loy)
+    by = (pz * kox - px * koz) - (wz * lox - wx * loz)
+    bz = (px * koy - py * kox) - (wx * loy - wy * lox)
+    if not isfinite(bx + by + bz):
+        _require_finite("Vec3", py * koz - pz * koy, pz * kox - px * koz, px * koy - py * kox)
+        _require_finite("Vec3", wy * loz - wz * loy, wz * lox - wx * loz, wx * loy - wy * lox)
+        _require_finite("Vec3", bx, by, bz)
+    rrx = fx + nx
+    rry = fy + ny
+    rrz = fz + nz
+    if not isfinite(rrx + rry + rrz):
+        _require_finite("Vec3", rrx, rry, rrz)
+    rox = dox + bx
+    roy = doy + by
+    roz = doz + bz
+    if not isfinite(rox + roy + roz):
+        _require_finite("Vec3", rox, roy, roz)
+    ux = px1 - px
+    uy = py1 - py
+    uz = pz1 - pz
+    if not isfinite(ux + uy + uz):
+        _require_finite("Vec3", ux, uy, uz)
+    ux = ux / dt
+    uy = uy / dt
+    uz = uz / dt
+    if not isfinite(ux + uy + uz):
+        _require_finite("Vec3", ux, uy, uz)
+    # minus omega x p, which is n to the bit
+    ux = ux + nx
+    uy = uy + ny
+    uz = uz + nz
+    if not isfinite(ux + uy + uz):
+        _require_finite("Vec3", ux, uy, uz)
+    ux = ux - rrx
+    uy = uy - rry
+    uz = uz - rrz
+    if not isfinite(ux + uy + uz):
+        _require_finite("Vec3", ux, uy, uz)
+    residual = _norm(ux, uy, uz)
+    for ax, ay, az, bx, by, bz, hx, hy, hz in (
+        (cx, cy, cz, hcx, hcy, hcz, hcx1, hcy1, hcz1),
+        (qx, qy, qz, hqx, hqy, hqz, hqx1, hqy1, hqz1),
+    ):
+        # (h1 - h) / dt - omega x h - (d + [k, l])(a) at the pole a, with the
+        # field value h there before the step and h1 after it.
+        ux = hx - bx
+        uy = hy - by
+        uz = hz - bz
+        if not isfinite(ux + uy + uz):
+            _require_finite("Vec3", ux, uy, uz)
+        ux = ux / dt
+        uy = uy / dt
+        uz = uz / dt
+        if not isfinite(ux + uy + uz):
+            _require_finite("Vec3", ux, uy, uz)
+        hx = wy * bz - wz * by
+        hy = wz * bx - wx * bz
+        hz = wx * by - wy * bx
+        if not isfinite(hx + hy + hz):
+            _require_finite("Vec3", hx, hy, hz)
+        ux = ux - hx
+        uy = uy - hy
+        uz = uz - hz
+        if not isfinite(ux + uy + uz):
+            _require_finite("Vec3", ux, uy, uz)
+        hx = rox + (rry * az - rrz * ay)
+        hy = roy + (rrz * ax - rrx * az)
+        hz = roz + (rrx * ay - rry * ax)
+        if not isfinite(hx + hy + hz):
+            _require_finite("Vec3", rry * az - rrz * ay, rrz * ax - rrx * az, rrx * ay - rry * ax)
+            _require_finite("Vec3", hx, hy, hz)
+        ux = ux - hx
+        uy = uy - hy
+        uz = uz - hz
+        if not isfinite(ux + uy + uz):
+            _require_finite("Vec3", ux, uy, uz)
+        residual = max(residual, _norm(ux, uy, uz))
+    # T = <k, l> / 2 and P = <k, d>, as klein_product pairs them.
+    return (
+        0.5 * ((wx * lox + wy * loy + wz * loz) + (px * kox + py * koy + pz * koz)),
+        (wx * dox + wy * doy + wz * doz) + (fx * kox + fy * koy + fz * koz),
+        omega_idot,
+        residual,
+    )
 
 
 def run(config: SimConfig, initial: BodyState) -> Trajectory:

@@ -16,8 +16,9 @@ entry by entry through the checking constructor with the float operations of
 the composed expression in its order.  It rounds as that expression does, to
 the bit, and raises ``NonFiniteError`` on the same inputs.  Float cores build
 no value at all but keep those operations and checks; the value API wraps
-them and the sim step kernel (``sim._stream``) shares them: ``_norm`` and
-``_orthonormality_defect`` here, ``rigid._rodrigues``, ``sim._world_inertia``.
+them and the phases of the sim step kernel (``sim._read``, ``_advance`` and
+``_diagnose``) share them: ``_norm`` and ``_orthonormality_defect`` here,
+``rigid._rodrigues``, ``sim._world_inertia``.
 
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,
@@ -29,9 +30,9 @@ in its own or its base's ``__init__``: it makes its checks (a ``Vec3``,
 ``Point`` or ``Mat3`` refuses a NaN or infinite component with
 ``NonFiniteError``), then stores the fields through the ``__set__`` of each
 field's member descriptor (``_setters``): directly, from module-level names,
-in the values and records built in the arithmetic, the records the sim
-kernel yields and the algebra calls, and through ``_Value._store`` in the
-others.  ``_Value``
+in the values and records built in the arithmetic and the algebra calls, and
+through ``_Value._store`` in the others, among them ``BodyState`` and
+``StepDiagnostics``, which only ``sim.run`` and ``sim.step`` build.  ``_Value``
 supplies what a frozen slots dataclass would: assigning or deleting any
 attribute raises ``dataclasses.FrozenInstanceError``, ``==`` holds only
 between values of the same class, ``hash`` is that of the field tuple,

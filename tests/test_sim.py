@@ -491,6 +491,24 @@ def test_renormalization_keeps_run_equal_to_the_reference(integrator, caplog):
     _assert_run_matches_reference(cfg, s0)
 
 
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_step_from_a_drifted_orientation_logs_the_projection_once(integrator, caplog):
+    body = _lumpy_body()
+    s0 = BodyState(
+        orientation=Mat3.identity() * (1.0 + 1e-7),
+        center=Point(0.1, 0.2, 0.3),
+        linear_momentum=Vec3(0.5, 0.0, -0.25),
+        angular_momentum_at_c=body.moment_matrix.matvec(Vec3(0.4, 1.1, -0.7)),
+        body=body,
+    )
+    with caplog.at_level(logging.WARNING, logger="screwalg.sim"):
+        new = step(s0, _FORCING, 1e-2, integrator)
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("screwalg.sim", "step 0: orientation drifted off SO(3); applying polar projection")
+    ]
+    assert new.orientation.orthonormality_defect() <= 1e-12
+
+
 def _trajectory_bits_scenes() -> list[tuple[SimConfig, BodyState]]:
     """The (config, initial state) of each run pinned in
     test_trajectory_bits, taken from its scene functions."""

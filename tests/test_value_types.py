@@ -365,9 +365,17 @@ _SKEWED = (Vec3(1.0, 0.0, 0.0), Vec3(0.1, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
         (lambda: MotionChain(()), ValueError, "^a motion chain needs at least one twist$"),
         (lambda: Frame(_P, *_SKEWED), ValueError, "^frame basis is not orthonormal$"),
         (lambda: RigidMap(Mat3.from_columns(*_SKEWED), _V), InvalidRotationError, "is not orthonormal"),
+        # As the scene parser refuses them: steps counts whole steps, and an
+        # infinite dt leaves no state finite.
+        (lambda: SimConfig(dt=0.1, steps=2.5), TypeError, "^steps must be an integer, got 2.5$"),
+        (lambda: SimConfig(dt=0.1, steps=2.0), TypeError, "^steps must be an integer, got 2.0$"),
+        (lambda: SimConfig(dt=0.1, steps=True), TypeError, "^steps must be an integer, got True$"),
+        (lambda: SimConfig(dt=math.inf, steps=1), ValueError, "^dt must be finite$"),
+        (lambda: SimConfig(dt=math.nan, steps=1), ValueError, "^dt must be positive$"),
     ],
     ids=["FinitePitch", "SimConfig-dt", "SimConfig-steps", "SimConfig-integrator", "Particle",
-         "MotionChain", "Frame", "RigidMap"],
+         "MotionChain", "Frame", "RigidMap", "SimConfig-fractional-steps", "SimConfig-float-steps",
+         "SimConfig-bool-steps", "SimConfig-infinite-dt", "SimConfig-nan-dt"],
 )
 def test_record_refusals(build, error, message):
     with pytest.raises(error, match=message):
