@@ -337,14 +337,14 @@ def _cmd_simulate(scene: Scene, args) -> dict:
         angular_momentum_at_c=l0.angular_momentum_at(inertia.center),
         body=inertia,
     )
-    # Of the run, whose items ``sim._stream`` lays out, only the final state,
-    # the renormalization count and the printed rows are kept.
+    # Of the run, only the final state (R, c, p, L), the renormalization
+    # count and the printed rows are kept.
     rows = []
     renormalizations = 0
-    for n, item in enumerate(_stream(config, state)):
-        rows.append(_simulate_row(n, item[10:15], args.json))
-        renormalizations += item[15]
-    r, cx, cy, cz, px, py, pz, lx, ly, lz = item[:10]
+    for n, (final, diagnostics, renormed) in enumerate(_stream(config, state)):
+        rows.append(_simulate_row(n, diagnostics, args.json))
+        renormalizations += renormed
+    r, cx, cy, cz, px, py, pz, lx, ly, lz = final
     return {
         "steps": config.steps,
         "dt": config.dt,

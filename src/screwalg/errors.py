@@ -4,6 +4,17 @@ Every domain failure maps to one of these so callers (and the CLI) can
 distinguish bad geometry from bad input files.
 """
 
+__all__ = [
+    "ScrewAlgError",
+    "ZeroScrewError",
+    "InvalidRotationError",
+    "MissingVelocitiesError",
+    "EmptyDistributionError",
+    "SingularInertiaError",
+    "NonFiniteError",
+    "SceneError",
+]
+
 
 class ScrewAlgError(Exception):
     """Base class for all library errors."""

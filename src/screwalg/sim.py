@@ -19,14 +19,14 @@ field values, ``_advance`` advances the state, and ``_diagnose`` diagnoses a
 step from what was read on both sides of it.  A state and what is read of it
 travel as one tuple, so each state is read once, and what the diagnostics
 read before a step is what the step read.  The kernel yields each new state
-and its step's diagnostics as floats; ``_records`` builds the ``BodyState``
-and ``StepDiagnostics`` of an item for ``run`` and ``step``, and the
-``simulate`` command renders its rows from the floats.  The public
-``state_twist``, ``state_momentum`` and ``world_inertia_matrix`` read a
-``BodyState`` with the value types; the kernel shares its float cores with
-them and with the vector types (``_angular_velocity``, ``_world_inertia``,
-``vecmath._norm`` and ``_orthonormality_defect``, ``rigid._rodrigues``), so
-each formula has one definition.
+and its step's diagnostics as floats; ``run`` and ``step`` build their
+records from them, and the ``simulate`` command renders its rows from the
+floats.  The public ``state_twist``, ``state_momentum`` and
+``world_inertia_matrix`` read a ``BodyState`` with the value types; the
+kernel shares its float cores with them and with the vector types
+(``_angular_velocity``, ``_world_inertia``, ``vecmath._norm`` and
+``_orthonormality_defect``, ``rigid._rodrigues``), so each formula has one
+definition.
 
 The inverse body inertia, which omega = R I^-1 R^T L needs, comes from a
 pure-Python cyclic Jacobi eigensolve (``_jacobi_eigen``), once per run.
@@ -333,24 +333,23 @@ def step(
     starting state's screws and the step's diagnostics, throws them away, and
     raises where they overflow: it costs nearly two ``run`` steps, and a loop
     should call ``run``."""
-    return _records(next(_stream(SimConfig(dt, 1, integrator, wrench), state)), state.body)[0]
+    new, _, _ = next(_stream(SimConfig(dt, 1, integrator, wrench), state))
+    return _body_state(new, state.body)
 
 
-def _records(item: tuple, body: InertiaOperator) -> tuple[BodyState, StepDiagnostics]:
-    """The state of ``body`` and the diagnostics in a ``_stream`` item."""
-    r, cx, cy, cz, px, py, pz, lx, ly, lz, t, ke, pw, wdw, res, _ = item
-    state = BodyState(Mat3(*r), Point(cx, cy, cz), Vec3(px, py, pz), Vec3(lx, ly, lz), body)
-    return state, StepDiagnostics(t, ke, pw, wdw, res)
+def _body_state(state: tuple, body: InertiaOperator) -> BodyState:
+    """The ``BodyState`` of ``body`` in the state (R, c, p, L) of floats."""
+    r, cx, cy, cz, px, py, pz, lx, ly, lz = state
+    return BodyState(Mat3(*r), Point(cx, cy, cz), Vec3(px, py, pz), Vec3(lx, ly, lz), body)
 
 
 def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
-    """Advance ``initial`` by config.steps steps, yielding each new state with
-    the diagnostics of the step that made it and whether that step projected
-    the orientation back onto SO(3), which is logged here.  An item is flat
-    floats: R as a row-major 9-tuple, then the components of c, p and L, the
-    five diagnostics in ``StepDiagnostics`` field order, and the projection
-    flag.  ``run`` and ``step`` build records from it (``_records``); a caller
-    that keeps only what it needs holds no history and builds no value.
+    """Advance ``initial`` by config.steps steps, yielding each step as
+    ``(state, diagnostics, renormed)``: the new state (R, c, p, L) as
+    ``_advance`` returns it, the step's diagnostics in ``StepDiagnostics``
+    field order as ``_diagnose`` returns them, and whether the step projected
+    the orientation back onto SO(3), which is logged here.  A caller that
+    keeps only what it needs holds no history and builds no value.
 
     This is the step kernel, a loop over three phases on floats: ``_read``
     reads a state once, ``_advance`` steps from what was read, and
@@ -392,7 +391,7 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
                 "step %d: orientation drifted off SO(3); applying polar projection", n
             )
         after = _read(state, mass, j, inv)
-        yield (*state, n * dt, *_diagnose(before, after, dt, d), renormed)
+        yield state, _diagnose(before, after, n * dt, dt, d), renormed
         before = after
 
 
@@ -539,11 +538,11 @@ def _advance(
     return (nr, ncx, ncy, ncz, npx, npy, npz, nlx, nly, nlz), renormed
 
 
-def _diagnose(before: tuple, after: tuple, dt: float, d: tuple[float, ...]) -> tuple:
-    """T, P, omega . (dI_C/dt)(omega) and the balance residual of the step of
-    ``dt`` under d from the state read as ``before`` to the one read as
-    ``after``; a name ending in 1 is read after the step.  Half a finite sum
-    cannot leave the float range: it goes unchecked."""
+def _diagnose(before: tuple, after: tuple, t: float, dt: float, d: tuple[float, ...]) -> tuple:
+    """The time t, T, P, omega . (dI_C/dt)(omega) and the balance residual of
+    the step of ``dt`` under d from the state read as ``before`` at t to the
+    one read as ``after``; a name ending in 1 is read after the step.  Half a
+    finite sum cannot leave the float range: it goes unchecked."""
     fx, fy, fz, dox, doy, doz = d
     (_, cx, cy, cz, px, py, pz, _, _, _, wx, wy, wz, kox, koy, koz, lox, loy, loz,
      world, qx, qy, qz, hcx, hcy, hcz, hqx, hqy, hqz) = before
@@ -669,6 +668,7 @@ def _diagnose(before: tuple, after: tuple, dt: float, d: tuple[float, ...]) -> t
         residual = max(residual, _norm(ux, uy, uz))
     # T = <k, l> / 2 and P = <k, d>, as klein_product pairs them.
     return (
+        t,
         0.5 * ((wx * lox + wy * loy + wz * loz) + (px * kox + py * koy + pz * koz)),
         (wx * dox + wy * doy + wz * doz) + (fx * kox + fy * koy + fz * koz),
         omega_idot,
@@ -684,9 +684,8 @@ def run(config: SimConfig, initial: BodyState) -> Trajectory:
     states = [initial]
     diags = []
     renorms = 0
-    for item in _stream(config, initial):
-        state, diag = _records(item, initial.body)
-        states.append(state)
-        diags.append(diag)
-        renorms += item[-1]
+    for state, diagnostics, renormed in _stream(config, initial):
+        states.append(_body_state(state, initial.body))
+        diags.append(StepDiagnostics(*diagnostics))
+        renorms += renormed
     return Trajectory(tuple(states), tuple(diags), renorms)

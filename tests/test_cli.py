@@ -192,6 +192,13 @@ def test_exp_reads_a_negative_t_given_after_a_space(t):
     assert err.count("\n") == (0 if code == 0 else 1)
 
 
+def test_exp_leaves_a_t_after_a_space_that_is_no_number_to_argparse(capsys):
+    with pytest.raises(SystemExit) as exited:
+        run_cli("exp", str(SCENES / "screw_motion.json"), "--t", "-abc")
+    assert exited.value.code == 2
+    assert "argument --t: expected one argument" in capsys.readouterr().err
+
+
 def test_exp_log_round_trip_through_the_cli(tmp_path):
     code, out, _ = run_cli("exp", scene_file(tmp_path, SCREW_MOTION), "--json")
     assert code == 0

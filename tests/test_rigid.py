@@ -235,8 +235,12 @@ def test_log_of_half_turn_with_slide():
     assert dec.to_rigid_map().isclose(g, rel=1e-9, abs_=1e-9)
 
 
-def test_log_just_below_half_turn_keeps_axis_sign():
-    u = Vec3(1.0, 1.0, 0.0).normalized()
+# From the symmetric part of R, the axis comes out along +(1, 1, 0) for both
+# u and -u; for -u it is flipped to agree with the antisymmetric part.
+@pytest.mark.parametrize(
+    "u", [Vec3(1.0, 1.0, 0.0).normalized(), -Vec3(1.0, 1.0, 0.0).normalized()], ids=["u", "minus-u"]
+)
+def test_log_just_below_half_turn_keeps_axis_sign(u):
     theta = math.pi - 1e-7
     s = Screw.from_applied_vector(Point(0.2, 0.0, -0.4), u * theta)
     g = exp_screw(s, 1.0)

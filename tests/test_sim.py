@@ -549,15 +549,16 @@ def test_values_built_per_run_step(scene, most):
 
 
 def _floats(item) -> tuple:
-    """A stream item as the kernel yields it: R as a 9-tuple, the components
-    of c, p and L, the five diagnostics and the projection flag.  An item of
-    the Vec3 form, a state with its diagnostics and flag, is flattened."""
-    if not isinstance(item[0], BodyState):
-        return item
+    """A stream item, its state, diagnostics and projection flag, flattened:
+    R as a 9-tuple, the components of c, p and L, the five diagnostics and
+    the flag.  The kernel yields the state (R, c, p, L) and the diagnostics
+    as floats, the Vec3 form a ``BodyState`` and a ``StepDiagnostics``."""
     state, diagnostics, renormed = item
-    return (state.orientation.flat(), *state.center.components(),
-            *state.linear_momentum.components(),
-            *state.angular_momentum_at_c.components(), *diagnostics._fields, renormed)
+    if isinstance(state, BodyState):
+        state = (state.orientation.flat(), *state.center.components(),
+                 *state.linear_momentum.components(), *state.angular_momentum_at_c.components())
+        diagnostics = diagnostics._fields
+    return (*state, *diagnostics, renormed)
 
 
 def _outcome(items) -> list:
