@@ -56,7 +56,7 @@ def main() -> None:
     ap.add_argument("--axis", choices=sorted(AXES), default="middle")
     ap.add_argument("--dt", type=float, default=1e-4)
     ap.add_argument("--steps", type=int, default=10_000)
-    ap.add_argument("--integrator", choices=INTEGRATORS, default="midpoint")
+    ap.add_argument("--integrator", choices=INTEGRATORS, default=INTEGRATORS[0])
     ap.add_argument("--report-every", type=int, default=1000)
     args = ap.parse_args()
 

@@ -17,6 +17,7 @@ Exit codes: 0 on success, 1 for a failed selfcheck, 2 for malformed input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -487,7 +488,11 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     for i in range(len(argv) - 2, -1, -1):
         if argv[i] == "--t" and argv[i + 1].startswith("-") and _is_number(argv[i + 1]):
             argv[i : i + 2] = [f"--t={argv[i + 1]}"]
-    args = _build_parser().parse_args(argv)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse refused the command line, or printed --help
+        return e.code
 
     try:
         if args.command == "selfcheck":

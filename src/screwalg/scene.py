@@ -158,7 +158,7 @@ def _parse_sim(value, path: str) -> SimConfig:
         raise SceneError(f"{path}.steps", f"expected an integer, got {steps_raw!r}")
     if steps_raw < 1:
         raise SceneError(f"{path}.steps", "steps must be at least 1")
-    integrator = obj.get("integrator", "midpoint")
+    integrator = obj.get("integrator", INTEGRATORS[0])
     if integrator not in INTEGRATORS:
         raise SceneError(f"{path}.integrator", f"unknown integrator {integrator!r}")
     wrench = None

@@ -24,9 +24,9 @@ records from them, and the ``simulate`` command renders its rows from the
 floats.  The public ``state_twist``, ``state_momentum`` and
 ``world_inertia_matrix`` read a ``BodyState`` with the value types; the
 kernel shares its float cores with them and with the vector types
-(``_angular_velocity``, ``_world_inertia``, ``vecmath._norm`` and
-``_orthonormality_defect``, ``rigid._rodrigues``), so each formula has one
-definition.
+(``_angular_velocity``, ``_world_inertia``, ``vecmath._norm``, ``_matmul``
+and ``_orthonormality_defect``, ``rigid._rodrigues``), so each formula has
+one definition.
 
 The inverse body inertia, which omega = R I^-1 R^T L needs, comes from a
 pure-Python cyclic Jacobi eigensolve (``_jacobi_eigen``), once per run.
@@ -46,7 +46,9 @@ from .dynamics import InertiaOperator, MomentumScrew, Wrench, kinetic_energy
 from .errors import NonFiniteError, SingularInertiaError
 from .kinematics import Twist
 from .rigid import _rodrigues
-from .vecmath import Mat3, Point, Vec3, _norm, _orthonormality_defect, _require_finite, _Value
+from .vecmath import (
+    Mat3, Point, Vec3, _matmul, _norm, _orthonormality_defect, _require_finite, _Value,
+)
 
 __all__ = [
     "INTEGRATORS",
@@ -62,7 +64,7 @@ __all__ = [
     "world_inertia_matrix",
 ]
 
-INTEGRATORS = ("midpoint", "euler")
+INTEGRATORS = ("midpoint", "euler")  # the first is the default
 
 _SINGULAR_RTOL = 1e-12
 _EPS = sys.float_info.epsilon
@@ -96,7 +98,7 @@ class SimConfig(_Value):
     __slots__ = ("dt", "steps", "integrator", "wrench")
 
     def __init__(
-        self, dt: float, steps: int, integrator: str = "midpoint", wrench: Wrench | None = None
+        self, dt: float, steps: int, integrator: str = INTEGRATORS[0], wrench: Wrench | None = None
     ):
         if not dt > 0.0:
             raise ValueError("dt must be positive")
@@ -233,33 +235,14 @@ def world_inertia_matrix(state: BodyState) -> Mat3:
 def _world_inertia(r: tuple[float, ...], j: tuple[float, ...]) -> tuple[float, ...]:
     """R J R^T for the orientation R and the body moment matrix J, each a
     row-major 9-tuple: the one definition, which ``world_inertia_matrix`` and
-    the step kernel share.  R J is formed as ``Mat3.matmul`` forms it, and
-    its rows are then dotted with the rows of R; each product is checked
-    finite as the ``Mat3`` it forms."""
+    the step kernel share.  ``vecmath._matmul`` forms R J, then (R J) R^T
+    with R^T built from R's entries (a slice costs more), and each product is
+    checked finite as the ``Mat3`` it forms."""
     rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
-    jxx, jxy, jxz, jyx, jyy, jyz, jzx, jzy, jzz = j
-    axx = rxx * jxx + rxy * jyx + rxz * jzx
-    axy = rxx * jxy + rxy * jyy + rxz * jzy
-    axz = rxx * jxz + rxy * jyz + rxz * jzz
-    ayx = ryx * jxx + ryy * jyx + ryz * jzx
-    ayy = ryx * jxy + ryy * jyy + ryz * jzy
-    ayz = ryx * jxz + ryy * jyz + ryz * jzz
-    azx = rzx * jxx + rzy * jyx + rzz * jzx
-    azy = rzx * jxy + rzy * jyy + rzz * jzy
-    azz = rzx * jxz + rzy * jyz + rzz * jzz
-    if not isfinite(axx + axy + axz + ayx + ayy + ayz + azx + azy + azz):
-        _require_finite("Mat3", axx, axy, axz, ayx, ayy, ayz, azx, azy, azz)
-    world = (
-        axx * rxx + axy * rxy + axz * rxz,
-        axx * ryx + axy * ryy + axz * ryz,
-        axx * rzx + axy * rzy + axz * rzz,
-        ayx * rxx + ayy * rxy + ayz * rxz,
-        ayx * ryx + ayy * ryy + ayz * ryz,
-        ayx * rzx + ayy * rzy + ayz * rzz,
-        azx * rxx + azy * rxy + azz * rxz,
-        azx * ryx + azy * ryy + azz * ryz,
-        azx * rzx + azy * rzy + azz * rzz,
-    )
+    a = _matmul(r, j)
+    if not isfinite(sum(a)):
+        _require_finite("Mat3", *a)
+    world = _matmul(a, (rxx, ryx, rzx, rxy, ryy, rzy, rxz, ryz, rzz))
     if not isfinite(sum(world)):
         _require_finite("Mat3", *world)
     return world
@@ -324,7 +307,7 @@ def step(
     state: BodyState,
     wrench: Wrench | None,
     dt: float,
-    integrator: str = "midpoint",
+    integrator: str = INTEGRATORS[0],
 ) -> BodyState:
     """Advance one step of ``dt`` under ``wrench`` (None means unforced) with
     the chosen integrator: explicit midpoint by default, explicit Euler on
@@ -461,7 +444,6 @@ def _advance(
     unchecked."""
     fx, fy, fz, dox, doy, doz = d
     r, cx, cy, cz, px, py, pz, lx, ly, lz, swx, swy, swz = before[:13]
-    rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
     scx, scy, scz = cx, cy, cz
     spx, spy, spz = px, py, pz
     for h, half in advances:
@@ -480,20 +462,7 @@ def _advance(
         if speed == 0.0:
             nr = r
         else:
-            qxx, qxy, qxz, qyx, qyy, qyz, qzx, qzy, qzz = _rodrigues(
-                swx / speed, swy / speed, swz / speed, speed * h
-            )
-            nr = (
-                qxx * rxx + qxy * ryx + qxz * rzx,
-                qxx * rxy + qxy * ryy + qxz * rzy,
-                qxx * rxz + qxy * ryz + qxz * rzz,
-                qyx * rxx + qyy * ryx + qyz * rzx,
-                qyx * rxy + qyy * ryy + qyz * rzy,
-                qyx * rxz + qyy * ryz + qyz * rzz,
-                qzx * rxx + qzy * ryx + qzz * rzx,
-                qzx * rxy + qzy * ryy + qzz * rzy,
-                qzx * rxz + qzy * ryz + qzz * rzz,
-            )
+            nr = _matmul(_rodrigues(swx / speed, swy / speed, swz / speed, speed * h), r)
             if not isfinite(sum(nr)):
                 _require_finite("Mat3", *nr)
         ux = vx * h

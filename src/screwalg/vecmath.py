@@ -17,8 +17,9 @@ the composed expression in its order.  It rounds as that expression does, to
 the bit, and raises ``NonFiniteError`` on the same inputs.  Float cores build
 no value at all but keep those operations and checks; the value API wraps
 them and the phases of the sim step kernel (``sim._read``, ``_advance`` and
-``_diagnose``) share them: ``_norm`` and ``_orthonormality_defect`` here,
-``rigid._rodrigues``, ``sim._world_inertia``.
+``_diagnose``) share them: ``_norm``, the 3x3 product ``_matmul`` (whose
+callers check it) and ``_orthonormality_defect`` here, ``rigid._rodrigues``,
+``sim._world_inertia`` and ``sim._angular_velocity``.
 
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,
@@ -95,6 +96,26 @@ def _orthonormality_defect(r: tuple[float, ...]) -> float:
         szz = xz * xz + yz * yz + zz * zz
         _require_finite("Mat3", sxx, dxy, dxz, dxy, syy, dyz, dxz, dyz, szz)
     return max(abs(dxx), abs(dxy), abs(dxz), abs(dyy), abs(dyz), abs(dzz))
+
+
+def _matmul(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    """A B for the row-major 9-tuples A and B, the one definition, which
+    ``Mat3.matmul`` and the sim kernel share: entry (i, j) is row i of A
+    dotted with column j of B, summed left to right as ``Mat3.matvec`` sums.
+    Each caller checks the product finite as the ``Mat3`` it forms."""
+    axx, axy, axz, ayx, ayy, ayz, azx, azy, azz = a
+    bxx, bxy, bxz, byx, byy, byz, bzx, bzy, bzz = b
+    return (
+        axx * bxx + axy * byx + axz * bzx,
+        axx * bxy + axy * byy + axz * bzy,
+        axx * bxz + axy * byz + axz * bzz,
+        ayx * bxx + ayy * byx + ayz * bzx,
+        ayx * bxy + ayy * byy + ayz * bzy,
+        ayx * bxz + ayy * byz + ayz * bzz,
+        azx * bxx + azy * byx + azz * bzx,
+        azx * bxy + azy * byy + azz * bzy,
+        azx * bxz + azy * byz + azz * bzz,
+    )
 
 
 # The constructors below test each field inline and call _require_finite only
@@ -373,20 +394,7 @@ class Mat3(_Value):
         )
 
     def matmul(self, o: "Mat3") -> "Mat3":
-        # Entry (i, j) is row i of self dotted with column j of o, summed left
-        # to right as in matvec.
-        a, b = self, o
-        return Mat3(
-            a.xx * b.xx + a.xy * b.yx + a.xz * b.zx,
-            a.xx * b.xy + a.xy * b.yy + a.xz * b.zy,
-            a.xx * b.xz + a.xy * b.yz + a.xz * b.zz,
-            a.yx * b.xx + a.yy * b.yx + a.yz * b.zx,
-            a.yx * b.xy + a.yy * b.yy + a.yz * b.zy,
-            a.yx * b.xz + a.yy * b.yz + a.yz * b.zz,
-            a.zx * b.xx + a.zy * b.yx + a.zz * b.zx,
-            a.zx * b.xy + a.zy * b.yy + a.zz * b.zy,
-            a.zx * b.xz + a.zy * b.yz + a.zz * b.zz,
-        )
+        return Mat3(*_matmul(self.flat(), o.flat()))
 
     def transpose(self) -> "Mat3":
         return Mat3(

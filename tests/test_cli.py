@@ -193,10 +193,10 @@ def test_exp_reads_a_negative_t_given_after_a_space(t):
 
 
 def test_exp_leaves_a_t_after_a_space_that_is_no_number_to_argparse(capsys):
-    with pytest.raises(SystemExit) as exited:
-        run_cli("exp", str(SCENES / "screw_motion.json"), "--t", "-abc")
-    assert exited.value.code == 2
-    assert "argument --t: expected one argument" in capsys.readouterr().err
+    code, out, err = run_cli("exp", str(SCENES / "screw_motion.json"), "--t", "-abc")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: screwalg") and "argument --t: expected one argument" in err
+    assert capsys.readouterr() == ("", "")
 
 
 def test_exp_log_round_trip_through_the_cli(tmp_path):
@@ -708,9 +708,18 @@ def test_non_utf8_scene_is_an_input_error(tmp_path):
     assert err.count("\n") == 1
 
 
-def test_unknown_subcommand_exits_via_argparse():
-    with pytest.raises(SystemExit):
-        run_cli("frobnicate")
+def test_unknown_subcommand_exits_via_argparse(capsys):
+    code, out, err = run_cli("frobnicate")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: screwalg") and "invalid choice: 'frobnicate'" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    code, out, err = run_cli("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: screwalg") and "selfcheck" in out
+    assert capsys.readouterr() == ("", "")
 
 
 # -- selfcheck and stability --------------------------------------------------

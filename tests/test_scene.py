@@ -7,6 +7,7 @@ from screwalg import (
     Point,
     SceneError,
     ScrewAlgError,
+    SimConfig,
     Vec3,
     parse_scene,
     scene_from_dict,
@@ -53,6 +54,10 @@ def test_full_scene_parses():
     assert scene.sim.steps == 10
     assert scene.sim.integrator == "euler"
     assert scene.sim.wrench.force == Vec3(0.0, 0.0, -9.8)
+
+
+def test_sim_without_an_integrator_parses_to_the_config_default():
+    assert scene_from_dict({"version": 1, "sim": {"dt": 0.1, "steps": 2}}).sim == SimConfig(0.1, 2)
 
 
 def test_minimal_scene_parses():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -115,6 +115,35 @@ def test_matmul_is_matvec_on_each_column_bit_for_bit(a0, a1, a2, b0, b1, b2):
     a, b = Mat3.from_rows(a0, a1, a2), Mat3.from_columns(b0, b1, b2)
     want = Mat3.from_columns(a.matvec(b0), a.matvec(b1), a.matvec(b2))
     assert repr(a.matmul(b)) == repr(want)
+
+
+def _matmul_by_entries(a: Mat3, b: Mat3) -> Mat3:
+    """A B written out entry by entry, independent of ``vecmath._matmul``:
+    entry (i, j) is row i of a dotted with column j of b, summed left to
+    right, and the result is checked by the ``Mat3`` constructor."""
+    return Mat3(
+        a.xx * b.xx + a.xy * b.yx + a.xz * b.zx,
+        a.xx * b.xy + a.xy * b.yy + a.xz * b.zy,
+        a.xx * b.xz + a.xy * b.yz + a.xz * b.zz,
+        a.yx * b.xx + a.yy * b.yx + a.yz * b.zx,
+        a.yx * b.xy + a.yy * b.yy + a.yz * b.zy,
+        a.yx * b.xz + a.yy * b.yz + a.yz * b.zz,
+        a.zx * b.xx + a.zy * b.yx + a.zz * b.zx,
+        a.zx * b.xy + a.zy * b.yy + a.zz * b.zy,
+        a.zx * b.xz + a.zy * b.yz + a.zz * b.zz,
+    )
+
+
+# In the first example every entry overflows and is refused; in the second
+# only the sum of the nine entries does, which refuses nothing.
+@bit_examples
+@given(edge_mat3s, edge_mat3s)
+@example(Mat3(*[1e200] * 9), Mat3(*[1e200] * 9))
+@example(Mat3.identity() * 1e308, Mat3.identity())
+def test_matmul_is_the_entrywise_product_bit_for_bit(a, b):
+    # The edge regimes reach the overflowing and subnormal products, where the
+    # order of the sums and the refusal's components show.
+    assert bit_outcome(a.matmul, b) == bit_outcome(_matmul_by_entries, a, b)
 
 
 # The orthonormality defect against the composed expression it replaces, to
