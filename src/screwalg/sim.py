@@ -17,16 +17,17 @@ The step kernel, the generator ``_stream``, runs on plain floats in three
 phases: ``_read`` reads a state's screws, world inertia, marker and momentum
 field values, ``_advance`` advances the state, and ``_diagnose`` diagnoses a
 step from what was read on both sides of it.  A state and what is read of it
-travel as one tuple, so each state is read once, and what the diagnostics
-read before a step is what the step read.  The kernel yields each new state
-and its step's diagnostics as floats; ``run`` and ``step`` build their
-records from them, and the ``simulate`` command renders its rows from the
-floats.  The public ``state_twist``, ``state_momentum`` and
-``world_inertia_matrix`` read a ``BodyState`` with the value types; the
-kernel shares its float cores with them and with the vector types
-(``_angular_velocity``, ``_world_inertia``, ``vecmath._norm``, ``_matmul``
-and ``_orthonormality_defect``, ``rigid._rodrigues``), so each formula has
-one definition.
+travel as one tuple, so each state is read once, and what the diagnostics read
+before a step is what the step read.  Each phase tests its values finite once
+per chain of operations (``_stream``) and refuses where the composed vector
+form does, with its message.  The kernel yields each new state and its step's
+diagnostics as floats; ``run`` and ``step`` build their records from them, and
+the ``simulate`` command renders its rows from the floats.  The public
+``state_twist``, ``state_momentum`` and ``world_inertia_matrix`` read a
+``BodyState`` with the value types; the kernel shares its float cores with
+them and with the vector types (``_angular_velocity``, ``_world_inertia``,
+``vecmath._norm``, ``_matmul`` and ``_orthonormality_defect``,
+``rigid._rodrigues``), so each formula has one definition.
 
 The inverse body inertia, which omega = R I^-1 R^T L needs, comes from a
 pure-Python cyclic Jacobi eigensolve (``_jacobi_eigen``), once per run.
@@ -236,14 +237,13 @@ def _world_inertia(r: tuple[float, ...], j: tuple[float, ...]) -> tuple[float, .
     """R J R^T for the orientation R and the body moment matrix J, each a
     row-major 9-tuple: the one definition, which ``world_inertia_matrix`` and
     the step kernel share.  ``vecmath._matmul`` forms R J, then (R J) R^T
-    with R^T built from R's entries (a slice costs more), and each product is
-    checked finite as the ``Mat3`` it forms."""
+    with R^T built from R's entries (a slice costs more), and both products
+    are checked finite as the ``Mat3`` each forms, in one group (``_stream``)."""
     rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
     a = _matmul(r, j)
-    if not isfinite(sum(a)):
-        _require_finite("Mat3", *a)
     world = _matmul(a, (rxx, ryx, rzx, rxy, ryy, rzy, rxz, ryz, rzz))
     if not isfinite(sum(world)):
+        _require_finite("Mat3", *a)
         _require_finite("Mat3", *world)
     return world
 
@@ -254,23 +254,22 @@ def _angular_velocity(
     """omega = R I^-1 R^T L for the orientation R and the inverse body moment
     matrix I^-1, each a row-major 9-tuple, and the angular momentum L about
     the center: the one definition, which ``state_twist`` and the step kernel
-    share.  R^T L, I^-1 R^T L and omega are each checked finite."""
+    share.  R^T L, I^-1 R^T L and omega are checked finite in one group
+    (``_stream``)."""
     rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
     ax = rxx * lx + ryx * ly + rzx * lz
     ay = rxy * lx + ryy * ly + rzy * lz
     az = rxz * lx + ryz * ly + rzz * lz
-    if not isfinite(ax + ay + az):
-        _require_finite("Vec3", ax, ay, az)
     ixx, ixy, ixz, iyx, iyy, iyz, izx, izy, izz = inv
     bx = ixx * ax + ixy * ay + ixz * az
     by = iyx * ax + iyy * ay + iyz * az
     bz = izx * ax + izy * ay + izz * az
-    if not isfinite(bx + by + bz):
-        _require_finite("Vec3", bx, by, bz)
     wx = rxx * bx + rxy * by + rxz * bz
     wy = ryx * bx + ryy * by + ryz * bz
     wz = rzx * bx + rzy * by + rzz * bz
     if not isfinite(wx + wy + wz):
+        _require_finite("Vec3", ax, ay, az)
+        _require_finite("Vec3", bx, by, bz)
         _require_finite("Vec3", wx, wy, wz)
     return wx, wy, wz
 
@@ -339,15 +338,19 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
     ``_diagnose`` diagnoses the step from what was read on both sides of it.
     Each phase computes each quantity with the float operations of its
     composed ``Vec3``/``Mat3`` form in their order (``tests/test_sim.py``
-    keeps those forms as the bit oracle), and each that the composed form
-    built through a checking constructor is checked finite before it is used,
-    in the same order and with the same ``NonFiniteError`` message.  A check
-    tests the sum of the components, which is non-finite whenever one of them
-    is, and only then calls ``_require_finite``, which raises if one is and
-    returns if the sum merely overflowed; a transport v + w x d, and the
-    bracket [k, l], then checks each cross product first, as the composed
-    form builds it.  The transports are written out in the phases, where a
-    call would cost more than its arithmetic."""
+    keeps those forms as the bit oracle) and refuses where that form does,
+    with its ``NonFiniteError`` message.  The checks go by groups, chains of
+    values joined only by +, -, * and division by the positive finite M or
+    dt, so a non-finite link reaches the group's end (0 * inf and inf - inf
+    are NaN).  The sum of the end's components is tested once; only if it is
+    not finite does ``_require_finite`` check the group's values in the
+    composed form's order (a transport v + w x d, and the bracket [k, l],
+    check each cross product first), and a sum that merely overflowed raises
+    nothing.  A group closes before ``_rodrigues``, which raises its own
+    message, before a shared float core returns, before ``_norm`` or ``max``
+    reads a value (``max(0.0, nan)`` is 0.0) and before the next group's
+    test.  The transports are written out in the phases, where a call would
+    cost more than its arithmetic."""
     dt = config.dt
     wrench = config.wrench if config.wrench is not None else Wrench.zero()
     d = (*wrench.screw.resultant.components(), *wrench.screw.moment_at_origin.components())
@@ -391,8 +394,6 @@ def _read(state: tuple, mass: float, j: tuple[float, ...], inv: tuple[float, ...
     vx = px / mass
     vy = py / mass
     vz = pz / mass
-    if not isfinite(vx + vy + vz):
-        _require_finite("Vec3", vx, vy, vz)
     # O - c is 0.0 - c, not -c, which would flip the sign of a zero.
     ox = 0.0 - cx
     oy = 0.0 - cy
@@ -400,31 +401,29 @@ def _read(state: tuple, mass: float, j: tuple[float, ...], inv: tuple[float, ...
     kox = vx + (wy * oz - wz * oy)
     koy = vy + (wz * ox - wx * oz)
     koz = vz + (wx * oy - wy * ox)
-    if not isfinite(kox + koy + koz):
-        _require_finite("Vec3", wy * oz - wz * oy, wz * ox - wx * oz, wx * oy - wy * ox)
-        _require_finite("Vec3", kox, koy, koz)
     lox = lx + (py * oz - pz * oy)
     loy = ly + (pz * ox - px * oz)
     loz = lz + (px * oy - py * ox)
-    if not isfinite(lox + loy + loz):
+    if not isfinite(kox + koy + koz + lox + loy + loz):
+        _require_finite("Vec3", vx, vy, vz)
+        _require_finite("Vec3", wy * oz - wz * oy, wz * ox - wx * oz, wx * oy - wy * ox)
+        _require_finite("Vec3", kox, koy, koz)
         _require_finite("Vec3", py * oz - pz * oy, pz * ox - px * oz, px * oy - py * ox)
         _require_finite("Vec3", lox, loy, loz)
     world = _world_inertia(r, j)
     qx = cx + r[0]
     qy = cy + r[3]
     qz = cz + r[6]
-    if not isfinite(qx + qy + qz):
-        _require_finite("Point", qx, qy, qz)
     hcx = lox + (py * cz - pz * cy)
     hcy = loy + (pz * cx - px * cz)
     hcz = loz + (px * cy - py * cx)
-    # p x c is -(p x (O - c)), which l(O) checked.
-    if not isfinite(hcx + hcy + hcz):
-        _require_finite("Vec3", hcx, hcy, hcz)
     hqx = lox + (py * qz - pz * qy)
     hqy = loy + (pz * qx - px * qz)
     hqz = loz + (px * qy - py * qx)
-    if not isfinite(hqx + hqy + hqz):
+    if not isfinite(hcx + hcy + hcz + hqx + hqy + hqz):
+        _require_finite("Point", qx, qy, qz)
+        # p x c is -(p x (O - c)), which l(O) checked.
+        _require_finite("Vec3", hcx, hcy, hcz)
         _require_finite("Vec3", py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx)
         _require_finite("Vec3", hqx, hqy, hqz)
     return (r, cx, cy, cz, px, py, pz, lx, ly, lz, wx, wy, wz, kox, koy, koz, lox, loy, loz,
@@ -450,13 +449,12 @@ def _advance(
         ax = dox + (fy * scz - fz * scy)
         ay = doy + (fz * scx - fx * scz)
         az = doz + (fx * scy - fy * scx)
-        if not isfinite(ax + ay + az):
-            _require_finite("Vec3", fy * scz - fz * scy, fz * scx - fx * scz, fx * scy - fy * scx)
-            _require_finite("Vec3", ax, ay, az)
         vx = spx / mass
         vy = spy / mass
         vz = spz / mass
-        if not isfinite(vx + vy + vz):
+        if not isfinite(ax + ay + az + vx + vy + vz):
+            _require_finite("Vec3", fy * scz - fz * scy, fz * scx - fx * scz, fx * scy - fy * scx)
+            _require_finite("Vec3", ax, ay, az)
             _require_finite("Vec3", vx, vy, vz)
         speed = _norm(swx, swy, swz)
         if speed == 0.0:
@@ -465,35 +463,30 @@ def _advance(
             nr = _matmul(_rodrigues(swx / speed, swy / speed, swz / speed, speed * h), r)
             if not isfinite(sum(nr)):
                 _require_finite("Mat3", *nr)
-        ux = vx * h
-        uy = vy * h
-        uz = vz * h
-        if not isfinite(ux + uy + uz):
-            _require_finite("Vec3", ux, uy, uz)
-        ncx = cx + ux
-        ncy = cy + uy
-        ncz = cz + uz
-        if not isfinite(ncx + ncy + ncz):
+        dcx = vx * h
+        dcy = vy * h
+        dcz = vz * h
+        ncx = cx + dcx
+        ncy = cy + dcy
+        ncz = cz + dcz
+        dpx = fx * h
+        dpy = fy * h
+        dpz = fz * h
+        npx = px + dpx
+        npy = py + dpy
+        npz = pz + dpz
+        dlx = ax * h
+        dly = ay * h
+        dlz = az * h
+        nlx = lx + dlx
+        nly = ly + dly
+        nlz = lz + dlz
+        if not isfinite(ncx + ncy + ncz + npx + npy + npz + nlx + nly + nlz):
+            _require_finite("Vec3", dcx, dcy, dcz)
             _require_finite("Point", ncx, ncy, ncz)
-        ux = fx * h
-        uy = fy * h
-        uz = fz * h
-        if not isfinite(ux + uy + uz):
-            _require_finite("Vec3", ux, uy, uz)
-        npx = px + ux
-        npy = py + uy
-        npz = pz + uz
-        if not isfinite(npx + npy + npz):
+            _require_finite("Vec3", dpx, dpy, dpz)
             _require_finite("Vec3", npx, npy, npz)
-        ux = ax * h
-        uy = ay * h
-        uz = az * h
-        if not isfinite(ux + uy + uz):
-            _require_finite("Vec3", ux, uy, uz)
-        nlx = lx + ux
-        nly = ly + uy
-        nlz = lz + uz
-        if not isfinite(nlx + nly + nlz):
+            _require_finite("Vec3", dlx, dly, dlz)
             _require_finite("Vec3", nlx, nly, nlz)
         if half:
             scx, scy, scz = ncx, ncy, ncz
@@ -522,11 +515,9 @@ def _diagnose(before: tuple, after: tuple, t: float, dt: float, d: tuple[float, 
     sx = wx + wx1
     sy = wy + wy1
     sz = wz + wz1
-    if not isfinite(sx + sy + sz):
-        _require_finite("Vec3", sx, sy, sz)
-    sx = sx * 0.5
-    sy = sy * 0.5
-    sz = sz * 0.5
+    mx = sx * 0.5
+    my = sy * 0.5
+    mz = sz * 0.5
     bxx, bxy, bxz, byx, byy, byz, bzx, bzy, bzz = world
     axx, axy, axz, ayx, ayy, ayz, azx, azy, azz = world1
     axx = axx - bxx
@@ -538,14 +529,14 @@ def _diagnose(before: tuple, after: tuple, t: float, dt: float, d: tuple[float, 
     azx = azx - bzx
     azy = azy - bzy
     azz = azz - bzz
-    if not isfinite(axx + axy + axz + ayx + ayy + ayz + azx + azy + azz):
-        _require_finite("Mat3", axx, axy, axz, ayx, ayy, ayz, azx, azy, azz)
-    ux = axx * sx + axy * sy + axz * sz
-    uy = ayx * sx + ayy * sy + ayz * sz
-    uz = azx * sx + azy * sy + azz * sz
+    ux = axx * mx + axy * my + axz * mz
+    uy = ayx * mx + ayy * my + ayz * mz
+    uz = azx * mx + azy * my + azz * mz
     if not isfinite(ux + uy + uz):
+        _require_finite("Vec3", sx, sy, sz)
+        _require_finite("Mat3", axx, axy, axz, ayx, ayy, ayz, azx, azy, azz)
         _require_finite("Vec3", ux, uy, uz)
-    omega_idot = (sx * ux + sy * uy + sz * uz) / dt
+    omega_idot = (mx * ux + my * uy + mz * uz) / dt
 
     # Residual of the body-relative balance law d + [k, l] against a forward
     # difference of the momentum field taken at body-dragged poles (the
@@ -555,86 +546,74 @@ def _diagnose(before: tuple, after: tuple, t: float, dt: float, d: tuple[float, 
     nx = -(wy * pz - wz * py)
     ny = -(wz * px - wx * pz)
     nz = -(wx * py - wy * px)
-    if not isfinite(nx + ny + nz):
-        # omega x p, which the composed form checks before negating
-        _require_finite("Vec3", -nx, -ny, -nz)
     bx = (py * koz - pz * koy) - (wy * loz - wz * loy)
     by = (pz * kox - px * koz) - (wz * lox - wx * loz)
     bz = (px * koy - py * kox) - (wx * loy - wy * lox)
-    if not isfinite(bx + by + bz):
-        _require_finite("Vec3", py * koz - pz * koy, pz * kox - px * koz, px * koy - py * kox)
-        _require_finite("Vec3", wy * loz - wz * loy, wz * lox - wx * loz, wx * loy - wy * lox)
-        _require_finite("Vec3", bx, by, bz)
     rrx = fx + nx
     rry = fy + ny
     rrz = fz + nz
-    if not isfinite(rrx + rry + rrz):
-        _require_finite("Vec3", rrx, rry, rrz)
     rox = dox + bx
     roy = doy + by
     roz = doz + bz
-    if not isfinite(rox + roy + roz):
-        _require_finite("Vec3", rox, roy, roz)
-    ux = px1 - px
-    uy = py1 - py
-    uz = pz1 - pz
-    if not isfinite(ux + uy + uz):
-        _require_finite("Vec3", ux, uy, uz)
-    ux = ux / dt
-    uy = uy / dt
-    uz = uz / dt
-    if not isfinite(ux + uy + uz):
-        _require_finite("Vec3", ux, uy, uz)
+    dpx = px1 - px
+    dpy = py1 - py
+    dpz = pz1 - pz
+    rpx = dpx / dt
+    rpy = dpy / dt
+    rpz = dpz / dt
     # minus omega x p, which is n to the bit
-    ux = ux + nx
-    uy = uy + ny
-    uz = uz + nz
-    if not isfinite(ux + uy + uz):
+    ux = rpx + nx
+    uy = rpy + ny
+    uz = rpz + nz
+    ex = ux - rrx
+    ey = uy - rry
+    ez = uz - rrz
+    if not isfinite(rox + roy + roz + ex + ey + ez):
+        # omega x p, which the composed form checks before negating
+        _require_finite("Vec3", -nx, -ny, -nz)
+        _require_finite("Vec3", py * koz - pz * koy, pz * kox - px * koz, px * koy - py * kox)
+        _require_finite("Vec3", wy * loz - wz * loy, wz * lox - wx * loz, wx * loy - wy * lox)
+        _require_finite("Vec3", bx, by, bz)
+        _require_finite("Vec3", rrx, rry, rrz)
+        _require_finite("Vec3", rox, roy, roz)
+        _require_finite("Vec3", dpx, dpy, dpz)
+        _require_finite("Vec3", rpx, rpy, rpz)
         _require_finite("Vec3", ux, uy, uz)
-    ux = ux - rrx
-    uy = uy - rry
-    uz = uz - rrz
-    if not isfinite(ux + uy + uz):
-        _require_finite("Vec3", ux, uy, uz)
-    residual = _norm(ux, uy, uz)
-    for ax, ay, az, bx, by, bz, hx, hy, hz in (
+        _require_finite("Vec3", ex, ey, ez)
+    residual = _norm(ex, ey, ez)
+    for ax, ay, az, hx, hy, hz, h1x, h1y, h1z in (
         (cx, cy, cz, hcx, hcy, hcz, hcx1, hcy1, hcz1),
         (qx, qy, qz, hqx, hqy, hqz, hqx1, hqy1, hqz1),
     ):
         # (h1 - h) / dt - omega x h - (d + [k, l])(a) at the pole a, with the
         # field value h there before the step and h1 after it.
-        ux = hx - bx
-        uy = hy - by
-        uz = hz - bz
-        if not isfinite(ux + uy + uz):
+        dhx = h1x - hx
+        dhy = h1y - hy
+        dhz = h1z - hz
+        rhx = dhx / dt
+        rhy = dhy / dt
+        rhz = dhz / dt
+        whx = wy * hz - wz * hy
+        why = wz * hx - wx * hz
+        whz = wx * hy - wy * hx
+        ux = rhx - whx
+        uy = rhy - why
+        uz = rhz - whz
+        tx = rox + (rry * az - rrz * ay)
+        ty = roy + (rrz * ax - rrx * az)
+        tz = roz + (rrx * ay - rry * ax)
+        ex = ux - tx
+        ey = uy - ty
+        ez = uz - tz
+        if not isfinite(ex + ey + ez):
+            _require_finite("Vec3", dhx, dhy, dhz)
+            _require_finite("Vec3", rhx, rhy, rhz)
+            _require_finite("Vec3", whx, why, whz)
             _require_finite("Vec3", ux, uy, uz)
-        ux = ux / dt
-        uy = uy / dt
-        uz = uz / dt
-        if not isfinite(ux + uy + uz):
-            _require_finite("Vec3", ux, uy, uz)
-        hx = wy * bz - wz * by
-        hy = wz * bx - wx * bz
-        hz = wx * by - wy * bx
-        if not isfinite(hx + hy + hz):
-            _require_finite("Vec3", hx, hy, hz)
-        ux = ux - hx
-        uy = uy - hy
-        uz = uz - hz
-        if not isfinite(ux + uy + uz):
-            _require_finite("Vec3", ux, uy, uz)
-        hx = rox + (rry * az - rrz * ay)
-        hy = roy + (rrz * ax - rrx * az)
-        hz = roz + (rrx * ay - rry * ax)
-        if not isfinite(hx + hy + hz):
             _require_finite("Vec3", rry * az - rrz * ay, rrz * ax - rrx * az, rrx * ay - rry * ax)
-            _require_finite("Vec3", hx, hy, hz)
-        ux = ux - hx
-        uy = uy - hy
-        uz = uz - hz
-        if not isfinite(ux + uy + uz):
-            _require_finite("Vec3", ux, uy, uz)
-        residual = max(residual, _norm(ux, uy, uz))
+            _require_finite("Vec3", tx, ty, tz)
+            _require_finite("Vec3", ex, ey, ez)
+        residual = max(residual, _norm(ex, ey, ez))
     # T = <k, l> / 2 and P = <k, d>, as klein_product pairs them.
     return (
         t,

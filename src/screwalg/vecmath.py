@@ -15,11 +15,12 @@ Composite operations on the algebra's hot paths are fused (``Screw.value_at``,
 entry by entry through the checking constructor with the float operations of
 the composed expression in its order.  It rounds as that expression does, to
 the bit, and raises ``NonFiniteError`` on the same inputs.  Float cores build
-no value at all but keep those operations and checks; the value API wraps
-them and the phases of the sim step kernel (``sim._read``, ``_advance`` and
-``_diagnose``) share them: ``_norm``, the 3x3 product ``_matmul`` (whose
-callers check it) and ``_orthonormality_defect`` here, ``rigid._rodrigues``,
-``sim._world_inertia`` and ``sim._angular_velocity``.
+no value at all but keep those operations, and refuse where their composed
+form does with one test per chain of values (``sim._stream``); the value API
+wraps them and the phases of the sim step kernel (``sim._read``,
+``_advance`` and ``_diagnose``) share them: ``_norm``, the 3x3 product
+``_matmul`` (whose callers check it) and ``_orthonormality_defect`` here,
+``rigid._rodrigues``, ``sim._world_inertia`` and ``sim._angular_velocity``.
 
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,

@@ -3,6 +3,7 @@ measured convergence order where it does not."""
 
 import logging
 import math
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -545,6 +546,43 @@ def test_values_built_per_run_step(scene, most):
     assert (counts[2] - counts[1]) / n <= most
 
 
+def _finiteness_tests(config: SimConfig, s0: BodyState) -> int:
+    """math.isfinite calls in the kernel's stream of config from s0, which
+    builds no value (each value's constructor tests its components)."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "c_call" and arg is math.isfinite:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        for _ in sim._stream(config, s0):
+            pass
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+# Upper bound on the finiteness tests one kernel step makes: the kernel tests
+# each group of values once, at the group's end, and checks the group's
+# values one by one only on refusal.  With one test per value the steps made
+# 58 and 45.
+@pytest.mark.parametrize("scene, most", [(0, 18), (1, 13)], ids=["midpoint-tumble", "forced-euler"])
+def test_finiteness_tests_per_run_step(scene, most):
+    """Counted as in test_values_built_per_run_step; the rotation angle
+    (twice a midpoint step) and the SO(3) drift test count too."""
+    config, s0 = _trajectory_bits_scenes()[scene]
+    n = 40
+    counts = [
+        _finiteness_tests(SimConfig(config.dt, steps, config.integrator, config.wrench), s0)
+        for steps in (n, n, 2 * n)
+    ]
+    assert (counts[2] - counts[1]) / n <= most
+
+
 # -- the kernel against its Vec3 form, bit for bit ----------------------------
 
 
@@ -697,6 +735,228 @@ def test_an_overflowing_transport_is_refused_with_its_cross_product(integrator, 
     the components of w x d and not of the sum."""
     config = SimConfig(1e-3, 1, integrator, wrench)
     refused = (NonFiniteError, f"Vec3 components must be finite, got {got}")
+    assert _outcome(sim._stream(config, s0)) == _outcome(_vec3_stream(config, s0)) == [refused]
+
+
+def _body(mass: float, ixx: float, iyy: float, izz: float) -> InertiaOperator:
+    """A body with its principal axes along x, y and z."""
+    return InertiaOperator(mass, ORIGIN, Mat3(ixx, 0.0, 0.0, 0.0, iyy, 0.0, 0.0, 0.0, izz))
+
+
+def _couple(force: tuple, moment_at_origin: tuple) -> Wrench:
+    return Wrench(Screw(Vec3(*force), Vec3(*moment_at_origin)))
+
+
+_EIGHTH_TURN = Mat3(*rodrigues(Vec3(0.0, 0.0, 1.0), math.pi / 4.0).flat())
+_MAX = 1.7976931348623157e308
+_ULP = math.ulp(_MAX)
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+@pytest.mark.parametrize("s0, dt, got", [
+    # R^T L in omega = R I^-1 R^T L
+    (BodyState(_EIGHTH_TURN, ORIGIN, Vec3.zero(), Vec3(1.5e308, 1.5e308, 0.0), _DIAGONAL),
+     1e-3, "Vec3 components must be finite, got (inf, 1.99584030953472e+292, 0.0)"),
+    # R J in R J R^T
+    (BodyState(_EIGHTH_TURN, ORIGIN, Vec3.zero(), Vec3.zero(), InertiaOperator(
+        1.0, ORIGIN, Mat3(1.6e308, 1.5e308, 0.0, 1.5e308, 1.6e308, 0.0, 0.0, 0.0, 1e308))),
+     1e-3, "Mat3 components must be finite, got "
+     "(7.071067811865483e+306, -7.071067811865443e+306, 0.0, inf, inf, 0.0, 0.0, 0.0, 1e+308)"),
+    # p / M in k(O) = p / M + omega x (O - c)
+    (BodyState(Mat3.identity(), Point(1.0, 0.0, 0.0), Vec3(1e300, 0.0, 0.0), Vec3(0.0, 0.0, 3.0),
+               _body(1e-10, 1.0, 2.0, 3.0)),
+     1e-3, "Vec3 components must be finite, got (inf, 0.0, 0.0)"),
+    # the marker c + R (1, 0, 0), where the momentum field is read
+    (BodyState(Mat3.identity() * 1e300, Point(_MAX, 0.0, 0.0), Vec3.zero(), Vec3.zero(),
+               _body(1.0, 1e-300, 2e-300, 3e-300)),
+     1e-3, "Point components must be finite, got (inf, 0.0, 0.0)"),
+    # Q R, the rotated orientation: Q turns R's first column, of norm
+    # 1.9e308, onto z
+    (BodyState(Mat3(1.1e308, 1.0, 0.0, 1.1e308, 0.0, 1.0, 1.1e308, 0.0, 0.0), ORIGIN,
+               Vec3.zero(), Vec3(1e-308, -1e-308, 0.0), _body(1.0, 1e-308, 1e-308, 1e-308)),
+     0.6755, "Mat3 components must be finite, got (2.0688899410034775e+303, 0.7886814039242314, "
+     "-0.21131859607576858, 2.0688899410034775e+303, -0.21131859607576858, 0.7886814039242314, "
+     "inf, 0.57734399975809, 0.57734399975809)"),
+    # v h in the new center c + v h
+    (BodyState(Mat3.identity(), Point(1.0, 0.0, 0.0), Vec3(1e300, 0.0, 0.0), Vec3(0.0, 0.0, 3.0),
+               _DIAGONAL),
+     1e10, "Vec3 components must be finite, got (inf, 0.0, 0.0)"),
+    # omega0 + omega1 in the mean spin (omega0 + omega1) / 2
+    (BodyState(Mat3.identity(), ORIGIN, Vec3.zero(), Vec3(1e308, 0.0, 0.0), _DIAGONAL),
+     1e-300, "Vec3 components must be finite, got (inf, 0.0, 0.0)"),
+    # omega x p in [k, l]'s resultant -(omega x p)
+    (BodyState(Mat3.identity(), ORIGIN, Vec3(0.0, 1e200, 0.0), Vec3(1e200, 0.0, 0.0), _DIAGONAL),
+     1e-300, "Vec3 components must be finite, got (0.0, 0.0, inf)"),
+    # h1 - h0 at the marker, which a half turn carries across p
+    (BodyState(Mat3.identity(), ORIGIN, Vec3(0.0, 1e308, 1.0), Vec3(0.0, 0.0, 3e-3 * math.pi),
+               _body(1e20, 1.0, 2.0, 3.0)),
+     1e3, "Vec3 components must be finite, got (0.0, -2.0, inf)"),
+], ids=["angular-velocity", "world-inertia", "velocity", "marker", "rotation", "displacement",
+        "mean-spin", "spin-cross-momentum", "field-difference"])
+def test_each_check_group_refuses_at_its_first_link(integrator, s0, dt, got):
+    """The kernel tests each group of values once, at its end, and checks
+    its values one by one only on refusal.  Here the group's first value is
+    the first check to fail, with a message the group's end does not give;
+    the group of the wrench's moment about the center is the "moment" case
+    of the transport test above."""
+    config = SimConfig(dt, 1, integrator)
+    refused = (NonFiniteError, got)
+    assert _outcome(sim._stream(config, s0)) == _outcome(_vec3_stream(config, s0)) == [refused]
+
+
+# name: (integrators, initial state, wrench, dt, message).  Each input makes
+# one value after the first of its group the first check to fail.  In the
+# momentum-rate cases f dt is 0.51 ulp of p's x, so p1 - p0 is a whole ulp
+# and (p1 - p0) / dt about f / 0.51.
+_LATER_LINKS = {
+    # (R J) R^T: R turns the (1, 1, 1) eigenvector of J, whose eigenvalue
+    # 2.1e308 lies beyond the float range, onto x
+    "world-inertia": (INTEGRATORS, BodyState(
+        Mat3(*rodrigues(Vec3(0.0, 1.0, -1.0).normalized(), math.acos(1.0 / math.sqrt(3.0))).flat()),
+        ORIGIN, Vec3.zero(), Vec3.zero(), InertiaOperator(1.0, ORIGIN, Mat3(
+            1.1e308, 0.5e308, 0.5e308, 0.5e308, 1.1e308, 0.5e308, 0.5e308, 0.5e308, 1.1e308))),
+        None, 1e-3,
+        "Mat3 components must be finite, got "
+        "(inf, 1.4968802321510399e+292, 1.99584030953472e+292, 2.12058032888064e+292, 6e+307, "
+        "2.4948003869184e+291, 1.99584030953472e+292, 4.9896007738368e+291, 6.000000000000001e+307)"),
+    # I^-1 R^T L
+    "inverse-inertia": (INTEGRATORS, BodyState(
+        _EIGHTH_TURN, ORIGIN, Vec3.zero(), Vec3(1e10, 0.0, 0.0), _body(1.0, 1e-300, 1e-300, 1e-300)),
+        None, 1e-3, "Vec3 components must be finite, got (inf, -inf, 0.0)"),
+    # omega = R I^-1 R^T L
+    "angular-velocity": (INTEGRATORS, BodyState(
+        _EIGHTH_TURN, ORIGIN, Vec3.zero(), Vec3(0.0, 2.1e298, 0.0), _body(1.0, 1e-10, 1e-10, 1e-10)),
+        None, 1e-3, "Vec3 components must be finite, got (0.0, inf, 0.0)"),
+    # k(O) = p / M + omega x (O - c)
+    "twist": (INTEGRATORS, BodyState(
+        Mat3.identity(), Point(0.0, 1e308, 0.0), Vec3(1e308, 0.0, 0.0), Vec3(0.0, 0.0, 3.0), _DIAGONAL),
+        None, 1e-3, "Vec3 components must be finite, got (inf, 0.0, 0.0)"),
+    # p x (O - c) in l(O) = L + p x (O - c)
+    "momentum-transport": (INTEGRATORS, BodyState(
+        Mat3.identity(), Point(0.0, 1e200, 0.0), Vec3(1e200, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), _DIAGONAL),
+        None, 1e-3, "Vec3 components must be finite, got (0.0, 0.0, -inf)"),
+    # l(O) = L + p x (O - c)
+    "momentum": (INTEGRATORS, BodyState(
+        Mat3.identity(), Point(-1e308, 1.0, 0.0), Vec3(0.0, 0.0, 1.0), Vec3(0.0, 1e308, 0.0),
+        _body(1.0, 1e308, 1e308, 1e308)),
+        None, 1e-3, "Vec3 components must be finite, got (1.0, inf, 0.0)"),
+    # h(c) = l(O) + p x c, with L = MAX and p x (O - c) = -1.5 ulp in x:
+    # l(O) ties to MAX - ulp, half an ulp up, and h(c) ties up to inf
+    "center-field": (INTEGRATORS, BodyState(
+        Mat3.identity(), Point(0.0, 0.0, 1.5 * _ULP), Vec3(0.0, 1.0, 0.0), Vec3(_MAX, 0.0, 0.0),
+        _body(1.0, 1e308, 1e308, 1e308)),
+        None, 1e-3, "Vec3 components must be finite, got (inf, 0.0, 0.0)"),
+    # h(q) = l(O) + p x q
+    "marker-field": (INTEGRATORS, BodyState(
+        Mat3.identity(), ORIGIN, Vec3(0.0, 0.0, 1e308), Vec3(0.0, 1e308, 0.0), _DIAGONAL),
+        None, 1e-3, "Vec3 components must be finite, got (0.0, inf, 0.0)"),
+    # d(O) + f x c, the wrench's moment about the center
+    "moment": (INTEGRATORS, BodyState(
+        Mat3.identity(), Point(0.0, 1e308, 0.0), Vec3.zero(), Vec3.zero(), _DIAGONAL),
+        _couple((0.0, 0.0, 1.0), (-1e308, 1.0, 2.0)), 1e-3,
+        "Vec3 components must be finite, got (-inf, 1.0, 2.0)"),
+    # p / M at the midpoint's half state, after p / M at the state
+    "half-velocity": (("midpoint",), BodyState(
+        Mat3.identity(), ORIGIN, Vec3(0.8e308, 1.0, 0.0), Vec3.zero(), _body(0.5, 1.0, 2.0, 3.0)),
+        _couple((0.2e308, 0.0, 0.0), (0.0, 0.0, 0.0)), 2.0,
+        "Vec3 components must be finite, got (inf, 2.0, 0.0)"),
+    # the new center c + v h
+    "center": (INTEGRATORS, BodyState(
+        Mat3.identity(), Point(1e308, 0.0, 0.0), Vec3(1e308, 0.0, 0.0), Vec3.zero(), _DIAGONAL),
+        None, 1.0, "Point components must be finite, got (inf, 0.0, 0.0)"),
+    # f h
+    "impulse": (INTEGRATORS, BodyState(
+        Mat3.identity(), ORIGIN, Vec3(0.0, 1.0, 0.0), Vec3.zero(), _DIAGONAL),
+        _couple((1e300, 0.0, 0.0), (0.0, 0.0, 0.0)), 1e10,
+        "Vec3 components must be finite, got (inf, 0.0, 0.0)"),
+    # the new momentum p + f h
+    "linear-momentum": (INTEGRATORS, BodyState(
+        Mat3.identity(), ORIGIN, Vec3(1e308, 1.0, 0.0), Vec3.zero(), _body(2.0, 1.0, 2.0, 3.0)),
+        _couple((1e308, 0.0, 0.0), (0.0, 0.0, 0.0)), 1.0,
+        "Vec3 components must be finite, got (inf, 1.0, 0.0)"),
+    # (d(O) + f x c) h
+    "angular-impulse": (INTEGRATORS, BodyState(
+        Mat3.identity(), ORIGIN, Vec3.zero(), Vec3(0.0, 1.0, 0.0), _DIAGONAL),
+        _couple((0.0, 0.0, 0.0), (1e308, 0.0, 0.0)), 10.0,
+        "Vec3 components must be finite, got (inf, 0.0, 0.0)"),
+    # the new angular momentum L + (d(O) + f x c) h
+    "angular-momentum": (INTEGRATORS, BodyState(
+        Mat3.identity(), ORIGIN, Vec3.zero(), Vec3(1e308, 0.0, 0.0), _body(1.0, 1e308, 1e308, 1e308)),
+        _couple((0.0, 0.0, 0.0), (1e308, 0.0, 0.0)), 1.0,
+        "Vec3 components must be finite, got (inf, 0.0, 0.0)"),
+    # I1 - I0: a quarter turn about z flips the sign of the xy entry 1.2e308
+    "inertia-change": (INTEGRATORS, BodyState(
+        Mat3.identity(), ORIGIN, Vec3.zero(), Vec3(0.0, 0.0, 1e300 * math.pi / 2.0), InertiaOperator(
+            1.0, ORIGIN, Mat3(1.3e308, 1.2e308, 0.0, 1.2e308, 1.3e308, 0.0, 0.0, 0.0, 1e300))),
+        None, 1.0,
+        "Mat3 components must be finite, got "
+        "(-3.99168061906944e+292, -inf, 0.0, -inf, 3.99168061906944e+292, 0.0, 0.0, 0.0, 0.0)"),
+    # (I1 - I0) (omega0 + omega1) / 2
+    "inertia-rate": (("euler",), BodyState(
+        Mat3.identity(), ORIGIN, Vec3.zero(), Vec3(0.5e308, 1e308, 0.0), _body(1.0, 1.0, 10.0, 100.0)),
+        None, 1e-308, "Vec3 components must be finite, got (3.9467176904807723e+304, nan, nan)"),
+    # p x k(O) in [k, l]'s moment p x k(O) - omega x l(O)
+    "bracket-twist": (INTEGRATORS, BodyState(
+        Mat3.identity(), Point(-1e200, 0.0, 0.0), Vec3(1e200, 0.0, 0.0), Vec3(0.0, 1.0, 3.0), _DIAGONAL),
+        None, 1e-3, "Vec3 components must be finite, got (-0.0, inf, inf)"),
+    # [k, l]'s moment p x k(O) - omega x l(O)
+    "bracket": (INTEGRATORS, BodyState(
+        Mat3.identity(), Point(-1e154, 0.0, 0.0), Vec3(1.5e154, 0.0, 0.0), Vec3(-0.25e308, 3.0, 1.0),
+        _body(1.0, 1.0, 3.0, 1.0)),
+        _couple((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), 1e-300,
+        "Vec3 components must be finite, got (2.0, 1.5000000000000002e+308, inf)"),
+    # the resultant r = f - omega x p of d + [k, l]
+    "resultant": (INTEGRATORS, BodyState(
+        Mat3.identity(), ORIGIN, Vec3(0.0, 1e308, 0.0), Vec3(0.0, 0.0, 3.0), _body(1e308, 1.0, 2.0, 3.0)),
+        _couple((1e308, 1.0, 0.0), (0.0, 0.0, 0.0)), 1e-3,
+        "Vec3 components must be finite, got (inf, 1.0, 0.0)"),
+    # r(O) = d(O) + [k, l]'s moment
+    "resultant-moment": (INTEGRATORS, BodyState(
+        Mat3.identity(), Point(-1e154, 0.0, 1.0), Vec3(1.5e154, 0.0, 0.0), Vec3(0.0, 0.0, 1.0),
+        _body(1.0, 1.0, 1.0, 1.0)),
+        _couple((0.0, 0.0, 0.0), (0.0, 0.0, 1e308)), 1e-160,
+        "Vec3 components must be finite, got (1.5e+154, 0.0, inf)"),
+    # p1 - p0 = MAX + ulp / 2, which ties up to inf: p0 = -1.5 ulp, and
+    # p0 + f dt = MAX - 1.5 ulp ties up to MAX - ulp
+    "momentum-change": (("euler",), BodyState(
+        Mat3.identity(), ORIGIN, Vec3(-1.5 * _ULP, 0.0, 0.0), Vec3.zero(), _DIAGONAL),
+        _couple((_MAX / 2.0, 1.0, 0.0), (0.0, 0.0, 0.0)), 2.0,
+        "Vec3 components must be finite, got (inf, 2.0, 0.0)"),
+    # (p1 - p0) / dt
+    "momentum-rate": (INTEGRATORS, BodyState(
+        Mat3.identity(), ORIGIN, Vec3(1e308, 0.0, 0.0), Vec3(0.0, 0.0, 3e-10), _DIAGONAL),
+        _couple((1.5e308, 0.0, 0.0), (0.0, 0.0, 0.0)), 0.51 * _ULP / 1.5e308,
+        "Vec3 components must be finite, got (inf, 0.0, 0.0)"),
+    # (p1 - p0) / dt - omega x p
+    "momentum-rate-transported": (INTEGRATORS, BodyState(
+        Mat3.identity(), ORIGIN, Vec3(1e308, 0.7e308, 0.0), Vec3(0.0, 0.0, 3.0), _body(1e308, 1.0, 2.0, 3.0)),
+        _couple((0.6e308, 0.0, 0.0), (0.0, 0.0, 0.0)), 0.51 * _ULP / 0.6e308,
+        "Vec3 components must be finite, got (inf, -1e+308, 0.0)"),
+    # the linear residual (p1 - p0) / dt - omega x p - r, with omega x p =
+    # 1.5 ulp in x and r = MAX - ulp: -1.5 ulp - (MAX - ulp) ties down to -inf
+    "linear-residual": (INTEGRATORS, BodyState(
+        Mat3.identity(), ORIGIN, Vec3(1e308, 0.0, 1.5 * _ULP), Vec3(0.0, 2.0, 0.0),
+        _body(1e300, 1.0, 2.0, 3.0)),
+        _couple((_MAX, 0.0, 0.0), (0.0, 0.0, 0.0)), 1e-20,
+        "Vec3 components must be finite, got (-inf, 0.0, 0.0)"),
+}
+
+
+@pytest.mark.parametrize("integrator, s0, wrench, dt, got", [
+    pytest.param(integrator, s0, wrench, dt, got, id=f"{name}-{integrator}")
+    for name, (integrators, s0, wrench, dt, got) in _LATER_LINKS.items()
+    for integrator in integrators
+])
+def test_each_later_link_can_be_the_first_check_to_fail(integrator, s0, wrench, dt, got):
+    """A value inside a check group can leave the float range while the
+    values before it in the group do not: the replay then raises with its
+    components, as the composed form does.  The three sums of a pole's
+    residual chain after (h1 - h0) / dt, omega x h and r x a have no case:
+    along a step (h1 - h0) / dt is omega x h + (d + [k, l])(a) to first
+    order, so no input was found on which one of them leaves the float
+    range before its operands do."""
+    config = SimConfig(dt, 1, integrator, wrench)
+    refused = (NonFiniteError, got)
     assert _outcome(sim._stream(config, s0)) == _outcome(_vec3_stream(config, s0)) == [refused]
 
 
