@@ -158,18 +158,38 @@ def basis_screws(frame: Frame) -> tuple[Screw, ...]:
 
 def to_frame(s: Screw, frame: Frame) -> Screw6:
     """Coordinates of s in the frame's basis screws."""
+    e1, e2, e3 = frame.e1, frame.e2, frame.e3
+    w = s.resultant
     at_origin = s.value_at(frame.origin)
     return Screw6(
-        tuple(s.resultant.dot(e) for e in frame.basis()),
-        tuple(at_origin.dot(e) for e in frame.basis()),
+        (w.dot(e1), w.dot(e2), w.dot(e3)),
+        (at_origin.dot(e1), at_origin.dot(e2), at_origin.dot(e3)),
     )
 
 
 def from_frame(coords: Screw6, frame: Frame) -> Screw:
-    """Reassemble the screw sum a_i f_i + sum b_i m_i."""
-    e1, e2, e3 = frame.basis()
-    resultant = e1 * coords.a[0] + e2 * coords.a[1] + e3 * coords.a[2]
-    at_origin = e1 * coords.b[0] + e2 * coords.b[1] + e3 * coords.b[2]
+    """Reassemble the screw sum a_i f_i + sum b_i m_i.  Each sum is fused
+    (see ``vecmath``): one ``Vec3`` with the float operations of
+    e1 * a1 + e2 * a2 + e3 * a3 in their order.  A sum that refuses is
+    recomputed in the composed form, which refuses on the same inputs, with
+    the components of its first product or partial sum that overflows."""
+    e1, e2, e3 = frame.e1, frame.e2, frame.e3
+    a1, a2, a3 = coords.a
+    b1, b2, b3 = coords.b
+    try:
+        resultant = Vec3(
+            e1.x * a1 + e2.x * a2 + e3.x * a3,
+            e1.y * a1 + e2.y * a2 + e3.y * a3,
+            e1.z * a1 + e2.z * a2 + e3.z * a3,
+        )
+        at_origin = Vec3(
+            e1.x * b1 + e2.x * b2 + e3.x * b3,
+            e1.y * b1 + e2.y * b2 + e3.y * b3,
+            e1.z * b1 + e2.z * b2 + e3.z * b3,
+        )
+    except NonFiniteError:
+        resultant = e1 * a1 + e2 * a2 + e3 * a3
+        at_origin = e1 * b1 + e2 * b2 + e3 * b3
     return Screw.from_motor(frame.origin, resultant, at_origin)
 
 

@@ -30,9 +30,9 @@ them and with the vector types (``_angular_velocity``, ``_world_inertia``,
 ``rigid._rodrigues``), so each formula has one definition.
 
 The inverse body inertia, which omega = R I^-1 R^T L needs, comes from a
-pure-Python cyclic Jacobi eigensolve (``_jacobi_eigen``), once per run.
-numpy is loaded only by the polar projection (``_renormalize``), an SVD that
-runs only when the orientation drifts off SO(3).
+pure-Python cyclic Jacobi eigensolve (``_jacobi_eigen``), once per run, and
+the polar projection (``_renormalize``), which runs only when the orientation
+drifts off SO(3), is a pure-Python Newton iteration: no step loads numpy.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from math import isfinite
 from typing import Iterator
 
 from .dynamics import InertiaOperator, MomentumScrew, Wrench, kinetic_energy
-from .errors import NonFiniteError, SingularInertiaError
+from .errors import InvalidRotationError, NonFiniteError, SingularInertiaError
 from .kinematics import Twist
 from .rigid import _rodrigues
 from .vecmath import (
@@ -71,6 +71,7 @@ _SINGULAR_RTOL = 1e-12
 _EPS = sys.float_info.epsilon
 _JACOBI_SWEEPS = 16
 _ORTHO_DRIFT_TOL = 1e-8
+_POLAR_ITERATIONS = 32
 
 
 class BodyState(_Value):
@@ -295,11 +296,61 @@ def state_kinetic_energy(state: BodyState) -> float:
 
 def _renormalize(r: tuple[float, ...]) -> tuple[float, ...]:
     """The polar factor of the row-major 3x3 matrix ``r``: the nearest
-    rotation, whose entries lie in [-1, 1]."""
-    import numpy as np
+    orthogonal matrix, a rotation when det r > 0, whose entries lie in
+    [-1, 1].
 
-    u, _, vt = np.linalg.svd(np.array(r, dtype=float).reshape(3, 3))
-    return tuple((u @ vt).ravel().tolist())
+    Higham's Newton iteration (SIAM J. Sci. Stat. Comput., 1986),
+    X <- (z X + X^-T / z) / 2 from X = r, with X^-T the cofactor matrix over
+    the determinant.  The Frobenius scale z = (||X^-1||_F / ||X||_F)^(1/2)
+    speeds the first steps, each taken from X scaled by the exact power of
+    two that brings its largest entry into [0.5, 1), which leaves the step
+    unchanged and keeps the cofactors in range.  Once a step changes X by
+    less than 1e-2 relative, z = 1, so the last steps are plain Newton
+    steps, which take (1 + d) I to exactly I for a small d.  The iteration
+    stops when a step changes X by at most 4 eps relative (Frobenius norms),
+    and after ``_POLAR_ITERATIONS`` at most.
+
+    An X whose determinant is within the rounding error of its cofactor
+    expansion, |det X| <= 4 eps perm(|X|), may have lost the determinant's
+    sign, and with it the polar factor; that X, and one whose inverse leaves
+    the float range, is numerically singular.  Both are refused with
+    ``InvalidRotationError``, and so is a matrix that has not converged at
+    the cap."""
+    x = r
+    scaled = True
+    for _ in range(_POLAR_ITERATIONS):
+        y = x
+        if scaled:
+            e = math.frexp(max(map(abs, x)))[1]
+            y = [math.ldexp(v, -e) for v in x]
+        a, b, c, d, f, g, h, i, j = y
+        cofactors = (
+            f * j - g * i, g * h - d * j, d * i - f * h,
+            c * i - b * j, a * j - c * h, b * h - a * i,
+            b * g - c * f, c * d - a * g, a * f - b * d,
+        )
+        det = a * cofactors[0] + b * cofactors[1] + c * cofactors[2]
+        perm = abs(a) * (abs(f * j) + abs(g * i)) + abs(b) * (abs(g * h) + abs(d * j)) \
+            + abs(c) * (abs(d * i) + abs(f * h))
+        if not abs(det) > 4.0 * _EPS * perm:
+            break
+        inv_t = [v / det for v in cofactors]
+        inv_norm = math.hypot(*inv_t)
+        if not isfinite(inv_norm):
+            break
+        z = math.sqrt(inv_norm / math.hypot(*y)) if scaled else 1.0
+        new = [(z * u + v / z) * 0.5 for u, v in zip(y, inv_t)]
+        change = math.hypot(*[u - v for u, v in zip(new, x)])
+        size = math.hypot(*new)
+        x = new
+        if change <= 4.0 * _EPS * size:
+            return tuple(x)
+        scaled = change > 1e-2 * size
+    else:
+        raise InvalidRotationError(
+            f"orientation {r} has no polar factor within {_POLAR_ITERATIONS} iterations"
+        )
+    raise InvalidRotationError(f"orientation {r} is numerically singular: it has no polar factor")
 
 
 def step(

@@ -2,25 +2,27 @@
 immutable base of every value and record class of the library.
 
 Vectors, points and 3x3 matrices are immutable value objects built on plain
-floats; numpy enters only where a real matrix factorization is needed: the
-reciprocal-subspace SVD in ``dynamics`` and the polar projection in ``sim``.
-The inertia inverse (``sim._inverse_moment``) is a pure-Python Jacobi
-eigensolve, so ``simulate`` loads numpy only at a polar projection.
+floats, and so is every factorization of the package, each a small
+pure-Python solve: the inertia inverse's cyclic Jacobi eigensolve
+(``sim._jacobi_eigen``), the reciprocal subspace's Householder QR with its
+one-sided Jacobi SVD (``dynamics._null_space``) and the polar projection's
+Newton iteration (``sim._renormalize``).  The package does not use numpy.
 
 A ``Point`` is a location, a ``Vec3`` a displacement: Point - Point = Vec3,
 Point + Vec3 = Point, and any other sum or difference of them is a TypeError.
 
 Composite operations on the algebra's hot paths are fused (``Screw.value_at``,
-``from_motor``, ``lie.commutator``, ``rigid.rodrigues``): one value, built
-entry by entry through the checking constructor with the float operations of
-the composed expression in its order.  It rounds as that expression does, to
-the bit, and raises ``NonFiniteError`` on the same inputs.  Float cores build
-no value at all but keep those operations, and refuse where their composed
-form does with one test per chain of values (``sim._stream``); the value API
-wraps them and the phases of the sim step kernel (``sim._read``,
-``_advance`` and ``_diagnose``) share them: ``_norm``, the 3x3 product
-``_matmul`` (whose callers check it) and ``_orthonormality_defect`` here,
-``rigid._rodrigues``, ``sim._world_inertia`` and ``sim._angular_velocity``.
+``from_motor``, ``lie.commutator``, ``lie.from_frame``, ``rigid.rodrigues``):
+one value, built entry by entry through the checking constructor with the
+float operations of the composed expression in its order.  It rounds as that
+expression does, to the bit, and raises ``NonFiniteError`` on the same
+inputs.  Float cores build no value at all but keep those operations, and
+refuse where their composed form does with one test per chain of values
+(``sim._stream``); the value API wraps them and the phases of the sim step
+kernel (``sim._read``, ``_advance`` and ``_diagnose``) share them:
+``_norm``, the 3x3 product ``_matmul`` (whose callers check it) and
+``_orthonormality_defect`` here, ``rigid._rodrigues``,
+``sim._world_inertia`` and ``sim._angular_velocity``.
 
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,

@@ -281,6 +281,23 @@ def test_reciprocal_dimension_complements_rank():
                 assert abs(klein_product(z, w)) <= 1e-10
 
 
+# Lines through points on a 1/16 grid along integer directions: a length
+# scale of 2^j multiplies every moment exactly.
+_grid = st.integers(min_value=-64, max_value=64).map(lambda k: k / 16.0)
+_grid_lines = st.builds(
+    lambda p, v: Screw.from_applied_vector(Point(*p), Vec3(*v)),
+    st.tuples(_grid, _grid, _grid),
+    st.tuples(*[st.integers(min_value=-3, max_value=3).map(float)] * 3).filter(any),
+)
+
+
+@given(st.lists(_grid_lines, min_size=1, max_size=5), st.integers(min_value=-60, max_value=60))
+def test_reciprocal_dimension_does_not_depend_on_the_length_unit(lines, j):
+    scaled = [Screw(w.resultant, w.moment_at_origin * 2.0**j) for w in lines]
+    frame = Frame.standard()
+    assert len(reciprocal_subspace(scaled, frame)) == len(reciprocal_subspace(lines, frame))
+
+
 def test_full_rank_system_has_trivial_reciprocal():
     assert reciprocal_subspace(list(basis_screws(Frame.standard())), Frame.standard()) == []
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import (
     assert_scalar_close,
@@ -13,6 +14,7 @@ from conftest import (
     bit_examples,
     bit_outcome,
     edge_screws,
+    edge_vec3s,
     frames,
     screws,
     small_params,
@@ -169,6 +171,26 @@ def test_commutator_is_the_composed_bracket_bit_for_bit(s1, s2):
         return Screw(-w1.cross(w2), w2.cross(s1.moment_at_origin) - w1.cross(s2.moment_at_origin))
 
     assert bit_outcome(commutator, s1, s2) == bit_outcome(composed, s1, s2)
+
+
+_TILTED = Frame(Point(1.0, -2.0, 0.5), Vec3(0.6, 0.8, 0.0), Vec3(-0.8, 0.6, 0.0), Vec3(0.0, 0.0, 1.0))
+
+
+@bit_examples
+@given(edge_vec3s, edge_vec3s, st.one_of(st.just(_TILTED), frames))
+@example(Vec3(1.5e308, -1.5e308, 1.0), Vec3.zero(), _TILTED)
+@example(Vec3.zero(), Vec3(-1.5e308, 1.5e308, 1.0), _TILTED)
+def test_from_frame_is_the_composed_sum_bit_for_bit(a, b, frame):
+    # In the examples e1 * a1 + e2 * a2 overflows in x before e3 * a3 is
+    # added: the composed form refuses that partial sum, with its z of 0.0.
+    def composed(coords, frame):
+        e1, e2, e3 = frame.basis()
+        resultant = e1 * coords.a[0] + e2 * coords.a[1] + e3 * coords.a[2]
+        at_origin = e1 * coords.b[0] + e2 * coords.b[1] + e3 * coords.b[2]
+        return Screw.from_motor(frame.origin, resultant, at_origin)
+
+    coords = Screw6(a.components(), b.components())
+    assert bit_outcome(from_frame, coords, frame) == bit_outcome(composed, coords, frame)
 
 
 def test_ad_of_zero_screw():

@@ -1,14 +1,13 @@
-"""numpy stays behind the two matrix factorizations.
+"""numpy is not a dependency of the package.
 
-Only ``dynamics`` (the reciprocal-subspace SVD) and ``sim`` (the polar
-projection of a drifted orientation) may import it, and only inside the
-functions that factorize: no module imports it at module level, so a process
-that never factorizes never loads it.  The rest of the package works on plain
-floats; the inertia inverse is a pure-Python Jacobi solve, so ``simulate``
-loads numpy only at a polar projection.  No subcommand loads
-``dataclasses``, and one that never factorizes does not load ``inspect``
-either.  Importing the command line loads no ``logging``: ``sim`` imports it
-at its first warning.
+No module imports it, at module level or inside a function: the package
+works on plain floats, and its three factorizations are pure Python (the
+inertia inverse's Jacobi eigensolve, the reciprocal subspace's null space
+and the polar projection of a drifted orientation).  No subcommand loads
+numpy, ``dataclasses`` or ``inspect``, and neither does a run that projects
+its orientation.  Importing the command line loads no ``logging``: ``sim``
+imports it at its first warning.  numpy stays in the ``test`` extra, as an
+oracle.
 """
 
 import ast
@@ -21,7 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "screwalg"
 SCENES = ROOT / "tests" / "scenes"
-ALLOWED = {"dynamics.py", "sim.py"}
+ALLOWED: set[str] = set()
 
 
 def _imports_numpy(tree: ast.AST) -> bool:
@@ -57,7 +56,7 @@ def _sources() -> dict[str, ast.Module]:
     return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
 
 
-def test_numpy_is_imported_only_by_the_factorizing_modules():
+def test_no_module_imports_numpy():
     importers = {name for name, tree in _sources().items() if _imports_numpy(tree)}
     assert importers <= ALLOWED, f"numpy imported by {sorted(importers - ALLOWED)}"
 
@@ -84,11 +83,8 @@ def test_the_module_level_guard_skips_function_bodies_only():
 
 
 # Each call runs through screwalg.cli.main in one fresh interpreter; after
-# each, numpy must still be absent, and so must dataclasses and inspect, which
-# no module of the package imports.  simulate inverts its body's inertia
-# without numpy, and neither scene drifts off SO(3).  reciprocal comes last
-# and must load numpy, which shows the probe can see it arrive; numpy itself
-# imports inspect, but never dataclasses.
+# each, numpy, dataclasses and inspect must all be absent: no module of the
+# package imports them.
 _PROBE = textwrap.dedent(
     """
     import io, sys
@@ -100,6 +96,7 @@ _PROBE = textwrap.dedent(
         ["compose", scenes + "/rotation_couple.json"],
         ["exp", scenes + "/screw_motion.json", "--t", "0.5"],
         ["log", scenes + "/screw_motion.json"],
+        ["reciprocal", scenes + "/revolute_joint.json"],
         ["selfcheck"],
         ["simulate", scenes + "/tumble_midpoint.json"],
         ["simulate", scenes + "/forced_euler.json"],
@@ -109,18 +106,12 @@ _PROBE = textwrap.dedent(
         loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
         if code != 0 or loaded:
             sys.exit(f"{argv}: exit {code}, loaded: {loaded}")
-    argv = ["reciprocal", scenes + "/revolute_joint.json"]
-    code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
-    if code != 0 or "dataclasses" in sys.modules:
-        sys.exit(f"{argv}: exit {code}, dataclasses loaded: {'dataclasses' in sys.modules}")
-    if "numpy" not in sys.modules:
-        sys.exit(f"{argv}: numpy not loaded")
     """
 )
 
 # A library run from an orientation off SO(3), as in
 # test_trajectory_bits._forced_euler: its first step projects the orientation
-# back through the SVD, so it must load numpy, in a fresh interpreter.
+# back onto SO(3), in a fresh interpreter, and must not load numpy.
 _PROJECTING_RUN = textwrap.dedent(
     """
     import sys
@@ -129,7 +120,7 @@ _PROJECTING_RUN = textwrap.dedent(
     body = InertiaOperator(2.5, Point(0.0, 0.0, 0.0), Mat3(1.25, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.5))
     s0 = BodyState(Mat3.identity() * (1.0 + 1e-7), Point(0.0, 0.0, 0.0), Vec3.zero(), Vec3.zero(), body)
     traj = run(SimConfig(dt=2e-3, steps=3, integrator="euler"), s0)
-    if traj.renormalizations != 1 or "numpy" not in sys.modules:
+    if traj.renormalizations != 1 or "numpy" in sys.modules:
         sys.exit(f"renormalizations: {traj.renormalizations}, numpy loaded: {'numpy' in sys.modules}")
     """
 )
@@ -141,12 +132,12 @@ def _run_probe(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
-def test_subcommands_without_a_factorization_never_load_numpy():
+def test_no_subcommand_loads_numpy():
     proc = _run_probe("-c", _PROBE, str(SCENES))
     assert proc.returncode == 0, proc.stderr
 
 
-def test_a_run_that_projects_its_orientation_loads_numpy():
+def test_a_run_that_projects_its_orientation_does_not_load_numpy():
     proc = _run_probe("-c", _PROJECTING_RUN)
     assert proc.returncode == 0, proc.stderr
 

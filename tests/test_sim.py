@@ -201,7 +201,7 @@ def test_world_inertia_matrix_is_the_composed_product_bit_for_bit(r, j):
     s = BodyState(r, ORIGIN, Vec3.zero(), Vec3.zero(), InertiaOperator(1.0, ORIGIN, j))
 
     def composed():
-        return r.matmul(j).matmul(r.transpose())
+        return _vec3_world_inertia(s)
 
     assert bit_outcome(world_inertia_matrix, s) == bit_outcome(composed)
     assert refusal(world_inertia_matrix, s) == refusal(composed)
@@ -292,10 +292,29 @@ class _Vec3Screws(NamedTuple):
     fields: tuple[Vec3, Vec3]
 
 
+def _vec3_product(a: Mat3, b: Mat3) -> Mat3:
+    """A B entry by entry, row i of A dotted with column k of B and summed
+    left to right, built through the checking ``Mat3`` constructor: written
+    here, so that the oracle shares no code with ``vecmath._matmul``."""
+    a, b = a.flat(), b.flat()
+    return Mat3(*(
+        a[3 * i] * b[k] + a[3 * i + 1] * b[3 + k] + a[3 * i + 2] * b[6 + k]
+        for i in range(3)
+        for k in range(3)
+    ))
+
+
+def _vec3_world_inertia(state: BodyState) -> Mat3:
+    """R J R^T as the oracle's own two products, each checked as the Mat3 it
+    forms, independent of ``sim._world_inertia``."""
+    r = state.orientation
+    return _vec3_product(_vec3_product(r, state.body.moment_matrix), r.transpose())
+
+
 def _vec3_screws(state: BodyState, inv_moment: Mat3) -> _Vec3Screws:
     twist = _vec3_twist(state, _vec3_angular_velocity(state, inv_moment))
     momentum = state_momentum(state)
-    inertia = world_inertia_matrix(state)
+    inertia = _vec3_world_inertia(state)
     center = state.center
     marker = center + state.orientation.matvec(Vec3(1.0, 0.0, 0.0))
     fields = (momentum.angular_momentum_at(center), momentum.angular_momentum_at(marker))
@@ -412,7 +431,7 @@ def _reference_diagnostics(before, after, t, dt, wrench) -> StepDiagnostics:
     k1 = _vec3_twist(after, _vec3_angular_velocity(after, inv_moment))
     l0, l1 = state_momentum(before), state_momentum(after)
     omega_mid = 0.5 * (k0.angular_velocity + k1.angular_velocity)
-    di = world_inertia_matrix(after) - world_inertia_matrix(before)
+    di = _vec3_world_inertia(after) - _vec3_world_inertia(before)
     omega_idot = omega_mid.dot(di.matvec(omega_mid)) / dt
     rhs = moving_frame_derivative(l0, k0, wrench)
     omega0 = k0.angular_velocity

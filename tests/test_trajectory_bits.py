@@ -6,9 +6,11 @@ in the last bit of a trajectory.  These tests pin two runs to the bit: the
 ``float.hex`` of every field of the final state, and a sha256 over the
 ``repr`` of every state and every diagnostic.
 
-The inverse inertia is a pure-Python Jacobi solve and never depends on the
-LAPACK build.  The one SVD projection does, so both bodies have diagonal
-moment matrices, which keeps it exact and the pins independent of LAPACK.
+Nothing here depends on a LAPACK build: the inverse inertia is a pure-Python
+Jacobi solve, and the polar projection a pure-Python Newton iteration.  The
+forced-Euler run projects (1 + 1e-7) I, whose polar factor is exactly I, and
+both bodies have diagonal moment matrices, which the Jacobi solve inverts to
+exactly their reciprocals.
 A change that moves a pin changes trajectories; it has to say so, and
 ``python tests/test_trajectory_bits.py`` prints the new pins.
 """
