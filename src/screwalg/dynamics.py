@@ -279,19 +279,22 @@ def _null_space(a: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
     any backward stable SVD computes, keep sigma_min > rtol sigma_max with a
     margin of nearly 2m: the rule gives rank m.
 
-    Otherwise a one-sided Jacobi SVD of T^T decides the rank by the same rule
-    (``_jacobi_svd``), and its right singular vectors y below the cutoff give
-    the null vectors Q (y, 0), in decreasing order of their singular value,
-    followed by Q's trailing columns.  A full-rank answer is Q's trailing
-    columns either way."""
+    Otherwise the same rule ranks the singular values of the one-sided
+    Jacobi SVD of T^T (``_jacobi_svd``), and its right singular vectors y
+    below the cutoff give the null vectors Q (y, 0), in decreasing order of
+    their singular value, followed by Q's trailing columns.  A full-rank
+    answer is Q's trailing columns either way."""
     n = len(a)
     m = min(n, 6)
     cols = list(a)
     reflectors = _householder(cols)
-    if _proves_full_rank(cols, m):
-        null = []
-    else:
-        null = _jacobi_svd([[col[i] for col in cols] for i in range(m)])
+    null = []
+    if not _proves_full_rank(cols, m):
+        w, right, _ = _jacobi_svd([[col[i] for col in cols] for i in range(m)])
+        sigma = [math.hypot(*col) for col in w]
+        cutoff = _NULLSPACE_RTOL * max(sigma)
+        below = sorted((i for i in range(m) if not sigma[i] > cutoff), key=lambda i: -sigma[i])
+        null = [right[i] for i in below]
     out = []
     for y in null + [(0.0,) * j + (1.0,) + (0.0,) * (5 - j) for j in range(n, 6)]:
         y = tuple(y) + (0.0,) * (6 - len(y))
@@ -366,23 +369,23 @@ def _proves_full_rank(cols: list[tuple[float, ...]], m: int) -> bool:
     return norm * math.hypot(*inv) * (2 * m) < 1.0 / _NULLSPACE_RTOL
 
 
-def _jacobi_svd(mat: list[list[float]]) -> list[list[float]]:
-    """The right singular vectors of the matrix whose m columns are ``mat``
-    that belong to its singular values sigma at or below _NULLSPACE_RTOL *
-    sigma_max, in decreasing order of sigma: one-sided Jacobi (Hestenes 1958;
-    Drmac and Veselic 2008), which rotates pairs of columns to mutual
-    orthogonality and the columns of V with them, so that mat V = U Sigma.
+def _jacobi_svd(mat: list[list[float]]) -> tuple[list[list[float]], list[list[float]], int]:
+    """The rotated columns W = mat V, the columns of V and the sweeps taken
+    for the matrix whose m columns are ``mat``: one-sided Jacobi (Hestenes
+    1958; Drmac and Veselic 2008), which rotates pairs of columns to mutual
+    orthogonality and the columns of V with them, so that W = U Sigma, with
+    each singular value sigma the norm of its column of W.
 
     A pair is rotated while |cos| > p eps between its two columns, p their
     length, the cosine taken from the columns divided by their norms, so
-    that entries whose squares underflow still count.  The sweeps stop when
-    one rotates nothing, and at ``_SVD_SWEEPS`` at most; sigma is then each
-    column's norm."""
+    that entries whose squares underflow still count: columns that are
+    already orthogonal take no rotation and keep V = I.  The sweeps stop
+    when one rotates nothing, and at ``_SVD_SWEEPS`` at most."""
     m = len(mat)
     w = [list(col) for col in mat]
     v = [[1.0 if i == j else 0.0 for i in range(m)] for j in range(m)]
     tol = len(w[0]) * _EPS
-    for _ in range(_SVD_SWEEPS):
+    for sweep in range(_SVD_SWEEPS):
         rotated = False
         for p in range(m - 1):
             for q in range(p + 1, m):
@@ -408,11 +411,8 @@ def _jacobi_svd(mat: list[list[float]]) -> list[list[float]]:
                         f[i] = c * fi - s * gi
                         g[i] = s * fi + c * gi
         if not rotated:
-            break
-    sigma = [math.hypot(*col) for col in w]
-    cutoff = _NULLSPACE_RTOL * max(sigma)
-    null = sorted((i for i in range(m) if not sigma[i] > cutoff), key=lambda i: -sigma[i])
-    return [v[i] for i in null]
+            return w, v, sweep
+    return w, v, _SVD_SWEEPS
 
 
 def cardinal_residual(

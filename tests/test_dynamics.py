@@ -298,6 +298,32 @@ def test_reciprocal_dimension_does_not_depend_on_the_length_unit(lines, j):
     assert len(reciprocal_subspace(scaled, frame)) == len(reciprocal_subspace(lines, frame))
 
 
+# (couple moments, dimension): a system of couples only has a zero resultant
+# block, which takes the moment block's scale.
+_COUPLES = {
+    "one": ([(1.0, 0.0, 0.0)], 5),
+    "two-parallel": ([(1.0, 0.0, 0.0), (-2.0, 0.0, 0.0)], 5),
+    "two": ([(1.0, 0.0, 0.0), (0.6, 0.8, 0.0)], 4),
+    "three": ([(1.0, 0.0, 0.0), (0.0, 3.0, 0.0), (0.5, 0.5, -0.25)], 3),
+    "four": ([(1.0, 0.0, 0.0), (0.0, 3.0, 0.0), (0.5, 0.5, -0.25), (1.0, 3.0, 0.0)], 3),
+}
+
+
+@pytest.mark.parametrize("j", [-60, -1, 0, 1, 60])
+@pytest.mark.parametrize("name", sorted(_COUPLES))
+def test_the_reciprocal_of_couples_only(name, j):
+    # A length scale of 2^j multiplies every couple's moment exactly.
+    moments, dimension = _COUPLES[name]
+    system = [Screw.from_free_vector(Vec3(*m) * 2.0**j) for m in moments]
+    basis = reciprocal_subspace(system, Frame.standard())
+    assert len(basis) == dimension
+    for z in basis:
+        for w in system:
+            size = z.resultant.norm() + z.moment_at_origin.norm()
+            size *= w.resultant.norm() + w.moment_at_origin.norm()
+            assert abs(klein_product(z, w)) <= 1e-12 * size
+
+
 def test_full_rank_system_has_trivial_reciprocal():
     assert reciprocal_subspace(list(basis_screws(Frame.standard())), Frame.standard()) == []
 
