@@ -33,7 +33,7 @@ from .lie import (
     klein_product,
     to_dual,
 )
-from .screw import Screw, _ScrewRole
+from .screw import Screw, _screw_sum, _ScrewRole
 from .vecmath import Mat3, Point, Vec3, _Value
 
 __all__ = [
@@ -145,26 +145,42 @@ class InertiaOperator(_Value):
 
 def wrench_of(system: ForceSystem) -> Wrench:
     """Total force and moment field of a system of applied forces."""
+    return Wrench(_screw_sum(system.forces, _composed_wrench))
+
+
+def _composed_wrench(forces) -> Screw:
+    """The wrench's screw summed Screw by Screw, which ``_screw_sum`` replays."""
     total = Screw.zero()
-    for point, force in system.forces:
+    for point, force in forces:
         total = total + Screw.from_applied_vector(point, force)
-    return Wrench(total)
+    return total
 
 
 def momentum_screw(dist: MassDistribution) -> MomentumScrew:
     """Sum of particle momenta: resultant sum m_i v_i, angular part
-    sum (r_i - pole) x m_i v_i.  Needs every particle's velocity."""
+    sum (r_i - pole) x m_i v_i.  Needs every particle's velocity.
+
+    Each particle's term is the applied vector m v at its position, whose
+    moment at the origin m v x (O - r) is r x m v to the bit but for the sign
+    of a zero, which a sum that starts at 0.0 never shows."""
     if not dist.particles:
         raise EmptyDistributionError("no particles")
+    return MomentumScrew(_screw_sum(dist.particles, _composed_momentum, Particle))
+
+
+def _composed_momentum(particles) -> Screw:
+    """The momentum screw summed vector by vector, which ``_screw_sum``
+    replays: it refuses a missing velocity and a non-finite product or sum
+    on the first particle that has one."""
     linear = Vec3.zero()
     angular_at_origin = Vec3.zero()
-    for p in dist.particles:
+    for p in particles:
         if p.velocity is None:
             raise MissingVelocitiesError("momentum needs velocities on all particles")
         mv = p.velocity * p.mass
         linear = linear + mv
         angular_at_origin = angular_at_origin + p.position.to_vec().cross(mv)
-    return MomentumScrew(Screw(linear, angular_at_origin))
+    return Screw(linear, angular_at_origin)
 
 
 def inertia_of(dist: MassDistribution) -> InertiaOperator:

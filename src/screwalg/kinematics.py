@@ -8,7 +8,7 @@ screw addition, so the result does not depend on the order of the links.
 
 from __future__ import annotations
 
-from .screw import Screw, _ScrewRole
+from .screw import Screw, _screw_sum, _ScrewRole
 from .vecmath import Vec3, _Value
 
 __all__ = ["Twist", "MotionChain", "compose_chain"]
@@ -43,7 +43,12 @@ class MotionChain(_Value):
 def compose_chain(chain: MotionChain) -> Twist:
     """Twist of the last link relative to ground: the screw sum of the
     relative twists (commutative, hence order-independent)."""
+    return Twist(_screw_sum(chain.relative_twists, _composed_chain))
+
+
+def _composed_chain(twists) -> Screw:
+    """The chain's screw summed Screw by Screw, which ``_screw_sum`` replays."""
     total = Screw.zero()
-    for tw in chain.relative_twists:
+    for tw in twists:
         total = total + tw.screw
-    return Twist(total)
+    return total

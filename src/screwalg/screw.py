@@ -316,3 +316,74 @@ class _ScrewRole(_Value):
 
 
 (_set_role_screw,) = _ScrewRole._setters
+
+
+def _screw_sum(members, replay, weighted=None) -> Screw:
+    """The sum of the screws of ``members``, the one screw sum, which
+    ``wrench_of``, ``compose_chain`` and ``momentum_screw`` share.  A member
+    is an applied vector ``(point, vector)``, whose screw is
+    (vector, vector x (O - point)); a record of the class ``weighted``, the
+    applied vector ``velocity * mass`` at ``position``; or a screw role, whose
+    screw's six components it adds.
+
+    Six float accumulators start at 0.0 and add the terms in the order of the
+    composed form, total = total + screw member by member, with O - P as
+    ``0.0 - p.x`` as ``Screw.from_applied_vector`` forms it, so the sum has
+    the composed form's bits.  The two ``Vec3``s of the result are its one
+    finiteness test: a non-finite term or partial sum leaves its accumulator
+    non-finite.  When that test fails, or a member is not of the classes
+    above with exactly ``Point`` and ``Vec3`` values (a ``Screw`` for a role,
+    a float mass), the result is ``replay(members)``, the caller's composed
+    form, which raises as its first failing step does.  The members are read
+    once here and once by the replay, so only a tuple or a list is summed
+    here."""
+    if members.__class__ is not tuple and members.__class__ is not list:
+        return replay(members)
+    rx = ry = rz = mx = my = mz = 0.0
+    for member in members:
+        if member.__class__ is tuple and len(member) == 2:
+            point, vector = member
+            if point.__class__ is not Point or vector.__class__ is not Vec3:
+                return replay(members)
+            fx = vector.x
+            fy = vector.y
+            fz = vector.z
+        elif member.__class__ is weighted:
+            point = member.position
+            vector = member.velocity
+            mass = member.mass
+            if point.__class__ is not Point or vector.__class__ is not Vec3 or mass.__class__ is not float:
+                return replay(members)
+            fx = vector.x * mass
+            fy = vector.y * mass
+            fz = vector.z * mass
+        elif isinstance(member, _ScrewRole):
+            s = member.screw
+            if s.__class__ is not Screw:
+                return replay(members)
+            w = s.resultant
+            m = s.moment_at_origin
+            if w.__class__ is not Vec3 or m.__class__ is not Vec3:
+                return replay(members)
+            rx = rx + w.x
+            ry = ry + w.y
+            rz = rz + w.z
+            mx = mx + m.x
+            my = my + m.y
+            mz = mz + m.z
+            continue
+        else:
+            return replay(members)
+        dx = 0.0 - point.x
+        dy = 0.0 - point.y
+        dz = 0.0 - point.z
+        rx = rx + fx
+        ry = ry + fy
+        rz = rz + fz
+        mx = mx + (fy * dz - fz * dy)
+        my = my + (fz * dx - fx * dz)
+        mz = mz + (fx * dy - fy * dx)
+    try:
+        return Screw(Vec3(rx, ry, rz), Vec3(mx, my, mz))
+    except NonFiniteError:
+        return replay(members)

@@ -23,7 +23,9 @@ refuse where their composed form does with one test per chain of values
 kernel (``sim._read``, ``_advance`` and ``_diagnose``) share them:
 ``_norm``, the 3x3 product ``_matmul`` (whose callers check it) and
 ``_orthonormality_defect`` here, ``rigid._rodrigues``,
-``sim._world_inertia`` and ``sim._angular_velocity``.
+``sim._world_inertia`` and ``sim._angular_velocity``.  One more, the screw
+sum ``screw._screw_sum``, serves ``wrench_of``, ``compose_chain`` and
+``momentum_screw``, and replays its caller's composed form on a refusal.
 
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,

@@ -76,6 +76,37 @@ edge_mat3s = _regimes.flatmap(lambda f: st.builds(Mat3, *[f] * 9))
 # profile gives, and never fewer than the loaded profile.
 bit_examples = settings(max_examples=max(200, settings.default.max_examples))
 
+# Values at a scale 10**e of their own, e from -150 to 150, with signed zeros
+# and small integers among the mantissas: no product of two of them
+# overflows.  About half are at the unit scale, where a sum of products
+# rounds differently in another order; the rest rarely share a scale.
+_mantissas = st.one_of(_exact, _rough)
+
+
+def _scaled(cls):
+    return st.one_of(st.just(0.0), st.floats(-150.0, 150.0)).flatmap(
+        lambda e: st.builds(cls, *[_mantissas.map(lambda m: m * 10.0**e)] * 3)
+    )
+
+
+scaled_vec3s, scaled_points = _scaled(Vec3), _scaled(Point)
+
+# BIG * BIG is 1.69e308, below the largest float, and twice that is not: the
+# screw sums' tests build with it members whose cross product, or the running
+# sum of two of whose finite terms, leaves the float range.
+BIG = 1.3e154
+
+
+@st.composite
+def spliced(draw, members, insertions, min_size=0, max_size=60):
+    """A tuple of ``members`` with the members of one of the lists
+    ``insertions`` inserted at drawn places, so that they come partway
+    through it."""
+    drawn = draw(st.lists(members, min_size=min_size, max_size=max_size - 2))
+    for member in draw(st.sampled_from(insertions)):
+        drawn.insert(draw(st.integers(0, len(drawn))), member)
+    return tuple(drawn)
+
 
 def _bits(value) -> tuple[str, ...]:
     if isinstance(value, float):
@@ -116,6 +147,15 @@ def bit_outcome(f, *args):
         return _bits(f(*args))
     except NonFiniteError as err:
         return str(err)
+
+
+def sum_outcome(f, *args):
+    """``bit_outcome``, or the class and message of any other exception that
+    f(*args) raises: the screw sums' tests compare every refusal."""
+    try:
+        return bit_outcome(f, *args)
+    except Exception as err:
+        return err.__class__, str(err)
 
 
 def refusal(f, *args):

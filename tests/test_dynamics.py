@@ -10,13 +10,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    BIG,
     assert_scalar_close,
     assert_screw_close,
     assert_vec_close,
+    bit_examples,
+    bit_outcome,
     nonzero_vec3s,
     points,
+    scaled_points,
+    scaled_vec3s,
+    spliced,
+    sum_outcome,
     twists,
     unit_vec3s,
+    values_built,
     vec3s,
 )
 from screwalg import (
@@ -28,6 +36,8 @@ from screwalg import (
     Mat3,
     MissingVelocitiesError,
     MomentumScrew,
+    MotionChain,
+    NonFiniteError,
     Particle,
     Point,
     Screw,
@@ -36,6 +46,7 @@ from screwalg import (
     Wrench,
     basis_screws,
     cardinal_residual,
+    compose_chain,
     inertia_of,
     kinetic_energy,
     klein_product,
@@ -151,6 +162,132 @@ def test_nonpositive_mass_rejected():
         Particle(0.0, ORIGIN)
     with pytest.raises(ValueError):
         Particle(-1.0, ORIGIN)
+
+
+# -- the screw sums against their composed forms, bit for bit ----------------
+#
+# wrench_of, momentum_screw and compose_chain share one float-local sum,
+# screw._screw_sum.  The oracles are the composed forms it replaced, which
+# sum Screw by Screw (or vector by vector) and check each value they build.
+
+
+def _composed_wrench(system: ForceSystem) -> Screw:
+    total = Screw.zero()
+    for point, force in system.forces:
+        total = total + Screw.from_applied_vector(point, force)
+    return total
+
+
+def _composed_momentum(dist: MassDistribution) -> Screw:
+    if not dist.particles:
+        raise EmptyDistributionError("no particles")
+    linear = Vec3.zero()
+    angular_at_origin = Vec3.zero()
+    for p in dist.particles:
+        if p.velocity is None:
+            raise MissingVelocitiesError("momentum needs velocities on all particles")
+        mv = p.velocity * p.mass
+        linear = linear + mv
+        angular_at_origin = angular_at_origin + p.position.to_vec().cross(mv)
+    return Screw(linear, angular_at_origin)
+
+
+# Members that leave the float range partway through a system: one whose
+# cross product overflows, and pairs whose terms are finite but whose running
+# sum of resultants, or of moments, is not.
+_FORCE_OVERFLOWS = [
+    [],
+    [(Point(2 * BIG, -2 * BIG, BIG), Vec3(BIG, 3 * BIG, -BIG))],
+    [(ORIGIN, Vec3(1.5e308, 0.0, -1.0))] * 2,
+    [(Point(0.0, 0.0, BIG), Vec3(BIG, 0.0, 0.0))] * 2,
+]
+# The same for particles, and a product m v that overflows, and a particle
+# without a velocity.
+_PARTICLE_OVERFLOWS = [
+    [],
+    [Particle(1.0, Point(2 * BIG, -2 * BIG, BIG), Vec3(BIG, 3 * BIG, -BIG))],
+    [Particle(1.5, ORIGIN, Vec3(1e308, 0.0, -1.0))] * 2,
+    [Particle(1.0, Point(0.0, 0.0, BIG), Vec3(BIG, 0.0, 0.0))] * 2,
+    [Particle(1e200, ORIGIN, Vec3(0.0, 1e200, 0.0))],
+    [Particle(1.0, ORIGIN)],
+]
+# Masses from 1e-150 to 1e150; an integer mass is summed by the composed form.
+_scaled_masses = st.one_of(st.floats(-150.0, 150.0).map(lambda e: 1.5 * 10.0**e), st.integers(1, 3))
+
+
+@bit_examples
+@given(spliced(st.tuples(scaled_points, scaled_vec3s), _FORCE_OVERFLOWS))
+def test_wrench_of_is_the_composed_sum_bit_for_bit(forces):
+    fs = ForceSystem(forces)
+    assert bit_outcome(lambda: wrench_of(fs).screw) == bit_outcome(_composed_wrench, fs)
+
+
+@bit_examples
+@given(spliced(st.builds(Particle, _scaled_masses, scaled_points, scaled_vec3s), _PARTICLE_OVERFLOWS))
+def test_momentum_screw_is_the_composed_sum_bit_for_bit(particles):
+    """Each particle's term is formed as the applied vector m v at r, whose
+    moment m v x (O - r) differs from r x m v at most in the sign of a zero."""
+    dist = MassDistribution(particles)
+    want = sum_outcome(_composed_momentum, dist)
+    assert sum_outcome(lambda: momentum_screw(dist).screw) == want
+
+
+def test_momentum_refuses_on_the_first_particle_that_fails():
+    """A non-finite product on particle 3 is reported before a missing
+    velocity on particle 5, and a missing velocity on particle 2 before a
+    non-finite product on particle 3."""
+    unit = Particle(1.0, ORIGIN, Vec3(1.0, 0.0, 0.0))
+    overflows = Particle(1e200, ORIGIN, Vec3(0.0, 1e200, 0.0))
+    at_rest = Particle(1.0, ORIGIN)
+    with pytest.raises(NonFiniteError) as raised:
+        momentum_screw(MassDistribution((unit, unit, overflows, unit, at_rest)))
+    assert str(raised.value) == "Vec3 components must be finite, got (0.0, inf, 0.0)"
+    with pytest.raises(MissingVelocitiesError):
+        momentum_screw(MassDistribution((unit, at_rest, overflows)))
+
+
+@pytest.mark.parametrize("forces, refusal", [
+    (((Vec3(1.0, 2.0, 3.0), Vec3(1.0, 0.0, 0.0)),), TypeError),
+    (((ORIGIN, Vec3(1.0, 0.0, 0.0)), (ORIGIN, Point(0.0, 1.0, 0.0))), AttributeError),
+    (((ORIGIN, Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0)),), ValueError),
+    (((ORIGIN, Vec3(1.5e308, 0.0, 0.0)),) * 2 + ((Vec3(1.0, 2.0, 3.0), Vec3(1.0, 0.0, 0.0)),), NonFiniteError),
+    ([[Point(1.0, 2.0, 3.0), Vec3(1.0, 0.0, 0.0)], (ORIGIN, Vec3(0.0, 1.0, 0.0))], None),
+], ids=["vec3-as-point", "point-as-force", "three-entries", "overflow-first", "list"])
+def test_wrench_of_a_member_of_another_form_is_the_composed_outcome(forces, refusal):
+    """A member that is not a (Point, Vec3) tuple is summed, or refused, as
+    the composed form sums or refuses it, after the members before it."""
+    fs = ForceSystem(forces)
+    got = sum_outcome(lambda: wrench_of(fs).screw)
+    assert got == sum_outcome(_composed_wrench, fs)
+    if refusal is NonFiniteError:
+        assert got.startswith("Vec3 components must be finite")
+    elif refusal is not None:
+        assert got[0] is refusal
+
+
+def test_the_wrench_of_no_force_is_the_zero_wrench():
+    assert wrench_of(ForceSystem(())) == Wrench.zero()
+
+
+def _sum_cases(n: int):
+    rng = random.Random(n)
+
+    def vec(cls):
+        return cls(*(rng.uniform(-4.0, 4.0) for _ in range(3)))
+
+    return [
+        (wrench_of, ForceSystem(tuple((vec(Point), vec(Vec3)) for _ in range(n)))),
+        (compose_chain, MotionChain(tuple(Twist(Screw(vec(Vec3), vec(Vec3))) for _ in range(max(n, 1))))),
+        (momentum_screw, MassDistribution(tuple(Particle(1.5, vec(Point), vec(Vec3)) for _ in range(max(n, 1))))),
+    ]
+
+
+def test_values_built_by_a_screw_sum_do_not_grow_with_its_members():
+    """A sum builds its two Vec3 and its Screw, whatever its length; summed
+    Screw by Screw, a force took six more values."""
+    for n in (0, 1, 60):
+        for f, members in _sum_cases(n):
+            assert values_built(f, members, classes=(Vec3, Point, Screw)) == 3, (f.__name__, n)
 
 
 # -- inertia -----------------------------------------------------------------

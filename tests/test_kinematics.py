@@ -4,16 +4,33 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import assert_screw_close, assert_vec_close, points, twists, unit_vec3s, vec3s
+from conftest import (
+    BIG,
+    assert_screw_close,
+    assert_vec_close,
+    bit_examples,
+    bit_outcome,
+    points,
+    scaled_points,
+    scaled_vec3s,
+    spliced,
+    sum_outcome,
+    twists,
+    unit_vec3s,
+    vec3s,
+)
 from screwalg import (
     ORIGIN,
+    ForceSystem,
     LineAxis,
     MotionChain,
     Point,
     Screw,
     Twist,
     Vec3,
+    Wrench,
     compose_chain,
+    wrench_of,
 )
 
 chains = st.lists(twists, min_size=1, max_size=6)
@@ -126,3 +143,74 @@ def test_twist_addition_is_screw_addition(t1, t2, p):
     assert_vec_close(
         (t1 + t2).velocity_at(p), t1.velocity_at(p) + t2.velocity_at(p), tol=1e-12
     )
+
+
+# -- the screw sum against its composed form, bit for bit --------------------
+
+
+def _composed_chain(chain: MotionChain) -> Screw:
+    """compose_chain as it was written, Screw by Screw: the oracle."""
+    total = Screw.zero()
+    for tw in chain.relative_twists:
+        total = total + tw.screw
+    return total
+
+
+# Pairs of twists whose resultants, or moments, are finite but whose running
+# sum is not.
+_TWIST_OVERFLOWS = [
+    [],
+    [Twist(Screw(Vec3(1.5e308, 0.0, -1.0), Vec3(1.0, 2.0, 3.0)))] * 2,
+    [Twist(Screw(Vec3(1.0, 2.0, 3.0), Vec3(0.0, -1.5e308, 1.0)))] * 2,
+]
+
+
+@bit_examples
+@given(spliced(st.builds(Twist, st.builds(Screw, scaled_vec3s, scaled_vec3s)), _TWIST_OVERFLOWS, min_size=1))
+def test_compose_chain_is_the_composed_sum_bit_for_bit(members):
+    chain = MotionChain(members)
+    assert bit_outcome(lambda: compose_chain(chain).screw) == bit_outcome(_composed_chain, chain)
+
+
+# Lines on which the sums of the rotations and of the forces overflow
+# partway through; no line's own cross product overflows, so each rotation
+# is a twist.
+_LINE_OVERFLOWS = [
+    [],
+    [(ORIGIN, Vec3(1.5e308, 0.0, -1.0))] * 2,
+    [(Point(0.0, 0.0, BIG), Vec3(BIG, 0.0, 0.0))] * 2,
+]
+
+
+@bit_examples
+@given(spliced(st.tuples(scaled_points, scaled_vec3s), _LINE_OVERFLOWS, min_size=1))
+def test_composed_rotations_are_the_reduced_forces_bit_for_bit(lines):
+    """Angular velocities about lines sum as forces on those lines do (the
+    paper's analogy): composing the rotations gives, bit for bit, the screw
+    that reducing the forces gives, and both refuse the same sum."""
+    chain = MotionChain(tuple(Twist.pure_rotation(p, w) for p, w in lines))
+    assert bit_outcome(lambda: compose_chain(chain).screw) == bit_outcome(
+        lambda: wrench_of(ForceSystem(lines)).screw
+    )
+
+
+_unit = Screw(Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("members, refusal", [
+    ((Twist(_unit), _unit), AttributeError),
+    ((Twist(Screw(Vec3(1.0, 0.0, 0.0), Point(0.0, 1.0, 0.0))),), TypeError),
+    ((Twist(Screw(Vec3(1.5e308, 0.0, 0.0), Vec3.zero())),) * 2 + (_unit,), "Vec3 components must be finite"),
+    ((Twist(_unit), Wrench(_unit)), None),
+], ids=["screw-as-twist", "point-moment", "overflow-first", "wrench"])
+def test_compose_chain_of_a_member_of_another_form_is_the_composed_outcome(members, refusal):
+    """A member that is not a screw role over a Screw of two Vec3 is summed,
+    or refused, as the composed form sums or refuses it, after the members
+    before it."""
+    chain = MotionChain(members)
+    got = sum_outcome(lambda: compose_chain(chain).screw)
+    assert got == sum_outcome(_composed_chain, chain)
+    if isinstance(refusal, str):
+        assert got.startswith(refusal)
+    elif refusal is not None:
+        assert got[0] is refusal
