@@ -58,6 +58,7 @@ __all__ = [
 # the pairing matrix of a reciprocal-subspace computation.
 _NULLSPACE_RTOL = 1e-10
 _EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 _SVD_SWEEPS = 30
 # A Householder column whose norm is below 2**_SAFE_MIN_EXPONENT, the safe
 # minimum of LAPACK's dlarfg, is scaled up first.
@@ -395,8 +396,10 @@ def _jacobi_svd(mat: list[list[float]]) -> tuple[list[list[float]], list[list[fl
     A pair is rotated while |cos| > p eps between its two columns, p their
     length, the cosine taken from the columns divided by their norms, so
     that entries whose squares underflow still count: columns that are
-    already orthogonal take no rotation and keep V = I.  The sweeps stop
-    when one rotates nothing, and at ``_SVD_SWEEPS`` at most."""
+    already orthogonal take no rotation and keep V = I.  A column with a
+    subnormal norm counts as zero: its cosine has too few digits to fall
+    below p eps, so it would rotate in every sweep.  The sweeps stop when
+    one rotates nothing, and at ``_SVD_SWEEPS`` at most."""
     m = len(mat)
     w = [list(col) for col in mat]
     v = [[1.0 if i == j else 0.0 for i in range(m)] for j in range(m)]
@@ -407,7 +410,7 @@ def _jacobi_svd(mat: list[list[float]]) -> tuple[list[list[float]], list[list[fl
             for q in range(p + 1, m):
                 x, y = w[p], w[q]
                 nx, ny = math.hypot(*x), math.hypot(*y)
-                if nx == 0.0 or ny == 0.0:
+                if nx < _TINY or ny < _TINY:
                     continue
                 rho = sum((a / nx) * (b / ny) for a, b in zip(x, y))
                 if abs(rho) <= tol:

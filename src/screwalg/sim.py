@@ -29,19 +29,19 @@ them and with the vector types (``_angular_velocity``, ``_world_inertia``,
 ``vecmath._norm``, ``_matmul`` and ``_orthonormality_defect``,
 ``rigid._rodrigues``), so each formula has one definition.
 
-The inverse body inertia, which omega = R I^-1 R^T L needs, comes from a
-pure-Python cyclic Jacobi eigensolve (``_jacobi_eigen``), once per run, and
-the polar projection (``_renormalize``), which runs only when the orientation
-drifts off SO(3), is U V^T of the one-sided Jacobi SVD that also ranks the
-reciprocal subspace (``dynamics._jacobi_svd``): no step loads numpy.  Both
-refuse a numerically singular matrix by one rule, a smallest eigen- or
-singular value below ``_SINGULAR_RTOL`` times the largest.
+Both factorizations of the kernel are the one-sided Jacobi SVD that also
+ranks the reciprocal subspace (``dynamics._jacobi_svd``), so no step loads
+numpy.  The inverse body inertia, which omega = R I^-1 R^T L needs, reads its
+eigenpairs from the SVD of the symmetric moment matrix once per run
+(``_inverse_moment``), and the polar projection (``_renormalize``), which runs
+only when the orientation drifts off SO(3), is U V^T.  Both refuse a
+numerically singular matrix by one rule, a smallest eigen- or singular value
+below ``_SINGULAR_RTOL`` times the largest.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterator
 from functools import lru_cache
 from math import isfinite
@@ -71,8 +71,6 @@ __all__ = [
 INTEGRATORS = ("midpoint", "euler")  # the first is the default
 
 _SINGULAR_RTOL = 1e-12
-_EPS = sys.float_info.epsilon
-_JACOBI_SWEEPS = 16
 _ORTHO_DRIFT_TOL = 1e-8
 
 
@@ -152,19 +150,30 @@ def _inverse_moment(body: InertiaOperator) -> Mat3:
     its largest entry into [0.5, 1), so the principal moments are ranked and
     inverted at the same size whatever the units, and their ratio cannot
     underflow; the inverse V diag(1/lambda) V^T is scaled back by 2**-e.  The
-    eigendecomposition is the pure-Python Jacobi solve ``_jacobi_eigen``, so
-    no call loads numpy, and a diagonal moment matrix inverts to exactly
-    diag(1/d_i)."""
+    eigenpairs come from the one-sided Jacobi SVD ``dynamics._jacobi_svd`` of
+    the symmetric matrix J that the lower triangle defines, as numpy's
+    ``eigh`` reads it: each rotated column w = J v is lambda v, so |lambda| =
+    |w| and the columns of V are the eigenvectors.  A positive moment has
+    w.v = |w|; a negative one, or a mix of moments +mu and -mu that the SVD
+    cannot tell apart (their trace is below mu / 2 times their number), has
+    w.v < |w| / 2 on some column, which is given the negative sign and so
+    refused.  No call loads numpy, and a diagonal moment matrix takes no
+    rotation and inverts to exactly diag(1/d_i)."""
     moments = body.moment_matrix
     e = math.frexp(moments.max_abs())[1]
-    evals, evecs, _ = _jacobi_eigen(tuple(math.ldexp(x, -e) for x in moments.flat()))
+    m0, _, _, m3, m4, _, m6, m7, m8 = (math.ldexp(x, -e) for x in moments.flat())
+    cols, evecs, _ = _jacobi_svd([[m0, m3, m6], [m3, m4, m7], [m6, m7, m8]])
+    evals = []
+    for col, vec in zip(cols, evecs):
+        size = math.hypot(*col)
+        evals.append(math.copysign(size, sum(x * y for x, y in zip(col, vec)) - size / 2.0))
     order = sorted(range(3), key=evals.__getitem__)
     evals = [evals[k] for k in order]
     if evals[0] < _SINGULAR_RTOL * max(evals[-1], 0.0) or evals[-1] <= 0.0:
         raise SingularInertiaError(
             f"inertia principal values {_scaled_values(evals, e)} are not invertible"
         )
-    u, v, w = ([row[k] for row in evecs] for k in order)
+    u, v, w = (evecs[k] for k in order)
     a, b, c = evals
     # u[i] * u[j] is u[j] * u[i], so the inverse is exactly symmetric.
     inv = (u[i] * u[j] / a + v[i] * v[j] / b + w[i] * w[j] / c for i in range(3) for j in range(3))
@@ -174,50 +183,6 @@ def _inverse_moment(body: InertiaOperator) -> Mat3:
         raise NonFiniteError(
             f"inertia principal values {_scaled_values(evals, e)} have no finite inverse"
         ) from None
-
-
-def _jacobi_eigen(m: tuple[float, ...]) -> tuple[list[float], list[list[float]], int]:
-    """Eigenvalues, eigenvectors (the columns of V) and the sweeps taken for
-    the symmetric 3x3 matrix whose lower triangle is that of the row-major
-    9-tuple ``m``, as numpy's ``eigh`` reads it: cyclic Jacobi
-    (Rutishauser 1966), at least as accurate as a QR solve (Demmel and
-    Veselic 1992).
-
-    A pair (p, q) is rotated away only while |a_pq| > eps sqrt(|a_pp a_qq|),
-    the relative stopping rule, which an exact zero always meets: a diagonal
-    matrix takes no rotation and keeps V = I.  The sweeps stop when one
-    rotates nothing, and at ``_JACOBI_SWEEPS`` at most."""
-    d = [m[0], m[4], m[8]]
-    # off[r] is the entry of the pair (p, q) that leaves out index r.
-    off = [m[7], m[6], m[3]]
-    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    for sweep in range(_JACOBI_SWEEPS):
-        rotated = False
-        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            apq = off[r]
-            if abs(apq) <= _EPS * math.sqrt(abs(d[p] * d[q])):
-                continue
-            rotated = True
-            # The smaller rotation angle, tan = t, that zeroes a_pq; hypot
-            # keeps theta^2 from overflowing, and t is 0 if theta is infinite.
-            theta = (d[q] - d[p]) / (2.0 * apq)
-            t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            tau = s / (1.0 + c)
-            d[p] -= t * apq
-            d[q] += t * apq
-            off[r] = 0.0
-            g, h = off[q], off[p]
-            off[q] = g - s * (h + g * tau)
-            off[p] = h + s * (g - h * tau)
-            for row in v:
-                g, h = row[p], row[q]
-                row[p] = g - s * (h + g * tau)
-                row[q] = h + s * (g - h * tau)
-        if not rotated:
-            return d, v, sweep
-    return d, v, _JACOBI_SWEEPS
 
 
 def _scaled_values(evals: list[float], e: int) -> str:

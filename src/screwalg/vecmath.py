@@ -2,12 +2,12 @@
 immutable base of every value and record class of the library.
 
 Vectors, points and 3x3 matrices are immutable value objects built on plain
-floats, and so is every factorization of the package, each a small
-pure-Python solve: the inertia inverse's cyclic Jacobi eigensolve
-(``sim._jacobi_eigen``), and the one-sided Jacobi SVD
-``dynamics._jacobi_svd``, behind the reciprocal subspace's Householder QR
-(``dynamics._null_space``) and as the polar projection U V^T
-(``sim._renormalize``).  The package does not use numpy.
+floats, and so is every factorization of the package: all three rest on
+one pure-Python one-sided Jacobi SVD, ``dynamics._jacobi_svd``, which gives
+the inertia inverse its eigenpairs (``sim._inverse_moment``), ranks the
+reciprocal subspace behind its Householder QR (``dynamics._null_space``) and
+gives the polar projection U V^T (``sim._renormalize``).  The package does
+not use numpy.
 
 A ``Point`` is a location, a ``Vec3`` a displacement: Point - Point = Vec3,
 Point + Vec3 = Point, and any other sum or difference of them is a TypeError.

@@ -1,8 +1,9 @@
-"""The inertia inverse: a pure-Python cyclic Jacobi solve.
+"""The inertia inverse: eigenpairs from the pure-Python one-sided Jacobi SVD.
 
 ``sim._inverse_moment`` ranks and inverts the principal moments of the body
-moment matrix after an exact power-of-two scaling.  These tests pin what the
-Jacobi solve must give:
+moment matrix after an exact power-of-two scaling, reading them from
+``dynamics._jacobi_svd`` of the symmetric matrix.  These tests pin what the
+solve must give:
 
 - a diagonal moment matrix, in any order and with zeros of either sign off
   the diagonal, takes no rotation and inverts to exactly diag(1/d_i);
@@ -11,9 +12,12 @@ Jacobi solve must give:
   error against an mpmath inverse at 200 bits is at most
   ``_K`` * eps * cond times the largest entry;
 - the singular/invertible verdict is that of the numpy ``eigh`` form the
-  solve replaced, away from the 1e-12 threshold;
+  solve replaced, away from the 1e-12 threshold, also for moments of one
+  size and both signs, whose eigenvectors the SVD cannot tell apart;
 - on graded matrices, each entry of the inverse is accurate to its own size;
-- no input here reaches the sweep cap.
+- no input here reaches the sweep cap: over 20000 draws the most was 21 of
+  30, for a singular matrix, whose null columns shrink by about eps a sweep
+  until their norm is subnormal.
 """
 
 import math
@@ -25,12 +29,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from screwalg import InertiaOperator, Mat3, Point, SingularInertiaError, sim
+from screwalg import InertiaOperator, Mat3, Point, SingularInertiaError, dynamics, sim
 
 _EPS = sys.float_info.epsilon
-# The largest entry error over eps * cond * the largest entry read 2.3 at
-# worst over 3000 draws of the strategies below and 2.5 over 600 plain
-# random draws (numpy's eigh form: 7.1 and 4.5), so k is twice the worst.
+# The largest entry error over eps * cond * the largest entry read 3.6 at
+# worst over 10000 draws of the strategies below (the six worst all with
+# nearly equal moments) and 2.8 over 4000 plain random draws (the two-sided
+# Jacobi eigensolve the SVD replaced: 2.3 and 2.5; numpy's eigh form: 7.1
+# and 4.5), so k leaves a factor of 1.4.
 _K = 5.0
 
 
@@ -85,7 +91,7 @@ verdict_matrices = st.builds(_rotated, _quaternions, _signed_moments, _scales)
 
 
 def _numpy_inverse(flat):
-    """The numpy form the Jacobi solve replaced, kept as an oracle."""
+    """The numpy form the Jacobi solves replaced, kept as an oracle."""
     e = math.frexp(max(map(abs, flat)))[1]
     m = np.ldexp(np.array(flat, dtype=float).reshape(3, 3), -e)
     evals, evecs = np.linalg.eigh(m)
@@ -93,6 +99,24 @@ def _numpy_inverse(flat):
         return None
     inv = evecs @ np.diag(1.0 / evals) @ evecs.T
     return tuple(math.ldexp(float(x), -e) for x in inv.ravel())
+
+
+def _svd_of(flat):
+    """The SVD that ``_inverse_moment`` takes of ``flat``: (W, V, sweeps)."""
+    taken = []
+    svd = sim._jacobi_svd
+
+    def recorded(mat):
+        taken.append(svd(mat))
+        return taken[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_jacobi_svd", recorded)
+        try:
+            sim._inverse_moment.__wrapped__(_body(flat))
+        except SingularInertiaError:
+            pass
+    return taken[0]
 
 
 def _jacobi_inverse(flat):
@@ -132,8 +156,11 @@ def test_a_diagonal_moment_matrix_inverts_to_exactly_its_reciprocals(d, zeros):
 
 
 def test_a_diagonal_moment_matrix_takes_no_rotation():
-    evals, evecs, sweeps = sim._jacobi_eigen((0.5, -0.0, 0.0, 0.0, 0.25, -0.0, 0.0, -0.0, 0.75))
-    assert (evals, evecs, sweeps) == ([0.5, 0.25, 0.75], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 0)
+    # Its columns are orthogonal already, so V = I and each column's norm is
+    # exactly its moment.
+    w, v, sweeps = _svd_of((0.5, -0.0, 0.0, 0.0, 0.25, -0.0, 0.0, -0.0, 0.75))
+    assert (v, sweeps) == ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 0)
+    assert [math.hypot(*col) for col in w] == [0.5, 0.25, 0.75]
 
 
 @given(spd_matrices)
@@ -153,9 +180,7 @@ def test_the_singular_verdict_is_that_of_the_numpy_form(flat):
     lambda d: (d[0], 0.0, 0.0, 0.0, d[1], 0.0, 0.0, 0.0, d[2])
 )))
 def test_no_input_reaches_the_sweep_cap(flat):
-    e = math.frexp(max(map(abs, flat)))[1]
-    _, _, sweeps = sim._jacobi_eigen(tuple(math.ldexp(x, -e) for x in flat))
-    assert sweeps < sim._JACOBI_SWEEPS
+    assert _svd_of(flat)[2] < dynamics._SVD_SWEEPS
 
 
 @pytest.mark.parametrize("flat", [
@@ -164,10 +189,11 @@ def test_no_input_reaches_the_sweep_cap(flat):
 ])
 def test_a_graded_inertia_keeps_its_small_couplings(flat):
     # Each coupling is below eps times the largest moment but not below eps
-    # times the geometric mean of its two moments, so the relative stopping
-    # rule rotates it away; a rule against eps alone would keep it and drop
-    # the inverse's off-diagonal entries.  Each entry is then within 1e-12 of
-    # its own size, which the norm-wise bound above cannot see.
+    # times the geometric mean of its two moments, so the SVD's relative
+    # rule, on the cosine of two columns, rotates it away; a rule against eps
+    # alone would keep it and drop the inverse's off-diagonal entries.  Each
+    # entry is then within 1e-12 of its own size, which the norm-wise bound
+    # above cannot see.
     inv = sim._inverse_moment(_body(flat)).flat()
     with mpmath.workprec(200):
         exact = mpmath.inverse(mpmath.matrix([[mpmath.mpf(flat[3 * i + j]) for j in range(3)] for i in range(3)]))
@@ -180,11 +206,24 @@ def test_the_solve_reads_the_lower_triangle():
     # As numpy's eigh does: the entries above the diagonal are not read.
     lower = (2.0, 0.0, 0.0, 0.5, 3.0, 0.0, 0.25, -0.75, 4.0)
     symmetric = (2.0, 0.5, 0.25, 0.5, 3.0, -0.75, 0.25, -0.75, 4.0)
-    assert sim._jacobi_eigen(lower) == sim._jacobi_eigen(symmetric)
+    assert _svd_of(lower) == _svd_of(symmetric)
+    inverses = [sim._inverse_moment(_body(flat)).flat() for flat in (lower, symmetric)]
+    assert [float.hex(x) for x in inverses[0]] == [float.hex(x) for x in inverses[1]]
 
 
 @pytest.mark.parametrize("moments", [(0.0, 1.0, 1.0), (1e-13, 1.0, 0.5), (-1e-3, 1.0, 2.0), (-1.0, -2.0, -3.0)])
 def test_a_rotated_singular_or_indefinite_inertia_is_refused(moments):
     flat = _rotated((0.3, -0.5, 0.7, 0.1), moments, 1.0)
+    with pytest.raises(SingularInertiaError, match=r"^inertia principal values \(.*\) are not invertible$"):
+        sim._inverse_moment(_body(flat))
+
+
+@pytest.mark.parametrize("moments", [(1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 1.0, -1.0)])
+def test_moments_of_one_size_and_both_signs_are_refused(moments):
+    # Every vector in the span of the eigenvectors of +1 and -1 has |J v| =
+    # |v|, so the SVD cannot tell those eigenvectors apart, and the V it
+    # keeps here has w.v > 0 on every column.  A column with w.v < |w| / 2
+    # still gives it away.
+    flat = _rotated((1.0, 0.5, 0.5, 0.0), moments, 1.0)
     with pytest.raises(SingularInertiaError, match=r"^inertia principal values \(.*\) are not invertible$"):
         sim._inverse_moment(_body(flat))

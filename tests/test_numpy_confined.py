@@ -1,9 +1,9 @@
 """numpy is not a dependency of the package.
 
 No module imports it, at module level or inside a function: the package
-works on plain floats, and its three factorizations are pure Python (the
-inertia inverse's Jacobi eigensolve, the reciprocal subspace's null space
-and the polar projection of a drifted orientation).  No subcommand loads
+works on plain floats, and its three factorizations (the inertia inverse,
+the reciprocal subspace's null space and the polar projection of a drifted
+orientation) rest on one pure-Python Jacobi SVD.  No subcommand loads
 numpy, ``dataclasses`` or ``inspect``, and neither does a run that projects
 its orientation.  Importing the command line loads no ``logging``, which
 ``sim`` imports at its first warning, and no ``typing``.  numpy stays in the
