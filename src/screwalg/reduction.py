@@ -13,16 +13,26 @@ splits by type:
   perpendicular and of equal magnitude, which pins the construction down up
   to the (documented, deterministic) choice of arm direction.
 
+``decompose_two_applied`` is a float kernel, as ``rigid.exp_screw`` is: it
+builds only the points and vectors it returns, with the float operations of
+the composed ``Vec3`` expression in their order, so each result is that
+expression's to the bit, and a chain of values is tested once at its end,
+its checks replayed only on a refusal.  Its branches share the axis core
+``screw._axis`` and the float form of ``_reference_perpendicular``;
+``tests/test_reduction.py`` keeps the composed form as its bit oracle.
+
 ``central_axis_report`` bundles the invariants a statics calculation usually
 wants in one pass.
 """
 
 from __future__ import annotations
 
+from math import isfinite
+
 from .dynamics import ForceSystem, wrench_of
 from .errors import ZeroScrewError
-from .screw import Pitch, Screw, ScrewAxis
-from .vecmath import ORIGIN, Point, Vec3, _Value
+from .screw import Pitch, Screw, ScrewAxis, _axis
+from .vecmath import Point, Vec3, _norm, _require_finite, _Value
 
 __all__ = ["AppliedVectorPair", "CentralAxisReport", "decompose_two_applied", "central_axis_report"]
 
@@ -73,12 +83,22 @@ class CentralAxisReport(_Value):
  _set_axis, _set_pitch) = CentralAxisReport._setters
 
 
-def _reference_perpendicular(u: Vec3) -> Vec3:
-    """Deterministic unit vector perpendicular to the unit vector u: cross u
-    with the coordinate axis it is least aligned with."""
-    axes = (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
-    pick = min(axes, key=lambda e: abs(u.dot(e)))
-    return u.cross(pick).normalized()
+def _reference_perpendicular(ux: float, uy: float, uz: float) -> tuple[float, float, float]:
+    """Deterministic unit vector perpendicular to the unit vector u: u crossed
+    with the coordinate axis it is least aligned with, the first of equally
+    aligned ones, and normalized.  |u . e_i| is |u_i| exactly (the other
+    terms are zeros), and each cross product keeps its products with 0.0
+    and 1.0, which set the signs of its zeros."""
+    if abs(ux) <= abs(uy) and abs(ux) <= abs(uz):
+        cx, cy, cz = uy * 0.0 - uz * 0.0, uz * 1.0 - ux * 0.0, ux * 0.0 - uy * 1.0
+    elif abs(uy) <= abs(uz):
+        cx, cy, cz = uy * 0.0 - uz * 1.0, uz * 0.0 - ux * 0.0, ux * 1.0 - uy * 0.0
+    else:
+        cx, cy, cz = uy * 1.0 - uz * 0.0, uz * 0.0 - ux * 1.0, ux * 0.0 - uy * 0.0
+    n = _norm(cx, cy, cz)
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return cx / n, cy / n, cz / n
 
 
 def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPair:
@@ -94,41 +114,62 @@ def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPai
     fraction of |s(O)|, the moment sigma is read from; so the split does
     not depend on the units.
     """
-    if s.is_zero():
+    w = s.resultant
+    m = s.moment_at_origin
+    wx, wy, wz = w.x, w.y, w.z
+    mx, my, mz = m.x, m.y, m.z
+    free = wx * wx + wy * wy + wz * wz == 0.0
+    if free and mx * mx + my * my + mz * mz == 0.0:
         raise ZeroScrewError("the zero screw has no two-vector decomposition")
     if not arm_length > 0.0:
         raise ValueError("arm_length must be positive")
 
-    if s.is_free():
+    if free:
         # Couple: moment m = w x a with w perpendicular to m and |a| = arm.
-        m = s.moment_at_origin
-        m_hat = m.normalized()
-        w_hat = _reference_perpendicular(m_hat)
-        w = w_hat * (m.norm() / arm_length)
-        a = m_hat.cross(w_hat) * arm_length
-        p1 = ORIGIN + a * -0.5
-        p2 = ORIGIN + a * 0.5
-        return AppliedVectorPair(p1, w, p2, -w)
+        mn = _norm(mx, my, mz)
+        hx, hy, hz = mx / mn, my / mn, mz / mn
+        ex, ey, ez = _reference_perpendicular(hx, hy, hz)
+        k = mn / arm_length
+        force = Vec3(ex * k, ey * k, ez * k)
+        ax = (hy * ez - hz * ey) * arm_length
+        ay = (hz * ex - hx * ez) * arm_length
+        az = (hx * ey - hy * ex) * arm_length
+        if not isfinite(ax + ay + az):
+            _require_finite("Vec3", ax, ay, az)
+        # O + a * -0.5 is 0.0 + (a.x * -0.5).
+        return AppliedVectorPair(
+            Point(0.0 + ax * -0.5, 0.0 + ay * -0.5, 0.0 + az * -0.5),
+            force,
+            Point(0.0 + ax * 0.5, 0.0 + ay * 0.5, 0.0 + az * 0.5),
+            Vec3(-force.x, -force.y, -force.z),
+        )
 
-    w = s.resultant
-    amp = w.norm()
-    axis = s.axis()
-    q, u = axis.point, axis.direction
-    m = s.moment_at_origin
-    sigma = m.dot(u)  # axis field strength, signed
+    amp, ux, uy, uz, qx, qy, qz = _axis(wx, wy, wz, mx, my, mz)
+    sigma = mx * ux + my * uy + mz * uz  # axis field strength, signed
 
-    if abs(sigma) <= _SCALAR_RTOL * m.norm():
+    if abs(sigma) <= _SCALAR_RTOL * _norm(mx, my, mz):
         # No couple part: half the resultant at two distinct axis points.
-        return AppliedVectorPair(q, w * 0.5, q + u, w * 0.5)
+        half = Vec3(wx * 0.5, wy * 0.5, wz * 0.5)
+        return AppliedVectorPair(Point(qx, qy, qz), half, Point(qx + ux, qy + uy, qz + uz), half)
 
-    a_hat = _reference_perpendicular(u)
-    v_hat = u.cross(a_hat)
+    ex, ey, ez = _reference_perpendicular(ux, uy, uz)
+    # v = u x a_hat, and the legs w / 2 +- gamma v with gamma = |w| / 2
     gamma = 0.5 * amp
+    vx = (uy * ez - uz * ey) * gamma
+    vy = (uz * ex - ux * ez) * gamma
+    vz = (ux * ey - uy * ex) * gamma
     alpha = -2.0 * sigma / amp
-    arm = a_hat * alpha
-    leg1 = w * 0.5 + v_hat * gamma
-    leg2 = w * 0.5 - v_hat * gamma
-    return AppliedVectorPair(q + arm * -0.5, leg1, q + arm * 0.5, leg2)
+    ax, ay, az = ex * alpha, ey * alpha, ez * alpha
+    if not isfinite(ax + ay + az):
+        _require_finite("Vec3", ax, ay, az)
+    leg1 = Vec3(wx * 0.5 + vx, wy * 0.5 + vy, wz * 0.5 + vz)
+    leg2 = Vec3(wx * 0.5 - vx, wy * 0.5 - vy, wz * 0.5 - vz)
+    return AppliedVectorPair(
+        Point(qx + ax * -0.5, qy + ay * -0.5, qz + az * -0.5),
+        leg1,
+        Point(qx + ax * 0.5, qy + ay * 0.5, qz + az * 0.5),
+        leg2,
+    )
 
 
 def central_axis_report(fs: ForceSystem) -> CentralAxisReport:

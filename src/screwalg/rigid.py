@@ -7,8 +7,20 @@ computes that flow in closed form; ``chasles`` inverts it, decomposing any
 rigid map into a rotation about a line plus a slide along it.
 
 The rotation part of a ``RigidMap`` is stored as a full 3x3 matrix and
-validated on construction; it is never silently re-normalized, so numerical
-drift surfaces as an error instead of a wrong answer.
+validated on construction, on its nine floats; it is never silently
+re-normalized, so numerical drift surfaces as an error instead of a wrong
+answer.
+
+``exp_screw`` and ``chasles`` are float kernels: each builds only the values
+it returns (a rotation and a translation; an axis point and direction),
+with the float operations of the composed ``Vec3``/``Mat3`` expression in
+their order, so every result is that expression's to the bit.  As in the
+sim kernel (``sim._stream``), a chain of values joined by +, - and * is
+tested once at its end, and only if that is not finite are its checks
+replayed in the composed order, so each refusal keeps its class and
+message.  They share ``_rodrigues``, ``RigidMap``'s check and the axis core
+``screw._axis``; ``tests/test_rigid.py`` keeps the composed forms as their
+bit oracles.
 """
 
 from __future__ import annotations
@@ -16,8 +28,8 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidRotationError, NonFiniteError, ZeroScrewError
-from .screw import DegenerateAxis, LineAxis, Screw, ScrewAxis
-from .vecmath import ORIGIN, Mat3, Point, Vec3, _Value
+from .screw import DegenerateAxis, LineAxis, Screw, ScrewAxis, _axis
+from .vecmath import ORIGIN, Mat3, Point, Vec3, _det, _is_orthonormal, _norm, _require_finite, _Value
 
 __all__ = ["RigidMap", "ChaslesDecomposition", "rodrigues", "exp_screw", "chasles"]
 
@@ -62,11 +74,11 @@ class RigidMap(_Value):
     __slots__ = ("rotation", "translation")
 
     def __init__(self, rotation: Mat3, translation: Vec3):
-        if not rotation.is_orthonormal(_ROTATION_TOL):
-            raise InvalidRotationError(
-                f"rotation block is not orthonormal within {_ROTATION_TOL}"
-            )
-        if abs(rotation.det() - 1.0) > _ROTATION_TOL:
+        # One check on the nine floats, for every caller and both kernels.
+        r = rotation.flat()
+        if not _is_orthonormal(r, _ROTATION_TOL):
+            raise InvalidRotationError(f"rotation block is not orthonormal within {_ROTATION_TOL}")
+        if abs(_det(r) - 1.0) > _ROTATION_TOL:
             raise InvalidRotationError("rotation block must have determinant +1")
         _set_rotation(self, rotation)
         _set_translation(self, translation)
@@ -158,35 +170,68 @@ def exp_screw(s: Screw, t: float = 1.0) -> RigidMap:
     translation by t times the constant field value.  Obeys the group law
     exp(s, t1 + t2) = exp(s, t2) o exp(s, t1).
     """
-    if s.is_free():
-        return RigidMap(Mat3.identity(), s.moment_at_origin * t)
     w = s.resultant
-    omega = w.norm()
-    u = w / omega
-    theta = omega * t
-    rot = rodrigues(u, theta)
-    # translation = integral of the rotating field at the origin:
-    # t (I + f1(theta) K + f2(theta) K^2) applied to the origin value.
-    f1, f2 = _exp_coeffs(theta)
     m = s.moment_at_origin
-    um = u.cross(m)
-    uum = u.cross(um)
-    trans = (m + f1 * um + f2 * uum) * t
-    return RigidMap(rot, trans)
+    wx, wy, wz = w.x, w.y, w.z
+    mx, my, mz = m.x, m.y, m.z
+    if wx * wx + wy * wy + wz * wz == 0.0:  # s.is_free()
+        return RigidMap(Mat3.identity(), Vec3(mx * t, my * t, mz * t))
+    omega = _norm(wx, wy, wz)
+    ux = wx / omega
+    uy = wy / omega
+    uz = wz / omega
+    theta = omega * t
+    rot = _rodrigues(ux, uy, uz, theta)
+    # translation = integral of the rotating field at the origin:
+    # t (I + f1(theta) K + f2(theta) K^2) applied to the origin value, as
+    # (m + f1 (u x m) + f2 (u x (u x m))) t.
+    f1, f2 = _exp_coeffs(theta)
+    ax = uy * mz - uz * my
+    ay = uz * mx - ux * mz
+    az = ux * my - uy * mx
+    bx = uy * az - uz * ay
+    by = uz * ax - ux * az
+    bz = ux * ay - uy * ax
+    tx = ((mx + ax * f1) + bx * f2) * t
+    ty = ((my + ay * f1) + by * f2) * t
+    tz = ((mz + az * f1) + bz * f2) * t
+    if not math.isfinite(tx + ty + tz):
+        cx, cy, cz = mx + ax * f1, my + ay * f1, mz + az * f1
+        for link in (
+            (ax, ay, az), (bx, by, bz), (ax * f1, ay * f1, az * f1), (cx, cy, cz),
+            (bx * f2, by * f2, bz * f2), (cx + bx * f2, cy + by * f2, cz + bz * f2),
+        ):
+            _require_finite("Vec3", *link)
+    return RigidMap(Mat3(*rot), Vec3(tx, ty, tz))
 
 
-def _axis_from_symmetric_part(r: Mat3, w: Vec3, cos_theta: float) -> Vec3:
+def _axis_from_symmetric_part(
+    r: tuple[float, ...], wx: float, wy: float, wz: float, wn: float, cos_theta: float
+) -> tuple[float, float, float]:
     # Near a half turn (R + R^T)/2 - cos(theta) I = (1 - cos(theta)) u u^T;
     # its largest-diagonal column is parallel to the axis.  w is the axial
-    # vector 2 sin(theta) u of R.
-    m = 0.5 * (r + r.transpose()) - cos_theta * Mat3.identity()
-    diag = (m.xx, m.yy, m.zz)
-    j = max(range(3), key=lambda i: diag[i])
-    u = m.column(j).normalized()
+    # vector 2 sin(theta) u of R, and wn its norm.  Entry by entry as the
+    # Mat3 expression forms it: an off-diagonal entry subtracts 0.0 * cos(theta).
+    xx, xy, xz, yx, yy, yz, zx, zy, zz = r
+    off = 0.0 * cos_theta
+    dxx = (xx + xx) * 0.5 - cos_theta
+    dyy = (yy + yy) * 0.5 - cos_theta
+    dzz = (zz + zz) * 0.5 - cos_theta
+    # max() keeps the first of equal diagonal entries.
+    if dxx >= dyy and dxx >= dzz:
+        cx, cy, cz = dxx, (yx + xy) * 0.5 - off, (zx + xz) * 0.5 - off
+    elif dyy >= dzz:
+        cx, cy, cz = (xy + yx) * 0.5 - off, dyy, (zy + yz) * 0.5 - off
+    else:
+        cx, cy, cz = (xz + zx) * 0.5 - off, (yz + zy) * 0.5 - off, dzz
+    n = _norm(cx, cy, cz)
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    ux, uy, uz = cx / n, cy / n, cz / n
     # Orient consistently with the (possibly tiny) antisymmetric part.
-    if w.norm() > 1e-12 and w.dot(u) < 0.0:
-        u = -u
-    return u
+    if wn > 1e-12 and wx * ux + wy * uy + wz * uz < 0.0:
+        return -ux, -uy, -uz
+    return ux, uy, uz
 
 
 def chasles(g: RigidMap) -> ChaslesDecomposition:
@@ -201,22 +246,43 @@ def chasles(g: RigidMap) -> ChaslesDecomposition:
     """
     r = g.rotation
     tv = g.translation
-    w = Vec3(r.zy - r.yz, r.xz - r.zx, r.yx - r.xy)  # 2 sin(theta) u
-    trace_less_one = r.trace() - 1.0  # 2 cos(theta)
-    theta = math.atan2(w.norm(), trace_less_one)
-    s = Screw.from_free_vector(tv)
-    if theta > 0.0:
-        if math.pi - theta < _NEAR_PI:
-            u = _axis_from_symmetric_part(r, w, 0.5 * trace_less_one)
-        else:
-            u = w.normalized()
-        # Invert the translation integral V(1): on the axis direction V is the
-        # identity, in the perpendicular plane it is a scaled rotation, giving
-        #   V^-1 = I - (t/2) K + (1 - (t/2) cot(t/2)) K^2.
-        utv = u.cross(tv)
-        s = Screw(u * theta, tv - (0.5 * theta) * utv + _log_coeff(theta) * u.cross(utv))
-    if s.is_free():
+    tx, ty, tz = tv.x, tv.y, tv.z
+    wx, wy, wz = r.zy - r.yz, r.xz - r.zx, r.yx - r.xy  # 2 sin(theta) u
+    trace_less_one = (r.xx + r.yy + r.zz) - 1.0  # 2 cos(theta)
+    wn = _norm(wx, wy, wz)
+    theta = math.atan2(wn, trace_less_one)
+    if not theta > 0.0:
         return ChaslesDecomposition(DegenerateAxis(), 0.0, 0.0, pure_translation=tv)
-    axis = s.axis()
-    slide = s.moment_at_origin.dot(axis.direction)
-    return ChaslesDecomposition(axis=axis, angle=theta, slide=slide)
+    if math.pi - theta < _NEAR_PI:
+        ux, uy, uz = _axis_from_symmetric_part(r.flat(), wx, wy, wz, wn, 0.5 * trace_less_one)
+    else:
+        ux, uy, uz = wx / wn, wy / wn, wz / wn
+    # Invert the translation integral V(1): on the axis direction V is the
+    # identity, in the perpendicular plane it is a scaled rotation, giving
+    #   V^-1 = I - (t/2) K + (1 - (t/2) cot(t/2)) K^2,
+    # so the moment is t - (theta / 2) (u x t) + c (u x (u x t)).
+    half = 0.5 * theta
+    ax = uy * tz - uz * ty
+    ay = uz * tx - ux * tz
+    az = ux * ty - uy * tx
+    c = _log_coeff(theta)
+    bx = uy * az - uz * ay
+    by = uz * ax - ux * az
+    bz = ux * ay - uy * ax
+    mx = (tx - ax * half) + bx * c
+    my = (ty - ay * half) + by * c
+    mz = (tz - az * half) + bz * c
+    if not math.isfinite(mx + my + mz):
+        hx, hy, hz = ax * half, ay * half, az * half
+        for link in (
+            (ax, ay, az), (hx, hy, hz), (tx - hx, ty - hy, tz - hz),
+            (bx, by, bz), (bx * c, by * c, bz * c), (mx, my, mz),
+        ):
+            _require_finite("Vec3", *link)
+    rx, ry, rz = ux * theta, uy * theta, uz * theta
+    if rx * rx + ry * ry + rz * rz == 0.0:  # the screw is free
+        return ChaslesDecomposition(DegenerateAxis(), 0.0, 0.0, pure_translation=tv)
+    _, vx, vy, vz, px, py, pz = _axis(rx, ry, rz, mx, my, mz)
+    return ChaslesDecomposition(
+        LineAxis(Point(px, py, pz), Vec3(vx, vy, vz)), theta, mx * vx + my * vy + mz * vz
+    )

@@ -41,9 +41,10 @@ Conventions that matter:
 from __future__ import annotations
 
 import math
+from math import isfinite
 
 from .errors import NonFiniteError
-from .vecmath import ORIGIN, Point, Vec3, _require_finite, _Value
+from .vecmath import ORIGIN, Point, Vec3, _norm, _require_finite, _Value
 
 __all__ = [
     "Screw",
@@ -70,6 +71,33 @@ def _add_cross(v: Vec3, w: Vec3, dx: float, dy: float, dz: float) -> Vec3:
     # The composed form refuses the cross product before the sum.
     _require_finite("Vec3", w.y * dz - w.z * dy, w.z * dx - w.x * dz, w.x * dy - w.y * dx)
     raise refusal
+
+
+def _axis(
+    wx: float, wy: float, wz: float, mx: float, my: float, mz: float
+) -> tuple[float, ...]:
+    """(n, u, P) of the line screw with resultant w and moment m at the
+    origin, as seven floats: n = |w|, u = w / n and the axis point
+    P = O + u x m / n.  The one definition, which ``Screw.axis``,
+    ``rigid.chasles`` and ``reduction.decompose_two_applied`` share, with the
+    float operations of that ``Vec3`` expression in its order (w / n needs
+    no check, as |w_i| <= n).  u x m / n is tested once; only if it is not
+    finite are the cross product and the quotient checked, in that order."""
+    n = _norm(wx, wy, wz)
+    ux = wx / n
+    uy = wy / n
+    uz = wz / n
+    cx = uy * mz - uz * my
+    cy = uz * mx - ux * mz
+    cz = ux * my - uy * mx
+    px = cx / n
+    py = cy / n
+    pz = cz / n
+    if not isfinite(px + py + pz):
+        _require_finite("Vec3", cx, cy, cz)
+        _require_finite("Vec3", px, py, pz)
+    # O + p is 0.0 + p.x, which turns a -0.0 into 0.0.
+    return n, ux, uy, uz, 0.0 + px, 0.0 + py, 0.0 + pz
 
 
 def _negligible(v: Vec3) -> bool:
@@ -253,9 +281,9 @@ class Screw(_Value):
         if self.is_free():
             return DegenerateAxis()
         w = self.resultant
-        n = w.norm()
-        u = w / n
-        return LineAxis(ORIGIN + u.cross(self.moment_at_origin) / n, u)
+        m = self.moment_at_origin
+        _, ux, uy, uz, px, py, pz = _axis(w.x, w.y, w.z, m.x, m.y, m.z)
+        return LineAxis(Point(px, py, pz), Vec3(ux, uy, uz))
 
     def pitch(self) -> Pitch:
         """Axis advance per full revolution: 2 pi (s(P) . u) / n for the

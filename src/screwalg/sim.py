@@ -51,7 +51,7 @@ from .errors import InvalidRotationError, NonFiniteError, SingularInertiaError
 from .kinematics import Twist
 from .rigid import _rodrigues
 from .vecmath import (
-    Mat3, Point, Vec3, _matmul, _norm, _orthonormality_defect, _require_finite, _Value,
+    Mat3, Point, Vec3, _det, _matmul, _norm, _orthonormality_defect, _require_finite, _Value,
 )
 
 __all__ = [
@@ -158,7 +158,8 @@ def _inverse_moment(body: InertiaOperator) -> Mat3:
     cannot tell apart (their trace is below mu / 2 times their number), has
     w.v < |w| / 2 on some column, which is given the negative sign and so
     refused.  No call loads numpy, and a diagonal moment matrix takes no
-    rotation and inverts to exactly diag(1/d_i)."""
+    rotation and inverts to exactly diag(1/d_i).  A refusal's message signs
+    the moments by the trace and determinant of J (``_signed_moments``)."""
     moments = body.moment_matrix
     e = math.frexp(moments.max_abs())[1]
     m0, _, _, m3, m4, _, m6, m7, m8 = (math.ldexp(x, -e) for x in moments.flat())
@@ -170,8 +171,9 @@ def _inverse_moment(body: InertiaOperator) -> Mat3:
     order = sorted(range(3), key=evals.__getitem__)
     evals = [evals[k] for k in order]
     if evals[0] < _SINGULAR_RTOL * max(evals[-1], 0.0) or evals[-1] <= 0.0:
+        j = (m0, m3, m6, m3, m4, m7, m6, m7, m8)
         raise SingularInertiaError(
-            f"inertia principal values {_scaled_values(evals, e)} are not invertible"
+            f"inertia principal values {_scaled_values(_signed_moments(evals, j), e)} are not invertible"
         )
     u, v, w = (evecs[k] for k in order)
     a, b, c = evals
@@ -183,6 +185,25 @@ def _inverse_moment(body: InertiaOperator) -> Mat3:
         raise NonFiniteError(
             f"inertia principal values {_scaled_values(evals, e)} have no finite inverse"
         ) from None
+
+
+def _signed_moments(evals: list[float], j: tuple[float, ...]) -> list[float]:
+    """The moments |evals|, signed by the one of the 8 sign patterns whose
+    sum and product are nearest the trace and determinant of the symmetric
+    9-tuple J, and sorted; of equally near patterns, that of ``evals``.  For
+    moments +mu and -mu of one size the SVD's columns mix their eigenvectors,
+    so w.v gives no moment its true sign, but the invariants do."""
+    trace, det = j[0] + j[4] + j[8], _det(j)
+
+    def miss(x: list[float]) -> float:
+        return abs(x[0] + x[1] + x[2] - trace) + abs(x[0] * x[1] * x[2] - det)
+
+    best = evals
+    for signs in ((a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)):
+        signed = [math.copysign(x, sign) for x, sign in zip(evals, signs)]
+        if miss(signed) < miss(best):
+            best = signed
+    return sorted(best)
 
 
 def _scaled_values(evals: list[float], e: int) -> str:

@@ -26,6 +26,14 @@ kernel (``sim._read``, ``_advance`` and ``_diagnose``) share them:
 ``sim._world_inertia`` and ``sim._angular_velocity``.  One more, the screw
 sum ``screw._screw_sum``, serves ``wrench_of``, ``compose_chain`` and
 ``momentum_screw``, and replays its caller's composed form on a refusal.
+The exp/log kernels ``rigid.exp_screw`` and ``rigid.chasles`` and the
+two-vector reduction ``reduction.decompose_two_applied`` work on floats and
+build only the values they return; they share the axis core
+``screw._axis`` (u = w / |w| and the point O + u x m / |w|, which
+``Screw.axis`` wraps), ``RigidMap``'s rotation check on nine floats
+(``_is_orthonormal`` and the determinant ``_det`` here, which
+``Mat3.is_orthonormal`` and ``Mat3.det`` wrap) and the float form of
+``reduction._reference_perpendicular``.
 
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,
@@ -102,6 +110,30 @@ def _orthonormality_defect(r: tuple[float, ...]) -> float:
         szz = xz * xz + yz * yz + zz * zz
         _require_finite("Mat3", sxx, dxy, dxz, dxy, syy, dyz, dxz, dyz, szz)
     return max(abs(dxx), abs(dxy), abs(dxz), abs(dyy), abs(dyz), abs(dzz))
+
+
+def _is_orthonormal(r: tuple[float, ...], tol: float) -> bool:
+    """Whether the row-major 9-tuple R has ``_orthonormality_defect`` within
+    ``tol``, the one test, which ``Mat3.is_orthonormal`` and ``RigidMap``'s
+    rotation check share.  No entry of an orthonormal matrix exceeds 1, and
+    one beyond 2 could overflow the squares of R^T R, so such a matrix is
+    refused before forming it."""
+    return max(map(abs, r)) <= 2.0 and _orthonormality_defect(r) <= tol
+
+
+def _det(r: tuple[float, ...]) -> float:
+    """det R for the row-major 9-tuple R, the one definition, which
+    ``Mat3.det`` and ``RigidMap``'s rotation check share: row 0 dotted with row
+    1 x row 2, with the float operations of that ``Vec3`` expression in its
+    order.  It refuses where that expression does, with the cross product's
+    components; the dot product may overflow, as ``Vec3.dot`` may."""
+    xx, xy, xz, yx, yy, yz, zx, zy, zz = r
+    cx = yy * zz - yz * zy
+    cy = yz * zx - yx * zz
+    cz = yx * zy - yy * zx
+    if not isfinite(cx + cy + cz):
+        _require_finite("Vec3", cx, cy, cz)
+    return xx * cx + xy * cy + xz * cz
 
 
 def _matmul(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
@@ -413,7 +445,7 @@ class Mat3(_Value):
         return self.xx + self.yy + self.zz
 
     def det(self) -> float:
-        return self.row(0).dot(self.row(1).cross(self.row(2)))
+        return _det(self.flat())
 
     def max_abs(self) -> float:
         return max(
@@ -433,10 +465,9 @@ class Mat3(_Value):
         return _orthonormality_defect(self.flat())
 
     def is_orthonormal(self, tol: float) -> bool:
-        """Whether ``orthonormality_defect()`` is within ``tol``.  No entry of
-        an orthonormal matrix exceeds 1, and one beyond 2 could overflow the
-        squares of R^T R, so such a matrix is refused before forming it."""
-        return self.max_abs() <= 2.0 and self.orthonormality_defect() <= tol
+        """Whether ``orthonormality_defect()`` is within ``tol``, an entry
+        beyond 2 refused first (``_is_orthonormal``)."""
+        return _is_orthonormal(self.flat(), tol)
 
 
 (_set_xx, _set_xy, _set_xz, _set_yx, _set_yy, _set_yz,

@@ -14,7 +14,21 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from screwalg import Frame, Mat3, NonFiniteError, Point, Screw, Twist, Vec3
+from screwalg import (
+    ORIGIN,
+    AppliedVectorPair,
+    ChaslesDecomposition,
+    DegenerateAxis,
+    Frame,
+    LineAxis,
+    Mat3,
+    NonFiniteError,
+    Point,
+    RigidMap,
+    Screw,
+    Twist,
+    Vec3,
+)
 
 settings.register_profile(
     "fast",
@@ -109,13 +123,34 @@ def spliced(draw, members, insertions, min_size=0, max_size=60):
 
 
 def _bits(value) -> tuple[str, ...]:
+    """The float.hex of every float of ``value``, field by field, with the
+    class of each axis and record named, so that two results compare equal
+    only when they are the same to the bit."""
     if isinstance(value, float):
         return (float.hex(value),)
+    if value is None or isinstance(value, DegenerateAxis):
+        return (repr(value),)
     if isinstance(value, Mat3):
         return tuple(float.hex(x) for x in value.flat())
     if isinstance(value, Screw):
         return _bits(value.resultant) + _bits(value.moment_at_origin)
+    if isinstance(value, LineAxis):
+        return ("LineAxis",) + _bits(value.point) + _bits(value.direction)
+    if isinstance(value, (RigidMap, ChaslesDecomposition, AppliedVectorPair)):
+        fields = (_bits(getattr(value, name)) for name in value._field_names)
+        return (value.__class__.__name__,) + sum(fields, ())
     return tuple(float.hex(x) for x in value.components())
+
+
+def composed_axis(s: Screw):
+    """``Screw.axis`` as the ``Vec3`` expression it fuses, the bit oracle of
+    the axis core ``screw._axis`` and of the kernels that read it."""
+    if s.is_free():
+        return DegenerateAxis()
+    w = s.resultant
+    n = w.norm()
+    u = w / n
+    return LineAxis(ORIGIN + u.cross(s.moment_at_origin) / n, u)
 
 
 def values_built(f, *args, classes=(Vec3, Point, Mat3)) -> int:

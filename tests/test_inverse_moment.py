@@ -227,3 +227,18 @@ def test_moments_of_one_size_and_both_signs_are_refused(moments):
     flat = _rotated((1.0, 0.5, 0.5, 0.0), moments, 1.0)
     with pytest.raises(SingularInertiaError, match=r"^inertia principal values \(.*\) are not invertible$"):
         sim._inverse_moment(_body(flat))
+
+
+@pytest.mark.parametrize("moments", [(2.0, -2.0, 1.0), (1.0, -1.0, 1.0)])
+def test_a_refusal_signs_moments_of_one_size_by_the_invariants(moments):
+    # The SVD's columns mix the eigenvectors of +mu and -mu, so w.v signed
+    # both -mu; the trace and determinant of J sign them (-, +, +), sorted.
+    # The magnitudes are the SVD's column norms, as before.
+    flat = _rotated((1.0, 0.5, 0.5, 0.0), moments, 1.0)
+    with pytest.raises(SingularInertiaError) as refused:
+        sim._inverse_moment(_body(flat))
+    printed = [float(x) for x in str(refused.value).split("(")[1].split(")")[0].split(", ")]
+    assert [math.copysign(1.0, x) for x in printed] == [-1.0, 1.0, 1.0]
+    e = math.frexp(max(map(abs, flat)))[1]
+    sizes = sorted(math.ldexp(math.hypot(*col), e) for col in _svd_of(flat)[0])
+    assert sorted(map(abs, printed)) == sizes

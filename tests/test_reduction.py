@@ -1,5 +1,7 @@
 """Two-vector reductions: every branch must reproduce its target screw, and
-the normalizations that make the result unique must actually hold."""
+the normalizations that make the result unique must actually hold.  The
+float kernel is held to the bit, and in what it refuses, to the composed
+``Vec3`` form kept here as its oracle."""
 
 import math
 
@@ -11,9 +13,17 @@ from conftest import (
     assert_scalar_close,
     assert_screw_close,
     assert_vec_close,
+    bit_examples,
+    composed_axis,
+    edge_screws,
+    edge_vec3s,
     line_screws,
     nonzero_vec3s,
     points,
+    scaled_points,
+    scaled_vec3s,
+    sum_outcome,
+    values_built,
     vec3s,
 )
 from screwalg import (
@@ -22,12 +32,14 @@ from screwalg import (
     FinitePitch,
     ForceSystem,
     LineAxis,
+    NonFiniteError,
     Point,
     Screw,
     Vec3,
     ZeroScrewError,
     central_axis_report,
     decompose_two_applied,
+    reduction,
     wrench_of,
 )
 
@@ -184,3 +196,94 @@ def test_decomposition_of_a_unit_wrench_example():
     )
     assert mid.isclose(ORIGIN, abs_=1e-12)  # axis passes through the origin
     assert_vec_close(pair.vector1 + pair.vector2, s.resultant, tol=1e-12)
+
+
+# The composed form that decompose_two_applied fuses, kept as its bit oracle.
+
+
+def _composed_reference_perpendicular(u: Vec3) -> Vec3:
+    axes = (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
+    pick = min(axes, key=lambda e: abs(u.dot(e)))
+    return u.cross(pick).normalized()
+
+
+def _composed_decompose(s: Screw, arm_length: float) -> AppliedVectorPair:
+    if s.is_zero():
+        raise ZeroScrewError("the zero screw has no two-vector decomposition")
+    if not arm_length > 0.0:
+        raise ValueError("arm_length must be positive")
+    if s.is_free():
+        m = s.moment_at_origin
+        m_hat = m.normalized()
+        w_hat = _composed_reference_perpendicular(m_hat)
+        w = w_hat * (m.norm() / arm_length)
+        a = m_hat.cross(w_hat) * arm_length
+        return AppliedVectorPair(ORIGIN + a * -0.5, w, ORIGIN + a * 0.5, -w)
+    w = s.resultant
+    amp = w.norm()
+    axis = composed_axis(s)
+    q, u = axis.point, axis.direction
+    m = s.moment_at_origin
+    sigma = m.dot(u)
+    if abs(sigma) <= reduction._SCALAR_RTOL * m.norm():
+        return AppliedVectorPair(q, w * 0.5, q + u, w * 0.5)
+    a_hat = _composed_reference_perpendicular(u)
+    v_hat = u.cross(a_hat)
+    gamma = 0.5 * amp
+    alpha = -2.0 * sigma / amp
+    arm = a_hat * alpha
+    leg1 = w * 0.5 + v_hat * gamma
+    leg2 = w * 0.5 - v_hat * gamma
+    return AppliedVectorPair(q + arm * -0.5, leg1, q + arm * 0.5, leg2)
+
+
+def _applied_or_free(p: Point, w: Vec3) -> Screw:
+    try:
+        return Screw.from_applied_vector(p, w)
+    except NonFiniteError:
+        return Screw.from_free_vector(w)
+
+
+# Screws of every branch: zero-pitch ones (a vector applied at a point),
+# couples, the zero screw and general screws, at the corners of float
+# arithmetic and at scales 1e-150..1e150; arms of any sign and size.
+_reduced_screws = st.one_of(
+    edge_screws,
+    st.builds(Screw, scaled_vec3s, scaled_vec3s),
+    st.builds(_applied_or_free, st.one_of(points, scaled_points), st.one_of(vec3s, edge_vec3s, scaled_vec3s)),
+    st.builds(Screw.from_free_vector, st.one_of(vec3s, edge_vec3s, scaled_vec3s)),
+)
+_arms = st.one_of(
+    st.just(1.0),
+    st.floats(0.1, 10.0),
+    st.floats(),
+    st.sampled_from([5e-324, 1e-300, 1e300, math.inf, 0.0, -0.0]),
+)
+
+
+@bit_examples
+@given(_reduced_screws, _arms)
+# The couple's force overflows, its arm is infinite, its moment's norm
+# overflows (no unit direction); the general arm overflows, and then the
+# first point does; a zero-pitch split with signed zeros.
+@example(Screw.from_free_vector(Vec3(1e300, 0.0, 0.0)), 1e-10)
+@example(Screw.from_free_vector(Vec3(0.0, 2.0, -1.0)), math.inf)
+@example(Screw.from_free_vector(Vec3(1.7e308, 1.7e308, 1.7e308)), 1.0)
+@example(Screw(Vec3(1e-160, 0.0, 0.0), Vec3(1e150, 0.0, 0.0)), 1.0)
+@example(Screw(Vec3(1.0, 0.0, 0.0), Vec3(4e307, 1.7e308, 0.0)), 1.0)
+@example(Screw(Vec3(-0.0, 2.0, -0.0), Vec3(-0.0, 0.0, -0.0)), 1.0)
+def test_decompose_two_applied_is_the_composed_pair_bit_for_bit(s, arm):
+    assert sum_outcome(decompose_two_applied, s, arm) == sum_outcome(_composed_decompose, s, arm)
+
+
+@pytest.mark.parametrize(
+    "s, built",
+    [
+        (Screw.from_free_vector(Vec3(1.0, 2.0, 3.0)), 4),
+        (Screw.from_applied_vector(Point(1.0, 2.0, 3.0), Vec3(0.0, 0.0, 2.0)), 3),
+        (Screw(Vec3(0.0, 0.0, 1.0), Vec3(0.0, 0.0, 1.0)), 4),
+    ],
+    ids=["couple", "zero-pitch", "general"],
+)
+def test_decompose_two_applied_builds_its_points_and_vectors_only(s, built):
+    assert values_built(decompose_two_applied, s, 2.0) == built

@@ -3,23 +3,35 @@
 The flow is validated against an independent RK4 integration of the field
 (the formula never gets to grade its own homework), and the logarithm is
 exercised on all three of its branches: generic angle, near-zero, near-pi.
+The float kernels ``exp_screw`` and ``chasles`` and the rotation check of
+``RigidMap`` are held to the bit, and in what they refuse, to the composed
+``Vec3``/``Mat3`` forms kept here as their oracles.
 """
 
 import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
     assert_scalar_close,
     assert_screw_close,
     assert_vec_close,
+    bit_examples,
+    composed_axis,
     coords,
+    edge_mat3s,
+    edge_screws,
+    edge_vec3s,
     points,
+    scaled_vec3s,
     screws,
+    small_params,
+    sum_outcome,
     unit_vec3s,
+    values_built,
     vec3s,
 )
 from screwalg import (
@@ -37,6 +49,7 @@ from screwalg import (
     ZeroScrewError,
     chasles,
     exp_screw,
+    rigid,
     rodrigues,
 )
 
@@ -315,3 +328,191 @@ def test_chasles_to_screw_of_a_degenerate_axis_without_translation_raises():
     # A raise, not an assert, so the check holds under ``python -O`` too.
     with pytest.raises(ZeroScrewError):
         ChaslesDecomposition(DegenerateAxis(), 0.0, 0.0).to_screw()
+
+
+# The composed forms that the kernels fuse, kept as their bit oracles: each
+# builds every intermediate through the checking constructors.  They read the
+# kernels' own coefficient functions and constants, which are defined once.
+
+
+def _composed_rotation_check(r: Mat3, t: Vec3) -> RigidMap:
+    """RigidMap(r, t) with its checks as the Mat3 expressions they fuse."""
+    if not (r.max_abs() <= 2.0 and (r.transpose().matmul(r) - Mat3.identity()).max_abs() <= rigid._ROTATION_TOL):
+        raise InvalidRotationError(f"rotation block is not orthonormal within {rigid._ROTATION_TOL}")
+    if abs(r.row(0).dot(r.row(1).cross(r.row(2))) - 1.0) > rigid._ROTATION_TOL:
+        raise InvalidRotationError("rotation block must have determinant +1")
+    return RigidMap(r, t)
+
+
+def _composed_exp_screw(s: Screw, t: float) -> RigidMap:
+    if s.is_free():
+        return _composed_rotation_check(Mat3.identity(), s.moment_at_origin * t)
+    w = s.resultant
+    omega = w.norm()
+    u = w / omega
+    theta = omega * t
+    rot = rodrigues(u, theta)
+    f1, f2 = rigid._exp_coeffs(theta)
+    m = s.moment_at_origin
+    um = u.cross(m)
+    uum = u.cross(um)
+    trans = (m + f1 * um + f2 * uum) * t
+    return _composed_rotation_check(rot, trans)
+
+
+def _composed_axis_from_symmetric_part(r: Mat3, w: Vec3, cos_theta: float) -> Vec3:
+    m = 0.5 * (r + r.transpose()) - cos_theta * Mat3.identity()
+    diag = (m.xx, m.yy, m.zz)
+    j = max(range(3), key=lambda i: diag[i])
+    u = m.column(j).normalized()
+    if w.norm() > 1e-12 and w.dot(u) < 0.0:
+        u = -u
+    return u
+
+
+def _composed_chasles(g: RigidMap) -> ChaslesDecomposition:
+    r = g.rotation
+    tv = g.translation
+    w = Vec3(r.zy - r.yz, r.xz - r.zx, r.yx - r.xy)
+    trace_less_one = r.trace() - 1.0
+    theta = math.atan2(w.norm(), trace_less_one)
+    s = Screw.from_free_vector(tv)
+    if theta > 0.0:
+        if math.pi - theta < rigid._NEAR_PI:
+            u = _composed_axis_from_symmetric_part(r, w, 0.5 * trace_less_one)
+        else:
+            u = w.normalized()
+        utv = u.cross(tv)
+        s = Screw(u * theta, tv - (0.5 * theta) * utv + rigid._log_coeff(theta) * u.cross(utv))
+    if s.is_free():
+        return ChaslesDecomposition(DegenerateAxis(), 0.0, 0.0, pure_translation=tv)
+    axis = composed_axis(s)
+    slide = s.moment_at_origin.dot(axis.direction)
+    return ChaslesDecomposition(axis=axis, angle=theta, slide=slide)
+
+
+# Angles on both sides of each branch constant: around _SERIES_ANGLE, inside
+# and outside the band pi - _NEAR_PI, at and past the half turn, and below
+# about 1.5e-162, where the squared angle underflows to 0.0.
+_kernel_angles = st.one_of(
+    st.floats(-7.0, 7.0),
+    st.floats(-6.0, -3.0).map(lambda e: 10.0 ** e),
+    st.floats(-9.0, -4.0).map(lambda e: math.pi - 10.0 ** e),
+    st.floats(-9.0, -4.0).map(lambda e: math.pi + 10.0 ** e),
+    st.floats(-200.0, -150.0).map(lambda e: 10.0 ** e),
+    st.sampled_from([math.pi, rigid._SERIES_ANGLE, math.pi - rigid._NEAR_PI, 1.5e-162]),
+)
+_kernel_moments = st.one_of(vec3s, edge_vec3s, scaled_vec3s)
+_kernel_screws = st.one_of(
+    st.builds(lambda u, a, m: Screw(u * a, m), _axes, _kernel_angles, _kernel_moments),
+    edge_screws,
+)
+# Mostly t = 1; also parameters that overflow the angle or the translation
+# partway, and the non-finite ones.
+_kernel_params = st.one_of(
+    st.just(1.0),
+    small_params,
+    st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e),
+    st.sampled_from([1e308, -1e308, 1e-300, -0.0, math.inf, math.nan]),
+)
+
+
+@bit_examples
+@given(_kernel_screws, _kernel_params)
+# The angle overflows; the translation overflows at its last step, * t; u x m
+# overflows; |w|^2 = 1e-320 is subnormal, not 0.0, so the screw is no free one.
+@example(Screw(Vec3(0.0, 0.0, 10.0), Vec3.zero()), 1e308)
+@example(Screw(Vec3(0.0, 0.0, 0.5), Vec3(0.0, 0.0, 2.0)), 1e308)
+@example(Screw(Vec3(0.0, 0.6, 0.8), Vec3(0.0, -1.7e308, 1.7e308)), 1.0)
+@example(Screw(Vec3(1e-160, 0.0, 0.0), Vec3(1.0, 2.0, 3.0)), 1.0)
+@example(Screw(Vec3(-0.0, 0.0, -0.0), Vec3(1e300, -0.0, 1.0)), 1e10)
+def test_exp_screw_is_the_composed_flow_bit_for_bit(s, t):
+    assert sum_outcome(exp_screw, s, t) == sum_outcome(_composed_exp_screw, s, t)
+
+
+def _flow_or_none(s: Screw):
+    try:
+        return exp_screw(s, 1.0)
+    except (NonFiniteError, InvalidRotationError):
+        return None
+
+
+# Half turns about a coordinate axis, with zeros of either sign off the
+# diagonal: the axis taken from the symmetric part keeps their signs.
+_half_turns = st.builds(
+    lambda d, z: Mat3(d[0], z[0], z[1], z[2], d[1], z[3], z[4], z[5], d[2]),
+    st.sampled_from([(-1.0, -1.0, 1.0), (-1.0, 1.0, -1.0), (1.0, -1.0, -1.0)]),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=6, max_size=6),
+)
+_kernel_maps = st.one_of(
+    st.builds(_flow_or_none, _kernel_screws).filter(lambda g: g is not None),
+    st.builds(
+        RigidMap,
+        st.one_of(st.builds(rodrigues, _axes, _kernel_angles), _half_turns),
+        _kernel_moments,
+    ),
+)
+
+
+@bit_examples
+@given(_kernel_maps)
+# u x t overflows where the squared angle underflows, and a free screw comes
+# back where it does not; exact and near half turns; the moment overflows
+# near a half turn; a rotation of 1e-170 with a translation of 1.
+@example(RigidMap(rodrigues(Vec3(0.0, 0.6, 0.8), 1e-170), Vec3(0.0, -1.7e308, 1.7e308)))
+@example(RigidMap(rodrigues(Vec3(0.0, 0.6, 0.8), 1e-170), Vec3(1.0, 2.0, 3.0)))
+@example(RigidMap(Mat3(-1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0), Vec3(0.4, -0.2, 0.7)))
+@example(RigidMap(rodrigues(Vec3(0.6, 0.0, -0.8), math.pi - 1e-7), Vec3(-0.0, 0.0, 1.0)))
+@example(RigidMap(rodrigues(Vec3(0.6, 0.0, -0.8), math.pi - 1e-7), Vec3(1.7e308, -1.7e308, 1.7e308)))
+@example(RigidMap(Mat3(-1.0, -0.0, -0.0, -0.0, -1.0, -0.0, -0.0, -0.0, 1.0), Vec3(0.4, -0.2, 0.7)))
+# An axial part w = (8e-11, 0, 0) perpendicular to the axis (0, 0, 1) that
+# the symmetric part gives: w . u is 0.0, which does not flip u.
+@example(RigidMap(Mat3(-1.0, 0.0, 0.0, 0.0, -1.0, -4e-11, 0.0, 4e-11, 1.0), Vec3(0.4, -0.2, 0.7)))
+def test_chasles_is_the_composed_decomposition_bit_for_bit(g):
+    assert sum_outcome(chasles, g) == sum_outcome(_composed_chasles, g)
+
+
+# Near rotations: one entry moved by about the tolerance, or the whole
+# matrix scaled by 1 + d, which moves the determinant by about 3 d and the
+# orthonormality defect by 2 d; and their reflections.
+_rotations = st.builds(rodrigues, _axes, _kernel_angles)
+_near_rotations = st.builds(
+    lambda r, i, d, sign: Mat3(*(sign * (x + d if k == i else x) for k, x in enumerate(r.flat()))),
+    st.one_of(_rotations, st.builds(lambda r, d: r * (1.0 + d), _rotations, st.floats(-6e-11, 6e-11))),
+    st.integers(0, 8),
+    st.sampled_from([0.0, 0.0, 1e-11, -1e-11, 1e-10, 1e-9, 2.5]),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@bit_examples
+@given(st.one_of(edge_mat3s, _near_rotations), edge_vec3s)
+# Orthonormal within the tolerance (defect 9e-11) with det - 1 = 1.35e-10.
+@example(Mat3.identity() * (1.0 + 4.5e-11), Vec3.zero())
+def test_rigid_map_checks_its_rotation_as_the_composed_checks(r, t):
+    assert sum_outcome(RigidMap, r, t) == sum_outcome(_composed_rotation_check, r, t)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [Screw(Vec3(0.0, 0.0, 2.0), Vec3(1.0, 2.0, 3.0)), Screw(Vec3(0.0, 3e-5, 0.0), Vec3(1.0, 2.0, 3.0)),
+     Screw.from_free_vector(Vec3(1.0, 2.0, 3.0))],
+    ids=["line", "series", "free"],
+)
+def test_exp_screw_builds_its_rotation_and_translation_only(s):
+    assert values_built(exp_screw, s, 0.7) == 2
+
+
+@pytest.mark.parametrize(
+    "g, built",
+    [
+        (exp_screw(Screw(Vec3(0.0, 0.0, 2.0), Vec3(1.0, 2.0, 3.0)), 1.0), 2),
+        (exp_screw(Screw(Vec3(0.0, 0.6, 0.8) * (math.pi - 1e-7), Vec3(1.0, 2.0, 3.0)), 1.0), 2),
+        (RigidMap(Mat3(-1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0), Vec3(0.4, -0.2, 0.7)), 2),
+        (RigidMap(Mat3.identity(), Vec3(1.0, 2.0, 3.0)), 0),
+        (RigidMap(rodrigues(Vec3(0.0, 0.6, 0.8), 1e-170), Vec3(1.0, 2.0, 3.0)), 0),
+    ],
+    ids=["line", "near-half-turn", "half-turn", "translation", "underflow"],
+)
+def test_chasles_builds_its_axis_point_and_direction_only(g, built):
+    assert values_built(chasles, g) == built

@@ -19,14 +19,18 @@ from conftest import (
     assert_vec_close,
     bit_examples,
     bit_outcome,
+    composed_axis,
     coords,
     edge_points,
     edge_screws,
     edge_vec3s,
     line_screws,
     points,
+    scaled_vec3s,
     screws,
     small_params,
+    sum_outcome,
+    values_built,
     vec3s,
 )
 from screwalg import (
@@ -384,3 +388,24 @@ def test_from_motor_is_the_composed_screw_bit_for_bit(p, w, v):
     assert bit_outcome(Screw.from_motor, p, w, v) == bit_outcome(
         lambda p, w, v: Screw(w, v + w.cross(ORIGIN - p)), p, w, v
     )
+
+
+# Screw.axis reads the axis core screw._axis, which chasles and the two-vector
+# reduction share; it is the composed form (conftest.composed_axis) to the bit.
+
+
+@bit_examples
+@given(st.one_of(edge_screws, st.builds(Screw, scaled_vec3s, scaled_vec3s)))
+# u x m overflows, and |w| = 2 tells its components from those of u x m / |w|;
+# u x m / |w| overflows, |w|^2 = 1e-320 being subnormal; the cross product's
+# zeros carry signs that O + p turns positive.
+@example(Screw(Vec3(0.0, 1.2, 1.6), Vec3(1.0, -1.7e308, 1.7e308)))
+@example(Screw(Vec3(1e-160, 0.0, 0.0), Vec3(0.0, 1e150, 0.0)))
+@example(Screw(Vec3(-1.0, -0.0, 0.0), Vec3(-0.0, -0.0, 0.0)))
+def test_axis_is_the_composed_axis_bit_for_bit(s):
+    assert sum_outcome(s.axis) == sum_outcome(composed_axis, s)
+
+
+def test_axis_builds_its_point_and_direction_only():
+    assert values_built(Screw(Vec3(0.0, 0.0, 2.0), Vec3(1.0, 2.0, 3.0)).axis) == 2
+    assert values_built(Screw.from_free_vector(Vec3(1.0, 2.0, 3.0)).axis) == 0

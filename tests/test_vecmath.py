@@ -180,6 +180,19 @@ def test_orthonormality_defect_refuses_with_the_entries_of_r_t_r():
     assert not r.is_orthonormal(1e-10)
 
 
+@bit_examples
+@given(st.one_of(edge_mat3s, st.builds(rodrigues, unit_vec3s, small_params)))
+# Row 1 x row 2 overflows; the dot product overflows, which refuses nothing.
+@example(Mat3(1.0, 0.0, 0.0, 0.0, 1e200, 1e200, 0.0, -1e200, 1e200))
+@example(Mat3(1e200, 0.0, 0.0, 0.0, 1e100, 0.0, 0.0, 0.0, 1e100))
+def test_det_is_the_composed_determinant_bit_for_bit(m):
+    assert bit_outcome(m.det) == bit_outcome(lambda: m.row(0).dot(m.row(1).cross(m.row(2))))
+
+
+def test_det_builds_no_value():
+    assert values_built(rodrigues(Vec3(0.6, 0.0, 0.8), 0.3).det) == 0
+
+
 def test_identity_and_trace():
     assert Mat3.identity().matvec(Vec3(1.0, 2.0, 3.0)) == Vec3(1.0, 2.0, 3.0)
     assert Mat3.identity().trace() == 3.0
