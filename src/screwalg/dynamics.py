@@ -26,12 +26,12 @@ from .errors import EmptyDistributionError, MissingVelocitiesError
 from .kinematics import Twist
 from .lie import (
     Frame,
-    Screw6,
+    _dual_coords,
+    _frame_floats,
+    _screw_from_coords,
     basis_screws,
     commutator,
-    from_frame,
     klein_product,
-    to_dual,
 )
 from .screw import Screw, _screw_sum, _ScrewRole
 from .vecmath import Mat3, Point, Vec3, _Value
@@ -60,9 +60,10 @@ _NULLSPACE_RTOL = 1e-10
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 _SVD_SWEEPS = 30
-# A Householder column whose norm is below 2**_SAFE_MIN_EXPONENT, the safe
+# A Householder column whose norm is below _SAFE_MIN = 2**-969, the safe
 # minimum of LAPACK's dlarfg, is scaled up first.
-_SAFE_MIN_EXPONENT = -969
+_SAFE_MIN = 2.0**-969
+_UNIT = [(0.0,) * j + (1.0,) + (0.0,) * (5 - j) for j in range(6)]
 
 
 class Wrench(_ScrewRole):
@@ -237,12 +238,26 @@ def reciprocal_subspace(wrenches: list[Screw], frame: Frame) -> list[Screw]:
     takes their scale relative to the other part.  The vectors are
     orthonormal when the two blocks share their binary exponent, as in the
     unit cases, and a basis of the same span otherwise.
+
+    A float kernel, with the float operations of the composed form in their
+    order, so every result is that form's to the bit: each row is
+    ``lie._dual_coords`` of its wrench (s(Q) . e_i, then resultant . e_i,
+    s(Q) refused as ``value_at`` refuses it), the Householder QR, the
+    full-rank bound and the back-reflection run on float locals, and each
+    basis screw is ``lie._screw_from_coords`` of its null vector, one
+    ``Screw`` of two ``Vec3``s, which replays the composed ``Vec3`` form to
+    refuse one that is not finite.  A row whose dot product overflows, which
+    the composed form does not refuse either, spoils the same null vectors.
+    ``tests/test_null_space.py`` keeps the composed form as the bit oracle.
     """
     if not wrenches:
         return list(basis_screws(frame))
-    rows = [d.c + d.d for d in (to_dual(w, frame) for w in wrenches)]
-    moment = max([abs(x) for row in rows for x in row[:3]])
-    resultant = max([abs(x) for row in rows for x in row[3:]])
+    f = _frame_floats(frame)
+    rows = [_dual_coords(w, f) for w in wrenches]
+    moment = resultant = 0.0
+    for m1, m2, m3, r1, r2, r3 in rows:
+        moment = max(moment, abs(m1), abs(m2), abs(m3))
+        resultant = max(resultant, abs(r1), abs(r2), abs(r3))
     em, er = math.frexp(moment)[1], math.frexp(resultant)[1]
     # A zero block takes the other block's scale.
     if not moment:
@@ -259,13 +274,12 @@ def reciprocal_subspace(wrenches: list[Screw], frame: Frame) -> list[Screw]:
     # scaled here so that neither part grows.
     k = er - em
     out = []
-    for y in _null_space(balanced):
-        a, b = y[:3], y[3:]
+    for a1, a2, a3, b1, b2, b3 in _null_space(balanced):
         if k > 0:
-            b = tuple([ldexp(x, -k) for x in b])
+            b1, b2, b3 = ldexp(b1, -k), ldexp(b2, -k), ldexp(b3, -k)
         elif k < 0:
-            a = tuple([ldexp(x, k) for x in a])
-        out.append(from_frame(Screw6(a, b), frame))
+            a1, a2, a3 = ldexp(a1, k), ldexp(a2, k), ldexp(a3, k)
+        out.append(_screw_from_coords(f, a1, a2, a3, b1, b2, b3))
     return out
 
 
@@ -300,7 +314,11 @@ def _null_space(a: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
     Jacobi SVD of T^T (``_jacobi_svd``), and its right singular vectors y
     below the cutoff give the null vectors Q (y, 0), in decreasing order of
     their singular value, followed by Q's trailing columns.  A full-rank
-    answer is Q's trailing columns either way."""
+    answer is Q's trailing columns either way.
+
+    Q y is the reflectors of ``_householder`` applied last to first, each
+    written out on six float locals as (I - tau v v^T) y, with the float
+    operations of the six-term dot product and update in their order."""
     n = len(a)
     m = min(n, 6)
     cols = list(a)
@@ -311,58 +329,70 @@ def _null_space(a: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
         sigma = [math.hypot(*col) for col in w]
         cutoff = _NULLSPACE_RTOL * max(sigma)
         below = sorted((i for i in range(m) if not sigma[i] > cutoff), key=lambda i: -sigma[i])
-        null = [right[i] for i in below]
+        null = [tuple(right[i]) + (0.0,) * (6 - m) for i in below]
     out = []
-    for y in null + [(0.0,) * j + (1.0,) + (0.0,) * (5 - j) for j in range(n, 6)]:
-        y = tuple(y) + (0.0,) * (6 - len(y))
-        for v, tau in reversed(reflectors):
-            y = _reflect(v, tau, y)
-        out.append(y)
+    reflectors.reverse()
+    for y0, y1, y2, y3, y4, y5 in null + _UNIT[n:]:
+        for v0, v1, v2, v3, v4, v5, tau in reflectors:
+            s = tau * (v0 * y0 + v1 * y1 + v2 * y2 + v3 * y3 + v4 * y4 + v5 * y5)
+            y0 = y0 - s * v0
+            y1 = y1 - s * v1
+            y2 = y2 - s * v2
+            y3 = y3 - s * v3
+            y4 = y4 - s * v4
+            y5 = y5 - s * v5
+        out.append((y0, y1, y2, y3, y4, y5))
     return out
 
 
-def _householder(cols: list[tuple[float, ...]]) -> list[tuple[tuple[float, ...], float]]:
+def _householder(cols: list[tuple[float, ...]]) -> list[list[float]]:
     """Householder QR, in place, of the 6 x n matrix whose columns are the
     6-tuples ``cols``: column j ends as column j of T = Q^T (cols), zero
     below row j, and Q is the product of the returned reflectors I - tau v
-    v^T, each given as (v, tau), v zero above its row k and 1 at it.  As
-    LAPACK's dlarfg: a column whose entries below row k are all zero takes no
-    reflector, and beta = -sign(alpha) ||x|| with sign(+0.0) = +1, so a
-    system of coordinate screws gets signed coordinate vectors."""
+    v^T, each given as the list v0, ..., v5, tau, v zero above its row k and
+    1 at it.  As LAPACK's dlarfg: a column whose entries below row k are all
+    zero takes no reflector, and beta = -sign(alpha) ||x|| with sign(+0.0) =
+    +1, so a system of coordinate screws gets signed coordinate vectors.
+    Each reflection of a later column is written out on six float locals,
+    with the float operations of the six-term dot product and update in
+    their order."""
     reflectors = []
-    for k in range(min(len(cols), 5)):
+    hypot = math.hypot
+    n = len(cols)
+    for k in range(min(n, 5)):
         col = cols[k]
         tail = col[k + 1:]
-        xnorm = math.hypot(*tail)
+        xnorm = hypot(*tail)
         if xnorm == 0.0:
             continue
         alpha = col[k]
-        e = math.frexp(math.hypot(alpha, xnorm))[1]
-        if e <= _SAFE_MIN_EXPONENT:
+        norm = hypot(alpha, xnorm)
+        if norm < _SAFE_MIN:
             # Scaled up by an exact power of two, a column near the subnormal
             # range gives a reflector that keeps its digits, so Q stays
             # orthogonal; the reflector does not depend on the scale.
+            e = math.frexp(norm)[1]
             alpha, tail = math.ldexp(alpha, -e), [math.ldexp(x, -e) for x in tail]
-            xnorm = math.hypot(*tail)
+            norm = hypot(alpha, hypot(*tail))
+            beta = -math.copysign(norm, alpha)
+            diagonal = math.ldexp(beta, e)
         else:
-            e = 0
-        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+            beta = diagonal = -math.copysign(norm, alpha)
         pivot = alpha - beta
-        v = (0.0,) * k + (1.0,) + tuple([x / pivot for x in tail])
         tau = (beta - alpha) / beta
-        cols[k] = col[:k] + (math.ldexp(beta, e),) + (0.0,) * (5 - k)
-        for j in range(k + 1, len(cols)):
-            cols[j] = _reflect(v, tau, cols[j])
-        reflectors.append((v, tau))
+        v = [0.0] * k
+        v.append(1.0)
+        for x in tail:
+            v.append(x / pivot)
+        v0, v1, v2, v3, v4, v5 = v
+        v.append(tau)
+        reflectors.append(v)
+        cols[k] = col[:k] + (diagonal,) + (0.0,) * (5 - k)
+        for j in range(k + 1, n):
+            a0, a1, a2, a3, a4, a5 = cols[j]
+            s = tau * (v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4 + v5 * a5)
+            cols[j] = (a0 - s * v0, a1 - s * v1, a2 - s * v2, a3 - s * v3, a4 - s * v4, a5 - s * v5)
     return reflectors
-
-
-def _reflect(v: tuple[float, ...], tau: float, a: tuple[float, ...]) -> tuple[float, ...]:
-    """(I - tau v v^T) a for the 6-tuples v and a."""
-    v0, v1, v2, v3, v4, v5 = v
-    a0, a1, a2, a3, a4, a5 = a
-    s = tau * (v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4 + v5 * a5)
-    return (a0 - s * v0, a1 - s * v1, a2 - s * v2, a3 - s * v3, a4 - s * v4, a5 - s * v5)
 
 
 def _proves_full_rank(cols: list[tuple[float, ...]], m: int) -> bool:
@@ -372,15 +402,16 @@ def _proves_full_rank(cols: list[tuple[float, ...]], m: int) -> bool:
     float range, fails it."""
     inv = []  # R^-1 by back substitution, one column at a time
     for j in range(m):
-        x = [0.0] * (j + 1)
-        for i in range(j, -1, -1):
-            pivot = cols[i][i]
-            if pivot == 0.0:
-                return False
-            s = 1.0 if i == j else 0.0
+        pivot = cols[j][j]
+        if pivot == 0.0:
+            return False
+        x = [0.0] * j
+        x.append(1.0 / pivot)
+        for i in range(j - 1, -1, -1):
+            s = 0.0
             for l in range(i + 1, j + 1):
                 s -= cols[l][i] * x[l]
-            x[i] = s / pivot
+            x[i] = s / cols[i][i]
         inv += x
     norm = math.hypot(*[x for col in cols for x in col])
     return norm * math.hypot(*inv) * (2 * m) < 1.0 / _NULLSPACE_RTOL

@@ -23,6 +23,8 @@ s = sum a_i f_i + b_i m_i.  The commutation relations are
 
 from __future__ import annotations
 
+from math import isfinite
+
 from .errors import NonFiniteError
 from .screw import Screw
 from .vecmath import Mat3, Point, Vec3, _require_finite, _Value
@@ -156,48 +158,110 @@ def basis_screws(frame: Frame) -> tuple[Screw, ...]:
     return f + m
 
 
-def to_frame(s: Screw, frame: Frame) -> Screw6:
-    """Coordinates of s in the frame's basis screws."""
-    e1, e2, e3 = frame.e1, frame.e2, frame.e3
+def _frame_floats(frame: Frame) -> tuple[float, ...]:
+    """The frame's origin Q and basis e1, e2, e3 as twelve floats, which the
+    change-of-frame cores ``_dual_coords`` and ``_screw_from_coords`` read.
+    An origin that is not a ``Point`` is refused as ``Screw.value_at``, which
+    reads it first in the composed form of ``to_frame``, refuses it."""
+    q, e1, e2, e3 = frame.origin, frame.e1, frame.e2, frame.e3
+    if not isinstance(q, Point):
+        raise TypeError(f"value_at takes a Point, got {q.__class__.__name__}")
+    return q.x, q.y, q.z, e1.x, e1.y, e1.z, e2.x, e2.y, e2.z, e3.x, e3.y, e3.z
+
+
+def _dual_coords(s: Screw, f: tuple[float, ...]) -> tuple[float, ...]:
+    """The coordinates of the functional <s, .> in the dual basis of the
+    frame f (``_frame_floats``) as six floats: s(Q) . e_i, then
+    resultant . e_i.  The one change of frame to coordinates, which
+    ``to_frame``, ``to_dual`` and ``dynamics.reciprocal_subspace`` share,
+    with the float operations of ``s.value_at(Q)`` and ``Vec3.dot`` in their
+    order.  s(Q) is tested once and refused as ``value_at`` refuses it; the
+    dot products may overflow, as ``Vec3.dot`` may."""
+    qx, qy, qz, e1x, e1y, e1z, e2x, e2y, e2z, e3x, e3y, e3z = f
     w = s.resultant
-    at_origin = s.value_at(frame.origin)
-    return Screw6(
-        (w.dot(e1), w.dot(e2), w.dot(e3)),
-        (at_origin.dot(e1), at_origin.dot(e2), at_origin.dot(e3)),
+    m = s.moment_at_origin
+    wx = w.x
+    wy = w.y
+    wz = w.z
+    # s(Q) = s(O) + w x (Q - O), and Q - O is q exactly.
+    cx = wy * qz - wz * qy
+    cy = wz * qx - wx * qz
+    cz = wx * qy - wy * qx
+    vx = m.x + cx
+    vy = m.y + cy
+    vz = m.z + cz
+    if not isfinite(vx + vy + vz):
+        _require_finite("Vec3", cx, cy, cz)
+        _require_finite("Vec3", vx, vy, vz)
+    return (
+        vx * e1x + vy * e1y + vz * e1z,
+        vx * e2x + vy * e2y + vz * e2z,
+        vx * e3x + vy * e3y + vz * e3z,
+        wx * e1x + wy * e1y + wz * e1z,
+        wx * e2x + wy * e2y + wz * e2z,
+        wx * e3x + wy * e3y + wz * e3z,
     )
 
 
-def from_frame(coords: Screw6, frame: Frame) -> Screw:
-    """Reassemble the screw sum a_i f_i + sum b_i m_i.  Each sum is fused
-    (see ``vecmath``): one ``Vec3`` with the float operations of
-    e1 * a1 + e2 * a2 + e3 * a3 in their order.  A sum that refuses is
+def _screw_from_coords(
+    f: tuple[float, ...], a1: float, a2: float, a3: float, b1: float, b2: float, b3: float
+) -> Screw:
+    """The screw sum a_i f_i + sum b_i m_i in the frame f (``_frame_floats``)
+    as one ``Screw`` of two ``Vec3``s.  The one change of frame from
+    coordinates, which ``from_frame`` and ``dynamics.reciprocal_subspace``
+    share: the resultant e1 * a1 + e2 * a2 + e3 * a3, the value at Q summed
+    alike from b, and ``Screw.from_motor``'s transport to the origin, with
+    the float operations of that ``Vec3`` expression in their order.  The
+    two ``Vec3``s are its one finiteness test; a screw that fails it is
     recomputed in the composed form, which refuses on the same inputs, with
-    the components of its first product or partial sum that overflows."""
-    e1, e2, e3 = frame.e1, frame.e2, frame.e3
-    a1, a2, a3 = coords.a
-    b1, b2, b3 = coords.b
+    the components of its first product, partial sum, cross product or sum
+    that overflows."""
+    qx, qy, qz, e1x, e1y, e1z, e2x, e2y, e2z, e3x, e3y, e3z = f
+    rx = e1x * a1 + e2x * a2 + e3x * a3
+    ry = e1y * a1 + e2y * a2 + e3y * a3
+    rz = e1z * a1 + e2z * a2 + e3z * a3
+    vx = e1x * b1 + e2x * b2 + e3x * b3
+    vy = e1y * b1 + e2y * b2 + e3y * b3
+    vz = e1z * b1 + e2z * b2 + e3z * b3
+    # O - Q is 0.0 - q.x, as from_motor forms it.
+    dx = 0.0 - qx
+    dy = 0.0 - qy
+    dz = 0.0 - qz
     try:
-        resultant = Vec3(
-            e1.x * a1 + e2.x * a2 + e3.x * a3,
-            e1.y * a1 + e2.y * a2 + e3.y * a3,
-            e1.z * a1 + e2.z * a2 + e3.z * a3,
-        )
-        at_origin = Vec3(
-            e1.x * b1 + e2.x * b2 + e3.x * b3,
-            e1.y * b1 + e2.y * b2 + e3.y * b3,
-            e1.z * b1 + e2.z * b2 + e3.z * b3,
+        return Screw(
+            Vec3(rx, ry, rz),
+            Vec3(vx + (ry * dz - rz * dy), vy + (rz * dx - rx * dz), vz + (rx * dy - ry * dx)),
         )
     except NonFiniteError:
-        resultant = e1 * a1 + e2 * a2 + e3 * a3
-        at_origin = e1 * b1 + e2 * b2 + e3 * b3
-    return Screw.from_motor(frame.origin, resultant, at_origin)
+        pass
+    e1, e2, e3 = Vec3(e1x, e1y, e1z), Vec3(e2x, e2y, e2z), Vec3(e3x, e3y, e3z)
+    return Screw.from_motor(Point(qx, qy, qz), e1 * a1 + e2 * a2 + e3 * a3, e1 * b1 + e2 * b2 + e3 * b3)
+
+
+def to_frame(s: Screw, frame: Frame) -> Screw6:
+    """Coordinates of s in the frame's basis screws (``_dual_coords``, the
+    two triples swapped)."""
+    b1, b2, b3, a1, a2, a3 = _dual_coords(s, _frame_floats(frame))
+    return Screw6((a1, a2, a3), (b1, b2, b3))
+
+
+def from_frame(coords: Screw6, frame: Frame) -> Screw:
+    """Reassemble the screw sum a_i f_i + sum b_i m_i
+    (``_screw_from_coords``)."""
+    a1, a2, a3 = coords.a
+    b1, b2, b3 = coords.b
+    if not isinstance(frame.origin, Point):
+        # The composed form, which refuses the origin in from_motor, after its sums.
+        e1, e2, e3 = frame.basis()
+        return Screw.from_motor(frame.origin, e1 * a1 + e2 * a2 + e3 * a3, e1 * b1 + e2 * b2 + e3 * b3)
+    return _screw_from_coords(_frame_floats(frame), a1, a2, a3, b1, b2, b3)
 
 
 def to_dual(s: Screw, frame: Frame) -> Dual6:
     """Coordinates of the functional <s, .> in the dual basis: the pairing
     swaps the two triples, (c, d) = (b, a)."""
-    coords = to_frame(s, frame)
-    return Dual6(coords.b, coords.a)
+    c1, c2, c3, d1, d2, d3 = _dual_coords(s, _frame_floats(frame))
+    return Dual6((c1, c2, c3), (d1, d2, d3))
 
 
 def pairing(dual: Dual6, coords: Screw6) -> float:

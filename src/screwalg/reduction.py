@@ -27,11 +27,12 @@ wants in one pass.
 
 from __future__ import annotations
 
+import math
 from math import isfinite
 
 from .dynamics import ForceSystem, wrench_of
-from .errors import ZeroScrewError
-from .screw import Pitch, Screw, ScrewAxis, _axis
+from .errors import NonFiniteError, ZeroScrewError
+from .screw import FinitePitch, LineAxis, Pitch, Screw, ScrewAxis, _axis
 from .vecmath import Point, Vec3, _norm, _require_finite, _Value
 
 __all__ = ["AppliedVectorPair", "CentralAxisReport", "decompose_two_applied", "central_axis_report"]
@@ -174,13 +175,34 @@ def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPai
 
 def central_axis_report(fs: ForceSystem) -> CentralAxisReport:
     """Reduce a force system and bundle the invariants and central axis of
-    its wrench (the central axis of the system is the wrench's screw axis)."""
+    its wrench (the central axis of the system is the wrench's screw axis).
+
+    The wrench's six floats are read once, and a line screw's |w|, u = w / |w|
+    and axis point come from one ``screw._axis``: each field is built as the
+    ``Screw`` method it stands for computes it, to the bit, and the vector
+    invariant u (s(O) . u) and the pitch share s(O) . u.  The composed form
+    refuses the vector invariant before the axis, so an axis that refuses
+    first replays ``vector_invariant``.  A free or zero screw's fields are
+    the methods' own."""
     s = wrench_of(fs).screw
+    w = s.resultant
+    m = s.moment_at_origin
+    wx, wy, wz = w.x, w.y, w.z
+    mx, my, mz = m.x, m.y, m.z
+    scalar = mx * wx + my * wy + mz * wz
+    if wx * wx + wy * wy + wz * wz == 0.0:
+        return CentralAxisReport(w, s.amplitude(), scalar, s.vector_invariant(), s.axis(), s.pitch())
+    try:
+        amp, ux, uy, uz, px, py, pz = _axis(wx, wy, wz, mx, my, mz)
+    except NonFiniteError:
+        s.vector_invariant()
+        raise
+    t = mx * ux + my * uy + mz * uz
     return CentralAxisReport(
-        resultant=s.resultant,
-        amplitude=s.amplitude(),
-        scalar_invariant=s.scalar_invariant(),
-        vector_invariant=s.vector_invariant(),
-        axis=s.axis(),
-        pitch=s.pitch(),
+        w,
+        amp,
+        scalar,
+        Vec3(ux * t, uy * t, uz * t),
+        LineAxis(Point(px, py, pz), Vec3(ux, uy, uz)),
+        FinitePitch(2.0 * math.pi * t / amp),
     )

@@ -13,7 +13,7 @@ A ``Point`` is a location, a ``Vec3`` a displacement: Point - Point = Vec3,
 Point + Vec3 = Point, and any other sum or difference of them is a TypeError.
 
 Composite operations on the algebra's hot paths are fused (``Screw.value_at``,
-``from_motor``, ``lie.commutator``, ``lie.from_frame``, ``rigid.rodrigues``):
+``from_motor``, ``lie.commutator``, ``rigid.rodrigues``):
 one value, built entry by entry through the checking constructor with the
 float operations of the composed expression in its order.  It rounds as that
 expression does, to the bit, and raises ``NonFiniteError`` on the same
@@ -33,7 +33,15 @@ build only the values they return; they share the axis core
 ``Screw.axis`` wraps), ``RigidMap``'s rotation check on nine floats
 (``_is_orthonormal`` and the determinant ``_det`` here, which
 ``Mat3.is_orthonormal`` and ``Mat3.det`` wrap) and the float form of
-``reduction._reference_perpendicular``.
+``reduction._reference_perpendicular``.  The reciprocal subspace
+``dynamics.reciprocal_subspace`` is one too: its pairing rows are
+``lie._dual_coords`` (s(Q) . e_i, then resultant . e_i, on floats, which
+``to_frame`` and ``to_dual`` wrap), its Householder QR, full-rank bound and
+back-reflection of Q's columns run on float locals, and each basis screw is
+``lie._screw_from_coords``, one ``Screw`` of two ``Vec3``s, which
+``from_frame`` wraps; a basis screw that is not finite replays the composed
+``Vec3`` form there, which refuses as before.  ``reduction.central_axis_report``
+reads its wrench once and its line axis from one ``screw._axis``.
 
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,

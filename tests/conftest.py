@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 from screwalg import (
     ORIGIN,
     AppliedVectorPair,
+    CentralAxisReport,
     ChaslesDecomposition,
     DegenerateAxis,
+    FinitePitch,
     Frame,
+    InfinitePitch,
     LineAxis,
     Mat3,
     NonFiniteError,
@@ -28,6 +31,7 @@ from screwalg import (
     Screw,
     Twist,
     Vec3,
+    ZeroScrewPitch,
 )
 
 settings.register_profile(
@@ -124,19 +128,24 @@ def spliced(draw, members, insertions, min_size=0, max_size=60):
 
 def _bits(value) -> tuple[str, ...]:
     """The float.hex of every float of ``value``, field by field, with the
-    class of each axis and record named, so that two results compare equal
-    only when they are the same to the bit."""
+    class of each axis, pitch and record and the length of each list or
+    tuple named, so that two results compare equal only when they are the
+    same to the bit."""
     if isinstance(value, float):
         return (float.hex(value),)
-    if value is None or isinstance(value, DegenerateAxis):
+    if value is None or isinstance(value, (DegenerateAxis, InfinitePitch, ZeroScrewPitch)):
         return (repr(value),)
+    if isinstance(value, (list, tuple)):
+        return (f"{value.__class__.__name__} of {len(value)}",) + sum(map(_bits, value), ())
+    if isinstance(value, FinitePitch):
+        return ("FinitePitch", float.hex(value.value))
     if isinstance(value, Mat3):
         return tuple(float.hex(x) for x in value.flat())
     if isinstance(value, Screw):
         return _bits(value.resultant) + _bits(value.moment_at_origin)
     if isinstance(value, LineAxis):
         return ("LineAxis",) + _bits(value.point) + _bits(value.direction)
-    if isinstance(value, (RigidMap, ChaslesDecomposition, AppliedVectorPair)):
+    if isinstance(value, (RigidMap, ChaslesDecomposition, AppliedVectorPair, CentralAxisReport)):
         fields = (_bits(getattr(value, name)) for name in value._field_names)
         return (value.__class__.__name__,) + sum(fields, ())
     return tuple(float.hex(x) for x in value.components())

@@ -22,6 +22,7 @@ from conftest import (
 from screwalg import (
     Dual6,
     Frame,
+    NonFiniteError,
     Point,
     Screw,
     Screw6,
@@ -33,6 +34,7 @@ from screwalg import (
     killing_form,
     klein_product,
     pairing,
+    reciprocal_subspace,
     to_dual,
     to_frame,
 )
@@ -191,6 +193,45 @@ def test_from_frame_is_the_composed_sum_bit_for_bit(a, b, frame):
 
     coords = Screw6(a.components(), b.components())
     assert bit_outcome(from_frame, coords, frame) == bit_outcome(composed, coords, frame)
+
+
+@bit_examples
+@given(edge_screws, st.one_of(st.just(_TILTED), frames))
+# s(Q) overflows in the cross product w x Q, then in the sum s(O) + w x Q; a
+# dot product of a finite s(Q) overflows.
+@example(Screw(Vec3(1e300, 0.0, 0.0), Vec3(5.0, 0.0, 0.0)), Frame(Point(0.0, 1e10, 0.0), *Frame.standard().basis()))
+@example(Screw(Vec3(1e298, 0.0, 0.0), Vec3(5.0, 0.0, 1e308)), Frame(Point(0.0, 1e10, 0.0), *Frame.standard().basis()))
+@example(Screw(Vec3.zero(), Vec3(1.5e308, 1.5e308, 0.0)), _TILTED)
+def test_to_frame_and_to_dual_are_the_composed_coordinates_bit_for_bit(s, frame):
+    def composed(s, frame):
+        at_origin = s.value_at(frame.origin)
+        return tuple(at_origin.dot(e) for e in frame.basis()) + tuple(s.resultant.dot(e) for e in frame.basis())
+
+    def dual(s, frame):
+        d = to_dual(s, frame)
+        return d.c + d.d
+
+    def coords(s, frame):
+        c = to_frame(s, frame)
+        return c.b + c.a
+
+    assert bit_outcome(dual, s, frame) == bit_outcome(coords, s, frame) == bit_outcome(composed, s, frame)
+
+
+def test_a_frame_whose_origin_is_not_a_point_is_refused_as_before():
+    frame = Frame(Vec3(1.0, 2.0, 3.0), *Frame.standard().basis())
+    s = Screw(Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0))
+    for f, args, reader in [
+        (to_frame, (s, frame), "value_at"),
+        (to_dual, (s, frame), "value_at"),
+        (reciprocal_subspace, ([s], frame), "value_at"),
+        (from_frame, (Screw6((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), frame), "from_motor"),
+    ]:
+        with pytest.raises(TypeError, match=f"{reader} takes a Point, got Vec3"):
+            f(*args)
+    # The composed from_frame sums before it reads the origin.
+    with pytest.raises(NonFiniteError):
+        from_frame(Screw6((1.7e308, 1.7e308, 0.0), (0.0, 0.0, 0.0)), Frame(Vec3(1.0, 2.0, 3.0), *_TILTED.basis()))
 
 
 def test_ad_of_zero_screw():

@@ -8,6 +8,11 @@ away from the cutoff the rank must be numpy's, and the projector onto the
 null space must be numpy's to within a few ulps over the gap.  The
 deterministic systems below force the Jacobi branch, so both branches run in
 every test run.
+
+``reciprocal_subspace`` is a float kernel; the composed form it replaces,
+rows through ``Screw.value_at`` and ``Vec3.dot``, Householder QR reflecting
+column by column, and basis screws through the ``Vec3`` sums and
+``Screw.from_motor``, is kept below as its bit oracle.
 """
 
 import math
@@ -15,11 +20,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from conftest import _quat_to_frame, bit_examples, edge_screws, points, quaternions, sum_outcome, values_built, vec3s
 from screwalg import (
     Frame,
+    NonFiniteError,
     Point,
     Screw,
     Vec3,
@@ -222,3 +229,205 @@ def test_a_generic_system_is_proved_full_rank_without_iterating(n, jacobi_calls,
 def test_the_six_basis_screws_of_a_frame_leave_nothing(jacobi_calls):
     assert reciprocal_subspace(list(basis_screws(Frame.standard())), Frame.standard()) == []
     assert len(jacobi_calls) == 0
+
+
+# The composed form that reciprocal_subspace replaces, kept as its bit oracle:
+# the pairing rows through value_at and Vec3.dot, Householder QR that calls
+# _reflect for each later column, the full-rank bound with a pivot test at
+# every step, and the basis screws through the Vec3 sums and from_motor.
+
+
+def _reflect(v, tau, a):
+    v0, v1, v2, v3, v4, v5 = v
+    a0, a1, a2, a3, a4, a5 = a
+    s = tau * (v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4 + v5 * a5)
+    return (a0 - s * v0, a1 - s * v1, a2 - s * v2, a3 - s * v3, a4 - s * v4, a5 - s * v5)
+
+
+def _composed_householder(cols):
+    reflectors = []
+    for k in range(min(len(cols), 5)):
+        col = cols[k]
+        tail = col[k + 1:]
+        xnorm = math.hypot(*tail)
+        if xnorm == 0.0:
+            continue
+        alpha = col[k]
+        e = math.frexp(math.hypot(alpha, xnorm))[1]
+        if e <= -969:
+            alpha, tail = math.ldexp(alpha, -e), [math.ldexp(x, -e) for x in tail]
+            xnorm = math.hypot(*tail)
+        else:
+            e = 0
+        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+        pivot = alpha - beta
+        v = (0.0,) * k + (1.0,) + tuple([x / pivot for x in tail])
+        tau = (beta - alpha) / beta
+        cols[k] = col[:k] + (math.ldexp(beta, e),) + (0.0,) * (5 - k)
+        for j in range(k + 1, len(cols)):
+            cols[j] = _reflect(v, tau, cols[j])
+        reflectors.append((v, tau))
+    return reflectors
+
+
+def _composed_proves_full_rank(cols, m):
+    inv = []
+    for j in range(m):
+        x = [0.0] * (j + 1)
+        for i in range(j, -1, -1):
+            pivot = cols[i][i]
+            if pivot == 0.0:
+                return False
+            s = 1.0 if i == j else 0.0
+            for l in range(i + 1, j + 1):
+                s -= cols[l][i] * x[l]
+            x[i] = s / pivot
+        inv += x
+    norm = math.hypot(*[x for col in cols for x in col])
+    return norm * math.hypot(*inv) * (2 * m) < 1.0 / RTOL
+
+
+def _composed_null_space(a):
+    n = len(a)
+    m = min(n, 6)
+    cols = list(a)
+    reflectors = _composed_householder(cols)
+    null = []
+    if not _composed_proves_full_rank(cols, m):
+        w, right, _ = dynamics._jacobi_svd([[col[i] for col in cols] for i in range(m)])
+        sigma = [math.hypot(*col) for col in w]
+        cutoff = RTOL * max(sigma)
+        below = sorted((i for i in range(m) if not sigma[i] > cutoff), key=lambda i: -sigma[i])
+        null = [right[i] for i in below]
+    out = []
+    for y in null + [(0.0,) * j + (1.0,) + (0.0,) * (5 - j) for j in range(n, 6)]:
+        y = tuple(y) + (0.0,) * (6 - len(y))
+        for v, tau in reversed(reflectors):
+            y = _reflect(v, tau, y)
+        out.append(y)
+    return out
+
+
+def _composed_reciprocal(wrenches, frame):
+    if not wrenches:
+        return list(basis_screws(frame))
+    basis = frame.basis()
+    rows = []
+    for w in wrenches:
+        at_origin = w.value_at(frame.origin)
+        rows.append(tuple(at_origin.dot(e) for e in basis) + tuple(w.resultant.dot(e) for e in basis))
+    moment = max([abs(x) for row in rows for x in row[:3]])
+    resultant = max([abs(x) for row in rows for x in row[3:]])
+    em, er = math.frexp(moment)[1], math.frexp(resultant)[1]
+    if not moment:
+        em = er
+    elif not resultant:
+        er = em
+    balanced = [
+        tuple(math.ldexp(x, -em) for x in row[:3]) + tuple(math.ldexp(x, -er) for x in row[3:])
+        for row in rows
+    ]
+    k = er - em
+    e1, e2, e3 = basis
+    out = []
+    for y in _composed_null_space(balanced):
+        a, b = y[:3], y[3:]
+        if k > 0:
+            b = tuple([math.ldexp(x, -k) for x in b])
+        elif k < 0:
+            a = tuple([math.ldexp(x, k) for x in a])
+        resultant = e1 * a[0] + e2 * a[1] + e3 * a[2]
+        at_origin = e1 * b[0] + e2 * b[1] + e3 * b[2]
+        out.append(Screw.from_motor(frame.origin, resultant, at_origin))
+    return out
+
+
+def _scaled_point(p: Point, j: int) -> Point:
+    return Point(p.x * 2.0**j, p.y * 2.0**j, p.z * 2.0**j)
+
+
+# Right-handed frames whose origin is 2^-30 to 2^30 away from the global one.
+_frames = st.one_of(
+    st.just(Frame.standard()),
+    st.builds(
+        _quat_to_frame,
+        quaternions,
+        st.builds(_scaled_point, points.filter(lambda p: p.to_vec().norm() > 0.5), st.integers(-30, 30)),
+    ),
+)
+
+
+@st.composite
+def _wrench_systems(draw):
+    """0 to 7 wrenches in a frame, their resultants scaled by 2^jr and their
+    moments by 2^jm, |j| <= 60; generic, or all with a zero value at the
+    frame origin (lines through it), or all couples, or unscaled screws at
+    the corners of float arithmetic (``edge_screws``); then possibly made
+    rank deficient by a repeated or scaled wrench, or joined by the six
+    basis screws of the frame."""
+    frame = draw(_frames)
+    jr, jm = draw(st.integers(-60, 60)), draw(st.integers(-60, 60))
+    kind = draw(st.sampled_from(["generic", "zero-moment-block", "zero-resultant-block", "edge"]))
+    wrenches = []
+    for _ in range(draw(st.integers(0, 7))):
+        w, m = draw(vec3s) * 2.0**jr, draw(vec3s) * 2.0**jm
+        if kind == "zero-moment-block":
+            wrenches.append(Screw.from_applied_vector(frame.origin, w))
+        elif kind == "zero-resultant-block":
+            wrenches.append(Screw.from_free_vector(m))
+        elif kind == "edge":
+            wrenches.append(draw(edge_screws))
+        else:
+            wrenches.append(Screw(w, m))
+    extra = draw(st.sampled_from(["none", "repeated", "scaled", "basis"]))
+    if extra == "basis":
+        wrenches = list(basis_screws(frame)) + wrenches[:1]
+    elif wrenches and extra != "none":
+        w = draw(st.sampled_from(wrenches))
+        if extra == "scaled":
+            w = w * draw(st.sampled_from([-1.0, 0.5, -0.75, 2.0**-40]))
+        wrenches.insert(draw(st.integers(0, len(wrenches))), w)
+    return wrenches, frame
+
+
+_BIG = Frame(Point(0.0, 1e10, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
+_TILTED = Frame(Point(1.0, -2.0, 0.5), Vec3(0.6, 0.8, 0.0), Vec3(-0.8, 0.6, 0.0), Vec3(0.0, 0.0, 1.0))
+
+
+@bit_examples
+@given(_wrench_systems())
+# s(Q) overflows in its cross product, then in its sum; a dot product of a
+# finite s(Q) overflows; blocks of subnormals and near them; a resultant
+# block 2^1076 times the moment block.
+@example(([Screw(Vec3(1e300, 0.0, 0.0), Vec3(5.0, 0.0, 0.0))], _BIG))
+@example(([_GENERIC[0], Screw(Vec3(1e298, 0.0, 0.0), Vec3(5.0, 0.0, 1e308))], _BIG))
+@example(([Screw(Vec3.zero(), Vec3(1.5e308, 1.5e308, 0.0)), _GENERIC[1]], _TILTED))
+@example(([Screw(Vec3(5e-324, 0.0, 0.0), Vec3.zero()), Screw(Vec3(0.0, 1e-310, 0.0), Vec3.zero())], Frame.standard()))
+@example(([Screw(Vec3(3.0 * 2.0**-1024, 0.0, 1e-320), Vec3(0.0, 2.0**-1023, 0.0))], Frame.standard()))
+@example(([Screw(Vec3(4.0, 8.0, 2.0), Vec3(0.0, 5e-324, 0.0))], Frame.standard()))
+def test_the_kernel_is_the_composed_reciprocal_bit_for_bit(system):
+    wrenches, frame = system
+    assert sum_outcome(reciprocal_subspace, wrenches, frame) == sum_outcome(_composed_reciprocal, wrenches, frame)
+
+
+@pytest.mark.parametrize("name", sorted(_JACOBI_SYSTEMS))
+def test_a_degenerate_system_is_the_composed_reciprocal_bit_for_bit(name):
+    system, _ = _JACOBI_SYSTEMS[name]
+    for frame in (Frame.standard(), _TILTED):
+        assert sum_outcome(reciprocal_subspace, system, frame) == sum_outcome(_composed_reciprocal, system, frame)
+
+
+def test_an_overflowing_value_at_the_frame_origin_is_refused_as_value_at_refuses_it():
+    for wrench, message in [
+        # The cross product w x Q overflows, and then the sum s(O) + w x Q.
+        (Screw(Vec3(1e300, 0.0, 0.0), Vec3(5.0, 0.0, 0.0)), "(0.0, 0.0, inf)"),
+        (Screw(Vec3(1e298, 0.0, 0.0), Vec3(5.0, 0.0, 1e308)), "(5.0, 0.0, inf)"),
+    ]:
+        with pytest.raises(NonFiniteError) as refused:
+            reciprocal_subspace([_GENERIC[0], wrench], _BIG)
+        assert str(refused.value) == f"Vec3 components must be finite, got {message}"
+
+
+@pytest.mark.parametrize("n, built", [(1, 10), (2, 8), (5, 2), (6, 0)])
+def test_reciprocal_builds_the_two_vectors_of_each_basis_screw_only(n, built):
+    assert values_built(reciprocal_subspace, _GENERIC[:n], _TILTED) == built

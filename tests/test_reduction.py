@@ -15,6 +15,7 @@ from conftest import (
     assert_vec_close,
     bit_examples,
     composed_axis,
+    edge_points,
     edge_screws,
     edge_vec3s,
     line_screws,
@@ -29,6 +30,7 @@ from conftest import (
 from screwalg import (
     ORIGIN,
     AppliedVectorPair,
+    CentralAxisReport,
     FinitePitch,
     ForceSystem,
     LineAxis,
@@ -287,3 +289,55 @@ def test_decompose_two_applied_is_the_composed_pair_bit_for_bit(s, arm):
 )
 def test_decompose_two_applied_builds_its_points_and_vectors_only(s, built):
     assert values_built(decompose_two_applied, s, 2.0) == built
+
+
+# The composed form that central_axis_report fuses, kept as its bit oracle.
+
+
+def _composed_report(fs: ForceSystem):
+    s = wrench_of(fs).screw
+    return CentralAxisReport(
+        s.resultant, s.amplitude(), s.scalar_invariant(), s.vector_invariant(), s.axis(), s.pitch()
+    )
+
+
+_forces = st.tuples(st.one_of(points, scaled_points, edge_points), st.one_of(vec3s, scaled_vec3s, edge_vec3s))
+
+
+_O = Point(0.0, 0.0, 0.0)
+
+
+@bit_examples
+@given(st.lists(_forces, max_size=6).map(tuple))
+# Couples of 1.7e308 and 1e300 with a resultant of 1e-10 overflow the vector
+# invariant and then the axis point, which the composed form refuses second;
+# a couple of 1e200 with a resultant of 1e-150 overflows the axis point
+# alone, or, parallel to it, the pitch alone; a couple; the zero wrench;
+# signed zeros.
+@example((
+    (Point(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.7e308)), (_O, Vec3(0.0, 0.0, -1.7e308)),
+    (Point(-1.0, 0.0, 0.0), Vec3(0.0, 0.0, 1.7e308)), (_O, Vec3(0.0, 0.0, -1.7e308)),
+    (Point(1.0, 0.0, 0.0), Vec3(0.0, 1e300, 0.0)), (_O, Vec3(0.0, -1e300, 0.0)),
+    (_O, Vec3(1e-10, 1e-10, 0.0)),
+))
+@example(((Point(1.0, 0.0, 0.0), Vec3(0.0, 1e200, 0.0)), (_O, Vec3(0.0, -1e200, 0.0)), (_O, Vec3(1e-150, 0.0, 0.0))))
+@example(((Point(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1e200)), (_O, Vec3(0.0, 0.0, -1e200)), (_O, Vec3(1e-150, 0.0, 0.0))))
+@example(((_O, Vec3(1.0, 0.0, 0.0)), (Point(0.0, 1.0, 0.0), Vec3(-1.0, 0.0, 0.0))))
+@example(())
+@example(((Point(-0.0, 0.0, -0.0), Vec3(-0.0, 2.0, -0.0)),))
+def test_central_axis_report_is_the_composed_report_bit_for_bit(forces):
+    fs = ForceSystem(forces)
+    assert sum_outcome(central_axis_report, fs) == sum_outcome(_composed_report, fs)
+
+
+@pytest.mark.parametrize(
+    "force, built",
+    [((Point(1.0, 2.0, 3.0), Vec3(0.0, 0.0, 2.0)), 5), ((Point(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0)), 2)],
+    ids=["line", "couple"],
+)
+def test_central_axis_report_builds_its_fields_only(force, built):
+    # The wrench sum's resultant and moment, then the vector invariant and
+    # the axis point and direction of a line screw; a free screw's fields
+    # are the wrench's own vectors.
+    fs = ForceSystem((force, (Point(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0)), (Point(0.0, 1.0, 0.0), Vec3(-1.0, 0.0, 0.0))))
+    assert values_built(central_axis_report, fs) == built
