@@ -11,7 +11,8 @@
 Output is human-oriented text (6 significant digits) by default; ``--json``
 switches to a stable machine-readable document with 12 significant digits.
 Exit codes: 0 on success, 1 for a failed selfcheck, 2 for malformed input,
-3 for domain errors, a non-finite result included.
+3 for domain errors, a non-finite result included, and 141 (128 + SIGPIPE)
+when the reader of stdout closes it before the output is written.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import argparse
 import contextlib
 import json
 import math
+import os
+import re
 import sys
 
 from .dynamics import (
@@ -80,21 +83,31 @@ class _Rows:
 # How ``json`` writes the stand-in for a ``_Rows`` value.
 _ROWS_MARK = json.dumps("\0rows")
 
+# Rows or lines joined into one ``write``: a few hundred make the calls few,
+# where one join of a long run's output would hold a second copy of it.
+_BLOCK_ROWS = 512
+
 
 def _write_json(doc: dict, out) -> None:
     """Write ``doc`` as ``json.dump(doc, out, indent=2)`` would, and a newline.
-    A top-level ``_Rows`` value, JSON already, goes out row by row in the
-    place of its list."""
+    A top-level ``_Rows`` value, JSON already, goes out in the place of its
+    list, ``_BLOCK_ROWS`` rows a write."""
     rows = [v.rendered for v in doc.values() if isinstance(v, _Rows)]
-    head, *tails = json.dumps(doc, indent=2, default=lambda _: "\0rows").split(_ROWS_MARK)
+    head, *tails = (json.dumps(doc, indent=2, default=lambda _: "\0rows") + "\n").split(_ROWS_MARK)
     out.write(head)
     for rendered, tail in zip(rows, tails):
         sep = "[\n"
-        for row in rendered:
-            out.write(sep + row)
+        for i in range(0, len(rendered), _BLOCK_ROWS):
+            out.write(sep + ",\n".join(rendered[i : i + _BLOCK_ROWS]))
             sep = ",\n"
         out.write("\n  ]" + tail)
-    out.write("\n")
+
+
+def _write_lines(lines: list[str], out) -> None:
+    """Write each line and a newline, as ``print`` would, ``_BLOCK_ROWS``
+    lines a write."""
+    for i in range(0, len(lines), _BLOCK_ROWS):
+        out.write("\n".join(lines[i : i + _BLOCK_ROWS]) + "\n")
 
 
 _KIND_TEXT = {
@@ -302,12 +315,28 @@ def _text_reciprocal(doc: dict) -> list[str]:
 
 # A diagnostics row keys the fields of a step's ``StepDiagnostics``; in JSON
 # it is written as ``json.dump(indent=2)`` writes it in a top-level list.  A
-# row is rendered by C-level ``%`` calls: %.12g rounds as ``_round_sig`` does
-# and %r writes the rounded float as json does, and %.6g is ``_fmt``.
+# row is rendered by C-level ``%`` calls: %.12g rounds as ``_round_sig`` does,
+# and %.6g is ``_fmt``.  json writes the rounded float p as repr(float(p)),
+# and that is p itself, with ".0" appended when p has neither "." nor an
+# exponent, unless p's exponent is e+12 to e+15 or e-308 and below.
+# Proof: p has at most 12 significant digits and no trailing zeros.  Two
+# distinct decimals of at most 12 digits differ by at least 1e-12 of the
+# larger.  Every real that rounds to a normal double d lies within 2**-53 |d|
+# of it, so two that round to d differ by at most 2**-52 |d|.  So p is the
+# only decimal of 12 digits or fewer that rounds to float(p), and repr, the
+# shortest decimal that does, has p's digits.  It lays them out as %g does
+# (fixed from e-4 up, else an exponent of at least two digits with its sign)
+# except that it stays fixed up to e+15 and ends an integral fixed form in
+# ".0".  From e-308 down float(p) may be subnormal, spaced too widely for
+# the argument, and repr may need fewer digits.  Those two exponent ranges,
+# each matched at the end of its field, keep the float and its repr.  A row
+# is searched for them only when it holds "e+1" or "e-3", so a process that
+# prints no such row does not compile the pattern.
 _JSON_ROW = (
-    "    {\n" + ",\n".join(f'      "{key}": %r' for key in StepDiagnostics.__slots__) + "\n    }"
+    "    {\n" + ",\n".join(f'      "{key}": %s' for key in StepDiagnostics.__slots__) + "\n    }"
 )
 _JSON_ROUND = ",".join([f"%.{MACHINE_DIGITS}g"] * len(StepDiagnostics.__slots__))
+_REPR_EXPONENT = r"e(?:\+1[2-5]|-(?:30[89]|3[12]\d))(?=,|$)"
 _TEXT_ROW = "%-7d " + f"%-13.{HUMAN_DIGITS}g " * 4 + f"%.{HUMAN_DIGITS}g"
 
 
@@ -321,7 +350,10 @@ def _simulate_row(n: int, values: tuple[float, ...], machine: bool) -> str:
     t, ke, pw, wdw, res = values
     values = (t + 0.0, ke + 0.0, pw + 0.0, wdw + 0.0, res + 0.0)  # normalize -0.0
     if machine:
-        return _JSON_ROW % tuple(map(float, (_JSON_ROUND % values).split(",")))
+        rounded = _JSON_ROUND % values
+        if ("e+1" in rounded or "e-3" in rounded) and re.search(_REPR_EXPONENT, rounded):
+            return _JSON_ROW % tuple(map(float, rounded.split(",")))
+        return _JSON_ROW % tuple([p if "." in p or "e" in p else p + ".0" for p in rounded.split(",")])
     return _TEXT_ROW % (n, *values)
 
 
@@ -517,11 +549,21 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         print(f"domain error ({type(e).__name__}): {e}", file=err)
         return 3
 
-    if args.json:
-        _write_json(doc, out)
-    else:
-        for line in _TEXT[args.command](doc):
-            print(line, file=out)
+    try:
+        if args.json:
+            _write_json(doc, out)
+        else:
+            _write_lines(_TEXT[args.command](doc), out)
+        if out is sys.stdout:
+            out.flush()
+    except BrokenPipeError:
+        # The reader has gone, as ``head`` does.  Stdout is pointed at the
+        # null device, so that the flush at exit cannot fail too.
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        return 141  # 128 + SIGPIPE, the shell's status for this event
 
     if args.command == "selfcheck" and not doc["all_ok"]:
         return 1

@@ -53,6 +53,8 @@ class Frame(_Value):
     __slots__ = ("origin", "e1", "e2", "e3")
 
     def __init__(self, origin: Point, e1: Vec3, e2: Vec3, e3: Vec3):
+        if not isinstance(origin, Point):
+            raise TypeError(f"frame origin must be a Point, got {origin.__class__.__name__}")
         basis = Mat3.from_columns(e1, e2, e3)
         if not basis.is_orthonormal(_FRAME_TOL):
             raise ValueError("frame basis is not orthonormal")
@@ -160,12 +162,8 @@ def basis_screws(frame: Frame) -> tuple[Screw, ...]:
 
 def _frame_floats(frame: Frame) -> tuple[float, ...]:
     """The frame's origin Q and basis e1, e2, e3 as twelve floats, which the
-    change-of-frame cores ``_dual_coords`` and ``_screw_from_coords`` read.
-    An origin that is not a ``Point`` is refused as ``Screw.value_at``, which
-    reads it first in the composed form of ``to_frame``, refuses it."""
+    change-of-frame cores ``_dual_coords`` and ``_screw_from_coords`` read."""
     q, e1, e2, e3 = frame.origin, frame.e1, frame.e2, frame.e3
-    if not isinstance(q, Point):
-        raise TypeError(f"value_at takes a Point, got {q.__class__.__name__}")
     return q.x, q.y, q.z, e1.x, e1.y, e1.z, e2.x, e2.y, e2.z, e3.x, e3.y, e3.z
 
 
@@ -250,10 +248,6 @@ def from_frame(coords: Screw6, frame: Frame) -> Screw:
     (``_screw_from_coords``)."""
     a1, a2, a3 = coords.a
     b1, b2, b3 = coords.b
-    if not isinstance(frame.origin, Point):
-        # The composed form, which refuses the origin in from_motor, after its sums.
-        e1, e2, e3 = frame.basis()
-        return Screw.from_motor(frame.origin, e1 * a1 + e2 * a2 + e3 * a3, e1 * b1 + e2 * b2 + e3 * b3)
     return _screw_from_coords(_frame_floats(frame), a1, a2, a3, b1, b2, b3)
 
 

@@ -4,6 +4,7 @@ and the exp/log round trip through actual CLI invocations."""
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -432,6 +433,69 @@ def test_simulate_keeps_only_the_rows_it_prints(tmp_path, mode):
         tracemalloc.stop()
     assert code == 0
     assert (peak - out.size) / steps < RETAINED_BYTES_PER_STEP
+
+
+class _WriteCounter(io.StringIO):
+    """A stdout that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_simulate_writes_its_rows_in_blocks(tmp_path, mode):
+    """A few hundred rows a ``write``, not one or two a row, and the bytes
+    that one ``print`` a line or ``json.dump(indent=2)`` would write."""
+    steps = 10_000
+    path = scene_file(tmp_path, dict(TUMBLE, sim={"dt": 0.001, "steps": steps}))
+    out = _WriteCounter()
+    assert main(["simulate", path, *mode], stdout=out, stderr=io.StringIO()) == 0
+    assert out.writes <= math.ceil(steps / cli._BLOCK_ROWS) + 4
+    text = out.getvalue()
+    if mode:
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    else:
+        lines = text.split("\n")
+        assert (len(lines), lines[-1]) == (steps + 5, "")
+        assert lines[steps].startswith(f"{steps - 1:<7d} ")
+
+
+def _status_when_the_reader_leaves(argv, unbuffered, after_bytes):
+    """Exit status and stderr of ``python -m screwalg.cli *argv`` whose
+    reader closes the pipe after reading ``after_bytes`` bytes of stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "screwalg.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert len(proc.stdout.read(after_bytes)) == after_bytes
+    proc.stdout.close()
+    # A traceback, the only stderr a failure writes, fits in the pipe.
+    code = proc.wait(timeout=60)
+    with proc.stderr:
+        return code, proc.stderr.read()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_a_reader_that_closes_the_pipe_early_ends_the_run_with_141(tmp_path, mode, unbuffered):
+    """As ``simulate ... | head -1`` does: exit 128 + SIGPIPE, and no
+    traceback or "Exception ignored" from the flush at exit.  The output,
+    several hundred kB, is far more than a pipe holds."""
+    path = scene_file(tmp_path, dict(TUMBLE, sim={"dt": 0.001, "steps": 9000}))
+    assert _status_when_the_reader_leaves(["simulate", path, *mode], unbuffered, 1) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_gone_before_a_short_output_ends_the_run_with_141(unbuffered):
+    """The whole output fits in stdout's buffer, so a buffered run meets the
+    closed pipe only when it flushes."""
+    assert _status_when_the_reader_leaves(["selfcheck"], unbuffered, 0) == (141, b"")
 
 
 def test_simulate_mixed_velocities_is_a_domain_error(tmp_path):

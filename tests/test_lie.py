@@ -22,7 +22,6 @@ from conftest import (
 from screwalg import (
     Dual6,
     Frame,
-    NonFiniteError,
     Point,
     Screw,
     Screw6,
@@ -34,7 +33,6 @@ from screwalg import (
     killing_form,
     klein_product,
     pairing,
-    reciprocal_subspace,
     to_dual,
     to_frame,
 )
@@ -219,19 +217,14 @@ def test_to_frame_and_to_dual_are_the_composed_coordinates_bit_for_bit(s, frame)
 
 
 def test_a_frame_whose_origin_is_not_a_point_is_refused_as_before():
-    frame = Frame(Vec3(1.0, 2.0, 3.0), *Frame.standard().basis())
-    s = Screw(Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0))
-    for f, args, reader in [
-        (to_frame, (s, frame), "value_at"),
-        (to_dual, (s, frame), "value_at"),
-        (reciprocal_subspace, ([s], frame), "value_at"),
-        (from_frame, (Screw6((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), frame), "from_motor"),
-    ]:
-        with pytest.raises(TypeError, match=f"{reader} takes a Point, got Vec3"):
-            f(*args)
-    # The composed from_frame sums before it reads the origin.
-    with pytest.raises(NonFiniteError):
-        from_frame(Screw6((1.7e308, 1.7e308, 0.0), (0.0, 0.0, 0.0)), Frame(Vec3(1.0, 2.0, 3.0), *_TILTED.basis()))
+    """Refused where it is built, before its basis is read, so no later use
+    meets it."""
+    basis = Frame.standard().basis()
+    for origin in (Vec3(1.0, 2.0, 3.0), (1.0, 2.0, 3.0), None):
+        with pytest.raises(TypeError, match=f"^frame origin must be a Point, got {type(origin).__name__}$"):
+            Frame(origin, *basis)
+    with pytest.raises(TypeError, match="^frame origin must be a Point, got Vec3$"):
+        Frame(Vec3(1.0, 2.0, 3.0), *basis[::-1])
 
 
 def test_ad_of_zero_screw():

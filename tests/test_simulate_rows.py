@@ -55,6 +55,18 @@ _steps = st.integers(0, 10**7)
 @example(n=12, values=(9.99999999999995e-5, -9.99999999999995e-5, 1e-4, 9.999995e-5, 1e-5))
 @example(n=7, values=(1.7976931348623157e308, -1.7976931348623157e308,
                       1.7976931348623157e308, 1.7976931348623157e308, 1e308))
+# The edges of the exponent ranges where a JSON row keeps the float's repr
+# (``cli._JSON_ROW``): the least normal double and the float below it, e-307
+# against e-308, values that round to e+11, e+12, e+15 and e+16, and e-05
+# against e-04, each with a neighbour on the other side of its edge.
+@example(n=3, values=(2.2250738585072014e-308, 2.225073858507201e-308, -2.2250738585072014e-308,
+                      -2.225073858507201e-308, 1.0))
+@example(n=4, values=(1e-307, 9.99999999999e-308, -1e-307, -9.99999999999e-308, 9.999999999995e-308))
+@example(n=5, values=(123456789012.0, 999999999999.4, 999999999999.5, -999999999999.5, 1.23456789012e12))
+@example(n=6, values=(1.23456789012e15, 9.99999999999e15, 9.999999999995e15, -1.5e16, 1.23456789012e16))
+@example(n=8, values=(1e-05, 1e-04, 9.99999999999e-05, 9.999999999995e-05, -9.9999999999949e-06))
+# A row shaped like the tumble's, whose power is exactly zero.
+@example(n=9000, values=(90.0, 10.0446999998, 0.0, -3.75072578529e-08, 0.00154639132447))
 @bit_examples
 @given(n=_steps, values=_rows)
 def test_a_row_is_the_composed_row_to_the_byte(machine, n, values):
