@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Drop one finiteness check at a time and see whether the tests notice.
+"""Drop one group refusal at a time and see whether the tests notice.
 
-Each ``_require_finite(...)`` call statement of the module is a mutant: in a
-temporary copy of the repository the call is replaced by ``pass`` and the test
-files run with ``-x`` (default hypothesis profile, a fixed hypothesis seed,
+Each ``_refuse(...)`` call statement of the module, the one refusal of a
+group of float values, is a mutant: in a temporary copy of the repository the
+call is replaced by ``pass``, so the group's values go on unchecked, and the
+test files run with ``-x`` (default hypothesis profile, a fixed hypothesis seed,
 the example database cleared after each mutant), two mutants at a time.  A mutant is killed when the
 tests fail on it, and survives when they pass.  Prints one line per call
 site, then the tally.
@@ -11,7 +12,7 @@ site, then the tally.
     python3 scripts/drop_checks.py src/screwalg/sim.py tests/test_sim.py tests/test_trajectory_bits.py
 
 Run it from the repository root.  It is not a CI gate: on two CPUs the run
-above takes about four minutes.
+above takes about a minute.
 """
 
 import argparse
@@ -31,14 +32,14 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_
 
 def check_calls(source: str) -> list[tuple[int, int]]:
     """(first line, last line) of each statement that is a bare
-    ``_require_finite(...)`` call, in source order."""
+    ``_refuse(...)`` call, in source order."""
     return sorted(
         (node.lineno, node.end_lineno)
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Expr)
         and isinstance(node.value, ast.Call)
         and isinstance(node.value.func, ast.Name)
-        and node.value.func.id == "_require_finite"
+        and node.value.func.id == "_refuse"
     )
 
 
@@ -62,7 +63,7 @@ def main() -> None:
     lines = source.splitlines(keepends=True)
     sites = check_calls(source)
     if not sites:
-        sys.exit(f"{module}: no _require_finite call")
+        sys.exit(f"{module}: no _refuse call")
 
     scratch = Path(tempfile.mkdtemp(prefix="drop_checks-"))
     copies: Queue[Path] = Queue()

@@ -12,13 +12,17 @@ Output is human-oriented text (6 significant digits) by default; ``--json``
 switches to a stable machine-readable document with 12 significant digits.
 Exit codes: 0 on success, 1 for a failed selfcheck, 2 for malformed input,
 3 for domain errors, a non-finite result included, and 141 (128 + SIGPIPE)
-when the reader of stdout closes it before the output is written.
+when the reader of stdout, the help text's included, closes it before the
+output is written.  A message whose stderr is closed is dropped, and the
+status stays 2 or 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import io
 import json
 import math
 import os
@@ -88,26 +92,52 @@ _ROWS_MARK = json.dumps("\0rows")
 _BLOCK_ROWS = 512
 
 
-def _write_json(doc: dict, out) -> None:
-    """Write ``doc`` as ``json.dump(doc, out, indent=2)`` would, and a newline.
-    A top-level ``_Rows`` value, JSON already, goes out in the place of its
-    list, ``_BLOCK_ROWS`` rows a write."""
+def _json_chunks(doc: dict):
+    """``doc`` as ``json.dump(doc, out, indent=2)`` would write it, and a
+    newline, in chunks to write.  A top-level ``_Rows`` value, JSON already,
+    goes out in the place of its list, ``_BLOCK_ROWS`` rows a chunk."""
     rows = [v.rendered for v in doc.values() if isinstance(v, _Rows)]
     head, *tails = (json.dumps(doc, indent=2, default=lambda _: "\0rows") + "\n").split(_ROWS_MARK)
-    out.write(head)
+    yield head
     for rendered, tail in zip(rows, tails):
         sep = "[\n"
         for i in range(0, len(rendered), _BLOCK_ROWS):
-            out.write(sep + ",\n".join(rendered[i : i + _BLOCK_ROWS]))
+            yield sep + ",\n".join(rendered[i : i + _BLOCK_ROWS])
             sep = ",\n"
-        out.write("\n  ]" + tail)
+        yield "\n  ]" + tail
 
 
-def _write_lines(lines: list[str], out) -> None:
-    """Write each line and a newline, as ``print`` would, ``_BLOCK_ROWS``
-    lines a write."""
+def _line_chunks(lines: list[str]):
+    """Each line and a newline, as ``print`` would write them, in chunks of
+    ``_BLOCK_ROWS`` lines."""
     for i in range(0, len(lines), _BLOCK_ROWS):
-        out.write("\n".join(lines[i : i + _BLOCK_ROWS]) + "\n")
+        yield "\n".join(lines[i : i + _BLOCK_ROWS]) + "\n"
+
+
+def _emit(stream, chunks, status: int, gone: int | None = None) -> int:
+    """Write ``chunks`` to ``stream``, flush it and return ``status``: the one
+    output path of ``main``, for results, messages, help and usage.  A
+    stream whose reader has gone (EPIPE), as ``head`` does, or whose
+    descriptor is closed (None, or EBADF where the descriptor was reused
+    for a file not open for writing) returns ``gone`` instead, if given.
+    Such a process stream is pointed at the null device, so that the flush
+    at exit cannot fail too."""
+    gone = status if gone is None else gone
+    if stream is None:
+        return gone
+    try:
+        for chunk in chunks:
+            stream.write(chunk)
+        stream.flush()
+    except OSError as e:
+        if e.errno not in (errno.EPIPE, errno.EBADF):
+            raise
+        if stream is sys.stdout or stream is sys.stderr:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+        return gone
+    return status
 
 
 _KIND_TEXT = {
@@ -520,11 +550,16 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     for i in range(len(argv) - 2, -1, -1):
         if argv[i] == "--t" and argv[i + 1].startswith("-") and _is_number(argv[i + 1]):
             argv[i : i + 2] = [f"--t={argv[i + 1]}"]
+    # argparse writes help and usage itself, and swallows an OSError on the
+    # way, so they are taken as text and written here.
+    help_text, usage = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(help_text), contextlib.redirect_stderr(usage):
             args = _build_parser().parse_args(argv)
     except SystemExit as e:  # argparse refused the command line, or printed --help
-        return e.code
+        if help_text.getvalue():
+            return _emit(out, [help_text.getvalue()], e.code, 141)
+        return _emit(err, [usage.getvalue()], e.code)
 
     try:
         if args.command == "selfcheck":
@@ -534,40 +569,21 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
                 with open(args.scene, "r", encoding="utf-8") as fh:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as e:
-                print(f"input error: cannot read scene: {e}", file=err)
-                return 2
+                raise _InputError(f"cannot read scene: {e}") from None
             scene = parse_scene(text)
             doc = _HANDLERS[args.command](scene, args)
         doc = _finished(doc, MACHINE_DIGITS if args.json else None)
     except SceneError as e:
-        print(f"scene error at {e.where}: {e.message}", file=err)
-        return 2
+        return _emit(err, [f"scene error at {e.where}: {e.message}\n"], 2)
     except _InputError as e:
-        print(f"input error: {e}", file=err)
-        return 2
+        return _emit(err, [f"input error: {e}\n"], 2)
     except ScrewAlgError as e:
-        print(f"domain error ({type(e).__name__}): {e}", file=err)
-        return 3
+        return _emit(err, [f"domain error ({type(e).__name__}): {e}\n"], 3)
 
-    try:
-        if args.json:
-            _write_json(doc, out)
-        else:
-            _write_lines(_TEXT[args.command](doc), out)
-        if out is sys.stdout:
-            out.flush()
-    except BrokenPipeError:
-        # The reader has gone, as ``head`` does.  Stdout is pointed at the
-        # null device, so that the flush at exit cannot fail too.
-        if out is sys.stdout:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, out.fileno())
-            os.close(devnull)
-        return 141  # 128 + SIGPIPE, the shell's status for this event
-
-    if args.command == "selfcheck" and not doc["all_ok"]:
-        return 1
-    return 0
+    chunks = _json_chunks(doc) if args.json else _line_chunks(_TEXT[args.command](doc))
+    status = 1 if args.command == "selfcheck" and not doc["all_ok"] else 0
+    # 141 is 128 + SIGPIPE, the shell's status for a reader that has gone.
+    return _emit(out, chunks, status, 141)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import EmptyDistributionError, MissingVelocitiesError
+from .errors import EmptyDistributionError
 from .kinematics import Twist
 from .lie import (
     Frame,
@@ -147,15 +147,7 @@ class InertiaOperator(_Value):
 
 def wrench_of(system: ForceSystem) -> Wrench:
     """Total force and moment field of a system of applied forces."""
-    return Wrench(_screw_sum(system.forces, _composed_wrench))
-
-
-def _composed_wrench(forces) -> Screw:
-    """The wrench's screw summed Screw by Screw, which ``_screw_sum`` replays."""
-    total = Screw.zero()
-    for point, force in forces:
-        total = total + Screw.from_applied_vector(point, force)
-    return total
+    return Wrench(_screw_sum(system.forces))
 
 
 def momentum_screw(dist: MassDistribution) -> MomentumScrew:
@@ -167,22 +159,7 @@ def momentum_screw(dist: MassDistribution) -> MomentumScrew:
     of a zero, which a sum that starts at 0.0 never shows."""
     if not dist.particles:
         raise EmptyDistributionError("no particles")
-    return MomentumScrew(_screw_sum(dist.particles, _composed_momentum, Particle))
-
-
-def _composed_momentum(particles) -> Screw:
-    """The momentum screw summed vector by vector, which ``_screw_sum``
-    replays: it refuses a missing velocity and a non-finite product or sum
-    on the first particle that has one."""
-    linear = Vec3.zero()
-    angular_at_origin = Vec3.zero()
-    for p in particles:
-        if p.velocity is None:
-            raise MissingVelocitiesError("momentum needs velocities on all particles")
-        mv = p.velocity * p.mass
-        linear = linear + mv
-        angular_at_origin = angular_at_origin + p.position.to_vec().cross(mv)
-    return Screw(linear, angular_at_origin)
+    return MomentumScrew(_screw_sum(dist.particles, Particle))
 
 
 def inertia_of(dist: MassDistribution) -> InertiaOperator:
@@ -245,8 +222,8 @@ def reciprocal_subspace(wrenches: list[Screw], frame: Frame) -> list[Screw]:
     s(Q) refused as ``value_at`` refuses it), the Householder QR, the
     full-rank bound and the back-reflection run on float locals, and each
     basis screw is ``lie._screw_from_coords`` of its null vector, one
-    ``Screw`` of two ``Vec3``s, which replays the composed ``Vec3`` form to
-    refuse one that is not finite.  A row whose dot product overflows, which
+    ``Screw`` of two ``Vec3``s, whose check refuses one that is not finite.
+    A row whose dot product overflows, which
     the composed form does not refuse either, spoils the same null vectors.
     ``tests/test_null_space.py`` keeps the composed form as the bit oracle.
     """

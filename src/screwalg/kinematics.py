@@ -43,12 +43,4 @@ class MotionChain(_Value):
 def compose_chain(chain: MotionChain) -> Twist:
     """Twist of the last link relative to ground: the screw sum of the
     relative twists (commutative, hence order-independent)."""
-    return Twist(_screw_sum(chain.relative_twists, _composed_chain))
-
-
-def _composed_chain(twists) -> Screw:
-    """The chain's screw summed Screw by Screw, which ``_screw_sum`` replays."""
-    total = Screw.zero()
-    for tw in twists:
-        total = total + tw.screw
-    return total
+    return Twist(_screw_sum(chain.relative_twists, _ScrewRole))

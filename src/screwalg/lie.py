@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from math import isfinite
 
-from .errors import NonFiniteError
 from .screw import Screw
-from .vecmath import Mat3, Point, Vec3, _require_finite, _Value
+from .vecmath import Mat3, Point, Vec3, _refuse, _Value
 
 __all__ = [
     "Frame",
@@ -129,27 +128,18 @@ def commutator(s1: Screw, s2: Screw) -> Screw:
     # Fused (see vecmath): Screw(-w1.cross(w2), w2.cross(m1) - w1.cross(m2)).
     w1, w2 = s1.resultant, s2.resultant
     m1, m2 = s1.moment_at_origin, s2.moment_at_origin
-    try:
-        return Screw(
-            Vec3(
-                -(w1.y * w2.z - w1.z * w2.y),
-                -(w1.z * w2.x - w1.x * w2.z),
-                -(w1.x * w2.y - w1.y * w2.x),
-            ),
-            Vec3(
-                (w2.y * m1.z - w2.z * m1.y) - (w1.y * m2.z - w1.z * m2.y),
-                (w2.z * m1.x - w2.x * m1.z) - (w1.z * m2.x - w1.x * m2.z),
-                (w2.x * m1.y - w2.y * m1.x) - (w1.x * m2.y - w1.y * m2.x),
-            ),
-        )
-    except NonFiniteError as err:
-        refusal = err
-    # The composed form refuses w1 x w2, w2 x m1 and w1 x m2, in this order,
-    # before the difference.
-    _require_finite("Vec3", w1.y * w2.z - w1.z * w2.y, w1.z * w2.x - w1.x * w2.z, w1.x * w2.y - w1.y * w2.x)
-    _require_finite("Vec3", w2.y * m1.z - w2.z * m1.y, w2.z * m1.x - w2.x * m1.z, w2.x * m1.y - w2.y * m1.x)
-    _require_finite("Vec3", w1.y * m2.z - w1.z * m2.y, w1.z * m2.x - w1.x * m2.z, w1.x * m2.y - w1.y * m2.x)
-    raise refusal
+    return Screw(
+        Vec3(
+            -(w1.y * w2.z - w1.z * w2.y),
+            -(w1.z * w2.x - w1.x * w2.z),
+            -(w1.x * w2.y - w1.y * w2.x),
+        ),
+        Vec3(
+            (w2.y * m1.z - w2.z * m1.y) - (w1.y * m2.z - w1.z * m2.y),
+            (w2.z * m1.x - w2.x * m1.z) - (w1.z * m2.x - w1.x * m2.z),
+            (w2.x * m1.y - w2.y * m1.x) - (w1.x * m2.y - w1.y * m2.x),
+        ),
+    )
 
 
 def basis_screws(frame: Frame) -> tuple[Screw, ...]:
@@ -173,8 +163,8 @@ def _dual_coords(s: Screw, f: tuple[float, ...]) -> tuple[float, ...]:
     resultant . e_i.  The one change of frame to coordinates, which
     ``to_frame``, ``to_dual`` and ``dynamics.reciprocal_subspace`` share,
     with the float operations of ``s.value_at(Q)`` and ``Vec3.dot`` in their
-    order.  s(Q) is tested once and refused as ``value_at`` refuses it; the
-    dot products may overflow, as ``Vec3.dot`` may."""
+    order.  s(Q) is one group (``vecmath._refuse``); the dot products may
+    overflow, as ``Vec3.dot`` may."""
     qx, qy, qz, e1x, e1y, e1z, e2x, e2y, e2z, e3x, e3y, e3z = f
     w = s.resultant
     m = s.moment_at_origin
@@ -189,8 +179,7 @@ def _dual_coords(s: Screw, f: tuple[float, ...]) -> tuple[float, ...]:
     vy = m.y + cy
     vz = m.z + cz
     if not isfinite(vx + vy + vz):
-        _require_finite("Vec3", cx, cy, cz)
-        _require_finite("Vec3", vx, vy, vz)
+        _refuse("field value at the frame origin", vx, vy, vz)
     return (
         vx * e1x + vy * e1y + vz * e1z,
         vx * e2x + vy * e2y + vz * e2z,
@@ -210,10 +199,7 @@ def _screw_from_coords(
     share: the resultant e1 * a1 + e2 * a2 + e3 * a3, the value at Q summed
     alike from b, and ``Screw.from_motor``'s transport to the origin, with
     the float operations of that ``Vec3`` expression in their order.  The
-    two ``Vec3``s are its one finiteness test; a screw that fails it is
-    recomputed in the composed form, which refuses on the same inputs, with
-    the components of its first product, partial sum, cross product or sum
-    that overflows."""
+    two ``Vec3``s are its one finiteness test."""
     qx, qy, qz, e1x, e1y, e1z, e2x, e2y, e2z, e3x, e3y, e3z = f
     rx = e1x * a1 + e2x * a2 + e3x * a3
     ry = e1y * a1 + e2y * a2 + e3y * a3
@@ -225,15 +211,10 @@ def _screw_from_coords(
     dx = 0.0 - qx
     dy = 0.0 - qy
     dz = 0.0 - qz
-    try:
-        return Screw(
-            Vec3(rx, ry, rz),
-            Vec3(vx + (ry * dz - rz * dy), vy + (rz * dx - rx * dz), vz + (rx * dy - ry * dx)),
-        )
-    except NonFiniteError:
-        pass
-    e1, e2, e3 = Vec3(e1x, e1y, e1z), Vec3(e2x, e2y, e2z), Vec3(e3x, e3y, e3z)
-    return Screw.from_motor(Point(qx, qy, qz), e1 * a1 + e2 * a2 + e3 * a3, e1 * b1 + e2 * b2 + e3 * b3)
+    return Screw(
+        Vec3(rx, ry, rz),
+        Vec3(vx + (ry * dz - rz * dy), vy + (rz * dx - rx * dz), vz + (rx * dy - ry * dx)),
+    )
 
 
 def to_frame(s: Screw, frame: Frame) -> Screw6:

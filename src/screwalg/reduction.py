@@ -17,7 +17,7 @@ splits by type:
 builds only the points and vectors it returns, with the float operations of
 the composed ``Vec3`` expression in their order, so each result is that
 expression's to the bit, and a chain of values is tested once at its end,
-its checks replayed only on a refusal.  Its branches share the axis core
+by the ``Point`` or ``Vec3`` it ends in.  Its branches share the axis core
 ``screw._axis`` and the float form of ``_reference_perpendicular``;
 ``tests/test_reduction.py`` keeps the composed form as its bit oracle.
 
@@ -28,12 +28,11 @@ wants in one pass.
 from __future__ import annotations
 
 import math
-from math import isfinite
 
 from .dynamics import ForceSystem, wrench_of
-from .errors import NonFiniteError, ZeroScrewError
+from .errors import ZeroScrewError
 from .screw import FinitePitch, LineAxis, Pitch, Screw, ScrewAxis, _axis
-from .vecmath import Point, Vec3, _norm, _require_finite, _Value
+from .vecmath import Point, Vec3, _norm, _Value
 
 __all__ = ["AppliedVectorPair", "CentralAxisReport", "decompose_two_applied", "central_axis_report"]
 
@@ -135,8 +134,6 @@ def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPai
         ax = (hy * ez - hz * ey) * arm_length
         ay = (hz * ex - hx * ez) * arm_length
         az = (hx * ey - hy * ex) * arm_length
-        if not isfinite(ax + ay + az):
-            _require_finite("Vec3", ax, ay, az)
         # O + a * -0.5 is 0.0 + (a.x * -0.5).
         return AppliedVectorPair(
             Point(0.0 + ax * -0.5, 0.0 + ay * -0.5, 0.0 + az * -0.5),
@@ -161,8 +158,6 @@ def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPai
     vz = (ux * ey - uy * ex) * gamma
     alpha = -2.0 * sigma / amp
     ax, ay, az = ex * alpha, ey * alpha, ez * alpha
-    if not isfinite(ax + ay + az):
-        _require_finite("Vec3", ax, ay, az)
     leg1 = Vec3(wx * 0.5 + vx, wy * 0.5 + vy, wz * 0.5 + vz)
     leg2 = Vec3(wx * 0.5 - vx, wy * 0.5 - vy, wz * 0.5 - vz)
     return AppliedVectorPair(
@@ -180,10 +175,8 @@ def central_axis_report(fs: ForceSystem) -> CentralAxisReport:
     The wrench's six floats are read once, and a line screw's |w|, u = w / |w|
     and axis point come from one ``screw._axis``: each field is built as the
     ``Screw`` method it stands for computes it, to the bit, and the vector
-    invariant u (s(O) . u) and the pitch share s(O) . u.  The composed form
-    refuses the vector invariant before the axis, so an axis that refuses
-    first replays ``vector_invariant``.  A free or zero screw's fields are
-    the methods' own."""
+    invariant u (s(O) . u) and the pitch share s(O) . u.  A free or zero
+    screw's fields are the methods' own."""
     s = wrench_of(fs).screw
     w = s.resultant
     m = s.moment_at_origin
@@ -192,11 +185,7 @@ def central_axis_report(fs: ForceSystem) -> CentralAxisReport:
     scalar = mx * wx + my * wy + mz * wz
     if wx * wx + wy * wy + wz * wz == 0.0:
         return CentralAxisReport(w, s.amplitude(), scalar, s.vector_invariant(), s.axis(), s.pitch())
-    try:
-        amp, ux, uy, uz, px, py, pz = _axis(wx, wy, wz, mx, my, mz)
-    except NonFiniteError:
-        s.vector_invariant()
-        raise
+    amp, ux, uy, uz, px, py, pz = _axis(wx, wy, wz, mx, my, mz)
     t = mx * ux + my * uy + mz * uz
     return CentralAxisReport(
         w,

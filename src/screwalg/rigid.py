@@ -16,11 +16,10 @@ it returns (a rotation and a translation; an axis point and direction),
 with the float operations of the composed ``Vec3``/``Mat3`` expression in
 their order, so every result is that expression's to the bit.  As in the
 sim kernel (``sim._stream``), a chain of values joined by +, - and * is
-tested once at its end, and only if that is not finite are its checks
-replayed in the composed order, so each refusal keeps its class and
-message.  They share ``_rodrigues``, ``RigidMap``'s check and the axis core
-``screw._axis``; ``tests/test_rigid.py`` keeps the composed forms as their
-bit oracles.
+tested once at its end: ``exp_screw``'s translation by its ``Vec3``, and
+``chasles``'s moment with one refusal (``vecmath._refuse``).  They share
+``_rodrigues``, ``RigidMap``'s check and the axis core ``screw._axis``;
+``tests/test_rigid.py`` keeps the composed forms as their bit oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import math
 
 from .errors import InvalidRotationError, NonFiniteError, ZeroScrewError
 from .screw import DegenerateAxis, LineAxis, Screw, ScrewAxis, _axis
-from .vecmath import ORIGIN, Mat3, Point, Vec3, _det, _is_orthonormal, _norm, _require_finite, _Value
+from .vecmath import ORIGIN, Mat3, Point, Vec3, _det, _is_orthonormal, _norm, _refuse, _Value
 
 __all__ = ["RigidMap", "ChaslesDecomposition", "rodrigues", "exp_screw", "chasles"]
 
@@ -195,13 +194,6 @@ def exp_screw(s: Screw, t: float = 1.0) -> RigidMap:
     tx = ((mx + ax * f1) + bx * f2) * t
     ty = ((my + ay * f1) + by * f2) * t
     tz = ((mz + az * f1) + bz * f2) * t
-    if not math.isfinite(tx + ty + tz):
-        cx, cy, cz = mx + ax * f1, my + ay * f1, mz + az * f1
-        for link in (
-            (ax, ay, az), (bx, by, bz), (ax * f1, ay * f1, az * f1), (cx, cy, cz),
-            (bx * f2, by * f2, bz * f2), (cx + bx * f2, cy + by * f2, cz + bz * f2),
-        ):
-            _require_finite("Vec3", *link)
     return RigidMap(Mat3(*rot), Vec3(tx, ty, tz))
 
 
@@ -272,13 +264,9 @@ def chasles(g: RigidMap) -> ChaslesDecomposition:
     mx = (tx - ax * half) + bx * c
     my = (ty - ay * half) + by * c
     mz = (tz - az * half) + bz * c
+    # Tested here, as the free screw below does not read the moment.
     if not math.isfinite(mx + my + mz):
-        hx, hy, hz = ax * half, ay * half, az * half
-        for link in (
-            (ax, ay, az), (hx, hy, hz), (tx - hx, ty - hy, tz - hz),
-            (bx, by, bz), (bx * c, by * c, bz * c), (mx, my, mz),
-        ):
-            _require_finite("Vec3", *link)
+        _refuse("moment of the screw motion", mx, my, mz)
     rx, ry, rz = ux * theta, uy * theta, uz * theta
     if rx * rx + ry * ry + rz * rz == 0.0:  # the screw is free
         return ChaslesDecomposition(DegenerateAxis(), 0.0, 0.0, pure_translation=tv)

@@ -41,10 +41,9 @@ Conventions that matter:
 from __future__ import annotations
 
 import math
-from math import isfinite
 
-from .errors import NonFiniteError
-from .vecmath import ORIGIN, Point, Vec3, _norm, _require_finite, _Value
+from .errors import MissingVelocitiesError, NonFiniteError
+from .vecmath import ORIGIN, Point, Vec3, _norm, _Value
 
 __all__ = [
     "Screw",
@@ -60,17 +59,11 @@ __all__ = [
 
 def _add_cross(v: Vec3, w: Vec3, dx: float, dy: float, dz: float) -> Vec3:
     """``v + w.cross(Vec3(dx, dy, dz))``, fused (see ``vecmath``)."""
-    try:
-        return Vec3(
-            v.x + (w.y * dz - w.z * dy),
-            v.y + (w.z * dx - w.x * dz),
-            v.z + (w.x * dy - w.y * dx),
-        )
-    except NonFiniteError as err:
-        refusal = err
-    # The composed form refuses the cross product before the sum.
-    _require_finite("Vec3", w.y * dz - w.z * dy, w.z * dx - w.x * dz, w.x * dy - w.y * dx)
-    raise refusal
+    return Vec3(
+        v.x + (w.y * dz - w.z * dy),
+        v.y + (w.z * dx - w.x * dz),
+        v.z + (w.x * dy - w.y * dx),
+    )
 
 
 def _axis(
@@ -80,9 +73,9 @@ def _axis(
     origin, as seven floats: n = |w|, u = w / n and the axis point
     P = O + u x m / n.  The one definition, which ``Screw.axis``,
     ``rigid.chasles`` and ``reduction.decompose_two_applied`` share, with the
-    float operations of that ``Vec3`` expression in its order (w / n needs
-    no check, as |w_i| <= n).  u x m / n is tested once; only if it is not
-    finite are the cross product and the quotient checked, in that order."""
+    float operations of that ``Vec3`` expression in its order.  Each caller
+    builds P as a ``Point``, whose check is the one test of u x m / n (w / n
+    needs none, as |w_i| <= n)."""
     n = _norm(wx, wy, wz)
     ux = wx / n
     uy = wy / n
@@ -93,9 +86,6 @@ def _axis(
     px = cx / n
     py = cy / n
     pz = cz / n
-    if not isfinite(px + py + pz):
-        _require_finite("Vec3", cx, cy, cz)
-        _require_finite("Vec3", px, py, pz)
     # O + p is 0.0 + p.x, which turns a -0.0 into 0.0.
     return n, ux, uy, uz, 0.0 + px, 0.0 + py, 0.0 + pz
 
@@ -346,62 +336,70 @@ class _ScrewRole(_Value):
 (_set_role_screw,) = _ScrewRole._setters
 
 
-def _screw_sum(members, replay, weighted=None) -> Screw:
+def _screw_sum(members, kind=None) -> Screw:
     """The sum of the screws of ``members``, the one screw sum, which
-    ``wrench_of``, ``compose_chain`` and ``momentum_screw`` share.  A member
-    is an applied vector ``(point, vector)``, whose screw is
-    (vector, vector x (O - point)); a record of the class ``weighted``, the
+    ``wrench_of`` (``kind`` None), ``compose_chain`` (``kind`` ``_ScrewRole``)
+    and ``momentum_screw`` (``kind`` ``Particle``) share.  A member is an
+    applied vector ``(point, vector)``, whose screw is
+    (vector, vector x (O - point)); a record of the class ``kind``, the
     applied vector ``velocity * mass`` at ``position``; or a screw role, whose
     screw's six components it adds.
 
     Six float accumulators start at 0.0 and add the terms in the order of the
-    composed form, total = total + screw member by member, with O - P as
+    value form, total = total + screw member by member, with O - P as
     ``0.0 - p.x`` as ``Screw.from_applied_vector`` forms it, so the sum has
-    the composed form's bits.  The two ``Vec3``s of the result are its one
-    finiteness test: a non-finite term or partial sum leaves its accumulator
-    non-finite.  When that test fails, or a member is not of the classes
-    above with exactly ``Point`` and ``Vec3`` values (a ``Screw`` for a role,
-    a float mass), the result is ``replay(members)``, the caller's composed
-    form, which raises as its first failing step does.  The members are read
-    once here and once by the replay, so only a tuple or a list is summed
-    here."""
-    if members.__class__ is not tuple and members.__class__ is not list:
-        return replay(members)
+    that form's bits (``x * mass`` rounds as ``Vec3 * mass`` does).  The two
+    ``Vec3``s of the result are its one finiteness test: a non-finite term or
+    partial sum leaves its accumulator non-finite.  A member whose point and
+    vector are not exactly a ``Point`` and a ``Vec3`` (whose screw is not a
+    ``Screw`` of two ``Vec3``s, for a role), such as a pair given as a list
+    or a particle with no velocity, is added to the sum so far by the value
+    form of ``kind``'s sum, which gives its bits or raises as it does."""
     rx = ry = rz = mx = my = mz = 0.0
     for member in members:
-        if member.__class__ is tuple and len(member) == 2:
+        cls = member.__class__
+        if cls is tuple and len(member) == 2:
             point, vector = member
-            if point.__class__ is not Point or vector.__class__ is not Vec3:
-                return replay(members)
-            fx = vector.x
-            fy = vector.y
-            fz = vector.z
-        elif member.__class__ is weighted:
+        elif cls is kind:
             point = member.position
             vector = member.velocity
-            mass = member.mass
-            if point.__class__ is not Point or vector.__class__ is not Vec3 or mass.__class__ is not float:
-                return replay(members)
-            fx = vector.x * mass
-            fy = vector.y * mass
-            fz = vector.z * mass
-        elif isinstance(member, _ScrewRole):
-            s = member.screw
-            if s.__class__ is not Screw:
-                return replay(members)
-            w = s.resultant
-            m = s.moment_at_origin
-            if w.__class__ is not Vec3 or m.__class__ is not Vec3:
-                return replay(members)
-            rx = rx + w.x
-            ry = ry + w.y
-            rz = rz + w.z
-            mx = mx + m.x
-            my = my + m.y
-            mz = mz + m.z
-            continue
+        elif isinstance(member, _ScrewRole) and member.screw.__class__ is Screw:
+            w = member.screw.resultant
+            m = member.screw.moment_at_origin
+            if w.__class__ is Vec3 and m.__class__ is Vec3:
+                rx = rx + w.x
+                ry = ry + w.y
+                rz = rz + w.z
+                mx = mx + m.x
+                my = my + m.y
+                mz = mz + m.z
+                continue
+            point = None
         else:
-            return replay(members)
+            point = None
+        if point.__class__ is not Point or vector.__class__ is not Vec3:
+            total = Screw(Vec3(rx, ry, rz), Vec3(mx, my, mz))
+            if kind is None:
+                point, vector = member
+                total = total + Screw.from_applied_vector(point, vector)
+            elif kind is _ScrewRole:
+                total = total + member.screw
+            else:
+                if member.velocity is None:
+                    raise MissingVelocitiesError("momentum needs velocities on all particles")
+                mv = member.velocity * member.mass
+                total = Screw(total.resultant + mv, total.moment_at_origin + member.position.to_vec().cross(mv))
+            rx, ry, rz = total.resultant.components()
+            mx, my, mz = total.moment_at_origin.components()
+            continue
+        fx = vector.x
+        fy = vector.y
+        fz = vector.z
+        if cls is kind:
+            mass = member.mass
+            fx = fx * mass
+            fy = fy * mass
+            fz = fz * mass
         dx = 0.0 - point.x
         dy = 0.0 - point.y
         dz = 0.0 - point.z
@@ -411,7 +409,4 @@ def _screw_sum(members, replay, weighted=None) -> Screw:
         mx = mx + (fy * dz - fz * dy)
         my = my + (fz * dx - fx * dz)
         mz = mz + (fx * dy - fy * dx)
-    try:
-        return Screw(Vec3(rx, ry, rz), Vec3(mx, my, mz))
-    except NonFiniteError:
-        return replay(members)
+    return Screw(Vec3(rx, ry, rz), Vec3(mx, my, mz))

@@ -19,8 +19,9 @@ field values, ``_advance`` advances the state, and ``_diagnose`` diagnoses a
 step from what was read on both sides of it.  A state and what is read of it
 travel as one tuple, so each state is read once, and what the diagnostics read
 before a step is what the step read.  Each phase tests its values finite once
-per chain of operations (``_stream``) and refuses where the composed vector
-form does, with its message.  The kernel yields each new state and its step's
+per group of them and refuses a group that is not finite with one
+``NonFiniteError`` that names it (``_stream``), where the composed vector form
+refuses too.  The kernel yields each new state and its step's
 diagnostics as floats; ``run`` and ``step`` build their records from them, and
 the ``simulate`` command renders its rows from the floats.  The public
 ``state_twist``, ``state_momentum`` and ``world_inertia_matrix`` read a
@@ -51,7 +52,7 @@ from .errors import InvalidRotationError, NonFiniteError, SingularInertiaError
 from .kinematics import Twist
 from .rigid import _rodrigues
 from .vecmath import (
-    Mat3, Point, Vec3, _det, _matmul, _norm, _orthonormality_defect, _require_finite, _Value,
+    Mat3, Point, Vec3, _det, _matmul, _norm, _orthonormality_defect, _refuse, _Value,
 )
 
 __all__ = [
@@ -226,14 +227,13 @@ def _world_inertia(r: tuple[float, ...], j: tuple[float, ...]) -> tuple[float, .
     """R J R^T for the orientation R and the body moment matrix J, each a
     row-major 9-tuple: the one definition, which ``world_inertia_matrix`` and
     the step kernel share.  ``vecmath._matmul`` forms R J, then (R J) R^T
-    with R^T built from R's entries (a slice costs more), and both products
-    are checked finite as the ``Mat3`` each forms, in one group (``_stream``)."""
+    with R^T built from R's entries (a slice costs more); both products are
+    one group (``_stream``)."""
     rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
     a = _matmul(r, j)
     world = _matmul(a, (rxx, ryx, rzx, rxy, ryy, rzy, rxz, ryz, rzz))
     if not isfinite(sum(world)):
-        _require_finite("Mat3", *a)
-        _require_finite("Mat3", *world)
+        _refuse("world inertia R J R^T", *world)
     return world
 
 
@@ -243,8 +243,7 @@ def _angular_velocity(
     """omega = R I^-1 R^T L for the orientation R and the inverse body moment
     matrix I^-1, each a row-major 9-tuple, and the angular momentum L about
     the center: the one definition, which ``state_twist`` and the step kernel
-    share.  R^T L, I^-1 R^T L and omega are checked finite in one group
-    (``_stream``)."""
+    share.  R^T L, I^-1 R^T L and omega are one group (``_stream``)."""
     rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
     ax = rxx * lx + ryx * ly + rzx * lz
     ay = rxy * lx + ryy * ly + rzy * lz
@@ -257,9 +256,7 @@ def _angular_velocity(
     wy = ryx * bx + ryy * by + ryz * bz
     wz = rzx * bx + rzy * by + rzz * bz
     if not isfinite(wx + wy + wz):
-        _require_finite("Vec3", ax, ay, az)
-        _require_finite("Vec3", bx, by, bz)
-        _require_finite("Vec3", wx, wy, wz)
+        _refuse("angular velocity", wx, wy, wz)
     return wx, wy, wz
 
 
@@ -345,19 +342,18 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
     ``_diagnose`` diagnoses the step from what was read on both sides of it.
     Each phase computes each quantity with the float operations of its
     composed ``Vec3``/``Mat3`` form in their order (``tests/test_sim.py``
-    keeps those forms as the bit oracle) and refuses where that form does,
-    with its ``NonFiniteError`` message.  The checks go by groups, chains of
-    values joined only by +, -, * and division by the positive finite M or
-    dt, so a non-finite link reaches the group's end (0 * inf and inf - inf
-    are NaN).  The sum of the end's components is tested once; only if it is
-    not finite does ``_require_finite`` check the group's values in the
-    composed form's order (a transport v + w x d, and the bracket [k, l],
-    check each cross product first), and a sum that merely overflowed raises
-    nothing.  A group closes before ``_rodrigues``, which raises its own
-    message, before a shared float core returns, before ``_norm`` or ``max``
-    reads a value (``max(0.0, nan)`` is 0.0) and before the next group's
-    test.  The transports are written out in the phases, where a call would
-    cost more than its arithmetic."""
+    keeps those forms as the bit oracle) and refuses where that form does.
+    The checks go by groups, chains of values joined only by +, -, * and
+    division by the positive finite M or dt, so a non-finite link reaches
+    the group's end (0 * inf and inf - inf are NaN).  The sum of the end's
+    components is tested once, and only if it is not finite does
+    ``vecmath._refuse`` test the end's values and refuse the group by name.
+    A group closes before ``_rodrigues``, which raises its own message,
+    before a shared float core returns, before ``_norm`` or ``max`` reads a
+    value (``max(0.0, nan)`` is 0.0) and before the next group's test.  A
+    ``NonFiniteError`` raised in the loop names its step n and time n dt.
+    The transports are written out in the phases, where a call would cost
+    more than its arithmetic."""
     dt = config.dt
     wrench = config.wrench if config.wrench is not None else Wrench.zero()
     d = (*wrench.screw.resultant.components(), *wrench.screw.moment_at_origin.components())
@@ -375,16 +371,20 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
              *initial.linear_momentum.components(), *initial.angular_momentum_at_c.components())
     before = _read(state, mass, j, inv)
     for n in range(config.steps):
-        state, renormed = _advance(before, advances, mass, inv, d)
-        if renormed:
-            # logging is loaded at the first warning, not with the package.
-            import logging
+        try:
+            state, renormed = _advance(before, advances, mass, inv, d)
+            if renormed:
+                # logging is loaded at the first warning, not with the package.
+                import logging
 
-            logging.getLogger(__name__).warning(
-                "step %d: orientation drifted off SO(3); applying polar projection", n
-            )
-        after = _read(state, mass, j, inv)
-        yield state, _diagnose(before, after, n * dt, dt, d), renormed
+                logging.getLogger(__name__).warning(
+                    "step %d: orientation drifted off SO(3); applying polar projection", n
+                )
+            after = _read(state, mass, j, inv)
+            diagnostics = _diagnose(before, after, n * dt, dt, d)
+        except NonFiniteError as err:
+            raise NonFiniteError(f"step {n} (t = {n * dt:g}): {err}") from None
+        yield state, diagnostics, renormed
         before = after
 
 
@@ -398,25 +398,18 @@ def _read(state: tuple, mass: float, j: tuple[float, ...], inv: tuple[float, ...
     norm cannot see that."""
     r, cx, cy, cz, px, py, pz, lx, ly, lz = state
     wx, wy, wz = _angular_velocity(r, inv, lx, ly, lz)
-    vx = px / mass
-    vy = py / mass
-    vz = pz / mass
     # O - c is 0.0 - c, not -c, which would flip the sign of a zero.
     ox = 0.0 - cx
     oy = 0.0 - cy
     oz = 0.0 - cz
-    kox = vx + (wy * oz - wz * oy)
-    koy = vy + (wz * ox - wx * oz)
-    koz = vz + (wx * oy - wy * ox)
+    kox = px / mass + (wy * oz - wz * oy)
+    koy = py / mass + (wz * ox - wx * oz)
+    koz = pz / mass + (wx * oy - wy * ox)
     lox = lx + (py * oz - pz * oy)
     loy = ly + (pz * ox - px * oz)
     loz = lz + (px * oy - py * ox)
     if not isfinite(kox + koy + koz + lox + loy + loz):
-        _require_finite("Vec3", vx, vy, vz)
-        _require_finite("Vec3", wy * oz - wz * oy, wz * ox - wx * oz, wx * oy - wy * ox)
-        _require_finite("Vec3", kox, koy, koz)
-        _require_finite("Vec3", py * oz - pz * oy, pz * ox - px * oz, px * oy - py * ox)
-        _require_finite("Vec3", lox, loy, loz)
+        _refuse("twist or momentum at the origin", kox, koy, koz, lox, loy, loz)
     world = _world_inertia(r, j)
     qx = cx + r[0]
     qy = cy + r[3]
@@ -428,11 +421,7 @@ def _read(state: tuple, mass: float, j: tuple[float, ...], inv: tuple[float, ...
     hqy = loy + (pz * qx - px * qz)
     hqz = loz + (px * qy - py * qx)
     if not isfinite(hcx + hcy + hcz + hqx + hqy + hqz):
-        _require_finite("Point", qx, qy, qz)
-        # p x c is -(p x (O - c)), which l(O) checked.
-        _require_finite("Vec3", hcx, hcy, hcz)
-        _require_finite("Vec3", py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx)
-        _require_finite("Vec3", hqx, hqy, hqz)
+        _refuse("momentum field at the center or the marker", hcx, hcy, hcz, hqx, hqy, hqz)
     return (r, cx, cy, cz, px, py, pz, lx, ly, lz, wx, wy, wz, kox, koy, koz, lox, loy, loz,
             world, qx, qy, qz, hcx, hcy, hcz, hqx, hqy, hqz)
 
@@ -460,41 +449,25 @@ def _advance(
         vy = spy / mass
         vz = spz / mass
         if not isfinite(ax + ay + az + vx + vy + vz):
-            _require_finite("Vec3", fy * scz - fz * scy, fz * scx - fx * scz, fx * scy - fy * scx)
-            _require_finite("Vec3", ax, ay, az)
-            _require_finite("Vec3", vx, vy, vz)
+            _refuse("moment about the center or velocity of the center", ax, ay, az, vx, vy, vz)
         speed = _norm(swx, swy, swz)
         if speed == 0.0:
             nr = r
         else:
             nr = _matmul(_rodrigues(swx / speed, swy / speed, swz / speed, speed * h), r)
             if not isfinite(sum(nr)):
-                _require_finite("Mat3", *nr)
-        dcx = vx * h
-        dcy = vy * h
-        dcz = vz * h
-        ncx = cx + dcx
-        ncy = cy + dcy
-        ncz = cz + dcz
-        dpx = fx * h
-        dpy = fy * h
-        dpz = fz * h
-        npx = px + dpx
-        npy = py + dpy
-        npz = pz + dpz
-        dlx = ax * h
-        dly = ay * h
-        dlz = az * h
-        nlx = lx + dlx
-        nly = ly + dly
-        nlz = lz + dlz
+                _refuse("rotated orientation", *nr)
+        ncx = cx + vx * h
+        ncy = cy + vy * h
+        ncz = cz + vz * h
+        npx = px + fx * h
+        npy = py + fy * h
+        npz = pz + fz * h
+        nlx = lx + ax * h
+        nly = ly + ay * h
+        nlz = lz + az * h
         if not isfinite(ncx + ncy + ncz + npx + npy + npz + nlx + nly + nlz):
-            _require_finite("Vec3", dcx, dcy, dcz)
-            _require_finite("Point", ncx, ncy, ncz)
-            _require_finite("Vec3", dpx, dpy, dpz)
-            _require_finite("Vec3", npx, npy, npz)
-            _require_finite("Vec3", dlx, dly, dlz)
-            _require_finite("Vec3", nlx, nly, nlz)
+            _refuse("center or momentum after the advance", ncx, ncy, ncz, npx, npy, npz, nlx, nly, nlz)
         if half:
             scx, scy, scz = ncx, ncy, ncz
             spx, spy, spz = npx, npy, npz
@@ -519,30 +492,17 @@ def _diagnose(before: tuple, after: tuple, t: float, dt: float, d: tuple[float, 
      world1, _, _, _, hcx1, hcy1, hcz1, hqx1, hqy1, hqz1) = after
     # Symmetric estimate of omega . (dI_C/dt) (omega) across the step; the
     # lemma makes the exact value zero, so this should vanish at O(dt^2).
-    sx = wx + wx1
-    sy = wy + wy1
-    sz = wz + wz1
-    mx = sx * 0.5
-    my = sy * 0.5
-    mz = sz * 0.5
+    mx = (wx + wx1) * 0.5
+    my = (wy + wy1) * 0.5
+    mz = (wz + wz1) * 0.5
     bxx, bxy, bxz, byx, byy, byz, bzx, bzy, bzz = world
     axx, axy, axz, ayx, ayy, ayz, azx, azy, azz = world1
-    axx = axx - bxx
-    axy = axy - bxy
-    axz = axz - bxz
-    ayx = ayx - byx
-    ayy = ayy - byy
-    ayz = ayz - byz
-    azx = azx - bzx
-    azy = azy - bzy
-    azz = azz - bzz
-    ux = axx * mx + axy * my + axz * mz
-    uy = ayx * mx + ayy * my + ayz * mz
-    uz = azx * mx + azy * my + azz * mz
+    # (I1 - I0) m
+    ux = (axx - bxx) * mx + (axy - bxy) * my + (axz - bxz) * mz
+    uy = (ayx - byx) * mx + (ayy - byy) * my + (ayz - byz) * mz
+    uz = (azx - bzx) * mx + (azy - bzy) * my + (azz - bzz) * mz
     if not isfinite(ux + uy + uz):
-        _require_finite("Vec3", sx, sy, sz)
-        _require_finite("Mat3", axx, axy, axz, ayx, ayy, ayz, azx, azy, azz)
-        _require_finite("Vec3", ux, uy, uz)
+        _refuse("inertia change times the mean angular velocity", ux, uy, uz)
     omega_idot = (mx * ux + my * uy + mz * uz) / dt
 
     # Residual of the body-relative balance law d + [k, l] against a forward
@@ -562,64 +522,24 @@ def _diagnose(before: tuple, after: tuple, t: float, dt: float, d: tuple[float, 
     rox = dox + bx
     roy = doy + by
     roz = doz + bz
-    dpx = px1 - px
-    dpy = py1 - py
-    dpz = pz1 - pz
-    rpx = dpx / dt
-    rpy = dpy / dt
-    rpz = dpz / dt
-    # minus omega x p, which is n to the bit
-    ux = rpx + nx
-    uy = rpy + ny
-    uz = rpz + nz
-    ex = ux - rrx
-    ey = uy - rry
-    ez = uz - rrz
+    # (p1 - p0) / dt minus omega x p, which is n to the bit, minus r
+    ex = ((px1 - px) / dt + nx) - rrx
+    ey = ((py1 - py) / dt + ny) - rry
+    ez = ((pz1 - pz) / dt + nz) - rrz
     if not isfinite(rox + roy + roz + ex + ey + ez):
-        # omega x p, which the composed form checks before negating
-        _require_finite("Vec3", -nx, -ny, -nz)
-        _require_finite("Vec3", py * koz - pz * koy, pz * kox - px * koz, px * koy - py * kox)
-        _require_finite("Vec3", wy * loz - wz * loy, wz * lox - wx * loz, wx * loy - wy * lox)
-        _require_finite("Vec3", bx, by, bz)
-        _require_finite("Vec3", rrx, rry, rrz)
-        _require_finite("Vec3", rox, roy, roz)
-        _require_finite("Vec3", dpx, dpy, dpz)
-        _require_finite("Vec3", rpx, rpy, rpz)
-        _require_finite("Vec3", ux, uy, uz)
-        _require_finite("Vec3", ex, ey, ez)
+        _refuse("d + [k, l] or the linear balance residual", rox, roy, roz, ex, ey, ez)
     residual = _norm(ex, ey, ez)
-    for ax, ay, az, hx, hy, hz, h1x, h1y, h1z in (
-        (cx, cy, cz, hcx, hcy, hcz, hcx1, hcy1, hcz1),
-        (qx, qy, qz, hqx, hqy, hqz, hqx1, hqy1, hqz1),
+    for pole, ax, ay, az, hx, hy, hz, h1x, h1y, h1z in (
+        ("center", cx, cy, cz, hcx, hcy, hcz, hcx1, hcy1, hcz1),
+        ("marker", qx, qy, qz, hqx, hqy, hqz, hqx1, hqy1, hqz1),
     ):
         # (h1 - h) / dt - omega x h - (d + [k, l])(a) at the pole a, with the
         # field value h there before the step and h1 after it.
-        dhx = h1x - hx
-        dhy = h1y - hy
-        dhz = h1z - hz
-        rhx = dhx / dt
-        rhy = dhy / dt
-        rhz = dhz / dt
-        whx = wy * hz - wz * hy
-        why = wz * hx - wx * hz
-        whz = wx * hy - wy * hx
-        ux = rhx - whx
-        uy = rhy - why
-        uz = rhz - whz
-        tx = rox + (rry * az - rrz * ay)
-        ty = roy + (rrz * ax - rrx * az)
-        tz = roz + (rrx * ay - rry * ax)
-        ex = ux - tx
-        ey = uy - ty
-        ez = uz - tz
+        ex = (h1x - hx) / dt - (wy * hz - wz * hy) - (rox + (rry * az - rrz * ay))
+        ey = (h1y - hy) / dt - (wz * hx - wx * hz) - (roy + (rrz * ax - rrx * az))
+        ez = (h1z - hz) / dt - (wx * hy - wy * hx) - (roz + (rrx * ay - rry * ax))
         if not isfinite(ex + ey + ez):
-            _require_finite("Vec3", dhx, dhy, dhz)
-            _require_finite("Vec3", rhx, rhy, rhz)
-            _require_finite("Vec3", whx, why, whz)
-            _require_finite("Vec3", ux, uy, uz)
-            _require_finite("Vec3", rry * az - rrz * ay, rrz * ax - rrx * az, rrx * ay - rry * ax)
-            _require_finite("Vec3", tx, ty, tz)
-            _require_finite("Vec3", ex, ey, ez)
+            _refuse("balance residual at the " + pole, ex, ey, ez)
         residual = max(residual, _norm(ex, ey, ez))
     # T = <k, l> / 2 and P = <k, d>, as klein_product pairs them.
     return (

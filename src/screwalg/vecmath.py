@@ -13,35 +13,28 @@ A ``Point`` is a location, a ``Vec3`` a displacement: Point - Point = Vec3,
 Point + Vec3 = Point, and any other sum or difference of them is a TypeError.
 
 Composite operations on the algebra's hot paths are fused (``Screw.value_at``,
-``from_motor``, ``lie.commutator``, ``rigid.rodrigues``):
-one value, built entry by entry through the checking constructor with the
-float operations of the composed expression in its order.  It rounds as that
-expression does, to the bit, and raises ``NonFiniteError`` on the same
-inputs.  Float cores build no value at all but keep those operations, and
-refuse where their composed form does with one test per chain of values
-(``sim._stream``); the value API wraps them and the phases of the sim step
-kernel (``sim._read``, ``_advance`` and ``_diagnose``) share them:
-``_norm``, the 3x3 product ``_matmul`` (whose callers check it) and
-``_orthonormality_defect`` here, ``rigid._rodrigues``,
-``sim._world_inertia`` and ``sim._angular_velocity``.  One more, the screw
-sum ``screw._screw_sum``, serves ``wrench_of``, ``compose_chain`` and
-``momentum_screw``, and replays its caller's composed form on a refusal.
-The exp/log kernels ``rigid.exp_screw`` and ``rigid.chasles`` and the
-two-vector reduction ``reduction.decompose_two_applied`` work on floats and
-build only the values they return; they share the axis core
-``screw._axis`` (u = w / |w| and the point O + u x m / |w|, which
-``Screw.axis`` wraps), ``RigidMap``'s rotation check on nine floats
-(``_is_orthonormal`` and the determinant ``_det`` here, which
-``Mat3.is_orthonormal`` and ``Mat3.det`` wrap) and the float form of
-``reduction._reference_perpendicular``.  The reciprocal subspace
-``dynamics.reciprocal_subspace`` is one too: its pairing rows are
-``lie._dual_coords`` (s(Q) . e_i, then resultant . e_i, on floats, which
-``to_frame`` and ``to_dual`` wrap), its Householder QR, full-rank bound and
-back-reflection of Q's columns run on float locals, and each basis screw is
-``lie._screw_from_coords``, one ``Screw`` of two ``Vec3``s, which
-``from_frame`` wraps; a basis screw that is not finite replays the composed
-``Vec3`` form there, which refuses as before.  ``reduction.central_axis_report``
-reads its wrench once and its line axis from one ``screw._axis``.
+``from_motor``, ``lie.commutator``, ``rigid.rodrigues``): one value, built
+entry by entry through the checking constructor with the float operations of
+the composed expression in its order, so it rounds as that expression does,
+to the bit, and its constructor's check is its one finiteness test.  Float
+cores build no value at all but keep those operations.  They test each group
+of float values once, at its end, and refuse a group that is not finite with
+one ``NonFiniteError`` that names it (``_refuse``, ``sim._stream``).  A
+group's end that goes straight into a checking constructor needs no test of
+its own.  The value API wraps the cores, and the phases of the sim step
+kernel (``sim._read``, ``_advance`` and ``_diagnose``) share them: ``_norm``,
+the 3x3 product ``_matmul`` (whose callers check it), ``_orthonormality_defect``
+and ``_det`` here, ``rigid._rodrigues``, ``sim._world_inertia`` and
+``sim._angular_velocity``.  The screw sum ``screw._screw_sum`` serves
+``wrench_of``, ``compose_chain`` and ``momentum_screw``.  The exp/log kernels
+``rigid.exp_screw`` and ``rigid.chasles``, the two-vector reduction
+``reduction.decompose_two_applied`` and the reciprocal subspace
+``dynamics.reciprocal_subspace`` work on floats and build only the values
+they return; they share the axis core ``screw._axis``, ``RigidMap``'s
+rotation check on nine floats (``_is_orthonormal`` and ``_det`` here), the
+pairing rows ``lie._dual_coords`` and the basis screw
+``lie._screw_from_coords``.  The value forms they replace are their bit
+oracles in ``tests/``.
 
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,
@@ -87,6 +80,17 @@ def _require_finite(name: str, *values: float) -> None:
             raise NonFiniteError(f"{name} components must be finite, got {values}")
 
 
+def _refuse(what: str, *values: float) -> None:
+    """Refuse the group of float values whose end is ``values``, naming it,
+    unless every one is finite.  A group is a chain of values joined only by
+    +, -, * and division by a positive finite number, so a non-finite link
+    reaches the end (0 * inf and inf - inf are NaN).  A caller tests the sum
+    of the end first and calls this only when that sum is not finite, so a
+    sum that merely overflowed raises nothing."""
+    if not all(map(isfinite, values)):
+        raise NonFiniteError(f"{what} is not finite")
+
+
 def _norm(x: float, y: float, z: float) -> float:
     """|(x, y, z)|, the one definition, which ``Vec3.norm`` and the sim step
     kernel share."""
@@ -101,10 +105,7 @@ def _norm(x: float, y: float, z: float) -> float:
 def _orthonormality_defect(r: tuple[float, ...]) -> float:
     """max |R^T R - I| for the row-major 9-tuple R, the one definition, which
     ``Mat3.orthonormality_defect`` and the sim kernel's drift test share.
-    R^T R is symmetric to the bit, and it is checked finite as the ``Mat3``
-    it forms when the sum of the entries of R^T R - I is not.  R^T R - I
-    needs no check of its own: it shares R^T R's off-diagonal entries, and a
-    finite diagonal entry minus 1.0 is finite."""
+    R^T R is symmetric to the bit, and R^T R - I is its one group."""
     xx, xy, xz, yx, yy, yz, zx, zy, zz = r
     dxy = xx * xy + yx * yy + zx * zy
     dxz = xx * xz + yx * yz + zx * zz
@@ -113,10 +114,7 @@ def _orthonormality_defect(r: tuple[float, ...]) -> float:
     dyy = (xy * xy + yy * yy + zy * zy) - 1.0
     dzz = (xz * xz + yz * yz + zz * zz) - 1.0
     if not isfinite(dxx + dxy + dxz + dyy + dyz + dzz):
-        sxx = xx * xx + yx * yx + zx * zx
-        syy = xy * xy + yy * yy + zy * zy
-        szz = xz * xz + yz * yz + zz * zz
-        _require_finite("Mat3", sxx, dxy, dxz, dxy, syy, dyz, dxz, dyz, szz)
+        _refuse("R^T R", dxx, dxy, dxz, dyy, dyz, dzz)
     return max(abs(dxx), abs(dxy), abs(dxz), abs(dyy), abs(dyz), abs(dzz))
 
 
@@ -133,14 +131,14 @@ def _det(r: tuple[float, ...]) -> float:
     """det R for the row-major 9-tuple R, the one definition, which
     ``Mat3.det`` and ``RigidMap``'s rotation check share: row 0 dotted with row
     1 x row 2, with the float operations of that ``Vec3`` expression in its
-    order.  It refuses where that expression does, with the cross product's
-    components; the dot product may overflow, as ``Vec3.dot`` may."""
+    order.  It refuses where that expression does; the dot product may
+    overflow, as ``Vec3.dot`` may."""
     xx, xy, xz, yx, yy, yz, zx, zy, zz = r
     cx = yy * zz - yz * zy
     cy = yz * zx - yx * zz
     cz = yx * zy - yy * zx
     if not isfinite(cx + cy + cz):
-        _require_finite("Vec3", cx, cy, cz)
+        _refuse("row 2 x row 3 of the determinant", cx, cy, cz)
     return xx * cx + xy * cy + xz * cz
 
 

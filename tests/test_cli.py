@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line tool: exit codes, output documents,
 and the exp/log round trip through actual CLI invocations."""
 
+import errno
 import io
 import json
 import math
@@ -408,6 +409,9 @@ class _CountingSink:
     def write(self, text):
         self.size += len(text)
 
+    def flush(self):
+        pass
+
 
 # Bytes per step that a 10^4-step simulate may hold at its peak beyond its
 # output: about 1000 when the run keeps its whole trajectory and a doc row per
@@ -463,15 +467,22 @@ def test_simulate_writes_its_rows_in_blocks(tmp_path, mode):
         assert lines[steps].startswith(f"{steps - 1:<7d} ")
 
 
-def _status_when_the_reader_leaves(argv, unbuffered, after_bytes):
-    """Exit status and stderr of ``python -m screwalg.cli *argv`` whose
-    reader closes the pipe after reading ``after_bytes`` bytes of stdout."""
+def _cli_env(unbuffered):
+    """The environment of a ``python -m screwalg.cli`` child, with or
+    without ``PYTHONUNBUFFERED=1``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _status_when_the_reader_leaves(argv, unbuffered, after_bytes):
+    """Exit status and stderr of ``python -m screwalg.cli *argv`` whose
+    reader closes the pipe after reading ``after_bytes`` bytes of stdout."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "screwalg.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        [sys.executable, "-m", "screwalg.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_cli_env(unbuffered),
     )
     assert len(proc.stdout.read(after_bytes)) == after_bytes
     proc.stdout.close()
@@ -498,18 +509,101 @@ def test_a_reader_gone_before_a_short_output_ends_the_run_with_141(unbuffered):
     assert _status_when_the_reader_leaves(["selfcheck"], unbuffered, 0) == (141, b"")
 
 
-def test_simulate_mixed_velocities_is_a_domain_error(tmp_path):
-    doc = {
-        "version": 1,
-        "masses": [
-            {"m": 1.0, "position": [1.0, 0.0, 0.0], "velocity": [0.0, 1.0, 0.0]},
-            {"m": 1.0, "position": [0.0, 1.0, 0.0]},
-        ],
-        "sim": {"dt": 0.001, "steps": 2},
-    }
-    code, _, err = run_cli("simulate", scene_file(tmp_path, doc))
-    assert code == 3
-    assert "MissingVelocitiesError" in err
+def _status_with_a_closed_stream(argv, unbuffered, closed, redirect=None):
+    """Exit status of ``python -m screwalg.cli *argv`` and what it wrote to
+    its other stream, when the reader of ``closed`` ("stdout" or "stderr")
+    has gone before it wrote, or, with a shell ``redirect`` such as
+    ``2>&-``, when it starts with that descriptor redirected."""
+    command = [sys.executable, "-m", "screwalg.cli", *argv]
+    if redirect is not None:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(unbuffered))
+    gone, other = (proc.stdout, proc.stderr) if closed == "stdout" else (proc.stderr, proc.stdout)
+    gone.close()
+    with other:
+        written = other.read()
+    return proc.wait(timeout=60), written
+
+
+_OVERFLOW = {"version": 1, "forces": [{"point": [1e200, 0.0, 0.0], "vector": [0.0, 1e200, 0.0]}]}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, closed, status", [
+    (["--help"], "stdout", 141),
+    (["simulate", "--help"], "stdout", 141),
+    (["frobnicate"], "stderr", 2),
+    (["reduce", "/nonexistent.json"], "stderr", 2),
+    (["reduce", "OVERFLOW"], "stderr", 3),
+], ids=["help", "simulate-help", "usage", "input-error", "domain-error"])
+def test_a_closed_stream_keeps_the_exit_status(tmp_path, argv, closed, status, unbuffered):
+    """Help goes to stdout, whose reader gone makes the status 141 as for
+    any output; a message goes to stderr, whose reader gone leaves the
+    command's own status, 2 or 3.  Nothing reaches the other stream."""
+    argv = [scene_file(tmp_path, _OVERFLOW) if a == "OVERFLOW" else a for a in argv]
+    assert _status_with_a_closed_stream(argv, unbuffered, closed) == (status, b"")
+
+
+class _Gone(io.StringIO):
+    """A stream whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_a_gone_or_missing_stream_keeps_the_exit_status(monkeypatch):
+    """In process: output to a stream whose reader has gone returns 141, a
+    message to one returns the command's own status, and so does a message
+    when the process has no stderr at all."""
+    assert main(["selfcheck"], stdout=_Gone(), stderr=io.StringIO()) == 141
+    assert main(["--help"], stdout=_Gone(), stderr=io.StringIO()) == 141
+    assert main(["reduce", "/nonexistent.json"], stdout=io.StringIO(), stderr=_Gone()) == 2
+    monkeypatch.setattr(sys, "stderr", None)
+    out = io.StringIO()
+    assert main(["reduce", "/nonexistent.json"], stdout=out) == 2
+    assert out.getvalue() == ""
+
+
+class _Full(io.StringIO):
+    """A stream on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_failed_write_is_not_taken_for_a_gone_reader():
+    """Only a reader that has gone (EPIPE) or a closed descriptor (EBADF)
+    ends a command with its gone status; any other write error is raised."""
+    with pytest.raises(OSError) as raised:
+        main(["selfcheck"], stdout=_Full(), stderr=io.StringIO())
+    assert raised.value.errno == errno.ENOSPC
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize("argv, status", [
+    (["reduce", "/nonexistent.json"], 2),
+    (["reduce", "OVERFLOW"], 3),
+], ids=["input-error", "domain-error"])
+def test_a_stderr_closed_from_the_start_keeps_the_exit_status(tmp_path, argv, status, redirect):
+    """Started with stderr closed, Python has no sys.stderr; started with a
+    descriptor 2 that is not open for writing, as a closed one is once a
+    launcher reuses it, a write fails with EBADF.  Either way the message
+    is dropped, and not written to stdout."""
+    argv = [scene_file(tmp_path, _OVERFLOW) if a == "OVERFLOW" else a for a in argv]
+    assert _status_with_a_closed_stream(argv, False, "stderr", redirect) == (status, b"")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_an_overflowing_simulate_names_the_step_and_the_quantity(tmp_path, mode):
+    """forced_euler under a force of 1e306 along x: the momentum grows by
+    1e304 a step, and at step 1 its moment about the origin overflows."""
+    doc = json.loads((SCENES / "forced_euler.json").read_text())
+    doc["sim"].update(steps=2000, wrench=dict(doc["sim"]["wrench"], force=[1e306, 0.0, 0.0]))
+    code, out, err = run_cli("simulate", scene_file(tmp_path, doc), *mode)
+    assert (code, out) == (3, "")
+    assert err == (
+        "domain error (NonFiniteError): step 1 (t = 0.01): twist or momentum at the origin is not finite\n"
+    )
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]])
@@ -679,7 +773,7 @@ def test_simulate_whose_angle_overflows_is_a_domain_error(tmp_path):
     }
     code, out, err = run_cli("simulate", scene_file(tmp_path, doc))
     assert (code, out) == (3, "")
-    assert err == "domain error (NonFiniteError): rotation angle must be finite, got inf\n"
+    assert err == "domain error (NonFiniteError): step 0 (t = 0): rotation angle must be finite, got inf\n"
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]])

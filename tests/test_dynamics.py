@@ -1,6 +1,7 @@
 """Dynamics checks: every screw-level quantity is compared against the
 per-particle or per-force sum it abbreviates."""
 
+import collections
 import math
 import random
 
@@ -27,6 +28,7 @@ from conftest import (
     values_built,
     vec3s,
 )
+from test_kinematics import _composed_chain
 from screwalg import (
     ORIGIN,
     EmptyDistributionError,
@@ -239,9 +241,8 @@ def test_momentum_refuses_on_the_first_particle_that_fails():
     unit = Particle(1.0, ORIGIN, Vec3(1.0, 0.0, 0.0))
     overflows = Particle(1e200, ORIGIN, Vec3(0.0, 1e200, 0.0))
     at_rest = Particle(1.0, ORIGIN)
-    with pytest.raises(NonFiniteError) as raised:
+    with pytest.raises(NonFiniteError):
         momentum_screw(MassDistribution((unit, unit, overflows, unit, at_rest)))
-    assert str(raised.value) == "Vec3 components must be finite, got (0.0, inf, 0.0)"
     with pytest.raises(MissingVelocitiesError):
         momentum_screw(MassDistribution((unit, at_rest, overflows)))
 
@@ -259,10 +260,44 @@ def test_wrench_of_a_member_of_another_form_is_the_composed_outcome(forces, refu
     fs = ForceSystem(forces)
     got = sum_outcome(lambda: wrench_of(fs).screw)
     assert got == sum_outcome(_composed_wrench, fs)
-    if refusal is NonFiniteError:
-        assert got.startswith("Vec3 components must be finite")
-    elif refusal is not None:
-        assert got[0] is refusal
+    assert got is refusal if refusal is not None else isinstance(got, tuple)
+
+
+class _SubScrew(Screw):
+    __slots__ = ()
+
+
+_UNIT_FORCE = (Point(1.0, 2.0, 3.0), Vec3(0.5, -1.0, 0.25))
+_FORCES = (_UNIT_FORCE, (Point(-0.5, 0.0, 1.5), Vec3(1.0, 3.0, -2.0)))
+_PARTICLES = (Particle(1.5, Point(1.0, 2.0, 3.0), Vec3(0.5, -1.0, 0.25)),
+              Particle(0.75, Point(-0.5, 0.0, 1.5), Vec3(1.0, 3.0, -2.0)))
+_TWISTS = (Twist(Screw(Vec3(1.0, 0.0, 2.0), Vec3(0.5, 0.5, -1.0))), Twist(Screw(Vec3(0.0, 3.0, 1.0), Vec3(1.0, 0.0, 0.0))))
+
+
+@pytest.mark.parametrize("f, oracle, members, refusal", [
+    (wrench_of, _composed_wrench, ForceSystem(collections.deque(_FORCES)), None),
+    (momentum_screw, _composed_momentum, MassDistribution(collections.deque(_PARTICLES)), None),
+    (compose_chain, _composed_chain, MotionChain(collections.deque(_TWISTS)), None),
+    (wrench_of, _composed_wrench, ForceSystem([list(_UNIT_FORCE), _FORCES[1]]), None),
+    (momentum_screw, _composed_momentum, MassDistribution((Particle(2, *_UNIT_FORCE), _PARTICLES[1])), None),
+    (momentum_screw, _composed_momentum, MassDistribution((_PARTICLES[0], Particle(1.0, ORIGIN))), MissingVelocitiesError),
+    (compose_chain, None, MotionChain((_TWISTS[0], Twist(_SubScrew(Vec3(1.0, 0.0, 0.0), Vec3.zero())))), TypeError),
+    (momentum_screw, None, MassDistribution((_PARTICLES[0], Particle(1.0, Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0)))),
+     AttributeError),
+    (momentum_screw, None, MassDistribution((_PARTICLES[0], Particle(1.0, ORIGIN, Point(0.0, 1.0, 0.0)))), TypeError),
+], ids=["forces-in-a-deque", "particles-in-a-deque", "twists-in-a-deque", "pair-as-a-list", "int-mass",
+        "no-velocity", "screw-subclass", "vec3-as-position", "point-as-velocity"])
+def test_members_off_the_float_path_keep_their_outcome(f, oracle, members, refusal):
+    """The inputs that the sum once left to its caller's composed form: an
+    iterable that is not a tuple or a list, a pair given as a list, an int
+    mass, a particle with no velocity, a role whose screw is a subclass of
+    Screw, and a particle's position or velocity of the other class.  Each
+    sums to the composed form's bits, or refuses with its exception class."""
+    got = sum_outcome(lambda: f(members).screw)
+    if refusal is None:
+        assert isinstance(got, tuple) and got == sum_outcome(oracle, members)
+    else:
+        assert got is refusal
 
 
 def test_the_wrench_of_no_force_is_the_zero_wrench():

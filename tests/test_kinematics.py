@@ -24,6 +24,7 @@ from screwalg import (
     ForceSystem,
     LineAxis,
     MotionChain,
+    NonFiniteError,
     Point,
     Screw,
     Twist,
@@ -200,7 +201,7 @@ _unit = Screw(Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0))
 @pytest.mark.parametrize("members, refusal", [
     ((Twist(_unit), _unit), AttributeError),
     ((Twist(Screw(Vec3(1.0, 0.0, 0.0), Point(0.0, 1.0, 0.0))),), TypeError),
-    ((Twist(Screw(Vec3(1.5e308, 0.0, 0.0), Vec3.zero())),) * 2 + (_unit,), "Vec3 components must be finite"),
+    ((Twist(Screw(Vec3(1.5e308, 0.0, 0.0), Vec3.zero())),) * 2 + (_unit,), NonFiniteError),
     ((Twist(_unit), Wrench(_unit)), None),
 ], ids=["screw-as-twist", "point-moment", "overflow-first", "wrench"])
 def test_compose_chain_of_a_member_of_another_form_is_the_composed_outcome(members, refusal):
@@ -210,7 +211,4 @@ def test_compose_chain_of_a_member_of_another_form_is_the_composed_outcome(membe
     chain = MotionChain(members)
     got = sum_outcome(lambda: compose_chain(chain).screw)
     assert got == sum_outcome(_composed_chain, chain)
-    if isinstance(refusal, str):
-        assert got.startswith(refusal)
-    elif refusal is not None:
-        assert got[0] is refusal
+    assert got is refusal if refusal is not None else isinstance(got, tuple)

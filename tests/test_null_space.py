@@ -418,14 +418,17 @@ def test_a_degenerate_system_is_the_composed_reciprocal_bit_for_bit(name):
 
 
 def test_an_overflowing_value_at_the_frame_origin_is_refused_as_value_at_refuses_it():
-    for wrench, message in [
+    for wrench in [
         # The cross product w x Q overflows, and then the sum s(O) + w x Q.
-        (Screw(Vec3(1e300, 0.0, 0.0), Vec3(5.0, 0.0, 0.0)), "(0.0, 0.0, inf)"),
-        (Screw(Vec3(1e298, 0.0, 0.0), Vec3(5.0, 0.0, 1e308)), "(5.0, 0.0, inf)"),
+        Screw(Vec3(1e300, 0.0, 0.0), Vec3(5.0, 0.0, 0.0)),
+        Screw(Vec3(1e298, 0.0, 0.0), Vec3(5.0, 0.0, 1e308)),
     ]:
         with pytest.raises(NonFiniteError) as refused:
+            wrench.value_at(_BIG.origin)
+        assert str(refused.value).startswith("Vec3 components must be finite")
+        with pytest.raises(NonFiniteError) as refused:
             reciprocal_subspace([_GENERIC[0], wrench], _BIG)
-        assert str(refused.value) == f"Vec3 components must be finite, got {message}"
+        assert str(refused.value) == "field value at the frame origin is not finite"
 
 
 @pytest.mark.parametrize("n, built", [(1, 10), (2, 8), (5, 2), (6, 0)])

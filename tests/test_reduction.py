@@ -14,6 +14,7 @@ from conftest import (
     assert_screw_close,
     assert_vec_close,
     bit_examples,
+    cli_status,
     composed_axis,
     edge_points,
     edge_screws,
@@ -37,6 +38,7 @@ from screwalg import (
     NonFiniteError,
     Point,
     Screw,
+    ScrewAlgError,
     Vec3,
     ZeroScrewError,
     central_axis_report,
@@ -328,6 +330,27 @@ _O = Point(0.0, 0.0, 0.0)
 def test_central_axis_report_is_the_composed_report_bit_for_bit(forces):
     fs = ForceSystem(forces)
     assert sum_outcome(central_axis_report, fs) == sum_outcome(_composed_report, fs)
+
+
+def _composed_status(fs: ForceSystem) -> int:
+    """The exit status of ``reduce`` when its results are computed in the
+    composed forms: 3 for a refusal or a non-finite amplitude or scalar
+    invariant, the two results no constructor checks, else 0."""
+    try:
+        report = _composed_report(fs)
+        _composed_decompose(wrench_of(fs).screw, 1.0)
+    except ScrewAlgError:
+        return 3
+    return 0 if math.isfinite(report.amplitude) and math.isfinite(report.scalar_invariant) else 3
+
+
+@given(st.lists(_forces, min_size=1, max_size=6))
+def test_reduce_exits_as_the_composed_forms_refuse(forces):
+    """Where a refusal reaches the command line: ``reduce`` exits 3 on the
+    systems whose composed forms refuse, and 0 on the others."""
+    doc = {"version": 1, "forces": [{"point": list(p.components()), "vector": list(v.components())}
+                                    for p, v in forces]}
+    assert cli_status("reduce", doc) == _composed_status(ForceSystem(tuple(forces)))
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from conftest import (
     assert_screw_close,
     assert_vec_close,
     bit_examples,
+    cli_status,
     composed_axis,
     coords,
     edge_mat3s,
@@ -430,6 +431,20 @@ def test_exp_screw_is_the_composed_flow_bit_for_bit(s, t):
     assert sum_outcome(exp_screw, s, t) == sum_outcome(_composed_exp_screw, s, t)
 
 
+@given(_kernel_screws, _kernel_params)
+def test_exp_exits_as_the_composed_flow_refuses(s, t):
+    """Where a refusal reaches the command line: ``exp`` exits 3 where the
+    composed flow refuses, 2 for a t that is not finite, and 0 otherwise."""
+    doc = {"version": 1, "twists": [
+        {"omega": list(s.resultant.components()), "moment_at_origin": list(s.moment_at_origin.components())}
+    ]}
+    if not math.isfinite(t):
+        want = 2
+    else:
+        want = 3 if isinstance(sum_outcome(_composed_exp_screw, s, t), type) else 0
+    assert cli_status("exp", doc, "--t", repr(t)) == want
+
+
 def _flow_or_none(s: Screw):
     try:
         return exp_screw(s, 1.0)
@@ -470,6 +485,24 @@ _kernel_maps = st.one_of(
 @example(RigidMap(Mat3(-1.0, 0.0, 0.0, 0.0, -1.0, -4e-11, 0.0, 4e-11, 1.0), Vec3(0.4, -0.2, 0.7)))
 def test_chasles_is_the_composed_decomposition_bit_for_bit(g):
     assert sum_outcome(chasles, g) == sum_outcome(_composed_chasles, g)
+
+
+@given(_kernel_maps)
+@example(RigidMap(rodrigues(Vec3(0.0, 0.6, 0.8), 1e-170), Vec3(0.0, -1.7e308, 1.7e308)))
+@example(RigidMap(rodrigues(Vec3(0.6, 0.0, -0.8), math.pi - 1e-7), Vec3(1.7e308, -1.7e308, 1.7e308)))
+def test_log_exits_as_the_composed_decomposition_refuses(g):
+    """Where a refusal reaches the command line: ``log`` exits 3 where the
+    composed decomposition or its screw refuses, or its slide is not
+    finite, and 0 otherwise."""
+    doc = {"version": 1, "rigid_map": {"rotation": list(g.rotation.flat()),
+                                       "translation": list(g.translation.components())}}
+    try:
+        dec = _composed_chasles(g)
+        dec.to_screw()
+        want = 0 if math.isfinite(dec.slide) else 3
+    except NonFiniteError:
+        want = 3
+    assert cli_status("log", doc) == want
 
 
 # Near rotations: one entry moved by about the tolerance, or the whole

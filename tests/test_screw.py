@@ -396,8 +396,7 @@ def test_from_motor_is_the_composed_screw_bit_for_bit(p, w, v):
 
 @bit_examples
 @given(st.one_of(edge_screws, st.builds(Screw, scaled_vec3s, scaled_vec3s)))
-# u x m overflows, and |w| = 2 tells its components from those of u x m / |w|;
-# u x m / |w| overflows, |w|^2 = 1e-320 being subnormal; the cross product's
+# u x m overflows, with |w| = 2, and u x m / |w| overflows, |w|^2 = 1e-320 being subnormal; the cross product's
 # zeros carry signs that O + p turns positive.
 @example(Screw(Vec3(0.0, 1.2, 1.6), Vec3(1.0, -1.7e308, 1.7e308)))
 @example(Screw(Vec3(1e-160, 0.0, 0.0), Vec3(0.0, 1e150, 0.0)))
