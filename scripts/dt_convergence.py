@@ -7,14 +7,22 @@ window at a sequence of halved steps, and prints the observed orders:
 * kinetic-energy error at the final time (first order for euler, second
   for midpoint -- both measured against a much finer reference run);
 * the worst per-step balance residual, which is a forward difference and
-  should fall off linearly in dt for either integrator.
+  should fall off linearly in dt for either integrator;
+* the worst per-step |omega . (dI_C/dt)(omega)|, zero along exact motion,
+  whose symmetric estimate falls off with the integrator's local error.
+
+With ``--check`` it exits 1 unless every observed order of the T error is
+within 0.1 of 1 (euler) or 2 (midpoint), and every order of the residual
+within 0.1 of 1.
 
     python3 scripts/dt_convergence.py
     python3 scripts/dt_convergence.py --levels 6 --base-dt 4e-3
+    python3 scripts/dt_convergence.py --check
 """
 
 import argparse
 import math
+import sys
 
 from screwalg import (
     BodyState,
@@ -52,12 +60,21 @@ CHUNK = 2000
 WRENCH = Wrench.from_motor(Point(0.0, 0.0, 0.0), Vec3(0.4, -0.2, 0.1), Vec3(0.1, 0.3, -0.2))
 
 
-def final_energy_and_worst_residual(
+ORDERS = {"euler": 1.0, "midpoint": 2.0}  # of the T error; the residual's is 1
+ORDER_TOL = 0.1
+
+
+def final_energy_and_worst_diagnostics(
     state: BodyState, integrator: str, dt: float, steps: int
-) -> tuple[float, float]:
-    """Kinetic energy at the end of the run and its worst balance residual."""
+) -> tuple[float, float, float]:
+    """Kinetic energy at the end of the run, its worst balance residual and
+    its worst |omega . (dI_C/dt)(omega)|."""
     traj = run(SimConfig(dt=dt, steps=steps, integrator=integrator, wrench=WRENCH), state)
-    return state_kinetic_energy(traj.states[-1]), max(d.balance_residual for d in traj.diagnostics)
+    return (
+        state_kinetic_energy(traj.states[-1]),
+        max(d.balance_residual for d in traj.diagnostics),
+        max(abs(d.omega_idot_omega) for d in traj.diagnostics),
+    )
 
 
 def reference_energy(state: BodyState, dt: float, steps: int) -> float:
@@ -77,6 +94,8 @@ def main() -> None:
     ap.add_argument("--base-dt", type=float, default=2e-3)
     ap.add_argument("--base-steps", type=int, default=250)
     ap.add_argument("--levels", type=int, default=4)
+    ap.add_argument("--check", action="store_true",
+                    help=f"exit 1 unless the T error and residual orders are within {ORDER_TOL} of theirs")
     args = ap.parse_args()
 
     state = make_state()
@@ -87,19 +106,28 @@ def main() -> None:
     ref_factor = 2 ** (args.levels - 1) * 64
     reference = reference_energy(state, args.base_dt / ref_factor, args.base_steps * ref_factor)
 
+    off = []
     for integrator in ("euler", "midpoint"):
         print(f"\n{integrator}:")
-        print("  dt           T error      order    residual     order")
-        prev_err = prev_res = None
+        print("  dt           T error      order    residual     order    |w.dI(w)|    order")
+        prev = None
         for level in range(args.levels):
             dt = args.base_dt / 2**level
             steps = args.base_steps * 2**level
-            energy, res = final_energy_and_worst_residual(state, integrator, dt, steps)
-            err = abs(energy - reference)
-            err_order = "" if prev_err is None else f"{math.log2(prev_err / err):.2f}"
-            res_order = "" if prev_res is None else f"{math.log2(prev_res / res):.2f}"
-            print(f"  {dt:<12.4g} {err:<12.3e} {err_order:<8} {res:<12.3e} {res_order}")
-            prev_err, prev_res = err, res
+            energy, res, wdw = final_energy_and_worst_diagnostics(state, integrator, dt, steps)
+            row = (abs(energy - reference), res, wdw)
+            orders = [] if prev is None else [math.log2(a / b) for a, b in zip(prev, row)]
+            shown = [f"{o:.2f}" for o in orders] or [""] * len(row)
+            print(f"  {dt:<12.4g} " + " ".join(f"{x:<12.3e} {o:<8}" for x, o in zip(row, shown)).rstrip())
+            for name, want, got in zip(("T error", "residual"), (ORDERS[integrator], 1.0), orders):
+                if not abs(got - want) <= ORDER_TOL:
+                    off.append(f"{integrator} {name} order {got:.2f} at dt {dt:g}, want {want:g}")
+            prev = row
+    if args.check:
+        for line in off:
+            print(f"check: {line}", file=sys.stderr)
+        print(f"\ncheck: {'failed' if off else 'ok'}")
+        sys.exit(1 if off else 0)
 
 
 if __name__ == "__main__":

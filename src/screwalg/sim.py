@@ -9,26 +9,28 @@ are therefore conserved to the last bit.
 
 Each step also evaluates a set of screw-level diagnostics on the trajectory:
 kinetic energy, power, a symmetric finite-difference estimate of
-omega . (dI_C/dt)(omega) (identically zero along exact motion), and the
-residual of the body-relative balance law d + [k, l] against a direct
-finite-difference derivative of the momentum screw at body-dragged poles.
+omega . (dI_C/dt)(omega) (identically zero along exact motion), evaluated in
+body axes, and the residual of the body-relative balance law d + [k, l]
+against a direct finite-difference derivative of the momentum screw at
+body-dragged poles.
 
 The step kernel, the generator ``_stream``, runs on plain floats in three
-phases: ``_read`` reads a state's screws, world inertia, marker and momentum
-field values, ``_advance`` advances the state, and ``_diagnose`` diagnoses a
-step from what was read on both sides of it.  A state and what is read of it
-travel as one tuple, so each state is read once, and what the diagnostics read
-before a step is what the step read.  Each phase tests its values finite once
-per group of them and refuses a group that is not finite with one
-``NonFiniteError`` that names it (``_stream``), where the composed vector form
-refuses too.  The kernel yields each new state and its step's
-diagnostics as floats; ``run`` and ``step`` build their records from them, and
-the ``simulate`` command renders its rows from the floats.  The public
+phases: ``_read`` reads a state's screws, marker and momentum field values,
+``_advance`` advances the state, and ``_diagnose`` diagnoses a step from
+what was read on both sides of it.  A state and what is read of it travel as
+one tuple, so each state is read once, and what the diagnostics read before
+a step is what the step read.  Each phase tests its values finite once per
+group of them and refuses a group that is not finite with one
+``NonFiniteError`` that names it (``_stream``), where the composed vector
+form refuses too.  The SO(3) drift test runs once per proven budget of steps
+(``_stream``).  The kernel yields each new state and its step's diagnostics
+as floats; ``run`` and ``step`` build their records from them, and the
+``simulate`` command renders its rows from the floats.  The public
 ``state_twist``, ``state_momentum`` and ``world_inertia_matrix`` read a
 ``BodyState`` with the value types; the kernel shares its float cores with
-them and with the vector types (``_angular_velocity``, ``_world_inertia``,
-``vecmath._norm``, ``_matmul`` and ``_orthonormality_defect``,
-``rigid._rodrigues``), so each formula has one definition.
+them and with the vector types (``_angular_velocity``, ``vecmath._norm``,
+``_matmul`` and ``_orthonormality_defect``, ``rigid._rodrigues``), so each
+formula has one definition.
 
 Both factorizations of the kernel are the one-sided Jacobi SVD that also
 ranks the reciprocal subspace (``dynamics._jacobi_svd``), so no step loads
@@ -73,6 +75,9 @@ INTEGRATORS = ("midpoint", "euler")  # the first is the default
 
 _SINGULAR_RTOL = 1e-12
 _ORTHO_DRIFT_TOL = 1e-8
+# delta, a step's allowance of SO(3) drift: at least 10 times the proven
+# bound on one advance's growth of the computed defect (``_stream``).
+_DRIFT_PER_STEP = 1e-12
 
 
 class BodyState(_Value):
@@ -219,22 +224,10 @@ def _scaled_values(evals: list[float], e: int) -> str:
 
 
 def world_inertia_matrix(state: BodyState) -> Mat3:
-    """Moment matrix about the center in world axes: R I_body R^T."""
-    return Mat3(*_world_inertia(state.orientation.flat(), state.body.moment_matrix.flat()))
-
-
-def _world_inertia(r: tuple[float, ...], j: tuple[float, ...]) -> tuple[float, ...]:
-    """R J R^T for the orientation R and the body moment matrix J, each a
-    row-major 9-tuple: the one definition, which ``world_inertia_matrix`` and
-    the step kernel share.  ``vecmath._matmul`` forms R J, then (R J) R^T
-    with R^T built from R's entries (a slice costs more); both products are
-    one group (``_stream``)."""
-    rxx, rxy, rxz, ryx, ryy, ryz, rzx, rzy, rzz = r
-    a = _matmul(r, j)
-    world = _matmul(a, (rxx, ryx, rzx, rxy, ryy, rzy, rxz, ryz, rzz))
-    if not isfinite(sum(world)):
-        _refuse("world inertia R J R^T", *world)
-    return world
+    """Moment matrix about the center in world axes: R I_body R^T, with R J
+    formed first."""
+    r = state.orientation
+    return r.matmul(state.body.moment_matrix).matmul(r.transpose())
 
 
 def _angular_velocity(
@@ -353,7 +346,60 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
     value (``max(0.0, nan)`` is 0.0) and before the next group's test.  A
     ``NonFiniteError`` raised in the loop names its step n and time n dt.
     The transports are written out in the phases, where a call would cost
-    more than its arithmetic."""
+    more than its arithmetic.
+
+    The SO(3) drift test runs on a proven budget.  When it measures the
+    defect d^ = ``_orthonormality_defect`` of a step's new R at most tol =
+    ``_ORTHO_DRIFT_TOL``, the next floor((tol - d^) / delta) steps skip it,
+    and the "rotated orientation" group with it; the first step of a stream
+    and the step after a projection test in full.  delta =
+    ``_DRIFT_PER_STEP`` is more than 10 times a bound B on how far one
+    advance R' = fl(Q R), with Q = ``_rodrigues(u^, theta)`` of the
+    computed axis and angle, can raise d^ from an R with d^(R) <= tol.  So each
+    skipped step n has d^(R_n) <= d^ + n B <= d^ + (tol - d^) (1 + u)^2 / 10
+    < tol (u = 2**-53; the floor is taken of a float quotient), and the test
+    would have passed there: every projection, its step and its log line are
+    those of a kernel that tests every step.  Q's entries are at most 3 and
+    R's at most 1 + tol in size, so Q R is finite there too.
+
+    The bound B, with sin, cos and hypot within one ulp (as glibc's and
+    CPython's are) and each constant rounded up to first order in u:
+
+    (a) Rounding of the defect.  Each column of R has norm at most 1 + tol,
+        so each dot product of R^T R errs by at most 3.01u, and a diagonal
+        one, in [0.5, 2], loses nothing to the subtraction of 1.0 (Sterbenz):
+        d^ is the exact defect d within 3.01u.
+    (b) The axis u^ = fl(w / |w|^), |w|^ from ``_norm``: |u^|^2 = 1 + eta.
+        A normal |w|^ is |w| within 4.1u (the sum of squares within 6.1u,
+        then its square root) or 2u (hypot), so |eta| <= 11u.  Below
+        2**-1022, hypot is within 2**-1074 of |w|, and theta = fl(|w|^ h) <
+        |w|^ 2**1024, so |w|^'s relative error e has theta |e| <= 8.01u.
+        Then |e| <= 2**-10 and |eta| <= 2.01 |e| + 3.01u, or theta <
+        2**-38 and |u^| < 2.01.
+    (c) The exact Rodrigues matrix P = I + s K + c K^2 of the computed
+        values, K = [u^]x, s = fl(sin theta), c = fl(1 - fl(cos theta)) in
+        [0, 2].  As K^3 = -|u^|^2 K, P^T P - I and P P^T - I are both
+        (2c - s^2 - c^2 |u^|^2) K^2, whose entries are at most |u^|^2.  Here
+        2c - s^2 - c^2 = 1 - s^2 - (1 - c)^2 is within 12.1u of 1 - sin^2 -
+        cos^2 = 0 (s is sin theta within 2u, 1 - c is cos theta within 4u),
+        and c^2 |eta| <= 44.5u: 4 * 11u, or for a subnormal |w|^ with
+        |e| <= 2**-10, c <= min(2, theta^2 / 2 + 2u) and theta |e| <= 8.01u
+        give at most 32.2u + 12.1u.  So P's defect is at most 57u.  In the
+        last case of (b), s < 2**-38, c <= u and the defect is at most 9u.
+    (d) The entries of Q.  Each entry of ``_rodrigues`` is P's within 7.1u
+        (at most five roundings, of values at most 2.01 in size; 1.01u in
+        the last case), so Q^T Q - I and Q Q^T - I are P's within
+        2 sqrt(3) 7.1u + O(u^2) < 24.7u: Q's defect is at most 81.7u.
+    (e) The product.  fl(Q R) = Q R + E with |E_ij| <= 3.01u |row i of Q|
+        |column j of R| <= 3.01u, and R'^T R' - I is R^T R - I plus
+        R^T (Q^T Q - I) R, (Q R)^T E, E^T (Q R) and E^T E, at most
+        3 (1 + tol) 81.7u, 5.22u, 5.22u and 28u^2 in size: the exact defect
+        grows by at most 256u.
+
+    With (a) at both ends, B <= 256u + 2 * 3.01u < 263u < 3e-14, and delta
+    is 34 times that.  Over 20000 random steps
+    (``tests/test_drift_budget.py``) the computed defect grew by at most 14u,
+    and a Rodrigues matrix's own defect was at most 16u."""
     dt = config.dt
     wrench = config.wrench if config.wrench is not None else Wrench.zero()
     d = (*wrench.screw.resultant.components(), *wrench.screw.moment_at_origin.components())
@@ -364,15 +410,21 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
         advances = ((dt, False),)
     body = initial.body
     mass = body.total_mass
+    # omega . (dI/dt) omega reads only J's symmetric part J_s = (J + J^T) / 2,
+    # and takes half of it, J / 4 + J^T / 4, which no sum overflows: J / 2
+    # to the bit for a symmetric J with no nonzero entry below 2**-1020 in
+    # size.
     j = body.moment_matrix.flat()
+    jh = tuple(a * 0.25 + b * 0.25 for a, b in zip(j, j[0::3] + j[1::3] + j[2::3]))
     # The integrator never changes the body, so one inverse serves the run.
     inv = _inverse_moment(body).flat()
     state = (initial.orientation.flat(), *initial.center.components(),
              *initial.linear_momentum.components(), *initial.angular_momentum_at_c.components())
-    before = _read(state, mass, j, inv)
+    before = _read(state, mass, inv)
+    budget = 0
     for n in range(config.steps):
         try:
-            state, renormed = _advance(before, advances, mass, inv, d)
+            state, renormed, budget = _advance(before, advances, mass, inv, d, budget)
             if renormed:
                 # logging is loaded at the first warning, not with the package.
                 import logging
@@ -380,22 +432,22 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
                 logging.getLogger(__name__).warning(
                     "step %d: orientation drifted off SO(3); applying polar projection", n
                 )
-            after = _read(state, mass, j, inv)
-            diagnostics = _diagnose(before, after, n * dt, dt, d)
+            after = _read(state, mass, inv)
+            diagnostics = _diagnose(before, after, n * dt, dt, jh, d)
         except NonFiniteError as err:
             raise NonFiniteError(f"step {n} (t = {n * dt:g}): {err}") from None
         yield state, diagnostics, renormed
         before = after
 
 
-def _read(state: tuple, mass: float, j: tuple[float, ...], inv: tuple[float, ...]) -> tuple:
+def _read(state: tuple, mass: float, inv: tuple[float, ...]) -> tuple:
     """The state (R, c, p, L) and what the step leaving it and the
-    diagnostics on both sides of it read of it, as one tuple: omega and k(O)
-    of the twist k, with k(c) = p / M; l(O) of the momentum screw l, with
-    l(c) = L; R J R^T; the marker q; and the momentum field at c and at q.
-    The marker c + R (1, 0, 0) is c plus R's first column, which differs from
-    c + R.matvec((1, 0, 0)) at most in the sign of a zero, and a residual's
-    norm cannot see that."""
+    diagnostics on both sides of it read of it, as one tuple: the state
+    itself, then omega and k(O) of the twist k, with k(c) = p / M; l(O) of
+    the momentum screw l, with l(c) = L; the marker q; and the momentum
+    field at c and at q.  The marker c + R (1, 0, 0) is c plus R's first
+    column, which differs from c + R.matvec((1, 0, 0)) at most in the sign of
+    a zero, and a residual's norm cannot see that."""
     r, cx, cy, cz, px, py, pz, lx, ly, lz = state
     wx, wy, wz = _angular_velocity(r, inv, lx, ly, lz)
     # O - c is 0.0 - c, not -c, which would flip the sign of a zero.
@@ -410,7 +462,6 @@ def _read(state: tuple, mass: float, j: tuple[float, ...], inv: tuple[float, ...
     loz = lz + (px * oy - py * ox)
     if not isfinite(kox + koy + koz + lox + loy + loz):
         _refuse("twist or momentum at the origin", kox, koy, koz, lox, loy, loz)
-    world = _world_inertia(r, j)
     qx = cx + r[0]
     qy = cy + r[3]
     qz = cz + r[6]
@@ -422,23 +473,26 @@ def _read(state: tuple, mass: float, j: tuple[float, ...], inv: tuple[float, ...
     hqz = loz + (px * qy - py * qx)
     if not isfinite(hcx + hcy + hcz + hqx + hqy + hqz):
         _refuse("momentum field at the center or the marker", hcx, hcy, hcz, hqx, hqy, hqz)
-    return (r, cx, cy, cz, px, py, pz, lx, ly, lz, wx, wy, wz, kox, koy, koz, lox, loy, loz,
-            world, qx, qy, qz, hcx, hcy, hcz, hqx, hqy, hqz)
+    return (state, wx, wy, wz, kox, koy, koz, lox, loy, loz,
+            qx, qy, qz, hcx, hcy, hcz, hqx, hqy, hqz)
 
 
 def _advance(
-    before: tuple, advances: tuple, mass: float, inv: tuple[float, ...], d: tuple[float, ...]
-) -> tuple[tuple, bool]:
+    before: tuple, advances: tuple, mass: float, inv: tuple[float, ...], d: tuple[float, ...],
+    budget: int,
+) -> tuple[tuple, bool, int]:
     """The state (R, c, p, L) one step on from the one read as ``before``,
-    under the wrench d = (f, d(O)), and whether R was projected back onto
-    SO(3).  Each advance by h in ``advances`` goes from the state, at the
+    under the wrench d = (f, d(O)), whether R was projected back onto SO(3),
+    and the budget of steps after it that may skip the drift test (``_stream``);
+    a step with ``budget`` left skips it, and the "rotated orientation"
+    group.  Each advance by h in ``advances`` goes from the state, at the
     angular velocity and the rates (p / M and the wrench's moment about the
     center) read from the state for Euler, and from the half state of an
     advance by dt / 2 for midpoint's full step.  The unit axis omega / |omega|
     and its Rodrigues entries cannot leave the float range: they go
     unchecked."""
     fx, fy, fz, dox, doy, doz = d
-    r, cx, cy, cz, px, py, pz, lx, ly, lz, swx, swy, swz = before[:13]
+    (r, cx, cy, cz, px, py, pz, lx, ly, lz), swx, swy, swz = before[:4]
     scx, scy, scz = cx, cy, cz
     spx, spy, spz = px, py, pz
     for h, half in advances:
@@ -455,7 +509,7 @@ def _advance(
             nr = r
         else:
             nr = _matmul(_rodrigues(swx / speed, swy / speed, swz / speed, speed * h), r)
-            if not isfinite(sum(nr)):
+            if not budget and not isfinite(sum(nr)):
                 _refuse("rotated orientation", *nr)
         ncx = cx + vx * h
         ncy = cy + vy * h
@@ -472,38 +526,71 @@ def _advance(
             scx, scy, scz = ncx, ncy, ncz
             spx, spy, spz = npx, npy, npz
             swx, swy, swz = _angular_velocity(nr, inv, nlx, nly, nlz)
-    # Project R back onto SO(3) when max |R^T R - I| exceeds the drift
-    # tolerance.
-    renormed = _orthonormality_defect(nr) > _ORTHO_DRIFT_TOL
-    if renormed:
-        nr = _renormalize(nr)
-    return (nr, ncx, ncy, ncz, npx, npy, npz, nlx, nly, nlz), renormed
+    renormed = False
+    if budget:
+        budget -= 1
+    else:
+        # Project R back onto SO(3) when max |R^T R - I| exceeds the drift
+        # tolerance; below it, the steps its distance from the tolerance
+        # allows skip the test.
+        defect = _orthonormality_defect(nr)
+        renormed = defect > _ORTHO_DRIFT_TOL
+        if renormed:
+            nr = _renormalize(nr)
+        else:
+            budget = int((_ORTHO_DRIFT_TOL - defect) / _DRIFT_PER_STEP)
+    return (nr, ncx, ncy, ncz, npx, npy, npz, nlx, nly, nlz), renormed, budget
 
 
-def _diagnose(before: tuple, after: tuple, t: float, dt: float, d: tuple[float, ...]) -> tuple:
+def _omega_idot(
+    r0: tuple[float, ...], r1: tuple[float, ...], mx: float, my: float, mz: float,
+    jh: tuple[float, ...], dt: float,
+) -> float:
+    """m . (R1 J R1^T - R0 J R0^T) m / dt for the orientations R0 and R1 of
+    a step of ``dt``, the mean spin m and J_s / 2, half the symmetric part of
+    J: in body axes, 2 (u . (J_s / 2) s) / dt with u = (R1 - R0)^T m and
+    s = R0^T m + R1^T m, which forms no R J R^T.  R1 - R0 is formed entry by
+    entry first, exactly (Sterbenz) where two entries lie within a factor of
+    2, so u keeps the digits that R J R^T lost.  J_s s is about twice the
+    angular momentum in body axes, so the group of m, u, s and (J_s / 2) s
+    ends at u and (J_s / 2) s, which leaves the float range only with the
+    momentum.  A function of its own, so that a traced allocation here
+    finds its line near the top of a short code object."""
+    axx, axy, axz, ayx, ayy, ayz, azx, azy, azz = r0
+    bxx, bxy, bxz, byx, byy, byz, bzx, bzy, bzz = r1
+    ux = (bxx - axx) * mx + (byx - ayx) * my + (bzx - azx) * mz
+    uy = (bxy - axy) * mx + (byy - ayy) * my + (bzy - azy) * mz
+    uz = (bxz - axz) * mx + (byz - ayz) * my + (bzz - azz) * mz
+    sx = (axx * mx + ayx * my + azx * mz) + (bxx * mx + byx * my + bzx * mz)
+    sy = (axy * mx + ayy * my + azy * mz) + (bxy * mx + byy * my + bzy * mz)
+    sz = (axz * mx + ayz * my + azz * mz) + (bxz * mx + byz * my + bzz * mz)
+    jxx, jxy, jxz, jyx, jyy, jyz, jzx, jzy, jzz = jh
+    gx = jxx * sx + jxy * sy + jxz * sz
+    gy = jyx * sx + jyy * sy + jyz * sz
+    gz = jzx * sx + jzy * sy + jzz * sz
+    if not isfinite(ux + uy + uz + gx + gy + gz):
+        _refuse("inertia change times the mean angular velocity", ux, uy, uz, gx, gy, gz)
+    return 2.0 * ((ux * gx + uy * gy + uz * gz) / dt)
+
+
+def _diagnose(
+    before: tuple, after: tuple, t: float, dt: float, jh: tuple[float, ...], d: tuple[float, ...]
+) -> tuple:
     """The time t, T, P, omega . (dI_C/dt)(omega) and the balance residual of
     the step of ``dt`` under d from the state read as ``before`` at t to the
-    one read as ``after``; a name ending in 1 is read after the step.  Half a
-    finite sum cannot leave the float range: it goes unchecked."""
+    one read as ``after``, with J_s / 2 half the symmetric part of the body
+    moment matrix; a name ending in 1 is read after the step.  Half a finite
+    sum cannot leave the float range: it goes unchecked."""
     fx, fy, fz, dox, doy, doz = d
-    (_, cx, cy, cz, px, py, pz, _, _, _, wx, wy, wz, kox, koy, koz, lox, loy, loz,
-     world, qx, qy, qz, hcx, hcy, hcz, hqx, hqy, hqz) = before
-    (_, _, _, _, px1, py1, pz1, _, _, _, wx1, wy1, wz1, _, _, _, _, _, _,
-     world1, _, _, _, hcx1, hcy1, hcz1, hqx1, hqy1, hqz1) = after
-    # Symmetric estimate of omega . (dI_C/dt) (omega) across the step; the
-    # lemma makes the exact value zero, so this should vanish at O(dt^2).
-    mx = (wx + wx1) * 0.5
-    my = (wy + wy1) * 0.5
-    mz = (wz + wz1) * 0.5
-    bxx, bxy, bxz, byx, byy, byz, bzx, bzy, bzz = world
-    axx, axy, axz, ayx, ayy, ayz, azx, azy, azz = world1
-    # (I1 - I0) m
-    ux = (axx - bxx) * mx + (axy - bxy) * my + (axz - bxz) * mz
-    uy = (ayx - byx) * mx + (ayy - byy) * my + (ayz - byz) * mz
-    uz = (azx - bzx) * mx + (azy - bzy) * my + (azz - bzz) * mz
-    if not isfinite(ux + uy + uz):
-        _refuse("inertia change times the mean angular velocity", ux, uy, uz)
-    omega_idot = (mx * ux + my * uy + mz * uz) / dt
+    (state, wx, wy, wz, kox, koy, koz, lox, loy, loz,
+     qx, qy, qz, hcx, hcy, hcz, hqx, hqy, hqz) = before
+    (state1, wx1, wy1, wz1, _, _, _, _, _, _, _, _, _, hcx1, hcy1, hcz1, hqx1, hqy1, hqz1) = after
+    r0, cx, cy, cz, px, py, pz, _, _, _ = state
+    r1, _, _, _, px1, py1, pz1, _, _, _ = state1
+    # Symmetric estimate of omega . (dI_C/dt) (omega) across the step at the
+    # mean spin; the lemma makes the exact value zero, so this should vanish
+    # at O(dt^2).
+    omega_idot = _omega_idot(r0, r1, (wx + wx1) * 0.5, (wy + wy1) * 0.5, (wz + wz1) * 0.5, jh, dt)
 
     # Residual of the body-relative balance law d + [k, l] against a forward
     # difference of the momentum field taken at body-dragged poles (the

@@ -24,9 +24,9 @@ group's end that goes straight into a checking constructor needs no test of
 its own.  The value API wraps the cores, and the phases of the sim step
 kernel (``sim._read``, ``_advance`` and ``_diagnose``) share them: ``_norm``,
 the 3x3 product ``_matmul`` (whose callers check it), ``_orthonormality_defect``
-and ``_det`` here, ``rigid._rodrigues``, ``sim._world_inertia`` and
-``sim._angular_velocity``.  The screw sum ``screw._screw_sum`` serves
-``wrench_of``, ``compose_chain`` and ``momentum_screw``.  The exp/log kernels
+and ``_det`` here, ``rigid._rodrigues`` and ``sim._angular_velocity``.  The
+screw sum ``screw._screw_sum`` serves ``wrench_of``, ``compose_chain`` and
+``momentum_screw``.  The exp/log kernels
 ``rigid.exp_screw`` and ``rigid.chasles``, the two-vector reduction
 ``reduction.decompose_two_applied`` and the reciprocal subspace
 ``dynamics.reciprocal_subspace`` work on floats and build only the values

@@ -97,7 +97,7 @@ TUMBLE_FINAL = (
     "0x1.2666666666666p+2",
     "-0x1.6666666666667p+0",
 )
-TUMBLE_SHA256 = "38facd58af8d75f5c8f872752d3d2be4c7699328909a108b955595b07a3257c6"
+TUMBLE_SHA256 = "9b65180c76e10a066af69467cb403bf20287b064c19c0bf3576a5128659fd65a"
 FORCED_FINAL = (
     "-0x1.44043002b445dp-2",
     "-0x1.e2c6cec87806dp-1",
@@ -118,7 +118,7 @@ FORCED_FINAL = (
     "-0x1.0cccccccccd06p+2",
     "-0x1.1666666666629p+1",
 )
-FORCED_SHA256 = "ee91316dd7542770c1f28316d26e04f9a5b457b3ce706688342824811d6e83c3"
+FORCED_SHA256 = "990f87d74aa243f14b322aa20076081af1a0dc89b54abf5af7307d828110e630"
 
 
 def test_midpoint_tumble_bits():
