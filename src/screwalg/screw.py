@@ -339,11 +339,11 @@ class _ScrewRole(_Value):
 def _screw_sum(members, kind=None) -> Screw:
     """The sum of the screws of ``members``, the one screw sum, which
     ``wrench_of`` (``kind`` None), ``compose_chain`` (``kind`` ``_ScrewRole``)
-    and ``momentum_screw`` (``kind`` ``Particle``) share.  A member is an
-    applied vector ``(point, vector)``, whose screw is
-    (vector, vector x (O - point)); a record of the class ``kind``, the
-    applied vector ``velocity * mass`` at ``position``; or a screw role, whose
-    screw's six components it adds.
+    and ``momentum_screw`` (``kind`` ``Particle``) share.  A member is, by
+    caller, an applied vector ``(point, vector)``, whose screw is
+    (vector, vector x (O - point)); a screw role, whose screw's six
+    components it adds; or a record of the class ``kind``, the applied vector
+    ``velocity * mass`` at ``position``.
 
     Six float accumulators start at 0.0 and add the terms in the order of the
     value form, total = total + screw member by member, with O - P as
@@ -353,17 +353,23 @@ def _screw_sum(members, kind=None) -> Screw:
     partial sum leaves its accumulator non-finite.  A member whose point and
     vector are not exactly a ``Point`` and a ``Vec3`` (whose screw is not a
     ``Screw`` of two ``Vec3``s, for a role), such as a pair given as a list
-    or a particle with no velocity, is added to the sum so far by the value
-    form of ``kind``'s sum, which gives its bits or raises as it does."""
+    or a particle with no velocity, or that is of another caller's kind,
+    such as a twist among forces or a pair among particles, is added to the
+    sum so far by the value form of ``kind``'s sum, which gives its bits or
+    raises as it does."""
+    # The class of the caller's pairs and of its roles; None and () match no
+    # member.
+    pair = tuple if kind is None else None
+    role = _ScrewRole if kind is _ScrewRole else ()
     rx = ry = rz = mx = my = mz = 0.0
     for member in members:
         cls = member.__class__
-        if cls is tuple and len(member) == 2:
+        if cls is pair and len(member) == 2:
             point, vector = member
         elif cls is kind:
             point = member.position
             vector = member.velocity
-        elif isinstance(member, _ScrewRole) and member.screw.__class__ is Screw:
+        elif isinstance(member, role) and member.screw.__class__ is Screw:
             w = member.screw.resultant
             m = member.screw.moment_at_origin
             if w.__class__ is Vec3 and m.__class__ is Vec3:

@@ -12,11 +12,17 @@ kinetic energy, power, a symmetric finite-difference estimate of
 omega . (dI_C/dt)(omega) (identically zero along exact motion), evaluated in
 body axes, and the residual of the body-relative balance law d + [k, l]
 against a direct finite-difference derivative of the momentum screw at
-body-dragged poles.
+body-dragged poles.  The screws are paired, and the balance law formed,
+about the center c, where the twist is (omega, v = p / M) and the momentum
+screw (p, L): T = (omega . L + p . v) / 2, P = omega . d(c) + f . v, and
+[k, l] has the resultant -(omega x p) and the moment -(omega x L).  No
+screw is moved to the world origin, so the diagnostics of an unforced step
+do not depend on where c lies.
 
 The step kernel, the generator ``_stream``, runs on plain floats in three
-phases: ``_read`` reads a state's screws, marker and momentum field values,
-``_advance`` advances the state, and ``_diagnose`` diagnoses a step from
+phases: ``_read`` reads a state's angular velocity, the rates of its center
+and the momentum field at its marker, ``_advance`` advances the state, and
+``_diagnose`` diagnoses a step from
 what was read on both sides of it.  A state and what is read of it travel as
 one tuple, so each state is read once, and what the diagnostics read before
 a step is what the step read.  Each phase tests its values finite once per
@@ -331,8 +337,11 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
     keeps only what it needs holds no history and builds no value.
 
     This is the step kernel, a loop over three phases on floats: ``_read``
-    reads a state once, ``_advance`` steps from what was read, and
-    ``_diagnose`` diagnoses the step from what was read on both sides of it.
+    reads a state once, about its center, ``_advance`` steps from what was
+    read, and ``_diagnose`` diagnoses the step from what was read on both
+    sides of it.  The state's read is the last of a step, so a refusal of
+    the new state's rates names the step that made it, and one of the
+    initial state's read names no step.
     Each phase computes each quantity with the float operations of its
     composed ``Vec3``/``Mat3`` form in their order (``tests/test_sim.py``
     keeps those forms as the bit oracle) and refuses where that form does.
@@ -345,8 +354,9 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
     before a shared float core returns, before ``_norm`` or ``max`` reads a
     value (``max(0.0, nan)`` is 0.0) and before the next group's test.  A
     ``NonFiniteError`` raised in the loop names its step n and time n dt.
-    The transports are written out in the phases, where a call would cost
-    more than its arithmetic.
+    The transports left, of the wrench's moment to the center and of the
+    momentum field and d + [k, l] to the marker, are written out in the
+    phases, where a call would cost more than its arithmetic.
 
     The SO(3) drift test runs on a proven budget.  When it measures the
     defect d^ = ``_orthonormality_defect`` of a step's new R at most tol =
@@ -420,7 +430,7 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
     inv = _inverse_moment(body).flat()
     state = (initial.orientation.flat(), *initial.center.components(),
              *initial.linear_momentum.components(), *initial.angular_momentum_at_c.components())
-    before = _read(state, mass, inv)
+    before = _read(state, mass, inv, d)
     budget = 0
     for n in range(config.steps):
         try:
@@ -432,7 +442,7 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
                 logging.getLogger(__name__).warning(
                     "step %d: orientation drifted off SO(3); applying polar projection", n
                 )
-            after = _read(state, mass, inv)
+            after = _read(state, mass, inv, d)
             diagnostics = _diagnose(before, after, n * dt, dt, jh, d)
         except NonFiniteError as err:
             raise NonFiniteError(f"step {n} (t = {n * dt:g}): {err}") from None
@@ -440,41 +450,34 @@ def _stream(config: SimConfig, initial: BodyState) -> Iterator[tuple]:
         before = after
 
 
-def _read(state: tuple, mass: float, inv: tuple[float, ...]) -> tuple:
+def _read(state: tuple, mass: float, inv: tuple[float, ...], d: tuple[float, ...]) -> tuple:
     """The state (R, c, p, L) and what the step leaving it and the
-    diagnostics on both sides of it read of it, as one tuple: the state
-    itself, then omega and k(O) of the twist k, with k(c) = p / M; l(O) of
-    the momentum screw l, with l(c) = L; the marker q; and the momentum
-    field at c and at q.  The marker c + R (1, 0, 0) is c plus R's first
-    column, which differs from c + R.matvec((1, 0, 0)) at most in the sign of
-    a zero, and a residual's norm cannot see that."""
+    diagnostics on both sides of it read of it, about the center c, as one
+    tuple: the state itself, then omega; the velocity v = p / M of the center
+    and the moment d(c) = d(O) + f x c of the wrench d = (f, d(O)) about it,
+    which the step's first advance reads too; and the momentum field at the
+    marker c + b, L + p x b, with b = R (1, 0, 0), R's first column.  Only
+    d(c) reads c, so an unforced state reads the same wherever c lies."""
     r, cx, cy, cz, px, py, pz, lx, ly, lz = state
     wx, wy, wz = _angular_velocity(r, inv, lx, ly, lz)
-    # O - c is 0.0 - c, not -c, which would flip the sign of a zero.
-    ox = 0.0 - cx
-    oy = 0.0 - cy
-    oz = 0.0 - cz
-    kox = px / mass + (wy * oz - wz * oy)
-    koy = py / mass + (wz * ox - wx * oz)
-    koz = pz / mass + (wx * oy - wy * ox)
-    lox = lx + (py * oz - pz * oy)
-    loy = ly + (pz * ox - px * oz)
-    loz = lz + (px * oy - py * ox)
-    if not isfinite(kox + koy + koz + lox + loy + loz):
-        _refuse("twist or momentum at the origin", kox, koy, koz, lox, loy, loz)
-    qx = cx + r[0]
-    qy = cy + r[3]
-    qz = cz + r[6]
-    hcx = lox + (py * cz - pz * cy)
-    hcy = loy + (pz * cx - px * cz)
-    hcz = loz + (px * cy - py * cx)
-    hqx = lox + (py * qz - pz * qy)
-    hqy = loy + (pz * qx - px * qz)
-    hqz = loz + (px * qy - py * qx)
-    if not isfinite(hcx + hcy + hcz + hqx + hqy + hqz):
-        _refuse("momentum field at the center or the marker", hcx, hcy, hcz, hqx, hqy, hqz)
-    return (state, wx, wy, wz, kox, koy, koz, lox, loy, loz,
-            qx, qy, qz, hcx, hcy, hcz, hqx, hqy, hqz)
+    fx, fy, fz, dox, doy, doz = d
+    vx = px / mass
+    vy = py / mass
+    vz = pz / mass
+    ax = dox + (fy * cz - fz * cy)
+    ay = doy + (fz * cx - fx * cz)
+    az = doz + (fx * cy - fy * cx)
+    if not isfinite(vx + vy + vz + ax + ay + az):
+        _refuse("moment about the center or velocity of the center", vx, vy, vz, ax, ay, az)
+    bx = r[0]
+    by = r[3]
+    bz = r[6]
+    hx = lx + (py * bz - pz * by)
+    hy = ly + (pz * bx - px * bz)
+    hz = lz + (px * by - py * bx)
+    if not isfinite(hx + hy + hz):
+        _refuse("momentum field at the marker", hx, hy, hz)
+    return (state, wx, wy, wz, vx, vy, vz, ax, ay, az, hx, hy, hz)
 
 
 def _advance(
@@ -486,24 +489,14 @@ def _advance(
     and the budget of steps after it that may skip the drift test (``_stream``);
     a step with ``budget`` left skips it, and the "rotated orientation"
     group.  Each advance by h in ``advances`` goes from the state, at the
-    angular velocity and the rates (p / M and the wrench's moment about the
-    center) read from the state for Euler, and from the half state of an
-    advance by dt / 2 for midpoint's full step.  The unit axis omega / |omega|
-    and its Rodrigues entries cannot leave the float range: they go
-    unchecked."""
+    angular velocity and the rates (v = p / M and the wrench's moment d(c)
+    about the center) that ``_read`` read from the state for Euler, and from
+    the half state of an advance by dt / 2 for midpoint's full step.  The
+    unit axis omega / |omega| and its Rodrigues entries cannot leave the
+    float range: they go unchecked."""
     fx, fy, fz, dox, doy, doz = d
-    (r, cx, cy, cz, px, py, pz, lx, ly, lz), swx, swy, swz = before[:4]
-    scx, scy, scz = cx, cy, cz
-    spx, spy, spz = px, py, pz
+    (r, cx, cy, cz, px, py, pz, lx, ly, lz), swx, swy, swz, vx, vy, vz, ax, ay, az = before[:10]
     for h, half in advances:
-        ax = dox + (fy * scz - fz * scy)
-        ay = doy + (fz * scx - fx * scz)
-        az = doz + (fx * scy - fy * scx)
-        vx = spx / mass
-        vy = spy / mass
-        vz = spz / mass
-        if not isfinite(ax + ay + az + vx + vy + vz):
-            _refuse("moment about the center or velocity of the center", ax, ay, az, vx, vy, vz)
         speed = _norm(swx, swy, swz)
         if speed == 0.0:
             nr = r
@@ -523,9 +516,15 @@ def _advance(
         if not isfinite(ncx + ncy + ncz + npx + npy + npz + nlx + nly + nlz):
             _refuse("center or momentum after the advance", ncx, ncy, ncz, npx, npy, npz, nlx, nly, nlz)
         if half:
-            scx, scy, scz = ncx, ncy, ncz
-            spx, spy, spz = npx, npy, npz
             swx, swy, swz = _angular_velocity(nr, inv, nlx, nly, nlz)
+            vx = npx / mass
+            vy = npy / mass
+            vz = npz / mass
+            ax = dox + (fy * ncz - fz * ncy)
+            ay = doy + (fz * ncx - fx * ncz)
+            az = doz + (fx * ncy - fy * ncx)
+            if not isfinite(vx + vy + vz + ax + ay + az):
+                _refuse("moment about the center or velocity of the center", vx, vy, vz, ax, ay, az)
     renormed = False
     if budget:
         budget -= 1
@@ -579,14 +578,15 @@ def _diagnose(
     """The time t, T, P, omega . (dI_C/dt)(omega) and the balance residual of
     the step of ``dt`` under d from the state read as ``before`` at t to the
     one read as ``after``, with J_s / 2 half the symmetric part of the body
-    moment matrix; a name ending in 1 is read after the step.  Half a finite
-    sum cannot leave the float range: it goes unchecked."""
-    fx, fy, fz, dox, doy, doz = d
-    (state, wx, wy, wz, kox, koy, koz, lox, loy, loz,
-     qx, qy, qz, hcx, hcy, hcz, hqx, hqy, hqz) = before
-    (state1, wx1, wy1, wz1, _, _, _, _, _, _, _, _, _, hcx1, hcy1, hcz1, hqx1, hqy1, hqz1) = after
-    r0, cx, cy, cz, px, py, pz, _, _, _ = state
-    r1, _, _, _, px1, py1, pz1, _, _, _ = state1
+    moment matrix; a name ending in 1 is read after the step.  Every screw is
+    paired, and the balance law formed, about the center c, so no value here
+    reads c itself.  Half a finite sum cannot leave the float range: it goes
+    unchecked."""
+    fx, fy, fz, _, _, _ = d
+    state, wx, wy, wz, vx, vy, vz, ax, ay, az, hx, hy, hz = before
+    state1, wx1, wy1, wz1, _, _, _, _, _, _, hx1, hy1, hz1 = after
+    r0, _, _, _, px, py, pz, lx, ly, lz = state
+    r1, _, _, _, px1, py1, pz1, lx1, ly1, lz1 = state1
     # Symmetric estimate of omega . (dI_C/dt) (omega) across the step at the
     # mean spin; the lemma makes the exact value zero, so this should vanish
     # at O(dt^2).
@@ -594,21 +594,22 @@ def _diagnose(
 
     # Residual of the body-relative balance law d + [k, l] against a forward
     # difference of the momentum field taken at body-dragged poles (the
-    # center and the marker), O(dt) along an exact trajectory.  [k, l] has
-    # the resultant -(omega x p), which is also the negated omega x p the
-    # linear residual subtracts.
+    # center and the marker), O(dt) along an exact trajectory.  About c,
+    # [k, l] has the resultant n = -(omega x p), which is also the negated
+    # omega x p the linear residual subtracts, and the moment -(omega x L):
+    # its p x p / M is zero.  g = omega x L is also omega x h at the center.
     nx = -(wy * pz - wz * py)
     ny = -(wz * px - wx * pz)
     nz = -(wx * py - wy * px)
-    bx = (py * koz - pz * koy) - (wy * loz - wz * loy)
-    by = (pz * kox - px * koz) - (wz * lox - wx * loz)
-    bz = (px * koy - py * kox) - (wx * loy - wy * lox)
+    gx = wy * lz - wz * ly
+    gy = wz * lx - wx * lz
+    gz = wx * ly - wy * lx
     rrx = fx + nx
     rry = fy + ny
     rrz = fz + nz
-    rox = dox + bx
-    roy = doy + by
-    roz = doz + bz
+    rox = ax - gx
+    roy = ay - gy
+    roz = az - gz
     # (p1 - p0) / dt minus omega x p, which is n to the bit, minus r
     ex = ((px1 - px) / dt + nx) - rrx
     ey = ((py1 - py) / dt + ny) - rry
@@ -616,23 +617,30 @@ def _diagnose(
     if not isfinite(rox + roy + roz + ex + ey + ez):
         _refuse("d + [k, l] or the linear balance residual", rox, roy, roz, ex, ey, ez)
     residual = _norm(ex, ey, ez)
-    for pole, ax, ay, az, hx, hy, hz, h1x, h1y, h1z in (
-        ("center", cx, cy, cz, hcx, hcy, hcz, hcx1, hcy1, hcz1),
-        ("marker", qx, qy, qz, hqx, hqy, hqz, hqx1, hqy1, hqz1),
-    ):
-        # (h1 - h) / dt - omega x h - (d + [k, l])(a) at the pole a, with the
-        # field value h there before the step and h1 after it.
-        ex = (h1x - hx) / dt - (wy * hz - wz * hy) - (rox + (rry * az - rrz * ay))
-        ey = (h1y - hy) / dt - (wz * hx - wx * hz) - (roy + (rrz * ax - rrx * az))
-        ez = (h1z - hz) / dt - (wx * hy - wy * hx) - (roz + (rrx * ay - rry * ax))
-        if not isfinite(ex + ey + ez):
-            _refuse("balance residual at the " + pole, ex, ey, ez)
-        residual = max(residual, _norm(ex, ey, ez))
-    # T = <k, l> / 2 and P = <k, d>, as klein_product pairs them.
+    # (h1 - h) / dt - omega x h - (d + [k, l])(a) at each pole a, with the
+    # field value h there before the step and h1 after it: at c, h is L.
+    ex = (lx1 - lx) / dt - gx - rox
+    ey = (ly1 - ly) / dt - gy - roy
+    ez = (lz1 - lz) / dt - gz - roz
+    if not isfinite(ex + ey + ez):
+        _refuse("balance residual at the center", ex, ey, ez)
+    residual = max(residual, _norm(ex, ey, ez))
+    # At the marker c + b, (d + [k, l])(c) moves by r x b.
+    bx = r0[0]
+    by = r0[3]
+    bz = r0[6]
+    ex = (hx1 - hx) / dt - (wy * hz - wz * hy) - (rox + (rry * bz - rrz * by))
+    ey = (hy1 - hy) / dt - (wz * hx - wx * hz) - (roy + (rrz * bx - rrx * bz))
+    ez = (hz1 - hz) / dt - (wx * hy - wy * hx) - (roz + (rrx * by - rry * bx))
+    if not isfinite(ex + ey + ez):
+        _refuse("balance residual at the marker", ex, ey, ez)
+    residual = max(residual, _norm(ex, ey, ez))
+    # T = <k, l> / 2 and P = <k, d>, as klein_product pairs them, at c, where
+    # k is (omega, v), l is (p, L) and d is (f, d(c)).
     return (
         t,
-        0.5 * ((wx * lox + wy * loy + wz * loz) + (px * kox + py * koy + pz * koz)),
-        (wx * dox + wy * doy + wz * doz) + (fx * kox + fy * koy + fz * koz),
+        0.5 * ((wx * lx + wy * ly + wz * lz) + (px * vx + py * vy + pz * vz)),
+        (wx * ax + wy * ay + wz * az) + (fx * vx + fy * vy + fz * vz),
         omega_idot,
         residual,
     )

@@ -596,13 +596,15 @@ def test_a_stderr_closed_from_the_start_keeps_the_exit_status(tmp_path, argv, st
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 def test_an_overflowing_simulate_names_the_step_and_the_quantity(tmp_path, mode):
     """forced_euler under a force of 1e306 along x: the momentum grows by
-    1e304 a step, and at step 1 its moment about the origin overflows."""
+    1e304 a step, the force's moment about the center spins the body up to
+    about 1e303 rad/s in the first, and at step 1 omega x p, in [k, l],
+    overflows."""
     doc = json.loads((SCENES / "forced_euler.json").read_text())
     doc["sim"].update(steps=2000, wrench=dict(doc["sim"]["wrench"], force=[1e306, 0.0, 0.0]))
     code, out, err = run_cli("simulate", scene_file(tmp_path, doc), *mode)
     assert (code, out) == (3, "")
     assert err == (
-        "domain error (NonFiniteError): step 1 (t = 0.01): twist or momentum at the origin is not finite\n"
+        "domain error (NonFiniteError): step 1 (t = 0.01): d + [k, l] or the linear balance residual is not finite\n"
     )
 
 

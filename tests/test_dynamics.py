@@ -285,19 +285,26 @@ _TWISTS = (Twist(Screw(Vec3(1.0, 0.0, 2.0), Vec3(0.5, 0.5, -1.0))), Twist(Screw(
     (momentum_screw, None, MassDistribution((_PARTICLES[0], Particle(1.0, Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0)))),
      AttributeError),
     (momentum_screw, None, MassDistribution((_PARTICLES[0], Particle(1.0, ORIGIN, Point(0.0, 1.0, 0.0)))), TypeError),
+    (wrench_of, _composed_wrench, ForceSystem((_FORCES[0], _TWISTS[0])), TypeError),
+    (momentum_screw, _composed_momentum, MassDistribution((_PARTICLES[0], _UNIT_FORCE)), AttributeError),
+    (momentum_screw, _composed_momentum, MassDistribution((_PARTICLES[0], _TWISTS[0])), AttributeError),
 ], ids=["forces-in-a-deque", "particles-in-a-deque", "twists-in-a-deque", "pair-as-a-list", "int-mass",
-        "no-velocity", "screw-subclass", "vec3-as-position", "point-as-velocity"])
+        "no-velocity", "screw-subclass", "vec3-as-position", "point-as-velocity", "twist-among-forces",
+        "pair-among-particles", "twist-among-particles"])
 def test_members_off_the_float_path_keep_their_outcome(f, oracle, members, refusal):
     """The inputs that the sum once left to its caller's composed form: an
     iterable that is not a tuple or a list, a pair given as a list, an int
     mass, a particle with no velocity, a role whose screw is a subclass of
-    Screw, and a particle's position or velocity of the other class.  Each
-    sums to the composed form's bits, or refuses with its exception class."""
+    Screw, a particle's position or velocity of the other class, and a
+    member of another caller's kind, which the composed form cannot unpack
+    or read.  Each sums to the composed form's bits, or refuses with its
+    exception class."""
     got = sum_outcome(lambda: f(members).screw)
     if refusal is None:
         assert isinstance(got, tuple) and got == sum_outcome(oracle, members)
     else:
         assert got is refusal
+        assert oracle is None or sum_outcome(oracle, members) is refusal
 
 
 def test_the_wrench_of_no_force_is_the_zero_wrench():

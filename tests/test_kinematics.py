@@ -203,7 +203,8 @@ _unit = Screw(Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0))
     ((Twist(Screw(Vec3(1.0, 0.0, 0.0), Point(0.0, 1.0, 0.0))),), TypeError),
     ((Twist(Screw(Vec3(1.5e308, 0.0, 0.0), Vec3.zero())),) * 2 + (_unit,), NonFiniteError),
     ((Twist(_unit), Wrench(_unit)), None),
-], ids=["screw-as-twist", "point-moment", "overflow-first", "wrench"])
+    ((Twist(_unit), (ORIGIN, Vec3(1.0, 0.0, 0.0))), AttributeError),
+], ids=["screw-as-twist", "point-moment", "overflow-first", "wrench", "applied-vector"])
 def test_compose_chain_of_a_member_of_another_form_is_the_composed_outcome(members, refusal):
     """A member that is not a screw role over a Screw of two Vec3 is summed,
     or refused, as the composed form sums or refuses it, after the members

@@ -42,12 +42,9 @@ from screwalg import (
     Vec3,
     Wrench,
     inertia_of,
-    kinetic_energy,
     momentum_from_twist,
     momentum_screw,
-    moving_frame_derivative,
     parse_scene,
-    power,
     rodrigues,
     run,
     sim,
@@ -302,17 +299,18 @@ def _vec3_twist(state: BodyState, omega: Vec3) -> Twist:
     return Twist.from_motor(state.center, omega, state.linear_momentum / state.body.total_mass)
 
 
-class _Vec3Screws(NamedTuple):
+class _Vec3Read(NamedTuple):
     """What the step leaving a state and the diagnostics on both sides of it
-    read of the state: its twist, momentum screw and orientation, its two
-    poles (the center and the body-fixed marker center + R (1, 0, 0)) and the
-    momentum field at each."""
+    read of the state, about its center: the angular velocity, the velocity
+    p / M of the center, the wrench's moment about the center, and the
+    momentum field at the body-fixed marker c + b, L + p x b, where the body
+    offset b = R (1, 0, 0) is R's first column."""
 
-    twist: Twist
-    momentum: MomentumScrew
-    orientation: Mat3
-    poles: tuple[Point, Point]
-    fields: tuple[Vec3, Vec3]
+    state: BodyState
+    omega: Vec3
+    velocity: Vec3
+    moment: Vec3
+    marker_field: Vec3
 
 
 def _vec3_half_symmetric_part(moments: Mat3) -> Mat3:
@@ -328,13 +326,21 @@ def _vec3_omega_idot(r0: Mat3, r1: Mat3, omega_mid: Vec3, jh: Mat3, dt: float) -
     return 2.0 * (change.dot(jh.matvec(total)) / dt)
 
 
-def _vec3_screws(state: BodyState, inv_moment: Mat3) -> _Vec3Screws:
-    twist = _vec3_twist(state, _vec3_angular_velocity(state, inv_moment))
-    momentum = state_momentum(state)
-    center = state.center
-    marker = center + state.orientation.matvec(Vec3(1.0, 0.0, 0.0))
-    fields = (momentum.angular_momentum_at(center), momentum.angular_momentum_at(marker))
-    return _Vec3Screws(twist, momentum, state.orientation, (center, marker), fields)
+def _marker_offset(state: BodyState) -> Vec3:
+    """b = R (1, 0, 0), the marker's offset from the center: R's first column."""
+    return Vec3(*state.orientation.flat()[0::3])
+
+
+def _vec3_rates(state: BodyState, wrench: Wrench) -> tuple[Vec3, Vec3]:
+    """The velocity p / M of the center and the wrench's moment about it."""
+    return state.linear_momentum / state.body.total_mass, wrench.moment_at(state.center)
+
+
+def _vec3_read(state: BodyState, inv_moment: Mat3, wrench: Wrench) -> _Vec3Read:
+    omega = _vec3_angular_velocity(state, inv_moment)
+    velocity, moment = _vec3_rates(state, wrench)
+    field = state.angular_momentum_at_c + state.linear_momentum.cross(_marker_offset(state))
+    return _Vec3Read(state, omega, velocity, moment, field)
 
 
 def _vec3_rotate(orientation: Mat3, omega: Vec3, dt: float) -> Mat3:
@@ -345,17 +351,16 @@ def _vec3_rotate(orientation: Mat3, omega: Vec3, dt: float) -> Mat3:
 
 
 def _vec3_advance(
-    state: BodyState, rates: BodyState, omega: Vec3, wrench: Wrench, dt: float
+    state: BodyState, rates: tuple[Vec3, Vec3], omega: Vec3, wrench: Wrench, dt: float
 ) -> BodyState:
     """``state`` advanced by ``dt`` at the angular velocity ``omega`` and at
-    the rates read from ``rates`` (``state`` itself, or the midpoint's half
-    state): the center velocity p / M and the wrench's moment about the
+    the ``rates`` read from ``state`` itself, or from the midpoint's half
+    state: the center velocity p / M and the wrench's moment about the
     center."""
-    moment_at_c = wrench.moment_at(rates.center)
-    v = rates.linear_momentum / rates.body.total_mass
+    velocity, moment_at_c = rates
     return BodyState(
         orientation=_vec3_rotate(state.orientation, omega, dt),
-        center=state.center + v * dt,
+        center=state.center + velocity * dt,
         linear_momentum=state.linear_momentum + wrench.force * dt,
         angular_momentum_at_c=state.angular_momentum_at_c + moment_at_c * dt,
         body=state.body,
@@ -363,13 +368,15 @@ def _vec3_advance(
 
 
 def _vec3_step_impl(
-    state: BodyState, omega: Vec3, wrench: Wrench, dt: float, integrator: str, inv_moment: Mat3
+    read: _Vec3Read, wrench: Wrench, dt: float, integrator: str, inv_moment: Mat3
 ) -> tuple[BodyState, bool]:
+    state, rates = read.state, (read.velocity, read.moment)
     if integrator == "euler":
-        new = _vec3_advance(state, state, omega, wrench, dt)
+        new = _vec3_advance(state, rates, read.omega, wrench, dt)
     else:
-        half = _vec3_advance(state, state, omega, wrench, dt / 2.0)
-        new = _vec3_advance(state, half, _vec3_angular_velocity(half, inv_moment), wrench, dt)
+        half = _vec3_advance(state, rates, read.omega, wrench, dt / 2.0)
+        omega = _vec3_angular_velocity(half, inv_moment)
+        new = _vec3_advance(state, _vec3_rates(half, wrench), omega, wrench, dt)
     if new.orientation.orthonormality_defect() <= sim._ORTHO_DRIFT_TOL:
         return new, False
     projected = Mat3(*sim._renormalize(new.orientation.flat()))
@@ -380,34 +387,33 @@ def _vec3_step_impl(
 def _vec3_step(state: BodyState, wrench: Wrench | None, dt: float, integrator: str) -> BodyState:
     applied = wrench if wrench is not None else Wrench.zero()
     inv_moment = sim._inverse_moment(state.body)
-    omega = _vec3_angular_velocity(state, inv_moment)
-    return _vec3_step_impl(state, omega, applied, dt, integrator, inv_moment)[0]
+    return _vec3_step_impl(_vec3_read(state, inv_moment, applied), applied, dt, integrator, inv_moment)[0]
 
 
 def _vec3_diagnostics(
-    s0: _Vec3Screws, s1: _Vec3Screws, t: float, dt: float, wrench: Wrench, jh: Mat3
+    s0: _Vec3Read, s1: _Vec3Read, t: float, dt: float, wrench: Wrench, jh: Mat3
 ) -> StepDiagnostics:
-    k0, l0 = s0.twist, s0.momentum
-    k1, l1 = s1.twist, s1.momentum
-    omega_mid = 0.5 * (k0.angular_velocity + k1.angular_velocity)
-    omega_idot = _vec3_omega_idot(s0.orientation, s1.orientation, omega_mid, jh, dt)
-    rhs = moving_frame_derivative(l0, k0, wrench)
-    omega0 = k0.angular_velocity
-    res_lin = (
-        (l1.linear_momentum - l0.linear_momentum) / dt
-        - omega0.cross(l0.linear_momentum)
-        - rhs.resultant
-    )
-    residual = res_lin.norm()
-    for p0, h0, h1 in zip(s0.poles, s0.fields, s1.fields):
-        res = (h1 - h0) / dt - omega0.cross(h0) - rhs.value_at(p0)
-        residual = max(residual, res.norm())
+    """The step's diagnostics about the center c: T = (omega . L + p . v) / 2,
+    P = omega . d(c) + f . v, and the balance residual against d + [k, l],
+    whose bracket has the resultant -(omega x p) and the moment -(omega x L)
+    about c (its p x p / M is zero)."""
+    before, after = s0.state, s1.state
+    omega, p0, l0 = s0.omega, before.linear_momentum, before.angular_momentum_at_c
+    omega_mid = 0.5 * (omega + s1.omega)
+    omega_idot = _vec3_omega_idot(before.orientation, after.orientation, omega_mid, jh, dt)
+    spin_p, spin_l = omega.cross(p0), omega.cross(l0)
+    resultant = wrench.force - spin_p
+    moment = s0.moment - spin_l
+    res_lin = (after.linear_momentum - p0) / dt - spin_p - resultant
+    res_center = (after.angular_momentum_at_c - l0) / dt - spin_l - moment
+    h0, h1 = s0.marker_field, s1.marker_field
+    res_marker = (h1 - h0) / dt - omega.cross(h0) - (moment + resultant.cross(_marker_offset(before)))
     return StepDiagnostics(
         time=t,
-        kinetic_energy=kinetic_energy(k0, l0),
-        power=power(k0, wrench),
+        kinetic_energy=0.5 * (omega.dot(l0) + p0.dot(s0.velocity)),
+        power=omega.dot(s0.moment) + wrench.force.dot(s0.velocity),
         omega_idot_omega=omega_idot,
-        balance_residual=residual,
+        balance_residual=max(res_lin.norm(), res_center.norm(), res_marker.norm()),
     )
 
 
@@ -418,15 +424,13 @@ def _vec3_stream(config: SimConfig, initial: BodyState):
     wrench = config.wrench if config.wrench is not None else Wrench.zero()
     jh = _vec3_half_symmetric_part(initial.body.moment_matrix)
     inv_moment = sim._inverse_moment(initial.body)
-    state, screws = initial, _vec3_screws(initial, inv_moment)
+    read = _vec3_read(initial, inv_moment, wrench)
     for n in range(config.steps):
-        new, renormed = _vec3_step_impl(
-            state, screws.twist.angular_velocity, wrench, config.dt, config.integrator, inv_moment
-        )
-        new_screws = _vec3_screws(new, inv_moment)
-        diagnostics = _vec3_diagnostics(screws, new_screws, n * config.dt, config.dt, wrench, jh)
+        new, renormed = _vec3_step_impl(read, wrench, config.dt, config.integrator, inv_moment)
+        new_read = _vec3_read(new, inv_moment, wrench)
+        diagnostics = _vec3_diagnostics(read, new_read, n * config.dt, config.dt, wrench, jh)
         yield new, diagnostics, renormed
-        state, screws = new, new_screws
+        read = new_read
 
 
 # -- run against the Vec3 form ------------------------------------------------
@@ -444,34 +448,9 @@ def _exact(x) -> str:
 
 def _reference_diagnostics(before, after, t, dt, wrench) -> StepDiagnostics:
     inv_moment = sim._inverse_moment(before.body)
-    k0 = _vec3_twist(before, _vec3_angular_velocity(before, inv_moment))
-    k1 = _vec3_twist(after, _vec3_angular_velocity(after, inv_moment))
-    l0, l1 = state_momentum(before), state_momentum(after)
-    omega_mid = 0.5 * (k0.angular_velocity + k1.angular_velocity)
     jh = _vec3_half_symmetric_part(before.body.moment_matrix)
-    omega_idot = _vec3_omega_idot(before.orientation, after.orientation, omega_mid, jh, dt)
-    rhs = moving_frame_derivative(l0, k0, wrench)
-    omega0 = k0.angular_velocity
-    res_lin = (
-        (after.linear_momentum - before.linear_momentum) / dt
-        - omega0.cross(before.linear_momentum)
-        - rhs.resultant
-    )
-    residual = res_lin.norm()
-    marker = Vec3(1.0, 0.0, 0.0)
-    marker0 = before.center + before.orientation.matvec(marker)
-    marker1 = after.center + after.orientation.matvec(marker)
-    for p0, p1 in ((before.center, after.center), (marker0, marker1)):
-        fd = (l1.angular_momentum_at(p1) - l0.angular_momentum_at(p0)) / dt
-        res = fd - omega0.cross(l0.angular_momentum_at(p0)) - rhs.value_at(p0)
-        residual = max(residual, res.norm())
-    return StepDiagnostics(
-        time=t,
-        kinetic_energy=kinetic_energy(k0, l0),
-        power=power(k0, wrench),
-        omega_idot_omega=omega_idot,
-        balance_residual=residual,
-    )
+    reads = (_vec3_read(state, inv_moment, wrench) for state in (before, after))
+    return _vec3_diagnostics(*reads, t, dt, wrench, jh)
 
 
 def _assert_run_matches_reference(cfg: SimConfig, s0: BodyState) -> None:
@@ -605,9 +584,10 @@ def _finiteness_tests(config: SimConfig, s0: BodyState) -> int:
 # Upper bound on the finiteness tests one kernel step makes: the kernel tests
 # each group of values once, at the group's end, and checks the group's
 # values one by one only on refusal.  With one test per value the steps made
-# 58 and 45, and 18 and 13 with the world inertia's group and the SO(3)
-# drift test and the rotated orientation's group on every step.
-@pytest.mark.parametrize("scene, most", [(0, 14), (1, 10)], ids=["midpoint-tumble", "forced-euler"])
+# 58 and 45, 18 and 13 with the world inertia's group and the SO(3) drift
+# test and the rotated orientation's group on every step, and 14 and 10 with
+# the twist and the momentum read at the origin.
+@pytest.mark.parametrize("scene, most", [(0, 13), (1, 9)], ids=["midpoint-tumble", "forced-euler"])
 def test_finiteness_tests_per_run_step(scene, most):
     """Counted as in test_values_built_per_run_step; the rotation angle
     (twice a midpoint step) counts too, and the drift test with the rotated
@@ -819,26 +799,28 @@ def test_a_rotation_angle_beyond_the_float_range_is_refused(integrator):
 
 
 _DIAGONAL = InertiaOperator(1.0, ORIGIN, Mat3(1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0))
+_EIGHTH_TURN = Mat3(*rodrigues(Vec3(0.0, 0.0, 1.0), math.pi / 4.0).flat())
 
 
 @pytest.mark.parametrize("integrator", INTEGRATORS)
 @pytest.mark.parametrize("s0, wrench, got", [
-    # omega x (O - c) in k(O) = v + omega x (O - c), with v = (1, 1, 1)
-    (BodyState(Mat3.identity(), Point(0.0, 1e200, 0.0), Vec3(1.0, 1.0, 1.0), Vec3(1e200, 0.0, 0.0), _DIAGONAL),
-     None, "twist or momentum at the origin is not finite"),
-    # p x q in the momentum field at the marker q, l(O) + p x q, with l(O)
-    # finite and 1 in x and z
-    (BodyState(Mat3.identity(), Point(0.5, 0.0, 0.0), Vec3(0.0, 0.0, 1.5e308), Vec3(1.0, 1.0, 1.0), _DIAGONAL),
-     None, "momentum field at the center or the marker is not finite"),
+    # p x b in the momentum field at the marker, L + p x b, with b = (1, 1,
+    # 0) / sqrt(2) R's first column: p x b is 1.5e308 sqrt(2) in z, while L
+    # is (1, 1, 1)
+    (BodyState(_EIGHTH_TURN, ORIGIN, Vec3(1.5e308, -1.5e308, 0.0), Vec3(1.0, 1.0, 1.0), _DIAGONAL),
+     None, "momentum field at the marker is not finite"),
     # f x c in the wrench's moment about the center, d(O) + f x c, with
     # d(O) = (1, 1, 1)
     (BodyState(Mat3.identity(), Point(0.0, 1e200, 0.0), Vec3.zero(), Vec3.zero(), _DIAGONAL),
      Wrench(Screw(Vec3(1e200, 0.0, 0.0), Vec3(1.0, 1.0, 1.0))),
-     STEP + "moment about the center or velocity of the center is not finite"),
-], ids=["twist", "marker", "moment"])
+     "moment about the center or velocity of the center is not finite"),
+], ids=["marker", "moment"])
 def test_an_overflowing_transport_is_refused_with_its_cross_product(integrator, s0, wrench, got):
     """A screw transport v + w x d whose cross product w x d overflows, and
-    not the sum, refuses as its composed form does, naming its group."""
+    not the sum, refuses as its composed form does, naming its group.  The
+    kernel reads every screw about the center, so the state's own read holds
+    the kernel's only transports: to the marker and, for the wrench, to the
+    center."""
     _assert_refused(SimConfig(1e-3, 1, integrator, wrench), s0, got)
 
 
@@ -851,7 +833,6 @@ def _couple(force: tuple, moment_at_origin: tuple) -> Wrench:
     return Wrench(Screw(Vec3(*force), Vec3(*moment_at_origin)))
 
 
-_EIGHTH_TURN = Mat3(*rodrigues(Vec3(0.0, 0.0, 1.0), math.pi / 4.0).flat())
 _MAX = 1.7976931348623157e308
 _ULP = math.ulp(_MAX)
 
@@ -861,14 +842,14 @@ _ULP = math.ulp(_MAX)
     # R^T L in omega = R I^-1 R^T L
     (BodyState(_EIGHTH_TURN, ORIGIN, Vec3.zero(), Vec3(1.5e308, 1.5e308, 0.0), _DIAGONAL),
      1e-3, "angular velocity is not finite"),
-    # p / M in k(O) = p / M + omega x (O - c)
+    # p / M, the velocity of the center, read with the moment d(c)
     (BodyState(Mat3.identity(), Point(1.0, 0.0, 0.0), Vec3(1e300, 0.0, 0.0), Vec3(0.0, 0.0, 3.0),
                _body(1e-10, 1.0, 2.0, 3.0)),
-     1e-3, "twist or momentum at the origin is not finite"),
-    # the marker c + R (1, 0, 0), where the momentum field is read
-    (BodyState(Mat3.identity() * 1e300, Point(_MAX, 0.0, 0.0), Vec3.zero(), Vec3.zero(),
-               _body(1.0, 1e-300, 2e-300, 3e-300)),
-     1e-3, "momentum field at the center or the marker is not finite"),
+     1e-3, "moment about the center or velocity of the center is not finite"),
+    # p x b in the momentum field at the marker, L + p x b, where the body
+    # offset b = R (1, 0, 0) of an orientation 4 I is (4, 0, 0)
+    (BodyState(Mat3.identity() * 4.0, ORIGIN, Vec3(0.0, 0.0, 1e308), Vec3.zero(), _DIAGONAL),
+     1e-3, "momentum field at the marker is not finite"),
     # Q R, the rotated orientation: Q turns R's first column, of norm
     # 1.9e308, onto z
     (BodyState(Mat3(1.1e308, 1.0, 0.0, 1.1e308, 0.0, 1.0, 1.1e308, 0.0, 0.0), ORIGIN,
@@ -912,38 +893,25 @@ _LATER_LINKS = {
     "angular-velocity": (INTEGRATORS, BodyState(
         _EIGHTH_TURN, ORIGIN, Vec3.zero(), Vec3(0.0, 2.1e298, 0.0), _body(1.0, 1e-10, 1e-10, 1e-10)),
         None, 1e-3, "angular velocity is not finite"),
-    # k(O) = p / M + omega x (O - c)
-    "twist": (INTEGRATORS, BodyState(
-        Mat3.identity(), Point(0.0, 1e308, 0.0), Vec3(1e308, 0.0, 0.0), Vec3(0.0, 0.0, 3.0), _DIAGONAL),
-        None, 1e-3, "twist or momentum at the origin is not finite"),
-    # p x (O - c) in l(O) = L + p x (O - c)
-    "momentum-transport": (INTEGRATORS, BodyState(
-        Mat3.identity(), Point(0.0, 1e200, 0.0), Vec3(1e200, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), _DIAGONAL),
-        None, 1e-3, "twist or momentum at the origin is not finite"),
-    # l(O) = L + p x (O - c)
-    "momentum": (INTEGRATORS, BodyState(
-        Mat3.identity(), Point(-1e308, 1.0, 0.0), Vec3(0.0, 0.0, 1.0), Vec3(0.0, 1e308, 0.0),
-        _body(1.0, 1e308, 1e308, 1e308)),
-        None, 1e-3, "twist or momentum at the origin is not finite"),
-    # h(c) = l(O) + p x c, with L = MAX and p x (O - c) = -1.5 ulp in x:
-    # l(O) ties to MAX - ulp, half an ulp up, and h(c) ties up to inf
-    "center-field": (INTEGRATORS, BodyState(
-        Mat3.identity(), Point(0.0, 0.0, 1.5 * _ULP), Vec3(0.0, 1.0, 0.0), Vec3(_MAX, 0.0, 0.0),
-        _body(1.0, 1e308, 1e308, 1e308)),
-        None, 1e-3, "momentum field at the center or the marker is not finite"),
-    # h(q) = l(O) + p x q
+    # h = L + p x b at the marker, with b = (1, 0, 0)
     "marker-field": (INTEGRATORS, BodyState(
         Mat3.identity(), ORIGIN, Vec3(0.0, 0.0, 1e308), Vec3(0.0, 1e308, 0.0), _DIAGONAL),
-        None, 1e-3, "momentum field at the center or the marker is not finite"),
-    # d(O) + f x c, the wrench's moment about the center
+        None, 1e-3, "momentum field at the marker is not finite"),
+    # d(O) + f x c, the wrench's moment about the center, after v = p / M
     "moment": (INTEGRATORS, BodyState(
         Mat3.identity(), Point(0.0, 1e308, 0.0), Vec3.zero(), Vec3.zero(), _DIAGONAL),
         _couple((0.0, 0.0, 1.0), (-1e308, 1.0, 2.0)), 1e-3,
-        STEP + "moment about the center or velocity of the center is not finite"),
-    # p / M at the midpoint's half state, after p / M at the state
+        "moment about the center or velocity of the center is not finite"),
+    # p / M at the midpoint's half state, after omega there
     "half-velocity": (("midpoint",), BodyState(
         Mat3.identity(), ORIGIN, Vec3(0.8e308, 1.0, 0.0), Vec3.zero(), _body(0.5, 1.0, 2.0, 3.0)),
         _couple((0.2e308, 0.0, 0.0), (0.0, 0.0, 0.0)), 2.0,
+        STEP + "moment about the center or velocity of the center is not finite"),
+    # d(O) + f x c at the half state, 0.9e308 + 0.9e308 in z, after its
+    # velocity: the state's center, 0.85e308 along y, read a finite moment
+    "half-moment": (("midpoint",), BodyState(
+        Mat3.identity(), Point(0.0, 0.85e308, 0.0), Vec3(0.0, 5e306, 0.0), Vec3.zero(), _DIAGONAL),
+        _couple((1.0, 0.0, 0.0), (0.0, 0.0, 0.9e308)), 2.0,
         STEP + "moment about the center or velocity of the center is not finite"),
     # the new center c + v h
     "center": (INTEGRATORS, BodyState(
@@ -989,26 +957,21 @@ _LATER_LINKS = {
     "inertia-rate": (INTEGRATORS, BodyState(
         Mat3.identity() * 1.5, ORIGIN, Vec3.zero(), Vec3(0.0, 0.0, 1e308), _body(1.0, 1e300, 1e300, 1e300)),
         None, 1e-9, STEP + "inertia change times the mean angular velocity is not finite"),
-    # p x k(O) in [k, l]'s moment p x k(O) - omega x l(O)
-    "bracket-twist": (INTEGRATORS, BodyState(
-        Mat3.identity(), Point(-1e200, 0.0, 0.0), Vec3(1e200, 0.0, 0.0), Vec3(0.0, 1.0, 3.0), _DIAGONAL),
-        None, 1e-3, STEP + "d + [k, l] or the linear balance residual is not finite"),
-    # [k, l]'s moment p x k(O) - omega x l(O)
+    # omega x L, [k, l]'s moment about the center negated: omega = (Lx, Ly
+    # / 3, 0) and omega_x L_y = -2.25e308, while omega x p is zero
     "bracket": (INTEGRATORS, BodyState(
-        Mat3.identity(), Point(-1e154, 0.0, 0.0), Vec3(1.5e154, 0.0, 0.0), Vec3(-0.25e308, 3.0, 1.0),
-        _body(1.0, 1.0, 3.0, 1.0)),
-        _couple((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), 1e-300,
-        STEP + "d + [k, l] or the linear balance residual is not finite"),
+        Mat3.identity(), ORIGIN, Vec3.zero(), Vec3(-1.5e154, 1.5e154, 0.0), _body(1.0, 1.0, 3.0, 1.0)),
+        None, 1e-300, STEP + "d + [k, l] or the linear balance residual is not finite"),
     # the resultant r = f - omega x p of d + [k, l]
     "resultant": (INTEGRATORS, BodyState(
         Mat3.identity(), ORIGIN, Vec3(0.0, 1e308, 0.0), Vec3(0.0, 0.0, 3.0), _body(1e308, 1.0, 2.0, 3.0)),
         _couple((1e308, 1.0, 0.0), (0.0, 0.0, 0.0)), 1e-3,
         STEP + "d + [k, l] or the linear balance residual is not finite"),
-    # r(O) = d(O) + [k, l]'s moment
+    # d(c) - omega x L, the moment of d + [k, l] about the center: omega x
+    # L is (2 / 3) Lx Ly = -1e308 in z, and d(c) is 1e308 in z
     "resultant-moment": (INTEGRATORS, BodyState(
-        Mat3.identity(), Point(-1e154, 0.0, 1.0), Vec3(1.5e154, 0.0, 0.0), Vec3(0.0, 0.0, 1.0),
-        _body(1.0, 1.0, 1.0, 1.0)),
-        _couple((0.0, 0.0, 0.0), (0.0, 0.0, 1e308)), 1e-160,
+        Mat3.identity(), ORIGIN, Vec3.zero(), Vec3(-1.5e154, 1e154, 0.0), _body(1.0, 1.0, 3.0, 1.0)),
+        _couple((0.0, 0.0, 0.0), (0.0, 0.0, 1e308)), 1e-300,
         STEP + "d + [k, l] or the linear balance residual is not finite"),
     # p1 - p0 = MAX + ulp / 2, which ties up to inf: p0 = -1.5 ulp, and
     # p0 + f dt = MAX - 1.5 ulp ties up to MAX - ulp
@@ -1033,9 +996,9 @@ _LATER_LINKS = {
         _body(1e300, 1.0, 2.0, 3.0)),
         _couple((_MAX, 0.0, 0.0), (0.0, 0.0, 0.0)), 1e-20,
         STEP + "d + [k, l] or the linear balance residual is not finite"),
-    # (h1 - h0) / dt at the center, where h is L along the spin axis x of a
-    # body of inertia 1e10 I: m dt is 0.51 ulp of L's x, as in the
-    # momentum-rate cases
+    # (L1 - L0) / dt at the center, where the field is L, along the spin
+    # axis x of a body of inertia 1e10 I: m dt is 0.51 ulp of L's x, as in
+    # the momentum-rate cases
     "center-residual": (INTEGRATORS, BodyState(
         Mat3.identity(), ORIGIN, Vec3.zero(), Vec3(1e308, 0.0, 0.0), _body(1.0, 1e10, 1e10, 1e10)),
         _couple((0.0, 0.0, 0.0), (1.5e308, 0.0, 0.0)), 0.51 * _ULP / 1.5e308,
@@ -1063,9 +1026,49 @@ def test_each_later_link_can_be_the_first_check_to_fail(integrator, s0, wrench, 
 
 
 def test_an_overflowing_residual_transport_is_refused_with_its_cross_product():
-    """At the marker q0 = (2, 0, 1), (d + [k, l])(q0) = r(O) + r x q0 with the
-    resultant r = f - omega0 x p0, whose y is -9e307: r x q0 overflows in z."""
-    body = InertiaOperator(5000.0, ORIGIN, _DIAGONAL.moment_matrix)
-    s0 = BodyState(Mat3.identity(), Point(1.0, 0.0, 1.0), Vec3(0.0, 0.0, -100.0), Vec3(9e305, 0.0, 0.0), body)
-    config = SimConfig(5e-5, 1, "euler", Wrench(Screw(Vec3(-1.4e303, 0.0, 0.0), Vec3(0.0, 0.0, 1.0))))
+    """At the marker, (d + [k, l])(c + b) = (d + [k, l])(c) + r x b with the
+    resultant r = f, whose y is -9e307, and b = (2, 0, 0), R's first column
+    for an orientation 2 I (projected onto SO(3) by the step): r x b
+    overflows in z, while the body, at rest at the origin, reads and
+    advances finite values."""
+    s0 = BodyState(Mat3.identity() * 2.0, ORIGIN, Vec3.zero(), Vec3.zero(), _DIAGONAL)
+    config = SimConfig(5e-5, 1, "euler", Wrench(Screw(Vec3(0.0, -9e307, 0.0), Vec3(0.0, 0.0, 1.0))))
     _assert_refused(config, s0, STEP + "balance residual at the marker is not finite")
+
+
+# -- the diagnostics about the center -----------------------------------------
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+@pytest.mark.parametrize("offset", [1e2, 1e4, 1e6, 1e8])
+def test_an_unforced_run_diagnoses_the_same_wherever_its_center_lies(integrator, offset):
+    """The tumble of test_trajectory_bits from the center (0.25, -1.25, 0.75)
+    and from that center moved by D along each axis, exactly: R, p and L
+    are kept, so every step reads the same screws about its center, and T,
+    P, omega . (dI/dt) omega and the balance residual keep their bits.  The
+    two centers advance by c + v h, which rounds differently at each offset,
+    but no unforced diagnostic reads c."""
+    config, s0 = _trajectory_bits_scenes()[0]
+    config = SimConfig(config.dt, 300, integrator)
+
+    def diagnostics(center: Point) -> list:
+        state = BodyState(s0.orientation, center, s0.linear_momentum, s0.angular_momentum_at_c, s0.body)
+        return [tuple(map(float.hex, values[1:])) for _, values, _ in sim._stream(config, state)]
+
+    assert diagnostics(Point(0.25 + offset, -1.25 + offset, 0.75 + offset)) == diagnostics(Point(0.25, -1.25, 0.75))
+
+
+def test_a_body_far_from_the_origin_simulates():
+    """Four unit masses 1 m about a center 1e200 m along x, pushed from rest
+    along y by 1e108 N through the center, for three steps of 1 s: after two,
+    the momentum 2e108 has a moment of 2e308 about the origin, which no float
+    holds.  About the center nothing leaves the float range (the moment d(c)
+    is zero, and T and P stay below 1e216), and no value of the kernel is a
+    moment about the origin, so the run exits 0."""
+    masses = [{"m": 1.0, "position": [1e200, y, z]} for y, z in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))]
+    doc = {"version": 1, "masses": masses, "sim": {"dt": 1.0, "steps": 3, "integrator": "euler"}}
+    assert inertia_of(parse_scene(json.dumps(doc)).masses).center == Point(1e200, 0.0, 0.0)
+    # d(O) = c x f for the force f along y through c
+    doc["sim"]["wrench"] = {"force": [0.0, 1e108, 0.0], "moment_at_origin": [0.0, 0.0, 1e200 * 1e108]}
+    assert cli_status("simulate", doc) == 0
+    assert cli_status("simulate", doc, "--json") == 0

@@ -97,7 +97,7 @@ TUMBLE_FINAL = (
     "0x1.2666666666666p+2",
     "-0x1.6666666666667p+0",
 )
-TUMBLE_SHA256 = "9b65180c76e10a066af69467cb403bf20287b064c19c0bf3576a5128659fd65a"
+TUMBLE_SHA256 = "374cdcf39643a6294193a48a127387ee48b8feb1fcc6868ef8842abcdbaa850c"
 FORCED_FINAL = (
     "-0x1.44043002b445dp-2",
     "-0x1.e2c6cec87806dp-1",
@@ -118,7 +118,7 @@ FORCED_FINAL = (
     "-0x1.0cccccccccd06p+2",
     "-0x1.1666666666629p+1",
 )
-FORCED_SHA256 = "990f87d74aa243f14b322aa20076081af1a0dc89b54abf5af7307d828110e630"
+FORCED_SHA256 = "20a0a7439f2b1a77570a107d43af6bf578ef1969bb16712b5b73a6441779f82b"
 
 
 def test_midpoint_tumble_bits():
