@@ -39,7 +39,7 @@ from .dynamics import (
 from .errors import NonFiniteError, SceneError, ScrewAlgError
 from .kinematics import MotionChain, compose_chain
 from .lie import Frame, basis_screws, commutator, killing_form, klein_product, to_dual, to_frame, pairing, ad
-from .reduction import decompose_two_applied
+from .reduction import _report, decompose_two_applied
 from .rigid import chasles, exp_screw
 from .scene import Scene, parse_scene
 from .screw import DegenerateAxis, FinitePitch, InfinitePitch, Screw
@@ -214,17 +214,14 @@ def _need(scene: Scene, section: str):
 
 def _cmd_reduce(scene: Scene, args) -> dict:
     s = wrench_of(_need(scene, "forces")).screw
-    # Vector invariant, axis, pitch, then the decomposition: of the results
-    # that can overflow, the first in this order is the one reported.
-    vector_invariant = _vec_doc(s.vector_invariant())
-    axis = _axis_doc(s.axis())
+    report = _report(s)
     doc = {
-        "resultant": _vec_doc(s.resultant),
-        "amplitude": s.amplitude(),
-        "scalar_invariant": s.scalar_invariant(),
-        "vector_invariant": vector_invariant,
-        "pitch": _pitch_doc(s.pitch()),
-        "axis": axis,
+        "resultant": _vec_doc(report.resultant),
+        "amplitude": report.amplitude,
+        "scalar_invariant": report.scalar_invariant,
+        "vector_invariant": _vec_doc(report.vector_invariant),
+        "pitch": _pitch_doc(report.pitch),
+        "axis": _axis_doc(report.axis),
     }
     pair = decompose_two_applied(s)
     doc["two_vector_reduction"] = [
@@ -253,15 +250,14 @@ def _cmd_compose(scene: Scene, args) -> dict:
     twists = _need(scene, "twists")
     if not twists:
         raise _InputError("compose needs at least one twist in the scene")
-    s = compose_chain(MotionChain(twists)).screw
-    vi = s.vector_invariant()
+    report = _report(compose_chain(MotionChain(twists)).screw)
     return {
-        "angular_velocity": _vec_doc(s.resultant),
-        "amplitude": s.amplitude(),
-        "vector_invariant": _vec_doc(vi),
-        "axis_speed": vi.norm(),
-        "pitch": _pitch_doc(s.pitch()),
-        "axis": _axis_doc(s.axis()),
+        "angular_velocity": _vec_doc(report.resultant),
+        "amplitude": report.amplitude,
+        "vector_invariant": _vec_doc(report.vector_invariant),
+        "axis_speed": report.vector_invariant.norm(),
+        "pitch": _pitch_doc(report.pitch),
+        "axis": _axis_doc(report.axis),
     }
 
 

@@ -22,7 +22,11 @@ by the ``Point`` or ``Vec3`` it ends in.  Its branches share the axis core
 ``tests/test_reduction.py`` keeps the composed form as its bit oracle.
 
 ``central_axis_report`` bundles the invariants a statics calculation usually
-wants in one pass.
+wants in one pass.  It is the report ``_report`` of the system's wrench, the
+one report of a screw, which ``screwalg reduce`` (a sum of forces) and
+``screwalg compose`` (a sum of twists) both render: the paper's analogy, in
+which angular velocities sum as applied forces do, asks the same questions
+of either sum.
 """
 
 from __future__ import annotations
@@ -142,8 +146,7 @@ def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPai
             Vec3(-force.x, -force.y, -force.z),
         )
 
-    amp, ux, uy, uz, qx, qy, qz = _axis(wx, wy, wz, mx, my, mz)
-    sigma = mx * ux + my * uy + mz * uz  # axis field strength, signed
+    amp, ux, uy, uz, sigma, qx, qy, qz = _axis(wx, wy, wz, mx, my, mz)
 
     if abs(sigma) <= _SCALAR_RTOL * _norm(mx, my, mz):
         # No couple part: half the resultant at two distinct axis points.
@@ -168,30 +171,29 @@ def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPai
     )
 
 
-def central_axis_report(fs: ForceSystem) -> CentralAxisReport:
-    """Reduce a force system and bundle the invariants and central axis of
-    its wrench (the central axis of the system is the wrench's screw axis).
-
-    The wrench's six floats are read once, and a line screw's |w|, u = w / |w|
-    and axis point come from one ``screw._axis``: each field is built as the
-    ``Screw`` method it stands for computes it, to the bit, and the vector
-    invariant u (s(O) . u) and the pitch share s(O) . u.  A free or zero
-    screw's fields are the methods' own."""
-    s = wrench_of(fs).screw
+def _report(s: Screw) -> CentralAxisReport:
+    """The invariants and axis of a screw, the one report, which
+    ``central_axis_report`` and the ``reduce`` and ``compose`` commands
+    render.  A line screw's |w|, vector invariant, axis and pitch come from
+    one ``screw._axis``, each built as the ``Screw`` method it stands for
+    builds it, to the bit, and in that order: vector invariant, axis point,
+    pitch, so the first of them to overflow is the one refused.  A free or
+    zero screw's fields are the methods' own."""
     w = s.resultant
-    m = s.moment_at_origin
-    wx, wy, wz = w.x, w.y, w.z
-    mx, my, mz = m.x, m.y, m.z
-    scalar = mx * wx + my * wy + mz * wz
-    if wx * wx + wy * wy + wz * wz == 0.0:
-        return CentralAxisReport(w, s.amplitude(), scalar, s.vector_invariant(), s.axis(), s.pitch())
-    amp, ux, uy, uz, px, py, pz = _axis(wx, wy, wz, mx, my, mz)
-    t = mx * ux + my * uy + mz * uz
+    if s.is_free():
+        return CentralAxisReport(w, s.amplitude(), s.scalar_invariant(), s.vector_invariant(), s.axis(), s.pitch())
+    amp, ux, uy, uz, t, px, py, pz = s._line()
     return CentralAxisReport(
         w,
         amp,
-        scalar,
+        s.scalar_invariant(),
         Vec3(ux * t, uy * t, uz * t),
         LineAxis(Point(px, py, pz), Vec3(ux, uy, uz)),
         FinitePitch(2.0 * math.pi * t / amp),
     )
+
+
+def central_axis_report(fs: ForceSystem) -> CentralAxisReport:
+    """Reduce a force system and report the invariants and central axis of
+    its wrench (the central axis of the system is the wrench's screw axis)."""
+    return _report(wrench_of(fs).screw)

@@ -200,10 +200,12 @@ def exp_screw(s: Screw, t: float = 1.0) -> RigidMap:
 def _axis_from_symmetric_part(
     r: tuple[float, ...], wx: float, wy: float, wz: float, wn: float, cos_theta: float
 ) -> tuple[float, float, float]:
-    # Near a half turn (R + R^T)/2 - cos(theta) I = (1 - cos(theta)) u u^T;
-    # its largest-diagonal column is parallel to the axis.  w is the axial
-    # vector 2 sin(theta) u of R, and wn its norm.  Entry by entry as the
-    # Mat3 expression forms it: an off-diagonal entry subtracts 0.0 * cos(theta).
+    """Near a half turn (R + R^T)/2 - cos(theta) I = (1 - cos(theta)) u u^T;
+    its largest-diagonal column is parallel to the axis.  w is the axial
+    vector 2 sin(theta) u of R, and wn its norm.  Entry by entry as the
+    Mat3 expression forms it: an off-diagonal entry subtracts 0.0 * cos(theta).
+    The diagonal sums to 1.5 - tr R / 2, about 2 here, so the column's norm is
+    at least about 2/3 and is never 0."""
     xx, xy, xz, yx, yy, yz, zx, zy, zz = r
     off = 0.0 * cos_theta
     dxx = (xx + xx) * 0.5 - cos_theta
@@ -217,8 +219,6 @@ def _axis_from_symmetric_part(
     else:
         cx, cy, cz = (xz + zx) * 0.5 - off, (yz + zy) * 0.5 - off, dzz
     n = _norm(cx, cy, cz)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
     ux, uy, uz = cx / n, cy / n, cz / n
     # Orient consistently with the (possibly tiny) antisymmetric part.
     if wn > 1e-12 and wx * ux + wy * uy + wz * uz < 0.0:
@@ -270,7 +270,5 @@ def chasles(g: RigidMap) -> ChaslesDecomposition:
     rx, ry, rz = ux * theta, uy * theta, uz * theta
     if rx * rx + ry * ry + rz * rz == 0.0:  # the screw is free
         return ChaslesDecomposition(DegenerateAxis(), 0.0, 0.0, pure_translation=tv)
-    _, vx, vy, vz, px, py, pz = _axis(rx, ry, rz, mx, my, mz)
-    return ChaslesDecomposition(
-        LineAxis(Point(px, py, pz), Vec3(vx, vy, vz)), theta, mx * vx + my * vy + mz * vz
-    )
+    _, vx, vy, vz, slide, px, py, pz = _axis(rx, ry, rz, mx, my, mz)
+    return ChaslesDecomposition(LineAxis(Point(px, py, pz), Vec3(vx, vy, vz)), theta, slide)

@@ -28,10 +28,11 @@ Conventions that matter:
   resultant's squared norm is 0.0 in floating point, and zero when its
   moment's is too.  With no tolerance, a change of units cannot change
   the class unless it underflows a square to 0.0.
-* The vector invariant, the axis and the pitch are each computed one way,
-  through the unit direction u = w / |w| and the amplitude |w| of the
-  resultant w, never through w . w, which can overflow or lose its digits
-  to underflow where the answer does neither (``Vec3.norm`` cannot).
+* The vector invariant, the axis and the pitch of a line screw read one
+  core, ``_axis``: the unit direction u = w / |w|, the amplitude |w| of the
+  resultant w and the axis field strength s(O) . u, never w . w, which can
+  overflow or lose its digits to underflow where the answer does neither
+  (``Vec3.norm`` cannot).
 * The *pitch* uses the full-turn normalization: a screw of pitch p advances
   by p along its axis per complete revolution, so the vector invariant is
   (p / 2 pi) times the resultant.  Beware: much of the robotics literature
@@ -69,17 +70,20 @@ def _add_cross(v: Vec3, w: Vec3, dx: float, dy: float, dz: float) -> Vec3:
 def _axis(
     wx: float, wy: float, wz: float, mx: float, my: float, mz: float
 ) -> tuple[float, ...]:
-    """(n, u, P) of the line screw with resultant w and moment m at the
-    origin, as seven floats: n = |w|, u = w / n and the axis point
-    P = O + u x m / n.  The one definition, which ``Screw.axis``,
-    ``rigid.chasles`` and ``reduction.decompose_two_applied`` share, with the
-    float operations of that ``Vec3`` expression in its order.  Each caller
-    builds P as a ``Point``, whose check is the one test of u x m / n (w / n
-    needs none, as |w_i| <= n)."""
+    """(n, u, t, P) of the line screw with resultant w and moment m at the
+    origin, as eight floats: n = |w|, u = w / n, the axis field strength
+    t = m . u and the axis point P = O + u x m / n.  The one definition of a
+    line screw's invariants: the vector invariant u t, the axis (P, u) and
+    the pitch 2 pi t / n of ``Screw`` and of the ``reduction`` report, and
+    ``rigid.chasles``'s slide and ``reduction.decompose_two_applied``'s split
+    read it, with the float operations of the ``Vec3`` expressions in their
+    order.  Each caller builds P as a ``Point``, whose check is the one test
+    of u x m / n (w / n needs none, as |w_i| <= n)."""
     n = _norm(wx, wy, wz)
     ux = wx / n
     uy = wy / n
     uz = wz / n
+    t = mx * ux + my * uy + mz * uz
     cx = uy * mz - uz * my
     cy = uz * mx - ux * mz
     cz = ux * my - uy * mx
@@ -87,7 +91,7 @@ def _axis(
     py = cy / n
     pz = cz / n
     # O + p is 0.0 + p.x, which turns a -0.0 into 0.0.
-    return n, ux, uy, uz, 0.0 + px, 0.0 + py, 0.0 + pz
+    return n, ux, uy, uz, t, 0.0 + px, 0.0 + py, 0.0 + pz
 
 
 def _negligible(v: Vec3) -> bool:
@@ -243,8 +247,8 @@ class Screw(_Value):
         field value itself."""
         if self.is_free():
             return self.moment_at_origin
-        u = self.resultant.normalized()
-        return u * self.moment_at_origin.dot(u)
+        _, ux, uy, uz, t, _, _, _ = self._line()
+        return Vec3(ux * t, uy * t, uz * t)
 
     def amplitude(self) -> float:
         """Magnitude of the resultant (unsigned)."""
@@ -270,9 +274,7 @@ class Screw(_Value):
         """
         if self.is_free():
             return DegenerateAxis()
-        w = self.resultant
-        m = self.moment_at_origin
-        _, ux, uy, uz, px, py, pz = _axis(w.x, w.y, w.z, m.x, m.y, m.z)
+        _, ux, uy, uz, _, px, py, pz = self._line()
         return LineAxis(Point(px, py, pz), Vec3(ux, uy, uz))
 
     def pitch(self) -> Pitch:
@@ -287,9 +289,14 @@ class Screw(_Value):
             if self.is_zero():
                 return ZeroScrewPitch()
             return InfinitePitch()
+        n, _, _, _, t, _, _, _ = self._line()
+        return FinitePitch(2.0 * math.pi * t / n)
+
+    def _line(self) -> tuple[float, ...]:
+        """``_axis`` of this screw's six floats: (n, u, t, P)."""
         w = self.resultant
-        n = w.norm()
-        return FinitePitch(2.0 * math.pi * self.moment_at_origin.dot(w / n) / n)
+        m = self.moment_at_origin
+        return _axis(w.x, w.y, w.z, m.x, m.y, m.z)
 
 
 _set_resultant, _set_moment_at_origin = Screw._setters

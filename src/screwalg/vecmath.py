@@ -30,7 +30,9 @@ screw sum ``screw._screw_sum`` serves ``wrench_of``, ``compose_chain`` and
 ``rigid.exp_screw`` and ``rigid.chasles``, the two-vector reduction
 ``reduction.decompose_two_applied`` and the reciprocal subspace
 ``dynamics.reciprocal_subspace`` work on floats and build only the values
-they return; they share the axis core ``screw._axis``, ``RigidMap``'s
+they return; they share the axis core ``screw._axis`` (n, u, m . u and the
+axis point of a line screw, which ``Screw``'s vector invariant, axis and
+pitch and the one report ``reduction._report`` read too), ``RigidMap``'s
 rotation check on nine floats (``_is_orthonormal`` and ``_det`` here), the
 pairing rows ``lie._dual_coords`` and the basis screw
 ``lie._screw_from_coords``.  The value forms they replace are their bit

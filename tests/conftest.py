@@ -165,6 +165,25 @@ def composed_axis(s: Screw):
     return LineAxis(ORIGIN + u.cross(s.moment_at_origin) / n, u)
 
 
+def composed_vector_invariant(s: Screw) -> Vec3:
+    """``Screw.vector_invariant`` as the ``Vec3`` expression the axis core
+    replaces, its bit oracle."""
+    if s.is_free():
+        return s.moment_at_origin
+    u = s.resultant.normalized()
+    return u * s.moment_at_origin.dot(u)
+
+
+def composed_pitch(s: Screw):
+    """``Screw.pitch`` as the ``Vec3`` expression the axis core replaces,
+    its bit oracle."""
+    if s.is_free():
+        return ZeroScrewPitch() if s.is_zero() else InfinitePitch()
+    w = s.resultant
+    n = w.norm()
+    return FinitePitch(2.0 * math.pi * s.moment_at_origin.dot(w / n) / n)
+
+
 def values_built(f, *args, classes=(Vec3, Point, Mat3)) -> int:
     """The constructions of ``classes`` in f(*args), counted on the
     constructors' code objects."""

@@ -838,6 +838,27 @@ def test_pitch_beyond_the_float_range_is_a_domain_error(tmp_path, command, doc, 
     assert err.startswith("domain error (NonFiniteError): pitch must be finite, got ")
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        # couples of moment (1e200, 0, 0) and (0, 1e200, 0) plus a force of 1e-150 along x
+        ("reduce", {"version": 1, "forces": [{"point": [0.0, 1.0, 0.0], "vector": [0.0, 0.0, 1e200]},
+                                             {"point": [0.0, 0.0, 0.0], "vector": [0.0, 0.0, -1e200]},
+                                             {"point": [0.0, 0.0, 1.0], "vector": [1e200, 0.0, 0.0]},
+                                             {"point": [0.0, 0.0, 0.0], "vector": [-1e200, 0.0, 0.0]},
+                                             {"point": [0.0, 0.0, 0.0], "vector": [1e-150, 0.0, 0.0]}]}),
+        ("compose", {"version": 1, "twists": [{"omega": [1e-150, 0.0, 0.0], "moment_at_origin": [1e200, 1e200, 0.0]}]}),
+    ],
+)
+def test_an_overflowing_axis_point_is_refused_before_the_pitch(tmp_path, command, doc, mode):
+    # u x m / |w| and 2 pi (m . u) / |w| both overflow; the one report of
+    # both commands builds the axis point before the pitch.
+    code, out, err = run_cli(command, scene_file(tmp_path, doc), *mode)
+    assert (code, out) == (3, "")
+    assert err == "domain error (NonFiniteError): Point components must be finite, got (0.0, 0.0, inf)\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["selfcheck"], ["reduce", str(SCENES / "three_forces.json")], ["simulate", str(SCENES / "forced_euler.json")]],

@@ -16,6 +16,8 @@ from conftest import (
     bit_examples,
     cli_status,
     composed_axis,
+    composed_pitch,
+    composed_vector_invariant,
     edge_points,
     edge_screws,
     edge_vec3s,
@@ -299,7 +301,8 @@ def test_decompose_two_applied_builds_its_points_and_vectors_only(s, built):
 def _composed_report(fs: ForceSystem):
     s = wrench_of(fs).screw
     return CentralAxisReport(
-        s.resultant, s.amplitude(), s.scalar_invariant(), s.vector_invariant(), s.axis(), s.pitch()
+        s.resultant, s.amplitude(), s.scalar_invariant(), composed_vector_invariant(s), composed_axis(s),
+        composed_pitch(s),
     )
 
 

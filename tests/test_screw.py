@@ -20,6 +20,8 @@ from conftest import (
     bit_examples,
     bit_outcome,
     composed_axis,
+    composed_pitch,
+    composed_vector_invariant,
     coords,
     edge_points,
     edge_screws,
@@ -390,8 +392,10 @@ def test_from_motor_is_the_composed_screw_bit_for_bit(p, w, v):
     )
 
 
-# Screw.axis reads the axis core screw._axis, which chasles and the two-vector
-# reduction share; it is the composed form (conftest.composed_axis) to the bit.
+# Screw.axis, vector_invariant and pitch read the axis core screw._axis, which
+# chasles, the two-vector reduction and the reduction report share; each is
+# its composed form (conftest.composed_axis, composed_vector_invariant and
+# composed_pitch) to the bit.
 
 
 @bit_examples
@@ -405,6 +409,35 @@ def test_axis_is_the_composed_axis_bit_for_bit(s):
     assert sum_outcome(s.axis) == sum_outcome(composed_axis, s)
 
 
+@bit_examples
+@given(st.one_of(edge_screws, st.builds(Screw, scaled_vec3s, scaled_vec3s)))
+# w . w overflows, and is subnormal; m . u overflows; signed zeros.
+@example(Screw(Vec3(0.0, 0.0, 1e160), Vec3(0.0, 0.0, 1.0)))
+@example(Screw(Vec3(0.0, 0.0, 1e-160), Vec3(3.0, 0.0, 1.0)))
+@example(Screw(Vec3(1.0, 1.0, 0.0), Vec3(1.7e308, 1.7e308, 0.0)))
+@example(Screw(Vec3(-1.0, -0.0, 0.0), Vec3(-0.0, -0.0, 0.0)))
+def test_vector_invariant_is_the_composed_vector_invariant_bit_for_bit(s):
+    assert sum_outcome(s.vector_invariant) == sum_outcome(composed_vector_invariant, s)
+
+
+@bit_examples
+@given(st.one_of(edge_screws, st.builds(Screw, scaled_vec3s, scaled_vec3s)))
+# s . w overflows, and w . w is subnormal, with a finite pitch; the pitch
+# overflows; signed zeros.
+@example(Screw(Vec3(0.0, 0.0, 1e160), Vec3(0.0, 0.0, 1e160)))
+@example(Screw(Vec3(0.0, 0.0, 1e-160), Vec3(3.0, 0.0, 1.0)))
+@example(Screw(Vec3(0.0, 0.0, 1e-160), Vec3(0.0, 0.0, 1e160)))
+@example(Screw(Vec3(-1.0, -0.0, 0.0), Vec3(-0.0, -0.0, 0.0)))
+def test_pitch_is_the_composed_pitch_bit_for_bit(s):
+    assert sum_outcome(s.pitch) == sum_outcome(composed_pitch, s)
+
+
 def test_axis_builds_its_point_and_direction_only():
     assert values_built(Screw(Vec3(0.0, 0.0, 2.0), Vec3(1.0, 2.0, 3.0)).axis) == 2
     assert values_built(Screw.from_free_vector(Vec3(1.0, 2.0, 3.0)).axis) == 0
+
+
+def test_vector_invariant_and_pitch_build_their_result_only():
+    s = Screw(Vec3(0.0, 0.0, 2.0), Vec3(1.0, 2.0, 3.0))
+    assert values_built(s.vector_invariant) == 1
+    assert values_built(s.pitch) == 0
