@@ -12,9 +12,9 @@ site, then the tally, and exits 1 when any mutant survives.
     python3 scripts/drop_checks.py src/screwalg/sim.py tests/test_sim.py tests/test_trajectory_bits.py
 
 Run it from the repository root.  CI runs the line above, which takes about
-20 s on two CPUs, and the same check of ``rigid.py``, ``lie.py`` and
-``vecmath.py`` against their own test files (a few seconds each), so a group
-refusal that no test reaches fails the build.
+20 s on two CPUs, and the same check of ``rigid.py``, ``screw.py``,
+``lie.py`` and ``vecmath.py`` against their own test files (a few seconds
+each), so a group refusal that no test reaches fails the build.
 """
 
 import argparse

@@ -34,7 +34,7 @@ from .lie import (
     klein_product,
 )
 from .screw import Screw, _screw_sum, _ScrewRole
-from .vecmath import Mat3, Point, Vec3, _Value
+from .vecmath import _MIN_NORMAL, Mat3, Point, Vec3, _Value
 
 __all__ = [
     "Wrench",
@@ -58,7 +58,6 @@ __all__ = [
 # the pairing matrix of a reciprocal-subspace computation.
 _NULLSPACE_RTOL = 1e-10
 _EPS = sys.float_info.epsilon
-_TINY = sys.float_info.min
 _SVD_SWEEPS = 30
 # A Householder column whose norm is below _SAFE_MIN = 2**-969, the safe
 # minimum of LAPACK's dlarfg, is scaled up first.
@@ -418,7 +417,7 @@ def _jacobi_svd(mat: list[list[float]]) -> tuple[list[list[float]], list[list[fl
             for q in range(p + 1, m):
                 x, y = w[p], w[q]
                 nx, ny = math.hypot(*x), math.hypot(*y)
-                if nx < _TINY or ny < _TINY:
+                if nx < _MIN_NORMAL or ny < _MIN_NORMAL:
                     continue
                 rho = sum((a / nx) * (b / ny) for a, b in zip(x, y))
                 if abs(rho) <= tol:

@@ -17,9 +17,12 @@ splits by type:
 builds only the points and vectors it returns, with the float operations of
 the composed ``Vec3`` expression in their order, so each result is that
 expression's to the bit, and a chain of values is tested once at its end,
-by the ``Point`` or ``Vec3`` it ends in.  Its branches share the axis core
-``screw._axis`` and the float form of ``_reference_perpendicular``;
-``tests/test_reduction.py`` keeps the composed form as its bit oracle.
+by the ``Point`` or ``Vec3`` it ends in.  Its branches are chosen by the
+degeneracy rule ``screw._negligible``, and read their unit direction, the
+resultant's or a couple's moment's, from the axis core ``screw._axis``,
+which refuses a norm beyond the float range; they share the float form of
+``_reference_perpendicular``.  ``tests/test_reduction.py`` keeps the
+composed form as its bit oracle.
 
 ``central_axis_report`` bundles the invariants a statics calculation usually
 wants in one pass.  It is the report ``_report`` of the system's wrench, the
@@ -35,7 +38,7 @@ import math
 
 from .dynamics import ForceSystem, wrench_of
 from .errors import ZeroScrewError
-from .screw import FinitePitch, LineAxis, Pitch, Screw, ScrewAxis, _axis
+from .screw import FinitePitch, LineAxis, Pitch, Screw, ScrewAxis, _axis, _negligible
 from .vecmath import Point, Vec3, _norm, _Value
 
 __all__ = ["AppliedVectorPair", "CentralAxisReport", "decompose_two_applied", "central_axis_report"]
@@ -92,7 +95,9 @@ def _reference_perpendicular(ux: float, uy: float, uz: float) -> tuple[float, fl
     with the coordinate axis it is least aligned with, the first of equally
     aligned ones, and normalized.  |u . e_i| is |u_i| exactly (the other
     terms are zeros), and each cross product keeps its products with 0.0
-    and 1.0, which set the signs of its zeros."""
+    and 1.0, which set the signs of its zeros.  u comes from ``screw._axis``,
+    so u_i^2 <= 1/3 for the least aligned axis, and |u x e_i|^2 = 1 - u_i^2
+    >= 2/3 (to rounding): the norm is never 0."""
     if abs(ux) <= abs(uy) and abs(ux) <= abs(uz):
         cx, cy, cz = uy * 0.0 - uz * 0.0, uz * 1.0 - ux * 0.0, ux * 0.0 - uy * 1.0
     elif abs(uy) <= abs(uz):
@@ -100,8 +105,6 @@ def _reference_perpendicular(ux: float, uy: float, uz: float) -> tuple[float, fl
     else:
         cx, cy, cz = uy * 1.0 - uz * 0.0, uz * 0.0 - ux * 1.0, ux * 0.0 - uy * 0.0
     n = _norm(cx, cy, cz)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
     return cx / n, cy / n, cz / n
 
 
@@ -122,16 +125,15 @@ def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPai
     m = s.moment_at_origin
     wx, wy, wz = w.x, w.y, w.z
     mx, my, mz = m.x, m.y, m.z
-    free = wx * wx + wy * wy + wz * wz == 0.0
-    if free and mx * mx + my * my + mz * mz == 0.0:
+    free = _negligible(wx, wy, wz)
+    if free and _negligible(mx, my, mz):
         raise ZeroScrewError("the zero screw has no two-vector decomposition")
     if not arm_length > 0.0:
         raise ValueError("arm_length must be positive")
 
     if free:
         # Couple: moment m = w x a with w perpendicular to m and |a| = arm.
-        mn = _norm(mx, my, mz)
-        hx, hy, hz = mx / mn, my / mn, mz / mn
+        mn, hx, hy, hz, _, _, _, _ = _axis(mx, my, mz, 0.0, 0.0, 0.0)
         ex, ey, ez = _reference_perpendicular(hx, hy, hz)
         k = mn / arm_length
         force = Vec3(ex * k, ey * k, ez * k)

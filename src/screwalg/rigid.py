@@ -18,8 +18,10 @@ their order, so every result is that expression's to the bit.  As in the
 sim kernel (``sim._stream``), a chain of values joined by +, - and * is
 tested once at its end: ``exp_screw``'s translation by its ``Vec3``, and
 ``chasles``'s moment with one refusal (``vecmath._refuse``).  They share
-``_rodrigues``, ``RigidMap``'s check and the axis core ``screw._axis``;
-``tests/test_rigid.py`` keeps the composed forms as their bit oracles.
+``_rodrigues``, ``RigidMap``'s check, the degeneracy rule
+``screw._negligible``, which decides when the screw is free, and the axis
+core ``screw._axis``; ``tests/test_rigid.py`` keeps the composed forms as
+their bit oracles.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidRotationError, NonFiniteError, ZeroScrewError
-from .screw import DegenerateAxis, LineAxis, Screw, ScrewAxis, _axis
+from .screw import DegenerateAxis, LineAxis, Screw, ScrewAxis, _axis, _negligible
 from .vecmath import ORIGIN, Mat3, Point, Vec3, _det, _is_orthonormal, _norm, _refuse, _Value
 
 __all__ = ["RigidMap", "ChaslesDecomposition", "rodrigues", "exp_screw", "chasles"]
@@ -168,12 +170,17 @@ def exp_screw(s: Screw, t: float = 1.0) -> RigidMap:
     (pitch / 2 pi) |resultant| t along it; for a zero-resultant screw, a pure
     translation by t times the constant field value.  Obeys the group law
     exp(s, t1 + t2) = exp(s, t2) o exp(s, t1).
+
+    It forms |w| and w / |w| itself, not through ``screw._axis``, whose
+    axis point and field strength it does not read (they cost about a
+    tenth of a call): a |w| beyond the float range makes the angle |w| t
+    infinite or NaN, which ``_rodrigues`` refuses.
     """
     w = s.resultant
     m = s.moment_at_origin
     wx, wy, wz = w.x, w.y, w.z
     mx, my, mz = m.x, m.y, m.z
-    if wx * wx + wy * wy + wz * wz == 0.0:  # s.is_free()
+    if _negligible(wx, wy, wz):
         return RigidMap(Mat3.identity(), Vec3(mx * t, my * t, mz * t))
     omega = _norm(wx, wy, wz)
     ux = wx / omega
@@ -268,7 +275,7 @@ def chasles(g: RigidMap) -> ChaslesDecomposition:
     if not math.isfinite(mx + my + mz):
         _refuse("moment of the screw motion", mx, my, mz)
     rx, ry, rz = ux * theta, uy * theta, uz * theta
-    if rx * rx + ry * ry + rz * rz == 0.0:  # the screw is free
+    if _negligible(rx, ry, rz):
         return ChaslesDecomposition(DegenerateAxis(), 0.0, 0.0, pure_translation=tv)
     _, vx, vy, vz, slide, px, py, pz = _axis(rx, ry, rz, mx, my, mz)
     return ChaslesDecomposition(LineAxis(Point(px, py, pz), Vec3(vx, vy, vz)), theta, slide)

@@ -27,12 +27,14 @@ Conventions that matter:
 * Classification is exact: a screw is free (zero resultant) only when the
   resultant's squared norm is 0.0 in floating point, and zero when its
   moment's is too.  With no tolerance, a change of units cannot change
-  the class unless it underflows a square to 0.0.
+  the class unless it underflows a square to 0.0.  One function,
+  ``_negligible``, applies the rule for every caller.
 * The vector invariant, the axis and the pitch of a line screw read one
   core, ``_axis``: the unit direction u = w / |w|, the amplitude |w| of the
   resultant w and the axis field strength s(O) . u, never w . w, which can
   overflow or lose its digits to underflow where the answer does neither
-  (``Vec3.norm`` cannot).
+  (``Vec3.norm`` cannot).  It is the one place a screw's direction is
+  divided by its norm, and it refuses a norm beyond the float range.
 * The *pitch* uses the full-turn normalization: a screw of pitch p advances
   by p along its axis per complete revolution, so the vector invariant is
   (p / 2 pi) times the resultant.  Beware: much of the robotics literature
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 
 from .errors import MissingVelocitiesError, NonFiniteError
-from .vecmath import ORIGIN, Point, Vec3, _norm, _Value
+from .vecmath import ORIGIN, Point, Vec3, _norm, _refuse, _Value
 
 __all__ = [
     "Screw",
@@ -73,16 +75,21 @@ def _axis(
     """(n, u, t, P) of the line screw with resultant w and moment m at the
     origin, as eight floats: n = |w|, u = w / n, the axis field strength
     t = m . u and the axis point P = O + u x m / n.  The one definition of a
-    line screw's invariants: the vector invariant u t, the axis (P, u) and
-    the pitch 2 pi t / n of ``Screw`` and of the ``reduction`` report, and
+    line screw's invariants, and the one division of a screw's direction by
+    its norm: the vector invariant u t, the axis (P, u) and the pitch
+    2 pi t / n of ``Screw`` and of the ``reduction`` report, and
     ``rigid.chasles``'s slide and ``reduction.decompose_two_applied``'s split
-    read it, with the float operations of the ``Vec3`` expressions in their
-    order.  Each caller builds P as a ``Point``, whose check is the one test
-    of u x m / n (w / n needs none, as |w_i| <= n)."""
+    read it (a couple's split with its moment as w), with the float
+    operations of the ``Vec3`` expressions in their order.  An n beyond the
+    float range is refused: w / n would read (0, 0, 0).  Each caller builds
+    P as a ``Point``, whose check is the one test of u x m / n (w / n needs
+    none, as |w_i| <= n).  ``rigid.exp_screw`` and the sim step kernel
+    divide a spin by its own norm, as each passes norm times time to
+    ``rigid._rodrigues``, which refuses an angle beyond the float range."""
     n = _norm(wx, wy, wz)
-    ux = wx / n
-    uy = wy / n
-    uz = wz / n
+    if n == math.inf:
+        _refuse("norm of the screw direction", n)
+    ux, uy, uz = wx / n, wy / n, wz / n
     t = mx * ux + my * uy + mz * uz
     cx = uy * mz - uz * my
     cy = uz * mx - ux * mz
@@ -94,12 +101,15 @@ def _axis(
     return n, ux, uy, uz, t, 0.0 + px, 0.0 + py, 0.0 + pz
 
 
-def _negligible(v: Vec3) -> bool:
-    """The one degeneracy rule: a resultant (or moment) is negligible only when
-    its squared norm is 0.0 in floating point.  That is an exact zero, or a
-    vector so small that dividing by its squared norm would divide by zero.
-    No tolerance enters, so the rule does not depend on the units."""
-    return v.dot(v) == 0.0
+def _negligible(x: float, y: float, z: float) -> bool:
+    """The one degeneracy rule: a resultant (or moment) (x, y, z) is negligible
+    only when its squared norm x x + y y + z z is 0.0 in floating point.
+    That is an exact zero, or a vector so small that dividing by its squared
+    norm would divide by zero.  No tolerance enters, so the rule does not
+    depend on the units.  ``Screw.is_free`` and ``is_zero``,
+    ``rigid.exp_screw`` and ``chasles`` and
+    ``reduction.decompose_two_applied`` classify by it and by nothing else."""
+    return x * x + y * y + z * z == 0.0
 
 
 class LineAxis(_Value):
@@ -255,12 +265,14 @@ class Screw(_Value):
         return self.resultant.norm()
 
     def is_zero(self) -> bool:
-        return self.is_free() and _negligible(self.moment_at_origin)
+        m = self.moment_at_origin
+        return self.is_free() and _negligible(m.x, m.y, m.z)
 
     def is_free(self) -> bool:
         """True when the resultant is negligible, i.e. the field is constant
         (a couple, for wrenches; a pure translation, for twists)."""
-        return _negligible(self.resultant)
+        w = self.resultant
+        return _negligible(w.x, w.y, w.z)
 
     # -- axis and pitch ------------------------------------------------------
 

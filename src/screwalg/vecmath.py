@@ -30,9 +30,12 @@ screw sum ``screw._screw_sum`` serves ``wrench_of``, ``compose_chain`` and
 ``rigid.exp_screw`` and ``rigid.chasles``, the two-vector reduction
 ``reduction.decompose_two_applied`` and the reciprocal subspace
 ``dynamics.reciprocal_subspace`` work on floats and build only the values
-they return; they share the axis core ``screw._axis`` (n, u, m . u and the
-axis point of a line screw, which ``Screw``'s vector invariant, axis and
-pitch and the one report ``reduction._report`` read too), ``RigidMap``'s
+they return; they share the degeneracy rule ``screw._negligible`` (a
+squared norm of 0.0, which ``Screw.is_free`` and ``is_zero`` apply too),
+the axis core ``screw._axis`` (n, u, m . u and the axis point of a line
+screw, which ``Screw``'s vector invariant, axis and pitch and the one
+report ``reduction._report`` read too, and which refuses an n beyond the
+float range, as ``Vec3.normalized`` does), ``RigidMap``'s
 rotation check on nine floats (``_is_orthonormal`` and ``_det`` here), the
 pairing rows ``lie._dual_coords`` and the basis screw
 ``lie._screw_from_coords``.  The value forms they replace are their bit
@@ -274,6 +277,8 @@ class Vec3(_Value):
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
+        if n == math.inf:
+            _refuse("norm of the vector", n)
         return self / n
 
     def is_zero(self) -> bool:

@@ -156,12 +156,14 @@ def _bits(value) -> tuple[str, ...]:
 
 def composed_axis(s: Screw):
     """``Screw.axis`` as the ``Vec3`` expression it fuses, the bit oracle of
-    the axis core ``screw._axis`` and of the kernels that read it."""
+    the axis core ``screw._axis`` and of the kernels that read it.  Like
+    each oracle below, it takes u as ``normalized()``, which refuses a
+    resultant whose norm is beyond the float range, as the core does."""
     if s.is_free():
         return DegenerateAxis()
     w = s.resultant
     n = w.norm()
-    u = w / n
+    u = w.normalized()
     return LineAxis(ORIGIN + u.cross(s.moment_at_origin) / n, u)
 
 
@@ -181,7 +183,7 @@ def composed_pitch(s: Screw):
         return ZeroScrewPitch() if s.is_zero() else InfinitePitch()
     w = s.resultant
     n = w.norm()
-    return FinitePitch(2.0 * math.pi * s.moment_at_origin.dot(w / n) / n)
+    return FinitePitch(2.0 * math.pi * s.moment_at_origin.dot(w.normalized()) / n)
 
 
 def values_built(f, *args, classes=(Vec3, Point, Mat3)) -> int:

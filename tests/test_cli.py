@@ -787,10 +787,22 @@ def test_simulate_whose_angle_overflows_is_a_domain_error(tmp_path):
     ],
 )
 def test_non_finite_result_is_a_domain_error(tmp_path, command, doc, mode):
-    # components are finite, but the true "amplitude", 2.1e308, overflows
+    # components are finite, but the true "amplitude", 2.1e308, overflows, so
+    # the axis has no unit direction
     code, out, err = run_cli(command, scene_file(tmp_path, doc), *mode)
     assert (code, out) == (3, "")
-    assert err == "domain error (NonFiniteError): non-finite result at $.amplitude\n"
+    assert err == "domain error (NonFiniteError): norm of the screw direction is not finite\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_couple_whose_moment_norm_overflows_is_a_domain_error(tmp_path, mode):
+    # a couple of moment (-1.5e308, -1.5e308, 0): its two-vector split has no
+    # unit direction to work along
+    doc = {"version": 1, "forces": [{"point": [1.0, -1.0, 0.0], "vector": [0.0, 0.0, 1.5e308]},
+                                    {"point": [0.0, 0.0, 0.0], "vector": [0.0, 0.0, -1.5e308]}]}
+    code, out, err = run_cli("reduce", scene_file(tmp_path, doc), *mode)
+    assert (code, out) == (3, "")
+    assert err == "domain error (NonFiniteError): norm of the screw direction is not finite\n"
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]])

@@ -158,10 +158,21 @@ _HUGE_ROD = {
 }
 
 
+# A couple whose moment's norm, 2.1e308, is beyond the float range.
+_HUGE_COUPLE = {
+    "version": 1,
+    "forces": [
+        {"point": [1.0, -1.0, 0.0], "vector": [0.0, 0.0, 1.5e308]},
+        {"point": [0.0, 0.0, 0.0], "vector": [0.0, 0.0, -1.5e308]},
+    ],
+}
+
+
 @pytest.mark.filterwarnings("error")
 @given(request=requests(), json_mode=st.booleans())
 @example(request=("simulate", _SUBNORMAL_ROD, []), json_mode=False)
 @example(request=("simulate", _HUGE_ROD, []), json_mode=True)
+@example(request=("reduce", _HUGE_COUPLE, []), json_mode=False)
 def test_cli_contract_holds_for_random_scenes(tmp_path_factory, request, json_mode):
     sub, scene, argv = request
     path = tmp_path_factory.getbasetemp() / "fuzz_scene.json"

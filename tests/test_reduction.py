@@ -24,6 +24,7 @@ from conftest import (
     line_screws,
     nonzero_vec3s,
     points,
+    refusal,
     scaled_points,
     scaled_vec3s,
     sum_outcome,
@@ -126,6 +127,25 @@ def test_arm_length_must_be_positive():
         decompose_two_applied(s, arm_length=-1.0)
 
 
+# |w| = 2.1e308 is beyond the float range, so w / |w| would read (0, 0, 0):
+# the line split put two equal legs at one point, whose sum has moment 0,
+# and the couple had no direction to split across.
+_OVERFLOWING_NORMS = [
+    Screw(Vec3(1.5e308, 1.5e308, 0.0), Vec3(0.0, 0.0, 1.0)),
+    Screw.from_free_vector(Vec3(-1.5e308, -1.5e308, 0.0)),
+]
+
+
+@pytest.mark.parametrize("s", _OVERFLOWING_NORMS, ids=["line", "couple"])
+def test_a_direction_whose_norm_overflows_is_refused(s):
+    assert refusal(decompose_two_applied, s) == "norm of the screw direction is not finite"
+
+
+def test_a_report_whose_amplitude_overflows_is_refused():
+    fs = ForceSystem(((ORIGIN, Vec3(1.5e308, 1.5e308, 0.0)),))
+    assert refusal(central_axis_report, fs) == "norm of the screw direction is not finite"
+
+
 def test_pair_accessors():
     pair = AppliedVectorPair(
         Point(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Point(0.0, 2.0, 0.0), Vec3(3.0, 0.0, 0.0)
@@ -205,6 +225,8 @@ def test_decomposition_of_a_unit_wrench_example():
 
 
 # The composed form that decompose_two_applied fuses, kept as its bit oracle.
+# Its unit directions come from ``normalized()`` and ``composed_axis``, which
+# refuse a norm beyond the float range, as the kernel's ``screw._axis`` does.
 
 
 def _composed_reference_perpendicular(u: Vec3) -> Vec3:
@@ -271,13 +293,15 @@ _arms = st.one_of(
 @given(_reduced_screws, _arms)
 # The couple's force overflows, its arm is infinite, its moment's norm
 # overflows (no unit direction); the general arm overflows, and then the
-# first point does; a zero-pitch split with signed zeros.
+# first point does; a zero-pitch split with signed zeros; the resultant's
+# norm overflows.
 @example(Screw.from_free_vector(Vec3(1e300, 0.0, 0.0)), 1e-10)
 @example(Screw.from_free_vector(Vec3(0.0, 2.0, -1.0)), math.inf)
 @example(Screw.from_free_vector(Vec3(1.7e308, 1.7e308, 1.7e308)), 1.0)
 @example(Screw(Vec3(1e-160, 0.0, 0.0), Vec3(1e150, 0.0, 0.0)), 1.0)
 @example(Screw(Vec3(1.0, 0.0, 0.0), Vec3(4e307, 1.7e308, 0.0)), 1.0)
 @example(Screw(Vec3(-0.0, 2.0, -0.0), Vec3(-0.0, 0.0, -0.0)), 1.0)
+@example(_OVERFLOWING_NORMS[0], 1.0)
 def test_decompose_two_applied_is_the_composed_pair_bit_for_bit(s, arm):
     assert sum_outcome(decompose_two_applied, s, arm) == sum_outcome(_composed_decompose, s, arm)
 
@@ -318,7 +342,7 @@ _O = Point(0.0, 0.0, 0.0)
 # invariant and then the axis point, which the composed form refuses second;
 # a couple of 1e200 with a resultant of 1e-150 overflows the axis point
 # alone, or, parallel to it, the pitch alone; a couple; the zero wrench;
-# signed zeros.
+# signed zeros; a resultant whose norm overflows.
 @example((
     (Point(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.7e308)), (_O, Vec3(0.0, 0.0, -1.7e308)),
     (Point(-1.0, 0.0, 0.0), Vec3(0.0, 0.0, 1.7e308)), (_O, Vec3(0.0, 0.0, -1.7e308)),
@@ -330,6 +354,7 @@ _O = Point(0.0, 0.0, 0.0)
 @example(((_O, Vec3(1.0, 0.0, 0.0)), (Point(0.0, 1.0, 0.0), Vec3(-1.0, 0.0, 0.0))))
 @example(())
 @example(((Point(-0.0, 0.0, -0.0), Vec3(-0.0, 2.0, -0.0)),))
+@example(((ORIGIN, Vec3(1.5e308, 1.5e308, 0.0)),))
 def test_central_axis_report_is_the_composed_report_bit_for_bit(forces):
     fs = ForceSystem(forces)
     assert sum_outcome(central_axis_report, fs) == sum_outcome(_composed_report, fs)

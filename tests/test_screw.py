@@ -28,6 +28,7 @@ from conftest import (
     edge_vec3s,
     line_screws,
     points,
+    refusal,
     scaled_vec3s,
     screws,
     small_params,
@@ -301,6 +302,17 @@ def test_pitch_beyond_the_float_range_is_refused():
             FinitePitch(bad)
 
 
+# |w| = 2.1e308 is beyond the float range, so w / |w| would read (0, 0, 0).
+_OVERFLOWING_NORM = Screw(Vec3(1.5e308, 1.5e308, 0.0), Vec3(0.0, 0.0, 1.0))
+
+
+def test_a_resultant_whose_norm_overflows_is_refused():
+    s = _OVERFLOWING_NORM
+    for invariant in (s.axis, s.pitch, s.vector_invariant):
+        assert refusal(invariant) == "norm of the screw direction is not finite"
+    assert s.is_free() is False and s.is_zero() is False
+
+
 def _direct_forms(s: Screw) -> tuple[Vec3, Point, float]:
     """Oracle for the unit-direction forms: the vector invariant, axis point
     and pitch written directly over w . w, as w (s . w) / w . w,
@@ -401,21 +413,24 @@ def test_from_motor_is_the_composed_screw_bit_for_bit(p, w, v):
 @bit_examples
 @given(st.one_of(edge_screws, st.builds(Screw, scaled_vec3s, scaled_vec3s)))
 # u x m overflows, with |w| = 2, and u x m / |w| overflows, |w|^2 = 1e-320 being subnormal; the cross product's
-# zeros carry signs that O + p turns positive.
+# zeros carry signs that O + p turns positive; |w| overflows.
 @example(Screw(Vec3(0.0, 1.2, 1.6), Vec3(1.0, -1.7e308, 1.7e308)))
 @example(Screw(Vec3(1e-160, 0.0, 0.0), Vec3(0.0, 1e150, 0.0)))
 @example(Screw(Vec3(-1.0, -0.0, 0.0), Vec3(-0.0, -0.0, 0.0)))
+@example(_OVERFLOWING_NORM)
 def test_axis_is_the_composed_axis_bit_for_bit(s):
     assert sum_outcome(s.axis) == sum_outcome(composed_axis, s)
 
 
 @bit_examples
 @given(st.one_of(edge_screws, st.builds(Screw, scaled_vec3s, scaled_vec3s)))
-# w . w overflows, and is subnormal; m . u overflows; signed zeros.
+# w . w overflows, and is subnormal; m . u overflows; signed zeros; |w|
+# overflows.
 @example(Screw(Vec3(0.0, 0.0, 1e160), Vec3(0.0, 0.0, 1.0)))
 @example(Screw(Vec3(0.0, 0.0, 1e-160), Vec3(3.0, 0.0, 1.0)))
 @example(Screw(Vec3(1.0, 1.0, 0.0), Vec3(1.7e308, 1.7e308, 0.0)))
 @example(Screw(Vec3(-1.0, -0.0, 0.0), Vec3(-0.0, -0.0, 0.0)))
+@example(_OVERFLOWING_NORM)
 def test_vector_invariant_is_the_composed_vector_invariant_bit_for_bit(s):
     assert sum_outcome(s.vector_invariant) == sum_outcome(composed_vector_invariant, s)
 
@@ -423,11 +438,12 @@ def test_vector_invariant_is_the_composed_vector_invariant_bit_for_bit(s):
 @bit_examples
 @given(st.one_of(edge_screws, st.builds(Screw, scaled_vec3s, scaled_vec3s)))
 # s . w overflows, and w . w is subnormal, with a finite pitch; the pitch
-# overflows; signed zeros.
+# overflows; signed zeros; |w| overflows.
 @example(Screw(Vec3(0.0, 0.0, 1e160), Vec3(0.0, 0.0, 1e160)))
 @example(Screw(Vec3(0.0, 0.0, 1e-160), Vec3(3.0, 0.0, 1.0)))
 @example(Screw(Vec3(0.0, 0.0, 1e-160), Vec3(0.0, 0.0, 1e160)))
 @example(Screw(Vec3(-1.0, -0.0, 0.0), Vec3(-0.0, -0.0, 0.0)))
+@example(_OVERFLOWING_NORM)
 def test_pitch_is_the_composed_pitch_bit_for_bit(s):
     assert sum_outcome(s.pitch) == sum_outcome(composed_pitch, s)
 

@@ -50,6 +50,12 @@ def test_norm_examples():
         Vec3.zero().normalized()
 
 
+def test_a_norm_beyond_the_float_range_is_refused():
+    # |v| = 2.1e308: v / |v| would read (0, 0, 0).
+    assert refusal(Vec3(1.5e308, 1.5e308, 0.0).normalized) == "norm of the vector is not finite"
+    assert Vec3(1.1e308, 1.1e308, 0.0).normalized().isclose(Vec3(0.5**0.5, 0.5**0.5, 0.0))
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-155, 1e-162, 1e-200])
 def test_norm_survives_squares_that_overflow_or_underflow(scale):
     # sqrt(x.x) would give inf, or lose digits in the subnormals, or 0.0
