@@ -34,7 +34,7 @@ from .lie import (
     klein_product,
 )
 from .screw import Screw, _screw_sum, _ScrewRole
-from .vecmath import _MIN_NORMAL, Mat3, Point, Vec3, _Value
+from .vecmath import _MIN_NORMAL, Mat3, Point, Vec3, _scaled, _Value
 
 __all__ = [
     "Wrench",
@@ -229,26 +229,20 @@ def reciprocal_subspace(wrenches: list[Screw], frame: Frame) -> list[Screw]:
     if not wrenches:
         return list(basis_screws(frame))
     f = _frame_floats(frame)
-    rows = [_dual_coords(w, f) for w in wrenches]
-    moment = resultant = 0.0
-    for m1, m2, m3, r1, r2, r3 in rows:
-        moment = max(moment, abs(m1), abs(m2), abs(m3))
-        resultant = max(resultant, abs(r1), abs(r2), abs(r3))
-    em, er = math.frexp(moment)[1], math.frexp(resultant)[1]
-    # A zero block takes the other block's scale.
-    if not moment:
+    n = len(wrenches)
+    m1, m2, m3, r1, r2, r3 = zip(*[_dual_coords(w, f) for w in wrenches])
+    em, m = _scaled(m1 + m2 + m3)
+    er, r = _scaled(r1 + r2 + r3)
+    # A zero block, which scaling leaves as it is, takes the other block's scale.
+    if not any(m):
         em = er
-    elif not resultant:
+    elif not any(r):
         er = em
-    ldexp = math.ldexp
-    balanced = [
-        (ldexp(m1, -em), ldexp(m2, -em), ldexp(m3, -em),
-         ldexp(r1, -er), ldexp(r2, -er), ldexp(r3, -er))
-        for m1, m2, m3, r1, r2, r3 in rows
-    ]
+    balanced = list(zip(m[:n], m[n:2 * n], m[2 * n:], r[:n], r[n:2 * n], r[2 * n:]))
     # The null vector y of the balanced matrix gives diag(2^k, 1) y, k = er - em,
     # scaled here so that neither part grows.
     k = er - em
+    ldexp = math.ldexp
     out = []
     for a1, a2, a3, b1, b2, b3 in _null_space(balanced):
         if k > 0:
@@ -347,8 +341,7 @@ def _householder(cols: list[tuple[float, ...]]) -> list[list[float]]:
             # Scaled up by an exact power of two, a column near the subnormal
             # range gives a reflector that keeps its digits, so Q stays
             # orthogonal; the reflector does not depend on the scale.
-            e = math.frexp(norm)[1]
-            alpha, tail = math.ldexp(alpha, -e), [math.ldexp(x, -e) for x in tail]
+            e, (alpha, *tail) = _scaled((alpha, *tail))
             norm = hypot(alpha, hypot(*tail))
             beta = -math.copysign(norm, alpha)
             diagonal = math.ldexp(beta, e)

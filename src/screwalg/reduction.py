@@ -18,11 +18,13 @@ builds only the points and vectors it returns, with the float operations of
 the composed ``Vec3`` expression in their order, so each result is that
 expression's to the bit, and a chain of values is tested once at its end,
 by the ``Point`` or ``Vec3`` it ends in.  Its branches are chosen by the
-degeneracy rule ``screw._negligible``, and read their unit direction, the
+zero rule ``vecmath._is_zero``, and read their unit direction, the
 resultant's or a couple's moment's, from the axis core ``screw._axis``,
 which refuses a norm beyond the float range; they share the float form of
-``_reference_perpendicular``.  ``tests/test_reduction.py`` keeps the
-composed form as its bit oracle.
+``_reference_perpendicular``, whose unit vector comes from
+``vecmath._unit``.  The arm -2 sigma / |w| is ``vecmath._ratio``, as the
+pitch is, so it is refused only when it is beyond the float range itself.
+``tests/test_reduction.py`` keeps the composed form as its bit oracle.
 
 ``central_axis_report`` bundles the invariants a statics calculation usually
 wants in one pass.  It is the report ``_report`` of the system's wrench, the
@@ -38,8 +40,8 @@ import math
 
 from .dynamics import ForceSystem, wrench_of
 from .errors import ZeroScrewError
-from .screw import FinitePitch, LineAxis, Pitch, Screw, ScrewAxis, _axis, _negligible
-from .vecmath import Point, Vec3, _norm, _Value
+from .screw import FinitePitch, LineAxis, Pitch, Screw, ScrewAxis, _axis
+from .vecmath import Point, Vec3, _is_zero, _norm, _ratio, _scaled, _unit, _Value
 
 __all__ = ["AppliedVectorPair", "CentralAxisReport", "decompose_two_applied", "central_axis_report"]
 
@@ -104,8 +106,7 @@ def _reference_perpendicular(ux: float, uy: float, uz: float) -> tuple[float, fl
         cx, cy, cz = uy * 0.0 - uz * 1.0, uz * 0.0 - ux * 0.0, ux * 1.0 - uy * 0.0
     else:
         cx, cy, cz = uy * 1.0 - uz * 0.0, uz * 0.0 - ux * 1.0, ux * 0.0 - uy * 0.0
-    n = _norm(cx, cy, cz)
-    return cx / n, cy / n, cz / n
+    return _unit(cx, cy, cz)[1:]
 
 
 def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPair:
@@ -119,14 +120,15 @@ def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPai
     The screw splits as zero-pitch (no couple part) when its axis field
     strength sigma = s(O) . u, u the axis direction, is a rounding-sized
     fraction of |s(O)|, the moment sigma is read from; so the split does
-    not depend on the units.
+    not depend on the units.  Where |s(O)| is beyond the float range, both
+    are compared scaled by ``vecmath._scaled``'s power of two.
     """
     w = s.resultant
     m = s.moment_at_origin
     wx, wy, wz = w.x, w.y, w.z
     mx, my, mz = m.x, m.y, m.z
-    free = _negligible(wx, wy, wz)
-    if free and _negligible(mx, my, mz):
+    free = _is_zero(wx, wy, wz)
+    if free and _is_zero(mx, my, mz):
         raise ZeroScrewError("the zero screw has no two-vector decomposition")
     if not arm_length > 0.0:
         raise ValueError("arm_length must be positive")
@@ -150,7 +152,12 @@ def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPai
 
     amp, ux, uy, uz, sigma, qx, qy, qz = _axis(wx, wy, wz, mx, my, mz)
 
-    if abs(sigma) <= _SCALAR_RTOL * _norm(mx, my, mz):
+    mn, split = _norm(mx, my, mz), sigma
+    if mn == math.inf:
+        # |m| is beyond the float range: compare sigma with it scaled.
+        e, scaled = _scaled((mx, my, mz))
+        mn, split = _norm(*scaled), math.ldexp(sigma, -e)
+    if abs(split) <= _SCALAR_RTOL * mn:
         # No couple part: half the resultant at two distinct axis points.
         half = Vec3(wx * 0.5, wy * 0.5, wz * 0.5)
         return AppliedVectorPair(Point(qx, qy, qz), half, Point(qx + ux, qy + uy, qz + uz), half)
@@ -161,7 +168,7 @@ def decompose_two_applied(s: Screw, arm_length: float = 1.0) -> AppliedVectorPai
     vx = (uy * ez - uz * ey) * gamma
     vy = (uz * ex - ux * ez) * gamma
     vz = (ux * ey - uy * ex) * gamma
-    alpha = -2.0 * sigma / amp
+    alpha = _ratio(-2.0, sigma, amp)
     ax, ay, az = ex * alpha, ey * alpha, ez * alpha
     leg1 = Vec3(wx * 0.5 + vx, wy * 0.5 + vy, wz * 0.5 + vz)
     leg2 = Vec3(wx * 0.5 - vx, wy * 0.5 - vy, wz * 0.5 - vz)
@@ -191,7 +198,7 @@ def _report(s: Screw) -> CentralAxisReport:
         s.scalar_invariant(),
         Vec3(ux * t, uy * t, uz * t),
         LineAxis(Point(px, py, pz), Vec3(ux, uy, uz)),
-        FinitePitch(2.0 * math.pi * t / amp),
+        FinitePitch(_ratio(math.tau, t, amp)),
     )
 
 

@@ -18,10 +18,10 @@ their order, so every result is that expression's to the bit.  As in the
 sim kernel (``sim._stream``), a chain of values joined by +, - and * is
 tested once at its end: ``exp_screw``'s translation by its ``Vec3``, and
 ``chasles``'s moment with one refusal (``vecmath._refuse``).  They share
-``_rodrigues``, ``RigidMap``'s check, the degeneracy rule
-``screw._negligible``, which decides when the screw is free, and the axis
-core ``screw._axis``; ``tests/test_rigid.py`` keeps the composed forms as
-their bit oracles.
+``_rodrigues``, ``RigidMap``'s check, the zero rule ``vecmath._is_zero``,
+which decides when the screw is free, the unit vector ``vecmath._unit`` and
+the axis core ``screw._axis``; ``tests/test_rigid.py`` keeps the composed
+forms as their bit oracles.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidRotationError, NonFiniteError, ZeroScrewError
-from .screw import DegenerateAxis, LineAxis, Screw, ScrewAxis, _axis, _negligible
-from .vecmath import ORIGIN, Mat3, Point, Vec3, _det, _is_orthonormal, _norm, _refuse, _Value
+from .screw import DegenerateAxis, LineAxis, Screw, ScrewAxis, _axis
+from .vecmath import ORIGIN, Mat3, Point, Vec3, _det, _is_orthonormal, _is_zero, _refuse, _unit, _Value
 
 __all__ = ["RigidMap", "ChaslesDecomposition", "rodrigues", "exp_screw", "chasles"]
 
@@ -171,21 +171,18 @@ def exp_screw(s: Screw, t: float = 1.0) -> RigidMap:
     translation by t times the constant field value.  Obeys the group law
     exp(s, t1 + t2) = exp(s, t2) o exp(s, t1).
 
-    It forms |w| and w / |w| itself, not through ``screw._axis``, whose
-    axis point and field strength it does not read (they cost about a
-    tenth of a call): a |w| beyond the float range makes the angle |w| t
-    infinite or NaN, which ``_rodrigues`` refuses.
+    It takes |w| and w / |w| from ``vecmath._unit``, not from
+    ``screw._axis``, whose axis point and field strength it does not read
+    (they cost about a tenth of a call): a |w| beyond the float range makes
+    the angle |w| t infinite or NaN, which ``_rodrigues`` refuses.
     """
     w = s.resultant
     m = s.moment_at_origin
     wx, wy, wz = w.x, w.y, w.z
     mx, my, mz = m.x, m.y, m.z
-    if _negligible(wx, wy, wz):
+    if _is_zero(wx, wy, wz):
         return RigidMap(Mat3.identity(), Vec3(mx * t, my * t, mz * t))
-    omega = _norm(wx, wy, wz)
-    ux = wx / omega
-    uy = wy / omega
-    uz = wz / omega
+    omega, ux, uy, uz = _unit(wx, wy, wz)
     theta = omega * t
     rot = _rodrigues(ux, uy, uz, theta)
     # translation = integral of the rotating field at the origin:
@@ -225,8 +222,7 @@ def _axis_from_symmetric_part(
         cx, cy, cz = (xy + yx) * 0.5 - off, dyy, (zy + yz) * 0.5 - off
     else:
         cx, cy, cz = (xz + zx) * 0.5 - off, (yz + zy) * 0.5 - off, dzz
-    n = _norm(cx, cy, cz)
-    ux, uy, uz = cx / n, cy / n, cz / n
+    _, ux, uy, uz = _unit(cx, cy, cz)
     # Orient consistently with the (possibly tiny) antisymmetric part.
     if wn > 1e-12 and wx * ux + wy * uy + wz * uz < 0.0:
         return -ux, -uy, -uz
@@ -237,25 +233,24 @@ def chasles(g: RigidMap) -> ChaslesDecomposition:
     """Decompose a rigid map into rotation about a line plus slide along it.
 
     The angle, in [0, pi], is atan2(|axial part|, tr R - 1), accurate at every
-    angle.  A map whose screw is free (no rotation, or one whose squared angle
-    underflows) comes back as a pure translation, as ``Screw.axis`` would
-    classify it; at a half turn the axis direction is recovered from the
-    symmetric part of the rotation (its sign is not determined there, and
-    either choice reproduces the map).
+    angle.  A map with no rotation (an angle of 0.0) comes back as a pure
+    translation; any other has a line axis, as ``Screw.axis`` classifies
+    its screw: u theta has a component of at least theta / sqrt(3) >=
+    0.577 * 2**-1074, which is not 0.0.  At a half turn the axis direction
+    is recovered from the symmetric part of the rotation (its sign is not
+    determined there, and either choice reproduces the map).
     """
     r = g.rotation
     tv = g.translation
     tx, ty, tz = tv.x, tv.y, tv.z
     wx, wy, wz = r.zy - r.yz, r.xz - r.zx, r.yx - r.xy  # 2 sin(theta) u
     trace_less_one = (r.xx + r.yy + r.zz) - 1.0  # 2 cos(theta)
-    wn = _norm(wx, wy, wz)
+    wn, ux, uy, uz = _unit(wx, wy, wz)
     theta = math.atan2(wn, trace_less_one)
     if not theta > 0.0:
         return ChaslesDecomposition(DegenerateAxis(), 0.0, 0.0, pure_translation=tv)
     if math.pi - theta < _NEAR_PI:
         ux, uy, uz = _axis_from_symmetric_part(r.flat(), wx, wy, wz, wn, 0.5 * trace_less_one)
-    else:
-        ux, uy, uz = wx / wn, wy / wn, wz / wn
     # Invert the translation integral V(1): on the axis direction V is the
     # identity, in the perpendicular plane it is a scaled rotation, giving
     #   V^-1 = I - (t/2) K + (1 - (t/2) cot(t/2)) K^2,
@@ -271,11 +266,8 @@ def chasles(g: RigidMap) -> ChaslesDecomposition:
     mx = (tx - ax * half) + bx * c
     my = (ty - ay * half) + by * c
     mz = (tz - az * half) + bz * c
-    # Tested here, as the free screw below does not read the moment.
+    # Tested here, so that a refusal names the moment, not the axis point.
     if not math.isfinite(mx + my + mz):
         _refuse("moment of the screw motion", mx, my, mz)
-    rx, ry, rz = ux * theta, uy * theta, uz * theta
-    if _negligible(rx, ry, rz):
-        return ChaslesDecomposition(DegenerateAxis(), 0.0, 0.0, pure_translation=tv)
-    _, vx, vy, vz, slide, px, py, pz = _axis(rx, ry, rz, mx, my, mz)
+    _, vx, vy, vz, slide, px, py, pz = _axis(ux * theta, uy * theta, uz * theta, mx, my, mz)
     return ChaslesDecomposition(LineAxis(Point(px, py, pz), Vec3(vx, vy, vz)), theta, slide)

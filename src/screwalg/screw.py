@@ -24,17 +24,18 @@ Conventions that matter:
   field's value on the axis.
 * The *axis* is the locus of minimum field magnitude: a line when the
   resultant is nonzero, everywhere (degenerate) when it vanishes.
-* Classification is exact: a screw is free (zero resultant) only when the
-  resultant's squared norm is 0.0 in floating point, and zero when its
-  moment's is too.  With no tolerance, a change of units cannot change
-  the class unless it underflows a square to 0.0.  One function,
-  ``_negligible``, applies the rule for every caller.
+* Classification is exact: a screw is free (zero resultant) only when
+  every component of its resultant is 0.0, and zero when its moment's are
+  too.  With no tolerance and no square, a change of units by a power of
+  two cannot change the class unless it moves a component out of the float
+  range.  One function, ``vecmath._is_zero``, applies the rule for every
+  caller, and ``Vec3.is_zero`` is the same rule.
 * The vector invariant, the axis and the pitch of a line screw read one
   core, ``_axis``: the unit direction u = w / |w|, the amplitude |w| of the
   resultant w and the axis field strength s(O) . u, never w . w, which can
-  overflow or lose its digits to underflow where the answer does neither
-  (``Vec3.norm`` cannot).  It is the one place a screw's direction is
-  divided by its norm, and it refuses a norm beyond the float range.
+  overflow or lose its digits to underflow where the answer does neither.
+  It takes n and u from ``vecmath._unit``, a unit vector at every scale,
+  and refuses a norm beyond the float range.
 * The *pitch* uses the full-turn normalization: a screw of pitch p advances
   by p along its axis per complete revolution, so the vector invariant is
   (p / 2 pi) times the resultant.  Beware: much of the robotics literature
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 
 from .errors import MissingVelocitiesError, NonFiniteError
-from .vecmath import ORIGIN, Point, Vec3, _norm, _refuse, _Value
+from .vecmath import ORIGIN, Point, Vec3, _is_zero, _ratio, _refuse, _unit, _Value
 
 __all__ = [
     "Screw",
@@ -73,23 +74,22 @@ def _axis(
     wx: float, wy: float, wz: float, mx: float, my: float, mz: float
 ) -> tuple[float, ...]:
     """(n, u, t, P) of the line screw with resultant w and moment m at the
-    origin, as eight floats: n = |w|, u = w / n, the axis field strength
-    t = m . u and the axis point P = O + u x m / n.  The one definition of a
-    line screw's invariants, and the one division of a screw's direction by
-    its norm: the vector invariant u t, the axis (P, u) and the pitch
-    2 pi t / n of ``Screw`` and of the ``reduction`` report, and
-    ``rigid.chasles``'s slide and ``reduction.decompose_two_applied``'s split
-    read it (a couple's split with its moment as w), with the float
-    operations of the ``Vec3`` expressions in their order.  An n beyond the
-    float range is refused: w / n would read (0, 0, 0).  Each caller builds
-    P as a ``Point``, whose check is the one test of u x m / n (w / n needs
-    none, as |w_i| <= n).  ``rigid.exp_screw`` and the sim step kernel
-    divide a spin by its own norm, as each passes norm times time to
-    ``rigid._rodrigues``, which refuses an angle beyond the float range."""
-    n = _norm(wx, wy, wz)
+    origin, as eight floats: n = |w| and u = w / n from ``vecmath._unit``,
+    the axis field strength t = m . u and the axis point P = O + u x m / n.
+    The one definition of a line screw's invariants: the vector invariant
+    u t, the axis (P, u) and the pitch 2 pi t / n (``vecmath._ratio``) of
+    ``Screw`` and of the ``reduction`` report, and ``rigid.chasles``'s slide
+    and ``reduction.decompose_two_applied``'s split read it (a couple's split
+    with its moment as w), with the float operations of the ``Vec3``
+    expressions in their order.  An n beyond the float range is refused,
+    though u is a unit vector there: P and the pitch would be divided by
+    inf.  Each caller builds P as a ``Point``, whose check is the one test
+    of u x m / n (u needs none).  ``rigid.exp_screw`` takes n and u from
+    ``_unit`` too, as it passes n times time to ``rigid._rodrigues``, which
+    refuses an angle beyond the float range."""
+    n, ux, uy, uz = _unit(wx, wy, wz)
     if n == math.inf:
         _refuse("norm of the screw direction", n)
-    ux, uy, uz = wx / n, wy / n, wz / n
     t = mx * ux + my * uy + mz * uz
     cx = uy * mz - uz * my
     cy = uz * mx - ux * mz
@@ -99,17 +99,6 @@ def _axis(
     pz = cz / n
     # O + p is 0.0 + p.x, which turns a -0.0 into 0.0.
     return n, ux, uy, uz, t, 0.0 + px, 0.0 + py, 0.0 + pz
-
-
-def _negligible(x: float, y: float, z: float) -> bool:
-    """The one degeneracy rule: a resultant (or moment) (x, y, z) is negligible
-    only when its squared norm x x + y y + z z is 0.0 in floating point.
-    That is an exact zero, or a vector so small that dividing by its squared
-    norm would divide by zero.  No tolerance enters, so the rule does not
-    depend on the units.  ``Screw.is_free`` and ``is_zero``,
-    ``rigid.exp_screw`` and ``chasles`` and
-    ``reduction.decompose_two_applied`` classify by it and by nothing else."""
-    return x * x + y * y + z * z == 0.0
 
 
 class LineAxis(_Value):
@@ -266,13 +255,13 @@ class Screw(_Value):
 
     def is_zero(self) -> bool:
         m = self.moment_at_origin
-        return self.is_free() and _negligible(m.x, m.y, m.z)
+        return self.is_free() and _is_zero(m.x, m.y, m.z)
 
     def is_free(self) -> bool:
-        """True when the resultant is negligible, i.e. the field is constant
-        (a couple, for wrenches; a pure translation, for twists)."""
+        """True when the resultant is zero, i.e. the field is constant (a
+        couple, for wrenches; a pure translation, for twists)."""
         w = self.resultant
-        return _negligible(w.x, w.y, w.z)
+        return _is_zero(w.x, w.y, w.z)
 
     # -- axis and pitch ------------------------------------------------------
 
@@ -302,7 +291,7 @@ class Screw(_Value):
                 return ZeroScrewPitch()
             return InfinitePitch()
         n, _, _, _, t, _, _, _ = self._line()
-        return FinitePitch(2.0 * math.pi * t / n)
+        return FinitePitch(_ratio(math.tau, t, n))
 
     def _line(self) -> tuple[float, ...]:
         """``_axis`` of this screw's six floats: (n, u, t, P)."""

@@ -60,7 +60,7 @@ from .errors import InvalidRotationError, NonFiniteError, SingularInertiaError
 from .kinematics import Twist
 from .rigid import _rodrigues
 from .vecmath import (
-    Mat3, Point, Vec3, _det, _matmul, _norm, _orthonormality_defect, _refuse, _Value,
+    Mat3, Point, Vec3, _det, _matmul, _norm, _orthonormality_defect, _refuse, _scaled, _Value,
 )
 
 __all__ = [
@@ -173,8 +173,7 @@ def _inverse_moment(body: InertiaOperator) -> Mat3:
     rotation and inverts to exactly diag(1/d_i).  A refusal's message signs
     the moments by the trace and determinant of J (``_signed_moments``)."""
     moments = body.moment_matrix
-    e = math.frexp(moments.max_abs())[1]
-    m0, _, _, m3, m4, _, m6, m7, m8 = (math.ldexp(x, -e) for x in moments.flat())
+    e, (m0, _, _, m3, m4, _, m6, m7, m8) = _scaled(moments.flat())
     cols, evecs, _ = _jacobi_svd([[m0, m3, m6], [m3, m4, m7], [m6, m7, m8]])
     evals = []
     for col, vec in zip(cols, evecs):
@@ -293,8 +292,7 @@ def _renormalize(r: tuple[float, ...]) -> tuple[float, ...]:
     = 0, is numerically singular and refused with ``InvalidRotationError``.
     Orthogonal columns take no rotation, so (1 + d) I projects to exactly
     I."""
-    e = math.frexp(max(map(abs, r)))[1]
-    a, b, c, d, f, g, h, i, j = [math.ldexp(x, -e) for x in r]
+    _, (a, b, c, d, f, g, h, i, j) = _scaled(r)
     w, v, _ = _jacobi_svd([[a, d, h], [b, f, i], [c, g, j]])
     sigma = [math.hypot(*col) for col in w]
     if min(sigma) < _SINGULAR_RTOL * max(sigma) or max(sigma) == 0.0:

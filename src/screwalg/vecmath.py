@@ -30,16 +30,26 @@ screw sum ``screw._screw_sum`` serves ``wrench_of``, ``compose_chain`` and
 ``rigid.exp_screw`` and ``rigid.chasles``, the two-vector reduction
 ``reduction.decompose_two_applied`` and the reciprocal subspace
 ``dynamics.reciprocal_subspace`` work on floats and build only the values
-they return; they share the degeneracy rule ``screw._negligible`` (a
-squared norm of 0.0, which ``Screw.is_free`` and ``is_zero`` apply too),
+they return; they share the zero rule ``_is_zero`` here (every component
+0.0, which ``Vec3.is_zero``, ``Screw.is_free`` and ``is_zero`` apply too),
 the axis core ``screw._axis`` (n, u, m . u and the axis point of a line
 screw, which ``Screw``'s vector invariant, axis and pitch and the one
 report ``reduction._report`` read too, and which refuses an n beyond the
-float range, as ``Vec3.normalized`` does), ``RigidMap``'s
-rotation check on nine floats (``_is_orthonormal`` and ``_det`` here), the
-pairing rows ``lie._dual_coords`` and the basis screw
-``lie._screw_from_coords``.  The value forms they replace are their bit
-oracles in ``tests/``.
+float range), ``RigidMap``'s rotation check on nine floats
+(``_is_orthonormal`` and ``_det`` here), the pairing rows
+``lie._dual_coords`` and the basis screw ``lie._screw_from_coords``.  The
+value forms they replace are their bit oracles in ``tests/``.
+
+One range rule serves every layer.  ``_scaled`` is the one exact
+power-of-two scaling, which the reciprocal pairing blocks, the tiny
+Householder column, the inertia inverse and the polar projection call;
+``_unit`` is the one division of a vector by its norm (the sim step kernel
+keeps its own), which is the quotient by sqrt(d) where the sum of squares d
+is a normal float and goes through ``_scaled`` elsewhere, so a direction is
+a unit vector at every scale; ``_ratio`` forms k t / n, the pitch and the
+two-vector arm, dividing first where k t would overflow.  Classification
+reads exact zeros only, so a change of units by a power of two changes no
+class unless it leaves the float range.
 
 Every value and record class (``Vec3``, ``Point`` and ``Mat3`` here;
 ``Screw``, its roles, axes and pitches, ``Frame``, ``RigidMap``,
@@ -96,6 +106,27 @@ def _refuse(what: str, *values: float) -> None:
         raise NonFiniteError(f"{what} is not finite")
 
 
+def _is_zero(x: float, y: float, z: float) -> bool:
+    """The one zero rule: (x, y, z) is zero only when every component is
+    0.0, of either sign.  ``Vec3.is_zero`` applies it, and so do
+    ``Screw.is_free`` and ``is_zero`` and the kernels that branch on a free
+    screw.  No tolerance and no square enters, so a change of units by a
+    power of two, which moves no component to or from 0.0 unless it leaves
+    the float range, cannot change a class."""
+    return x == 0.0 and y == 0.0 and z == 0.0
+
+
+def _scaled(values) -> tuple[int, list[float]]:
+    """(e, [v * 2**-e for v in values]) for the power of two that brings the
+    largest |v| into [0.5, 1): the one exact power-of-two scaling (Blue, ACM
+    TOMS 1978; Anderson, "Algorithm 978", ACM TOMS 2017).  A scaled value
+    is exact unless it falls into the subnormals, so a result scaled back
+    rounds as it would in the normal range.  All zeros give e = 0 and come
+    back as they are, signed zeros included."""
+    e = math.frexp(max(map(abs, values)))[1]
+    return e, [math.ldexp(v, -e) for v in values]
+
+
 def _norm(x: float, y: float, z: float) -> float:
     """|(x, y, z)|, the one definition, which ``Vec3.norm`` and the sim step
     kernel share."""
@@ -105,6 +136,39 @@ def _norm(x: float, y: float, z: float) -> float:
     # The sum of squares overflowed, or fell to 0.0 or into the subnormals
     # where it loses digits; hypot scales before squaring.
     return math.hypot(x, y, z)
+
+
+def _unit(x: float, y: float, z: float) -> tuple[float, float, float, float]:
+    """(n, u) = (|(x, y, z)|, (x, y, z) / n) as four floats: the one division
+    of a vector by its norm outside the sim step kernel.  Where the sum of
+    squares d is a normal float, n = sqrt(d) and u = (x / n, y / n, z / n).
+    Elsewhere n is ``_norm``'s hypot, which may be inf, and u is the
+    ``_scaled`` vector divided by its own norm, whose squares lie in
+    [0.25, 3): so u is a unit vector within 2 eps for every nonzero finite
+    vector, the subnormal and the overflowing ones too.  n is ``_norm`` to
+    the bit.  The zero vector has no direction: it gives n = 0.0 and u its
+    own zeros, so ``chasles`` reads |w| and u of an axial vector w that may
+    be zero in one call."""
+    d = x * x + y * y + z * z
+    if _MIN_NORMAL <= d < math.inf:
+        n = math.sqrt(d)
+        return n, x / n, y / n, z / n
+    _, (sx, sy, sz) = _scaled((x, y, z))
+    s = math.sqrt(sx * sx + sy * sy + sz * sz)
+    if s == 0.0:
+        return s, sx, sy, sz
+    return math.hypot(x, y, z), sx / s, sy / s, sz / s
+
+
+def _ratio(k: float, t: float, n: float) -> float:
+    """k t / n for n > 0, the one form of the pitch 2 pi t / n and of the
+    two-vector arm -2 sigma / |w|: (k t) / n as written where k t is
+    finite, and k (t / n) where it overflows, so a ratio within the float
+    range is not refused for a product that is not."""
+    kt = k * t
+    if isfinite(kt):
+        return kt / n
+    return k * (t / n)
 
 
 def _orthonormality_defect(r: tuple[float, ...]) -> float:
@@ -274,15 +338,13 @@ class Vec3(_Value):
         return _norm(self.x, self.y, self.z)
 
     def normalized(self) -> "Vec3":
-        n = self.norm()
-        if n == 0.0:
+        if self.is_zero():
             raise ValueError("cannot normalize the zero vector")
-        if n == math.inf:
-            _refuse("norm of the vector", n)
-        return self / n
+        _, x, y, z = _unit(self.x, self.y, self.z)
+        return Vec3(x, y, z)
 
     def is_zero(self) -> bool:
-        return self.x == 0.0 and self.y == 0.0 and self.z == 0.0
+        return _is_zero(self.x, self.y, self.z)
 
     def isclose(self, other: "Vec3", rel: float = 1e-12, abs_: float = 1e-12) -> bool:
         return all(

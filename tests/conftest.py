@@ -154,16 +154,41 @@ def _bits(value) -> tuple[str, ...]:
     return tuple(float.hex(x) for x in value.components())
 
 
+def composed_unit(v: Vec3) -> tuple[float, Vec3]:
+    """|v| and v / |v| for a nonzero v, the oracle of ``vecmath._unit``,
+    written without it: v / v.norm() where v . v is a normal float, and
+    otherwise v scaled here by the power of two that brings its largest
+    component into [0.5, 1), then divided by its own norm."""
+    n = v.norm()
+    if _MIN_NORMAL <= v.dot(v) < math.inf:
+        return n, v / n
+    e = math.frexp(max(abs(c) for c in v.components()))[1]
+    scaled = Vec3(*(math.ldexp(c, -e) for c in v.components()))
+    return n, scaled / scaled.norm()
+
+
+def composed_direction(w: Vec3) -> tuple[float, Vec3]:
+    """``composed_unit`` of a screw's resultant, refused when |w| is beyond
+    the float range, as the axis core ``screw._axis`` refuses it."""
+    n, u = composed_unit(w)
+    if n == math.inf:
+        raise NonFiniteError("norm of the screw direction is not finite")
+    return n, u
+
+
+def composed_ratio(k: float, t: float, n: float) -> float:
+    """k t / n as the pitch and the two-vector arm form it: divided after
+    the product where k t is finite, and before it where k t overflows."""
+    return k * t / n if math.isfinite(k * t) else k * (t / n)
+
+
 def composed_axis(s: Screw):
     """``Screw.axis`` as the ``Vec3`` expression it fuses, the bit oracle of
     the axis core ``screw._axis`` and of the kernels that read it.  Like
-    each oracle below, it takes u as ``normalized()``, which refuses a
-    resultant whose norm is beyond the float range, as the core does."""
+    each oracle below, it takes n and u from ``composed_direction``."""
     if s.is_free():
         return DegenerateAxis()
-    w = s.resultant
-    n = w.norm()
-    u = w.normalized()
+    n, u = composed_direction(s.resultant)
     return LineAxis(ORIGIN + u.cross(s.moment_at_origin) / n, u)
 
 
@@ -172,7 +197,7 @@ def composed_vector_invariant(s: Screw) -> Vec3:
     replaces, its bit oracle."""
     if s.is_free():
         return s.moment_at_origin
-    u = s.resultant.normalized()
+    _, u = composed_direction(s.resultant)
     return u * s.moment_at_origin.dot(u)
 
 
@@ -181,9 +206,8 @@ def composed_pitch(s: Screw):
     its bit oracle."""
     if s.is_free():
         return ZeroScrewPitch() if s.is_zero() else InfinitePitch()
-    w = s.resultant
-    n = w.norm()
-    return FinitePitch(2.0 * math.pi * s.moment_at_origin.dot(w.normalized()) / n)
+    n, u = composed_direction(s.resultant)
+    return FinitePitch(composed_ratio(2.0 * math.pi, s.moment_at_origin.dot(u), n))
 
 
 def values_built(f, *args, classes=(Vec3, Point, Mat3)) -> int:

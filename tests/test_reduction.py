@@ -4,6 +4,7 @@ float kernel is held to the bit, and in what it refuses, to the composed
 ``Vec3`` form kept here as its oracle."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import assume, example, given
@@ -16,7 +17,10 @@ from conftest import (
     bit_examples,
     cli_status,
     composed_axis,
+    composed_direction,
     composed_pitch,
+    composed_ratio,
+    composed_unit,
     composed_vector_invariant,
     edge_points,
     edge_screws,
@@ -49,6 +53,8 @@ from screwalg import (
     reduction,
     wrench_of,
 )
+
+_EPS = sys.float_info.epsilon
 
 free_screws = st.builds(lambda m: Screw.from_free_vector(m), nonzero_vec3s)
 
@@ -127,9 +133,9 @@ def test_arm_length_must_be_positive():
         decompose_two_applied(s, arm_length=-1.0)
 
 
-# |w| = 2.1e308 is beyond the float range, so w / |w| would read (0, 0, 0):
-# the line split put two equal legs at one point, whose sum has moment 0,
-# and the couple had no direction to split across.
+# |w| = 2.1e308 is beyond the float range, and the axis core refuses it: the
+# legs of the general split would hold |w| / 2 and the couple's force
+# |m| / arm, both inf.
 _OVERFLOWING_NORMS = [
     Screw(Vec3(1.5e308, 1.5e308, 0.0), Vec3(0.0, 0.0, 1.0)),
     Screw.from_free_vector(Vec3(-1.5e308, -1.5e308, 0.0)),
@@ -144,6 +150,26 @@ def test_a_direction_whose_norm_overflows_is_refused(s):
 def test_a_report_whose_amplitude_overflows_is_refused():
     fs = ForceSystem(((ORIGIN, Vec3(1.5e308, 1.5e308, 0.0)),))
     assert refusal(central_axis_report, fs) == "norm of the screw direction is not finite"
+
+
+# |m| = 2.1e308 is beyond the float range, and sigma = m . u is not: the
+# zero-pitch split compared sigma with an |m| of inf, dropped the couple
+# part and returned two parallel legs whose moment at O is not m.
+_BEYOND = Vec3(1.5e308, 1.5e308, 0.0)
+
+
+def test_a_moment_beyond_the_float_range_keeps_its_couple_part():
+    s = Screw(Vec3(1e300, 0.0, 0.0), _BEYOND)
+    total = decompose_two_applied(s).to_screw()
+    for got, want in ((total.resultant, s.resultant), (total.moment_at_origin, s.moment_at_origin)):
+        scale = max(map(abs, want.components()))
+        assert all(abs(a - b) <= 4.0 * _EPS * scale for a, b in zip(got.components(), want.components()))
+
+
+def test_an_arm_beyond_the_float_range_is_refused():
+    # The arm -2 sigma / |w| is -3e308.
+    s = Screw(Vec3(1.0, 0.0, 0.0), _BEYOND)
+    assert refusal(decompose_two_applied, s).startswith("Point components must be finite")
 
 
 def test_pair_accessors():
@@ -225,14 +251,15 @@ def test_decomposition_of_a_unit_wrench_example():
 
 
 # The composed form that decompose_two_applied fuses, kept as its bit oracle.
-# Its unit directions come from ``normalized()`` and ``composed_axis``, which
-# refuse a norm beyond the float range, as the kernel's ``screw._axis`` does.
+# Its unit directions come from ``composed_unit``, and the resultant's and the
+# couple's through ``composed_direction`` and ``composed_axis``, which refuse
+# a norm beyond the float range, as the kernel's ``screw._axis`` does.
 
 
 def _composed_reference_perpendicular(u: Vec3) -> Vec3:
     axes = (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
     pick = min(axes, key=lambda e: abs(u.dot(e)))
-    return u.cross(pick).normalized()
+    return composed_unit(u.cross(pick))[1]
 
 
 def _composed_decompose(s: Screw, arm_length: float) -> AppliedVectorPair:
@@ -242,7 +269,7 @@ def _composed_decompose(s: Screw, arm_length: float) -> AppliedVectorPair:
         raise ValueError("arm_length must be positive")
     if s.is_free():
         m = s.moment_at_origin
-        m_hat = m.normalized()
+        _, m_hat = composed_direction(m)
         w_hat = _composed_reference_perpendicular(m_hat)
         w = w_hat * (m.norm() / arm_length)
         a = m_hat.cross(w_hat) * arm_length
@@ -253,12 +280,17 @@ def _composed_decompose(s: Screw, arm_length: float) -> AppliedVectorPair:
     q, u = axis.point, axis.direction
     m = s.moment_at_origin
     sigma = m.dot(u)
-    if abs(sigma) <= reduction._SCALAR_RTOL * m.norm():
+    mn, split = m.norm(), sigma
+    if mn == math.inf:
+        e = math.frexp(max(abs(c) for c in m.components()))[1]
+        mn = Vec3(*(math.ldexp(c, -e) for c in m.components())).norm()
+        split = math.ldexp(sigma, -e)
+    if abs(split) <= reduction._SCALAR_RTOL * mn:
         return AppliedVectorPair(q, w * 0.5, q + u, w * 0.5)
     a_hat = _composed_reference_perpendicular(u)
     v_hat = u.cross(a_hat)
     gamma = 0.5 * amp
-    alpha = -2.0 * sigma / amp
+    alpha = composed_ratio(-2.0, sigma, amp)
     arm = a_hat * alpha
     leg1 = w * 0.5 + v_hat * gamma
     leg2 = w * 0.5 - v_hat * gamma

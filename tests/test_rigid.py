@@ -22,11 +22,13 @@ from conftest import (
     bit_examples,
     cli_status,
     composed_axis,
+    composed_unit,
     coords,
     edge_mat3s,
     edge_screws,
     edge_vec3s,
     points,
+    refusal,
     scaled_vec3s,
     screws,
     small_params,
@@ -216,10 +218,18 @@ def test_log_exp_round_trip_small_angles_across_scales():
 
 
 @given(screws)
+@example(Screw(Vec3(0.0, 5e-324, 0.0), Vec3(0.0, 0.0, 1.0)))
 def test_exp_log_reproduces_the_map(s):
     """Even past the principal branch the decomposition reproduces the map
-    (the screw itself is only unique for |resultant| < pi)."""
+    (the screw itself is only unique for |resultant| < pi).  A rotation by
+    an angle so small that the axis point |u x t| / angle is beyond the
+    float range (|t| is at most 4 sqrt(3) here) is a line screw all the
+    same, and its axis point is refused."""
     g = exp_screw(s, 1.0)
+    refused = refusal(chasles, g)
+    if refused is not None:
+        assert refused.startswith("Point components must be finite") and 0.0 < s.amplitude() < 1e-300
+        return
     dec = chasles(g)
     assert 0.0 <= dec.angle <= math.pi + 1e-12
     # near the half-turn the angle extraction loses half the digits
@@ -348,9 +358,7 @@ def _composed_rotation_check(r: Mat3, t: Vec3) -> RigidMap:
 def _composed_exp_screw(s: Screw, t: float) -> RigidMap:
     if s.is_free():
         return _composed_rotation_check(Mat3.identity(), s.moment_at_origin * t)
-    w = s.resultant
-    omega = w.norm()
-    u = w / omega
+    omega, u = composed_unit(s.resultant)
     theta = omega * t
     rot = rodrigues(u, theta)
     f1, f2 = rigid._exp_coeffs(theta)
@@ -365,7 +373,7 @@ def _composed_axis_from_symmetric_part(r: Mat3, w: Vec3, cos_theta: float) -> Ve
     m = 0.5 * (r + r.transpose()) - cos_theta * Mat3.identity()
     diag = (m.xx, m.yy, m.zz)
     j = max(range(3), key=lambda i: diag[i])
-    u = m.column(j).normalized()
+    _, u = composed_unit(m.column(j))
     if w.norm() > 1e-12 and w.dot(u) < 0.0:
         u = -u
     return u
@@ -382,7 +390,7 @@ def _composed_chasles(g: RigidMap) -> ChaslesDecomposition:
         if math.pi - theta < rigid._NEAR_PI:
             u = _composed_axis_from_symmetric_part(r, w, 0.5 * trace_less_one)
         else:
-            u = w.normalized()
+            _, u = composed_unit(w)
         utv = u.cross(tv)
         s = Screw(u * theta, tv - (0.5 * theta) * utv + rigid._log_coeff(theta) * u.cross(utv))
     if s.is_free():
@@ -394,7 +402,8 @@ def _composed_chasles(g: RigidMap) -> ChaslesDecomposition:
 
 # Angles on both sides of each branch constant: around _SERIES_ANGLE, inside
 # and outside the band pi - _NEAR_PI, at and past the half turn, and below
-# about 1.5e-162, where the squared angle underflows to 0.0.
+# about 1.5e-162, where the squared angle underflows to 0.0 and the screw is
+# still a line.
 _kernel_angles = st.one_of(
     st.floats(-7.0, 7.0),
     st.floats(-6.0, -3.0).map(lambda e: 10.0 ** e),
@@ -471,7 +480,7 @@ _kernel_maps = st.one_of(
 
 @bit_examples
 @given(_kernel_maps)
-# u x t overflows where the squared angle underflows, and a free screw comes
+# u x t overflows where the squared angle underflows, and a line axis comes
 # back where it does not; exact and near half turns; the moment overflows
 # near a half turn; a rotation of 1e-170 with a translation of 1.
 @example(RigidMap(rodrigues(Vec3(0.0, 0.6, 0.8), 1e-170), Vec3(0.0, -1.7e308, 1.7e308)))
@@ -485,6 +494,11 @@ _kernel_maps = st.one_of(
 @example(RigidMap(Mat3(-1.0, 0.0, 0.0, 0.0, -1.0, -4e-11, 0.0, 4e-11, 1.0), Vec3(0.4, -0.2, 0.7)))
 def test_chasles_is_the_composed_decomposition_bit_for_bit(g):
     assert sum_outcome(chasles, g) == sum_outcome(_composed_chasles, g)
+
+
+def test_a_moment_beyond_the_float_range_is_refused_by_name():
+    g = RigidMap(rodrigues(Vec3(0.0, 0.6, 0.8), 1e-170), Vec3(0.0, -1.7e308, 1.7e308))
+    assert refusal(chasles, g) == "moment of the screw motion is not finite"
 
 
 @given(_kernel_maps)
@@ -543,7 +557,8 @@ def test_exp_screw_builds_its_rotation_and_translation_only(s):
         (exp_screw(Screw(Vec3(0.0, 0.6, 0.8) * (math.pi - 1e-7), Vec3(1.0, 2.0, 3.0)), 1.0), 2),
         (RigidMap(Mat3(-1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0), Vec3(0.4, -0.2, 0.7)), 2),
         (RigidMap(Mat3.identity(), Vec3(1.0, 2.0, 3.0)), 0),
-        (RigidMap(rodrigues(Vec3(0.0, 0.6, 0.8), 1e-170), Vec3(1.0, 2.0, 3.0)), 0),
+        # The squared angle underflows; the angle does not, so the axis is a line.
+        (RigidMap(rodrigues(Vec3(0.0, 0.6, 0.8), 1e-170), Vec3(1.0, 2.0, 3.0)), 2),
     ],
     ids=["line", "near-half-turn", "half-turn", "translation", "underflow"],
 )

@@ -8,6 +8,7 @@ tests are property-based with a handful of frozen hand-computed values.
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -48,6 +49,8 @@ from screwalg import (
     Vec3,
     ZeroScrewPitch,
 )
+
+_EPS, _MIN_NORMAL = sys.float_info.epsilon, sys.float_info.min
 
 
 @given(screws, points, points)
@@ -302,7 +305,8 @@ def test_pitch_beyond_the_float_range_is_refused():
             FinitePitch(bad)
 
 
-# |w| = 2.1e308 is beyond the float range, so w / |w| would read (0, 0, 0).
+# |w| = 2.1e308 is beyond the float range: the axis point and the pitch
+# would be divided by inf.
 _OVERFLOWING_NORM = Screw(Vec3(1.5e308, 1.5e308, 0.0), Vec3(0.0, 0.0, 1.0))
 
 
@@ -361,6 +365,10 @@ def _classify(s: Screw) -> tuple:
     return (s.is_zero(), s.is_free(), type(s.axis()), type(s.pitch()))
 
 
+def _outcomes(s: Screw) -> tuple:
+    return (s.is_zero(), s.is_free(), bit_outcome(s.axis), bit_outcome(s.pitch))
+
+
 @given(
     st.builds(Screw, _wide_vec3s, _wide_vec3s),
     st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0 ** e),
@@ -369,6 +377,105 @@ def _classify(s: Screw) -> tuple:
 @example(Screw(Vec3.zero(), Vec3(1e-13, 0.0, 0.0)), 1e6)
 def test_classification_does_not_depend_on_the_units(s, k):
     assert _classify(s * k) == _classify(s)
+
+
+# Its resultant's squared norm underflows at k = 2**-560, an exact change of
+# force unit, where a squared-norm rule read the screw as the zero screw.
+_ONE_UNIT = Screw(Vec3(1e-10, 0.0, 0.0), Vec3(0.0, 1e-10, 1e-10))
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0**-400, 2.0**-560], ids=["1", "2**-400", "2**-560"])
+def test_a_screw_keeps_its_class_axis_and_pitch_below_the_squares(k):
+    s = _ONE_UNIT * k
+    assert _classify(s) == (False, False, LineAxis, FinitePitch)
+    assert s.axis() == LineAxis(Point(0.0, -1.0, 1.0), Vec3(1.0, 0.0, 0.0))
+    assert s.pitch() == FinitePitch(0.0)
+
+
+def test_a_pitch_whose_product_with_two_pi_overflows_is_finite():
+    # 2 pi t overflows for t = 1.5e308; the pitch 2 pi t / n does not.
+    p = Screw(Vec3(1e300, 0.0, 0.0), Vec3(1.5e308, 1.5e308, 0.0)).pitch()
+    assert isinstance(p, FinitePitch) and math.isclose(p.value, 2.0 * math.pi * 1.5e8, rel_tol=1e-15)
+
+
+# A change of units by 2**j is exact on the screws below, and their class,
+# axis and pitch are representable at both scales.  Each component is a
+# signed zero, a small integer or a rough mantissa times 2**a, a in
+# [-16, 16], and the screw is at a scale 2**c.  At a scale of -900 and up,
+# every product the axis core forms of them is a normal float; up to 1000,
+# 2 pi t is finite.
+_mantissa = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+    st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]), st.floats(min_value=0.5, max_value=4.0)),
+)
+_part = st.builds(math.ldexp, _mantissa, st.integers(-16, 16))
+_parts = st.builds(Vec3, _part, _part, _part)
+
+
+def _at_scale(v: Vec3, c: int) -> Vec3:
+    return Vec3(*(math.ldexp(x, c) for x in v.components()))
+
+
+@st.composite
+def _force_units(draw):
+    """A screw at a scale 2**c and j, with c and c + j in [-900, 1000]."""
+    j = draw(st.integers(-1000, 1000))
+    c = draw(st.integers(max(-900, -900 - j), min(1000, 1000 - j)))
+    w, m = draw(_parts), draw(_parts)
+    return Screw(_at_scale(w, c), _at_scale(m, c)), j
+
+
+def _squares_are_normal(w: Vec3) -> bool:
+    """Whether the squares of w's nonzero components and their sum are
+    normal floats, where |w| is sqrt(w . w) and scales with w to the bit."""
+    squares = [x * x for x in w.components() if x]
+    return all(_MIN_NORMAL <= q for q in squares) and w.dot(w) < math.inf
+
+
+@given(_force_units())
+@example((Screw(Vec3(0.0, 6.703903964971299e153, 1.24903474270213e153), Vec3(0.0, 0.0, 1.3407807929942597e154)), 1))
+def test_a_force_unit_changes_no_class_axis_or_pitch(case):
+    """w and m scaled by 2**j, j in [-1000, 1000]: a screw's class, axis and
+    pitch are facts of its geometry.  The class is unchanged everywhere, and
+    the axis and the pitch to the bit where the squares of w are normal
+    floats at both scales.  Elsewhere |w| is hypot on one side and
+    sqrt(w . w) on the other, which may differ by an ulp, and so may the
+    axis point and the pitch."""
+    s, j = case
+    scaled = Screw(_at_scale(s.resultant, j), _at_scale(s.moment_at_origin, j))
+    assert _classify(scaled) == _classify(s)
+    if _squares_are_normal(s.resultant) and _squares_are_normal(scaled.resultant):
+        assert _outcomes(scaled) == _outcomes(s)
+    elif not s.is_free():
+        axis, moved = s.axis(), scaled.axis()
+        assert moved.direction.isclose(axis.direction, rel=2.0 * _EPS, abs_=0.0)
+        assert (moved.point - axis.point).norm() <= 4.0 * _EPS * axis.point.to_vec().norm()
+        assert math.isclose(scaled.pitch().value, s.pitch().value, rel_tol=4.0 * _EPS)
+
+
+@st.composite
+def _length_units(draw):
+    """A screw whose moment is at a scale 2**c, and j, with c and c + j in
+    [-800, 980]: there the axis point and the pitch are normal floats."""
+    j = draw(st.integers(-1000, 1000))
+    c = draw(st.integers(max(-800, -800 - j), min(980, 980 - j)))
+    return Screw(draw(_parts), _at_scale(draw(_parts), c)), j
+
+
+@given(_length_units())
+def test_a_length_unit_scales_the_pitch_and_the_axis_point_exactly(case):
+    """m scaled by 2**j, j in [-1000, 1000], as a moment or a velocity is by
+    a change of length unit: the pitch and the axis point scale by 2**j to
+    the bit, and the class and the direction do not change."""
+    s, j = case
+    scaled = Screw(s.resultant, _at_scale(s.moment_at_origin, j))
+    assert scaled.is_free() == s.is_free()
+    if s.is_free():
+        return
+    axis, moved = s.axis(), scaled.axis()
+    assert bit_outcome(lambda: moved.direction) == bit_outcome(lambda: axis.direction)
+    assert bit_outcome(lambda: moved.point) == bit_outcome(_at_scale, axis.point, j)
+    assert float.hex(scaled.pitch().value) == float.hex(math.ldexp(s.pitch().value, j))
 
 
 def test_the_field_is_read_and_set_at_points_only():

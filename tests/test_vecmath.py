@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -9,8 +10,10 @@ from conftest import (
     assert_vec_close,
     bit_examples,
     bit_outcome,
+    composed_unit,
     coords,
     edge_mat3s,
+    edge_vec3s,
     points,
     refusal,
     small_params,
@@ -19,6 +22,8 @@ from conftest import (
     vec3s,
 )
 from screwalg import ORIGIN, Mat3, NonFiniteError, Point, RigidMap, Vec3, rodrigues
+
+_EPS, _MIN_NORMAL = sys.float_info.epsilon, sys.float_info.min
 
 
 @given(vec3s, vec3s)
@@ -50,10 +55,43 @@ def test_norm_examples():
         Vec3.zero().normalized()
 
 
-def test_a_norm_beyond_the_float_range_is_refused():
-    # |v| = 2.1e308: v / |v| would read (0, 0, 0).
-    assert refusal(Vec3(1.5e308, 1.5e308, 0.0).normalized) == "norm of the vector is not finite"
+def test_a_norm_beyond_the_float_range_gives_the_unit_vector():
+    # |v| = 2.1e308 is beyond the float range, and v / |v| would read
+    # (0, 0, 0); v scaled by 2**-1024 is not.
+    assert Vec3(1.5e308, 1.5e308, 0.0).normalized() == Vec3(0.5**0.5, 0.5**0.5, 0.0)
     assert Vec3(1.1e308, 1.1e308, 0.0).normalized().isclose(Vec3(0.5**0.5, 0.5**0.5, 0.0))
+
+
+# Every nonzero finite vector: components of one sign or mixed, from the
+# subnormals to the largest float, alone or beside components of another
+# scale.
+_any_component = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-_MIN_NORMAL, max_value=_MIN_NORMAL),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max]),
+)
+_nonzero_vec3s = st.one_of(edge_vec3s, st.builds(Vec3, _any_component, _any_component, _any_component)).filter(
+    lambda v: not v.is_zero()
+)
+
+
+@given(_nonzero_vec3s)
+# Norms that are subnormal, with a few significant bits: dividing by them
+# gave norms of 0.866 and 0.999.
+@example(Vec3(5e-324, 5e-324, 5e-324))
+@example(Vec3(3e-322, 7e-322, 1e-322))
+def test_normalized_has_norm_one_within_two_eps(v):
+    assert abs(v.normalized().norm() - 1.0) <= 2.0 * _EPS
+
+
+@bit_examples
+@given(_nonzero_vec3s)
+@example(Vec3(1.0, 2.0, 2.0))
+@example(Vec3(-0.0, 3e-200, -4e-200))
+@example(Vec3(1e200, -1e200, 0.0))
+def test_normalized_is_the_composed_unit_vector_bit_for_bit(v):
+    # In the normal range that is v / |v|, the parent's quotient.
+    assert bit_outcome(v.normalized) == bit_outcome(lambda: composed_unit(v)[1])
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-155, 1e-162, 1e-200])
